@@ -12,9 +12,12 @@ A found certificate proves stability for every class member of the
 associated triples (see ``implied_stabilities``); a failed search
 proves nothing.  The searches maximize the smallest eigenvalue of the
 form by projected subgradient ascent over the witness parametrization
-with trace normalization and multi-starts.  This is a self-contained
-heuristic, deliberately chosen over an external semidefinite solver:
-``NotFound`` is always inconclusive.
+with trace normalization and multi-starts.  One positive
+block-scalar diagonal search serves the diagonal, block-scalar and
+Stein forms (a plain diagonal is the all-singleton partition); the
+block-diagonal SPD witness has its own Cholesky parametrization.  This
+is a self-contained heuristic, deliberately chosen over an external
+semidefinite solver: ``NotFound`` is always inconclusive.
 
 Searches are sequential per call; run several concurrently by passing
 split generator streams.
@@ -23,14 +26,15 @@ split generator streams.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import algebra, classes, regions
 from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
-from .errors import UnsupportedClassError
+from .errors import NonSymmetricError, UnsupportedClassError
 from .linalg import as_square_matrix, hill_form, is_positive_definite
 
 __all__ = [
@@ -156,92 +160,17 @@ def _ascend(init_params, decode, grad, project, budget: int,
     return best_p, best_val, used
 
 
-def _diag_search(a: np.ndarray, form: str, budget: int, rng: np.random.Generator):
-    """Search positive diagonal D with trace n maximizing the smallest
-    eigenvalue of the continuous ('lyap') or discrete ('stein') form."""
-    n = a.shape[0]
-
-    def init_params(start: int) -> np.ndarray:
-        if start == 0:
-            return np.ones(n)
-        return 10.0 ** rng.uniform(-1.5, 1.5, n)
-
-    def project(d: np.ndarray) -> np.ndarray:
-        d = np.maximum(d, 1e-10)
-        return d * (n / np.sum(d))
-
-    if form == "lyap":
-        def decode(d):
-            da = d[:, None] * a
-            return da + da.T
-
-        def grad(d, v):
-            return 2.0 * v * (a @ v)
-    else:
-        def decode(d):
-            return np.diag(d) - a.T @ (d[:, None] * a)
-
-        def grad(d, v):
-            av = a @ v
-            return v * v - av * av
-
-    return _ascend(init_params, decode, grad, project, budget, rng), project
-
-
-def find_diagonal_lyapunov(a, budget: int = 5000,
-                           rng: np.random.Generator | None = None) -> CertReport:
-    """Search for a positive diagonal ``D`` making ``D A + A^T D``
-    positive definite.
-
-    The search runs on ``A`` scaled to unit Frobenius norm so that the
-    found/not-found outcome is exactly invariant under positive scaling
-    of ``A``; the reported ``min_eig`` refers to the original matrix.
-    """
-    a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return CertReport(False, None, 0.0, 0)
-    an = a / norm
-    (d, val, used), project = _diag_search(an, "lyap", budget, rng)
-    if d is None or val <= FOUND_TOL:
-        return CertReport(False, None, val * norm if d is not None else -np.inf, used)
-    witness = np.diag(project(d))
-    form = witness @ a + a.T @ witness
-    cert = Certificate(
-        CertKind.DIAGONAL_LYAPUNOV, witness, float(np.linalg.eigvalsh(form)[0])
-    )
-    return CertReport(True, cert, cert.min_eig, used)
-
-
-def find_stein_diagonal(a, budget: int = 5000,
-                        rng: np.random.Generator | None = None) -> CertReport:
-    """Search for a positive diagonal ``D`` making ``D - A^T D A``
-    positive definite."""
-    a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
-    (d, val, used), project = _diag_search(a, "stein", budget, rng)
-    if d is None or val <= FOUND_TOL:
-        return CertReport(False, None, val if d is not None else -np.inf, used)
-    witness = np.diag(project(d))
-    form = witness - a.T @ witness @ a
-    cert = Certificate(
-        CertKind.STEIN_DIAGONAL, witness, float(np.linalg.eigvalsh(form)[0])
-    )
-    return CertReport(True, cert, cert.min_eig, used)
-
-
-def _alpha_scalar_search(a: np.ndarray, part: Partition, budget: int,
+def _block_scalar_search(a: np.ndarray, part: Partition, form: str, budget: int,
                          rng: np.random.Generator):
+    """Search a positive block-scalar diagonal ``D`` (one value per block
+    of ``part``, trace n) maximizing the smallest eigenvalue of the
+    continuous ('lyap', ``D A + A^T D``) or discrete ('stein',
+    ``D - A^T D A``) form.  Plain diagonals are the all-singleton
+    partition.  Returns the ascent result and its witness map."""
     n = a.shape[0]
-    sizes = np.array([len(b) for b in part.blocks], dtype=float)
-    p_dim = len(part.blocks)
-    block_of = np.empty(n, dtype=int)
-    for j, block in enumerate(part.blocks):
-        block_of[np.asarray(block)] = j
-
-    def expand(c):
-        return c[block_of]
+    block_of = np.repeat(np.arange(len(part.blocks)), [len(b) for b in part.blocks])
+    sizes = np.bincount(block_of).astype(float)
+    p_dim = sizes.size
 
     def init_params(start: int) -> np.ndarray:
         if start == 0:
@@ -252,15 +181,24 @@ def _alpha_scalar_search(a: np.ndarray, part: Partition, budget: int,
         cvals = np.maximum(cvals, 1e-10)
         return cvals * (n / np.sum(cvals * sizes))
 
-    def decode(cvals):
-        da = expand(cvals)[:, None] * a
-        return da + da.T
+    if form == "lyap":
+        def decode(cvals):
+            da = cvals[block_of][:, None] * a
+            return da + da.T
 
-    def grad(cvals, v):
-        per_coord = 2.0 * v * (a @ v)
-        return np.array([np.sum(per_coord[np.asarray(b)]) for b in part.blocks])
+        def grad(cvals, v):
+            return np.bincount(block_of, 2.0 * v * (a @ v), p_dim)
+    else:
+        def decode(cvals):
+            d = cvals[block_of]
+            return np.diag(d) - a.T @ (d[:, None] * a)
 
-    return _ascend(init_params, decode, grad, project, budget, rng), project, expand
+        def grad(cvals, v):
+            av = a @ v
+            return np.bincount(block_of, v * v - av * av, p_dim)
+
+    result = _ascend(init_params, decode, grad, project, budget, rng)
+    return result, lambda cvals: np.diag(project(cvals)[block_of])
 
 
 def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
@@ -321,7 +259,63 @@ def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
             g[lo:hi] = gl[tril]
         return g
 
-    return _ascend(init_params, decode, grad, project, budget, rng), decode_h
+    def witness_of(p):
+        h = decode_h(p)
+        return h * (n / np.trace(h))
+
+    return _ascend(init_params, decode, grad, project, budget, rng), witness_of
+
+
+def _report(kind: CertKind, a: np.ndarray, result, witness_of, scale: float = 1.0,
+            partition: Partition | None = None) -> CertReport:
+    """Report an ascent result.  A witness clearing ``FOUND_TOL`` becomes
+    a certificate whose ``min_eig`` is recomputed from the certified
+    form at ``a``; otherwise the best value is reported times ``scale``
+    (the norm the search divided ``a`` by)."""
+    params, val, used = result
+    if params is None or val <= FOUND_TOL:
+        return CertReport(False, None, val * scale if params is not None else -np.inf, used)
+    cert = Certificate(kind, witness_of(params), np.nan, partition=partition)
+    min_eig = float(np.linalg.eigvalsh(certified_form(cert, a))[0])
+    return CertReport(True, replace(cert, min_eig=min_eig), min_eig, used)
+
+
+def _lyapunov_search(a: np.ndarray, kind: CertKind, part: Partition, budget: int,
+                     rng: np.random.Generator) -> CertReport:
+    """Continuous-form search on ``A`` scaled to unit Frobenius norm, so
+    that the found/not-found outcome is exactly invariant under positive
+    scaling of ``A``; the reported ``min_eig`` refers to the original
+    matrix."""
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0:
+        return CertReport(False, None, 0.0, 0)
+    if kind is CertKind.BLOCK_LYAPUNOV:
+        result, witness_of = _block_spd_search(a / norm, part, budget, rng)
+    else:
+        result, witness_of = _block_scalar_search(a / norm, part, "lyap", budget, rng)
+    partition = None if kind is CertKind.DIAGONAL_LYAPUNOV else part
+    return _report(kind, a, result, witness_of, norm, partition)
+
+
+def find_diagonal_lyapunov(a, budget: int = 5000,
+                           rng: np.random.Generator | None = None) -> CertReport:
+    """Search for a positive diagonal ``D`` making ``D A + A^T D``
+    positive definite: the block-scalar search over singleton blocks."""
+    a = as_square_matrix(a)
+    rng = np.random.default_rng(0) if rng is None else rng
+    singletons = Partition.from_sizes([1] * a.shape[0])
+    return _lyapunov_search(a, CertKind.DIAGONAL_LYAPUNOV, singletons, budget, rng)
+
+
+def find_stein_diagonal(a, budget: int = 5000,
+                        rng: np.random.Generator | None = None) -> CertReport:
+    """Search for a positive diagonal ``D`` making ``D - A^T D A``
+    positive definite."""
+    a = as_square_matrix(a)
+    rng = np.random.default_rng(0) if rng is None else rng
+    singletons = Partition.from_sizes([1] * a.shape[0])
+    result, witness_of = _block_scalar_search(a, singletons, "stein", budget, rng)
+    return _report(CertKind.STEIN_DIAGONAL, a, result, witness_of)
 
 
 def _is_identity_singleton(p_class: MatrixClass) -> bool:
@@ -336,6 +330,13 @@ def _is_identity_singleton(p_class: MatrixClass) -> bool:
 def identity_witness_class(n: int) -> MatrixClass:
     """The singleton witness class containing only the identity."""
     return classes.explicit_list([np.eye(n)])
+
+
+#: Certificate kind found by searching each parametrized witness class.
+_SEARCH_KINDS = {
+    ClassKind.POS_ALPHA_SCALAR: CertKind.ALPHA_SCALAR_LYAPUNOV,
+    ClassKind.ALPHA_BLOCK_SPD: CertKind.BLOCK_LYAPUNOV,
+}
 
 
 def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
@@ -360,48 +361,12 @@ def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
             return CertReport(True, cert, lam, 1)
         return CertReport(False, None, lam, 1)
 
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return CertReport(False, None, 0.0, 0)
-    an = a / norm
-
-    if p_class.kind is ClassKind.POS_ALPHA_SCALAR:
-        (c, val, used), project, expand = _alpha_scalar_search(
-            an, p_class.partition, budget, rng
+    kind = _SEARCH_KINDS.get(p_class.kind)
+    if kind is None:
+        raise UnsupportedClassError(
+            f"no search parametrization for witness class {p_class.kind.value}"
         )
-        if c is None or val <= FOUND_TOL:
-            return CertReport(False, None, val * norm if c is not None else -np.inf, used)
-        witness = np.diag(expand(project(c)))
-        form = witness @ a + a.T @ witness
-        cert = Certificate(
-            CertKind.ALPHA_SCALAR_LYAPUNOV,
-            witness,
-            float(np.linalg.eigvalsh(form)[0]),
-            partition=p_class.partition,
-        )
-        return CertReport(True, cert, cert.min_eig, used)
-
-    if p_class.kind is ClassKind.ALPHA_BLOCK_SPD:
-        (p, val, used), decode_h = _block_spd_search(
-            an, p_class.partition, budget, rng
-        )
-        if p is None or val <= FOUND_TOL:
-            return CertReport(False, None, val * norm if p is not None else -np.inf, used)
-        witness = decode_h(p)
-        tr = np.trace(witness)
-        witness = witness * (a.shape[0] / tr)
-        form = witness @ a + a.T @ witness
-        cert = Certificate(
-            CertKind.BLOCK_LYAPUNOV,
-            witness,
-            float(np.linalg.eigvalsh(form)[0]),
-            partition=p_class.partition,
-        )
-        return CertReport(True, cert, cert.min_eig, used)
-
-    raise UnsupportedClassError(
-        f"no search parametrization for witness class {p_class.kind.value}"
-    )
+    return _lyapunov_search(a, kind, p_class.partition, budget, rng)
 
 
 def certified_form(cert: Certificate, a) -> np.ndarray:
@@ -445,18 +410,20 @@ def _witness_ok(cert: Certificate) -> bool:
 def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
     search path: witness class membership plus positive definiteness.
-    Exhaustive certificates re-run the member-by-member check."""
+    Exhaustive certificates re-run the member check, 256 members to a
+    stack as in the enumeration stage."""
     a = as_square_matrix(a)
     if cert.kind is CertKind.EXHAUSTIVE:
         if cert.triple is None:
             return False
         region, cls, op = cert.triple
+        members = classes.enumerate_members(cls)
         count = 0
-        for g in classes.enumerate_members(cls):
-            w = np.linalg.eigvals(algebra.apply(op, g, a))
-            if not regions.spectrum_in_region(region, w):
+        while stack := list(itertools.islice(members, 256)):
+            ws = np.linalg.eigvals(algebra.apply(op, np.stack(stack), a))
+            if not regions.spectrum_in_region(region, ws.ravel()):
                 return False
-            count += 1
+            count += len(stack)
         return cert.members_checked is None or count == cert.members_checked
     if cert.witness is None or cert.witness.shape != a.shape:
         return False
@@ -465,7 +432,7 @@ def verify_certificate(cert: Certificate, a) -> bool:
     form = certified_form(cert, a)
     try:
         return is_positive_definite(form)
-    except Exception:
+    except (NonSymmetricError, ValueError):
         return False
 
 

@@ -12,10 +12,20 @@ engine returns a three-valued verdict:
   sum pushes an eigenvalue strictly outside the region;
 * ``UNKNOWN``  -- neither, within the trial budget.
 
-The strategy is layered, cheapest necessary conditions first:
-unbounded-class escape for bounded regions, the identity-element
-necessary check, exact enumeration of finite classes, certificate
-search, then randomized falsification.  Verdicts are deterministic
+``decide`` runs one sequence of stages, cheapest necessary conditions
+first, and stops at the first definite answer:
+
+1. unbounded-class escape for bounded regions;
+2. the identity-element necessary check;
+3. exact enumeration, for finite classes only;
+4. the certificate stage: search the form matching the triple, then
+   re-verify the certificate independently.  Finite classes whose
+   enumeration was inconclusive run this same stage;
+5. randomized falsification, for infinite classes only (sampling a
+   finite class again cannot add to its enumeration).
+
+Every REFUTED verdict, from whichever stage or from a verdict
+transfer, is built by one constructor.  Verdicts are deterministic
 functions of the query (including its seed).
 
 Falsification trials are evaluated in fixed-size chunks with generator
@@ -30,6 +40,7 @@ import enum
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,7 +49,7 @@ from . import algebra, certify, classes, regions
 from .algebra import BinaryOp, OpKind
 from .certify import CertKind, Certificate, CertReport
 from .classes import ClassKind, MatrixClass, Partition
-from .errors import OrderTooLargeError, SingularOperatorError
+from .errors import OrderTooLargeError, SingularOperatorError, UnrepresentableError
 from .linalg import as_square_matrix, principal_submatrix
 
 __all__ = [
@@ -121,6 +132,25 @@ def _nonsingular(a: np.ndarray) -> bool:
 # falsification
 
 
+def _first_hit(margins: np.ndarray, tol: float) -> tuple[int, int] | None:
+    """(row, column) of the worst eigenvalue in the first row of
+    ``margins`` with an exterior margin beyond ``tol``, or None."""
+    hits = np.flatnonzero(margins.max(axis=1) > tol)
+    if not hits.size:
+        return None
+    j = int(hits[0])
+    return j, int(np.argmax(margins[j]))
+
+
+def _refuted(g, lam: complex, margin: float, note: str, provenance=(),
+             trials_used: int = 0) -> Verdict:
+    """The REFUTED verdict for witness ``g`` whose composition has the
+    eigenvalue ``lam`` at exterior ``margin``."""
+    return Verdict(VerdictStatus.REFUTED, witness=g, offending_eigenvalue=lam,
+                   margin=margin, trials_used=trials_used,
+                   provenance=tuple(provenance) + (note,))
+
+
 def _thread_count() -> int:
     try:
         return max(1, int(os.environ.get("DGSTAB_THREADS", "1")))
@@ -128,11 +158,17 @@ def _thread_count() -> int:
         return 1
 
 
-def _falsify_core(a, region, cls, op, budget, seed_seq, tol):
-    """Chunked randomized search for a class member with a strictly
-    exterior eigenvalue.  Returns (hit | None, trials_used)."""
+def falsify(q: Query) -> Verdict:
+    """Randomized counterexample search over the class.
+
+    Trials run in chunks of ``_CHUNK``, each drawn from its own spawned
+    generator stream, so the first witness in chunk order is the same
+    for every thread count.  Returns ``REFUTED`` with that witness or
+    ``UNKNOWN`` with the number of trials spent.
+    """
+    a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
     n_chunks = math.ceil(budget / _CHUNK)
-    children = seed_seq.spawn(n_chunks)
+    children = np.random.SeedSequence(q.seed).spawn(3)[2].spawn(n_chunks)
 
     def eval_chunk(i: int):
         count = min(_CHUNK, budget - i * _CHUNK)
@@ -141,56 +177,29 @@ def _falsify_core(a, region, cls, op, budget, seed_seq, tol):
         ms = algebra.apply(op, gs, a)
         ws = np.linalg.eigvals(ms)
         margins = regions.exterior_margins(region, ws.ravel()).reshape(count, -1)
-        worst = margins.max(axis=1)
-        hits = np.flatnonzero(worst > tol)
-        if hits.size:
-            j = int(hits[0])
-            lam = int(np.argmax(margins[j]))
-            return (j, gs[j], complex(ws[j, lam]), float(margins[j, lam]))
-        return None
+        hit = _first_hit(margins, tol)
+        if hit is None:
+            return None
+        j, lam = hit
+        return (j, gs[j], complex(ws[j, lam]), float(margins[j, lam]))
 
     threads = _thread_count()
-    if threads == 1:
-        for i in range(n_chunks):
-            res = eval_chunk(i)
-            if res is not None:
-                j, g, lam, margin = res
-                return (g, lam, margin), i * _CHUNK + j + 1
-        return None, budget
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window = threads * 4
+    window = threads * 4
+    with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
+        chunk_map = map if pool is None else pool.map
         for lo in range(0, n_chunks, window):
             hi = min(lo + window, n_chunks)
-            for i, res in zip(range(lo, hi), pool.map(eval_chunk, range(lo, hi))):
+            for i, res in zip(range(lo, hi), chunk_map(eval_chunk, range(lo, hi))):
                 if res is not None:
                     j, g, lam, margin = res
-                    return (g, lam, margin), i * _CHUNK + j + 1
-    return None, budget
-
-
-def falsify(q: Query) -> Verdict:
-    """Randomized counterexample search over the class.
-
-    Returns ``REFUTED`` with the first witness found (in deterministic
-    trial order) or ``UNKNOWN`` with the number of trials spent.
-    """
-    seed_seq = np.random.SeedSequence(q.seed).spawn(3)[2]
-    hit, used = _falsify_core(q.a, q.region, q.cls, q.op, q.budget, seed_seq, q.tol)
-    if hit is not None:
-        g, lam, margin = hit
-        return Verdict(
-            VerdictStatus.REFUTED,
-            witness=g,
-            offending_eigenvalue=lam,
-            margin=margin,
-            trials_used=used,
-            provenance=(f"falsification found witness after {used} trials",),
-        )
+                    used = i * _CHUNK + j + 1
+                    return _refuted(g, lam, margin,
+                                    f"falsification found witness after {used} trials",
+                                    trials_used=used)
     return Verdict(
         VerdictStatus.UNKNOWN,
-        trials_used=used,
-        provenance=(f"falsification exhausted {used} trials",),
+        trials_used=budget,
+        provenance=(f"falsification exhausted {budget} trials",),
     )
 
 
@@ -217,16 +226,8 @@ def _unboundedness_escape(q: Query, rng) -> Verdict | None:
                 break
             lam, margin = _worst_eigenvalue(q.region, algebra.apply(q.op, g, q.a))
             if margin > q.tol:
-                return Verdict(
-                    VerdictStatus.REFUTED,
-                    witness=g,
-                    offending_eigenvalue=lam,
-                    margin=margin,
-                    provenance=(
-                        "bounded region with unbounded class: scaled sample "
-                        f"2^{k} escapes",
-                    ),
-                )
+                return _refuted(g, lam, margin, "bounded region with unbounded class: "
+                                f"scaled sample 2^{k} escapes")
     return None
 
 
@@ -237,16 +238,8 @@ def _identity_check(q: Query) -> tuple[Verdict | None, str | None]:
     m = algebra.apply(q.op, ident, q.a)
     lam, margin = _worst_eigenvalue(q.region, m)
     if margin > q.tol:
-        return (
-            Verdict(
-                VerdictStatus.REFUTED,
-                witness=ident,
-                offending_eigenvalue=lam,
-                margin=margin,
-                provenance=("identity-element necessary check refutes",),
-            ),
-            None,
-        )
+        note = "identity-element necessary check refutes"
+        return _refuted(ident, lam, margin, note), None
     if not check_region_stability(m, q.region):
         return None, "identity element leaves a boundary eigenvalue (inconclusive)"
     return None, "identity-element check passed"
@@ -262,28 +255,15 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
         ws = np.linalg.eigvals(algebra.apply(op, stack, a))
         flat = ws.ravel()
         margins = regions.exterior_margins(region, flat).reshape(ws.shape)
-        worst = margins.max(axis=1)
-        hits = np.flatnonzero(worst > tol)
-        if hits.size:
-            j = int(hits[0])
-            lam = int(np.argmax(margins[j]))
-            return Verdict(
-                VerdictStatus.REFUTED,
-                witness=stack[j],
-                offending_eigenvalue=complex(ws[j, lam]),
-                margin=float(margins[j, lam]),
-                provenance=(
-                    f"exhaustive enumeration refutes at member {lo + j} "
-                    f"of {len(members)}",
-                ),
-            )
-        scores = regions.interior_scores(region, flat).reshape(ws.shape)
-        interior = np.array(
-            [regions.spectrum_in_region(region, w_row) for w_row in ws]
-        )
-        if not np.all(interior):
+        hit = _first_hit(margins, tol)
+        if hit is not None:
+            j, lam = hit
+            return _refuted(stack[j], complex(ws[j, lam]), float(margins[j, lam]),
+                            f"exhaustive enumeration refutes at member {lo + j} "
+                            f"of {len(members)}")
+        if not regions.spectrum_in_region(region, flat):
             boundary_blocked = True
-        min_score = min(min_score, float(scores.min()))
+        min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
     if boundary_blocked:
         return Verdict(
             VerdictStatus.UNKNOWN,
@@ -373,94 +353,67 @@ def _triple_covered(region, cls, op, implied) -> bool:
     return False
 
 
+def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None, str]:
+    """Search the certificate form matching the query triple and keep a
+    found certificate only if it re-verifies and its implied triples
+    cover the query.  Returns (certificate | None, provenance note)."""
+    if not enabled:
+        return None, "certificate search disabled"
+    report = _certificate_search(q, rng)
+    if report is None:
+        return None, "no certificate form matches the query triple"
+    if not report.found:
+        return None, ("certificate search inconclusive "
+                      f"(best min_eig={report.best_min_eig:.3e})")
+    cert = report.certificate
+    if certify.verify_certificate(cert, q.a) and _triple_covered(
+        q.region, q.cls, q.op, certify.implied_stabilities(cert)
+    ):
+        return cert, (f"certificate found ({cert.kind.value}, "
+                      f"min_eig={cert.min_eig:.3e}) and re-verified")
+    return None, "certificate candidate failed re-verification"
+
+
 def decide(q: Query, use_certificates: bool = True) -> Verdict:
-    """Layered decision: prechecks, exact enumeration, certificate
-    search, randomized falsification, in that order.
+    """Layered decision: unboundedness escape, identity-element check,
+    exact enumeration (finite classes), certificate search, randomized
+    falsification (infinite classes), in that order.
 
     ``use_certificates=False`` skips the certificate stage (the other
     stages are unaffected); useful for honesty testing and benchmarks.
     """
     prov: list[str] = []
-    seed_seq = np.random.SeedSequence(q.seed)
-    ss_pre, ss_cert, ss_fals = seed_seq.spawn(3)
+    ss_pre, ss_cert, _ = np.random.SeedSequence(q.seed).spawn(3)
+
+    def done(v: Verdict) -> Verdict:
+        v.provenance = tuple(prov) + v.provenance
+        return v
 
     v = _unboundedness_escape(q, np.random.default_rng(ss_pre))
     if v is not None:
-        v.provenance = tuple(prov) + v.provenance
-        return v
+        return done(v)
     prov.append("unboundedness precheck: not applicable or no escape found")
 
     v, note = _identity_check(q)
     if v is not None:
-        v.provenance = tuple(prov) + v.provenance
-        return v
+        return done(v)
     prov.append(note)
 
     if q.cls.is_finite:
         v = _exhaustive_check(q.a, q.region, q.cls, q.op, q.tol)
-        v.provenance = tuple(prov) + v.provenance
         if v.status is not VerdictStatus.UNKNOWN:
-            return v
-        prov = list(v.provenance)
-        # fall through: a certificate may still exist, but sampling the
-        # same finite members again cannot add information.
-        if use_certificates:
-            report = _certificate_search(q, np.random.default_rng(ss_cert))
-            if report is not None and report.found:
-                cert = report.certificate
-                if certify.verify_certificate(cert, q.a) and _triple_covered(
-                    q.region, q.cls, q.op, certify.implied_stabilities(cert)
-                ):
-                    prov.append("certificate search succeeded after enumeration")
-                    return Verdict(
-                        VerdictStatus.CERTIFIED,
-                        certificate=cert,
-                        provenance=tuple(prov),
-                    )
+            return done(v)
+        prov.extend(v.provenance)
+
+    cert, note = _certificate_stage(q, np.random.default_rng(ss_cert), use_certificates)
+    prov.append(note)
+    if cert is not None:
+        return done(Verdict(VerdictStatus.CERTIFIED, certificate=cert))
+    if q.cls.is_finite:
+        # sampling the members already enumerated cannot add information
         prov.append("finite class: falsification skipped (already enumerated)")
-        return Verdict(VerdictStatus.UNKNOWN, provenance=tuple(prov))
-
-    if use_certificates:
-        report = _certificate_search(q, np.random.default_rng(ss_cert))
-        if report is None:
-            prov.append("no certificate form matches the query triple")
-        elif report.found:
-            cert = report.certificate
-            if certify.verify_certificate(cert, q.a) and _triple_covered(
-                q.region, q.cls, q.op, certify.implied_stabilities(cert)
-            ):
-                prov.append(
-                    f"certificate found ({cert.kind.value}, "
-                    f"min_eig={cert.min_eig:.3e}) and re-verified"
-                )
-                return Verdict(
-                    VerdictStatus.CERTIFIED, certificate=cert, provenance=tuple(prov)
-                )
-            prov.append("certificate candidate failed re-verification")
-        else:
-            prov.append(
-                "certificate search inconclusive "
-                f"(best min_eig={report.best_min_eig:.3e})"
-            )
-    else:
-        prov.append("certificate search disabled")
-
-    hit, used = _falsify_core(
-        q.a, q.region, q.cls, q.op, q.budget, ss_fals, q.tol
-    )
-    if hit is not None:
-        g, lam, margin = hit
-        prov.append(f"falsification found witness after {used} trials")
-        return Verdict(
-            VerdictStatus.REFUTED,
-            witness=g,
-            offending_eigenvalue=lam,
-            margin=margin,
-            trials_used=used,
-            provenance=tuple(prov),
-        )
-    prov.append(f"falsification exhausted {used} trials")
-    return Verdict(VerdictStatus.UNKNOWN, trials_used=used, provenance=tuple(prov))
+        return done(Verdict(VerdictStatus.UNKNOWN))
+    return done(falsify(q))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,7 +995,7 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
         try:
             if not regions.transform_region(q.region, phi).is_invariant:
                 return "region is not invariant under the spectral map"
-        except Exception:
+        except UnrepresentableError:
             return "region is not invariant under the spectral map"
         if not _closed_under_op_inverse(q.cls, q.op):
             return "class is not closed under the operation inverse"
@@ -1143,13 +1096,8 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
             )
         lam, margin = _worst_eigenvalue(q.region, algebra.apply(q.op, g, qt.a))
         if margin > q.tol:
-            return Verdict(
-                VerdictStatus.REFUTED,
-                witness=g,
-                offending_eigenvalue=lam,
-                margin=margin,
-                provenance=v.provenance + (f"transfer ({label}): witness transformed",),
-            )
+            return _refuted(g, lam, margin, f"transfer ({label}): witness transformed",
+                            v.provenance)
         return Verdict(
             VerdictStatus.UNKNOWN,
             provenance=(

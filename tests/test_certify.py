@@ -258,3 +258,30 @@ def test_not_found_is_inconclusive_for_stable_matrices():
         m = np.diag(d) @ a
         w = np.linalg.eigvals(m)
         assert np.all(w.real > 0)
+
+
+def test_diagonal_search_is_the_singleton_block_scalar_search():
+    r = rng(5)
+    outcomes = set()
+    for n in (2, 3, 5):
+        singletons = classes.pos_alpha_scalar(Partition.from_sizes([1] * n))
+        for s in range(3):
+            a = r.standard_normal((n, n)) + 2.0 * s * np.eye(n)
+            rep_d = find_diagonal_lyapunov(a, 2000, rng(s))
+            rep_s = find_structured_lyapunov(a, singletons, 2000, rng(s))
+            assert rep_d.found == rep_s.found
+            assert rep_d.iterations == rep_s.iterations
+            assert rep_d.best_min_eig == rep_s.best_min_eig
+            if rep_d.found:
+                assert rep_d.certificate.witness.tobytes() == \
+                    rep_s.certificate.witness.tobytes()
+            outcomes.add(rep_d.found)
+    assert outcomes == {True, False}
+
+
+def test_verify_rejects_a_form_that_overflows():
+    # D A + A^T D overflows to inf, which the definiteness test rejects
+    # with a ValueError (non-finite entries)
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([1e308, 1e308]), 1.0)
+    with np.errstate(over="ignore"):
+        assert verify_certificate(cert, 10.0 * np.eye(2)) is False

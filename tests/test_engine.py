@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dgstab as dg
-from dgstab import algebra, classes, regions
+from dgstab import algebra, classes, regions, serialize
 from dgstab.algebra import MUL, BinaryOp, OpKind, Side
 from dgstab.certify import CertKind
 from dgstab.engine import (
@@ -521,3 +521,60 @@ def test_random_query_fuzz_preserves_verdict_invariants():
             assert np.max(
                 regions.exterior_margins(q.region, w.ravel())
             ) <= q.tol, i
+
+
+def test_transfer_op_inverse_on_the_unit_disk_is_inapplicable():
+    # the reciprocal image of the disk is its exterior, which no region
+    # kind represents
+    q = Query(0.4 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
+              budget=10, seed=1)
+    vt = transfer_verdict(decide(q), q, Transform(TransformKind.OP_INVERSE))
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.provenance == (
+        "transfer (op_inverse): theorem inapplicable: region is not invariant "
+        "under the spectral map",
+    )
+
+
+def test_verdicts_do_not_depend_on_thread_count(monkeypatch):
+    # block [[-e, 1], [-1, 1]] over a diagonally stable block: a positive
+    # diagonal destabilises it only when d1 / d2 > 1 / e.  e = 10^-5.8
+    # lets the sampler find that after a few chunks; e = 1e-9 never.
+    # 8000 trials are 16 chunks, more than one pool window at 2 and 3
+    # threads.
+    stable = np.eye(6) + 0.5 * np.triu(np.ones((6, 6)), 1)
+    queries = []
+    for e in (10.0 ** -5.8, 1e-9):
+        a = np.zeros((8, 8))
+        a[:2, :2] = [[-e, 1.0], [-1.0, 1.0]]
+        a[:2, 2:] = 0.3
+        a[2:, 2:] = stable
+        queries.append(Query(a, RHP, classes.pos_diag(8), MUL, budget=8000, seed=3))
+    outputs = {}
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("DGSTAB_THREADS", threads)
+        outputs[threads] = [serialize.dumps(serialize.verdict_to_json(stage(q)))
+                            for q in queries for stage in (decide, falsify)]
+    assert outputs["1"] == outputs["2"] == outputs["3"]
+    verdicts = [decide(q) for q in queries]
+    assert [v.status for v in verdicts] == [VerdictStatus.REFUTED, VerdictStatus.UNKNOWN]
+    assert verdicts[0].trials_used > 512  # the witness is not in the first chunk
+
+
+def test_inconclusive_enumeration_runs_the_certificate_stage():
+    # eigenvalue 1 sits on the disk boundary for every vertex member, so
+    # enumeration is inconclusive; the certificate stage then runs (the
+    # Stein form diag(0, 0.75 d2) is never definite) before decide stops
+    q = Query(np.diag([1.0, 0.5]), dg.unit_disk(), classes.vertex_diag(2), MUL,
+              budget=100, seed=1)
+    for use_certificates in (True, False):
+        v = decide(q, use_certificates=use_certificates)
+        assert v.status is VerdictStatus.UNKNOWN
+        prov = v.provenance
+        i = prov.index("exhaustive enumeration inconclusive: boundary eigenvalues "
+                       "without strict exterior margin")
+        assert prov[i + 2:] == ("finite class: falsification skipped (already enumerated)",)
+        if use_certificates:
+            assert prov[i + 1].startswith("certificate search inconclusive (")
+        else:
+            assert prov[i + 1] == "certificate search disabled"

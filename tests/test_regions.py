@@ -112,6 +112,29 @@ def test_scale_invariance_examples():
     assert is_scale_invariant(hill_region(case_i_coefficients()), (0.0, np.inf))
 
 
+SCALE_INTERVALS = [(0.0, np.inf), (0.5, 2.0), (-1.0, 1.0), (-1.0, 0.0),
+                   (-np.inf, 0.0), (-np.inf, np.inf)]
+SCALE_INVARIANT_CASES = [(r, iv) for r in ALL_KINDS for iv in SCALE_INTERVALS
+                         if is_scale_invariant(r, iv)]
+
+
+@pytest.mark.parametrize(
+    "region, interval", SCALE_INVARIANT_CASES,
+    ids=[f"{r.kind.value}-{lo}-{hi}" for r, (lo, hi) in SCALE_INVARIANT_CASES])
+def test_scale_invariance_holds_on_sampled_points(region, interval):
+    # every analytic "invariant" answer must survive scaling sampled
+    # interior points by sampled factors from the interval
+    rng = np.random.default_rng(20240)
+    pts = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
+    pts = pts * 10.0 ** rng.uniform(-2, 2, 4000)
+    codes, _ = regions._classify_arrays(region, pts)
+    pts = pts[codes == 1][:1000]
+    alphas = rng.uniform(max(interval[0], -1e6), min(interval[1], 1e6), 16)
+    for alpha in alphas:
+        margins = exterior_margins(region, alpha * pts)
+        assert not np.any(margins > 1e-6 * (1.0 + np.abs(alpha * pts))), alpha
+
+
 def test_classification_is_conjugate_symmetric():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
