@@ -19,8 +19,12 @@ block-diagonal SPD witness has its own Cholesky parametrization.  This
 is a self-contained heuristic, deliberately chosen over an external
 semidefinite solver: ``NotFound`` is always inconclusive.
 
-Searches are sequential per call; run several concurrently by passing
-split generator streams.
+The multi-starts of a search advance together as one stack of
+parameter rows, one batched ``eigh`` per iteration; the sequential
+stopping rule (budget, stall count, ``FOUND_TOL``, start order) is
+replayed on the recorded values, so a search returns what running its
+starts one after another would.  Run several searches concurrently by
+passing split generator streams.
 """
 
 from __future__ import annotations
@@ -102,62 +106,133 @@ class CertReport:
     iterations: int
 
 
-def _min_eig_vec(s: np.ndarray, rng: np.random.Generator):
-    """Smallest eigenvalue of symmetric ``s`` and a unit vector in its
-    eigenspace; degenerate eigenspaces get a random direction."""
-    vals, vecs = np.linalg.eigh(s)
-    lam = vals[0]
-    span = max(vals[-1] - vals[0], 1.0)
-    degenerate = np.flatnonzero(vals <= lam + 1e-10 * span)
-    if degenerate.size > 1:
-        w = rng.standard_normal(degenerate.size)
-        v = vecs[:, degenerate] @ w
-        v /= np.linalg.norm(v)
-    else:
-        v = vecs[:, 0]
-    return float(lam), v
+def _min_eig_vecs(vals: np.ndarray, vecs: np.ndarray, rng: np.random.Generator):
+    """From a stack's ``eigh`` output, a unit vector in each matrix's
+    smallest-eigenvalue eigenspace; degenerate eigenspaces get a random
+    direction, drawn in row order."""
+    v = vecs[:, :, 0]
+    if vals.shape[1] == 1:
+        return v
+    lam = vals[:, 0]
+    tol = lam + 1e-10 * np.maximum(vals[:, -1] - lam, 1.0)
+    odd = np.flatnonzero(vals[:, 1] <= tol)
+    if odd.size:
+        v = v.copy()
+        for i in odd:
+            cols = np.flatnonzero(vals[i] <= tol[i])
+            vi = vecs[i][:, cols] @ rng.standard_normal(cols.size)
+            v[i] = vi / np.linalg.norm(vi)
+    return v
 
 
 def _ascend(init_params, decode, grad, project, budget: int,
             rng: np.random.Generator):
     """Shared projected subgradient ascent over witness parameters.
 
-    ``decode`` maps parameters to the witness matrix, ``grad`` gives the
-    subgradient of the form's smallest eigenvalue at (params, v),
-    ``project`` re-normalizes parameters.  Returns the best
+    The multi-starts advance together as one ``(starts, p)`` stack of
+    parameter rows: ``init_params(start)`` draws one start's parameters,
+    and ``decode`` (rows to the stack of forms), ``grad`` (subgradient
+    of each form's smallest eigenvalue at the rows and their
+    eigenvectors) and ``project`` (re-normalization) act on the stack.
+    Each lockstep iteration is one batched ``eigh``; each row keeps its
+    own iteration count ``t`` and step ``0.5/sqrt(t)``.  Start 0's first
+    iterate is evaluated alone, and the other starts are drawn, in start
+    order, only if it does not certify.
+
+    A row leaves the stack when it certifies, reaches its per-start
+    share of the budget, stalls against its own best or has a vanishing
+    subgradient; later starts leave once a start certifies before the
+    stall rule could have stopped it.  The sequential stopping rule
+    (per-start budget share, stall count against the running best,
+    ``FOUND_TOL``, start order) is then replayed on the recorded values, so the result equals
+    that of running the starts one after another, unless a degenerate
+    eigenspace drew a random direction.  Returns the best
     (params, min_eig, iterations used).
     """
-    best_p = None
-    best_val = -np.inf
-    used = 0
+    if budget <= 0:
+        return None, -np.inf, 0
+    p = project(init_params(0)[None])
+    vals, vecs = np.linalg.eigh(decode(p))
+    if vals[0, 0] > FOUND_TOL:
+        return p[0], float(vals[0, 0]), 1
+
     per_start = max(budget // _MULTI_STARTS, 1)
-    for start in range(_MULTI_STARTS):
-        if used >= budget:
+    n_starts = min(_MULTI_STARTS, budget)
+    # lams[j, s] is start s's min_eig at lockstep iteration j (start 0
+    # is one iterate ahead of the others; the replay reads only what was
+    # written).  kept[j] holds the starts that improved on their own best
+    # at iteration j, with their params.
+    lams = np.empty((per_start + 1, n_starts))
+    kept = {}
+    steps = np.zeros(n_starts, dtype=int)  # iterates evaluated per start
+    rows = np.zeros(1, dtype=int)  # the start of each live row
+    t = np.zeros(1, dtype=int)
+    best = np.full(1, -np.inf)
+    last_up = np.zeros(1, dtype=int)
+    fresh = range(1, n_starts)  # drawn once start 0's first iterate fails
+    for j in itertools.count():
+        lam, v = vals[:, 0], _min_eig_vecs(vals, vecs, rng)
+        t += 1
+        lams[j, rows] = lam
+        up = lam > best
+        best = np.where(up, lam, best)
+        last_up = np.where(up, t, last_up)
+        if up.any():
+            kept[j] = rows[up], p[up]
+        go = (t < per_start) & (t - last_up <= STALL_LIMIT)
+        found = lam > FOUND_TOL
+        if found.any():
+            go &= ~found
+            sure = rows[found & (t <= STALL_LIMIT + 1)]
+            if sure.size:
+                go &= rows <= sure.min()
+        g = grad(p, v)
+        norm = np.sqrt(np.vecdot(g, g))
+        go &= ~(norm < 1e-15)
+        if not go.all():
+            steps[rows[~go]] = t[~go]
+            rows, t, best, last_up = rows[go], t[go], best[go], last_up[go]
+            p, g, norm = p[go], g[go], norm[go]
+        p = project(p + ((0.5 / np.sqrt(t))[:, None] * g) / norm[:, None])
+        if fresh:
+            new = len(fresh)
+            rows = np.concatenate([rows, fresh])
+            t = np.concatenate([t, np.zeros(new, dtype=int)])
+            best = np.concatenate([best, np.full(new, -np.inf)])
+            last_up = np.concatenate([last_up, np.zeros(new, dtype=int)])
+            p = np.concatenate([p, project(np.stack([init_params(s) for s in fresh]))])
+            fresh = ()
+        if rows.size == 0:
             break
-        p = project(init_params(start))
-        stall = 0
-        t = 0
-        while used < budget and t < per_start:
-            t += 1
-            used += 1
-            s = decode(p)
-            lam, v = _min_eig_vec(s, rng)
-            if lam > best_val:
-                best_val = lam
-                best_p = p.copy()
-                stall = 0
-            else:
-                stall += 1
-            if best_val > FOUND_TOL or stall > STALL_LIMIT:
-                break
-            g = grad(p, v)
-            norm = np.linalg.norm(g)
-            if norm < 1e-15:
-                break
-            p = project(p + (0.5 / np.sqrt(t)) * g / norm)
+        vals, vecs = np.linalg.eigh(decode(p))
+    return _replay(lams, steps, kept)
+
+
+def _replay(lams, steps, kept):
+    """Run the sequential stopping rule over each start's recorded
+    ``min_eig`` values in start order: (best params, best value,
+    iterations used).  The starts' shares never sum past the budget."""
+    best_val, best_at, used = -np.inf, None, 0
+    for s in range(lams.shape[1]):
+        first = 0 if s == 0 else 1  # lockstep iteration of the start's first iterate
+        x = lams[first : first + steps[s], s]
+        prev = np.maximum.accumulate(np.concatenate(([best_val], x[:-1])))
+        up = x > prev
+        idx = np.arange(x.size)
+        stall = idx - np.maximum.accumulate(np.where(up, idx, -1))
+        stop = np.flatnonzero((x > FOUND_TOL) | (stall > STALL_LIMIT))
+        end = int(stop[0]) + 1 if stop.size else x.size
+        used += end
+        ups = np.flatnonzero(up[:end])
+        if ups.size:
+            best_val, best_at = float(x[ups[-1]]), (s, first + ups[-1])
         if best_val > FOUND_TOL:
             break
-    return best_p, best_val, used
+    if best_at is None:
+        return None, best_val, used
+    s, j = best_at
+    starts, params = kept[j]
+    return params[np.flatnonzero(starts == s)[0]], best_val, used
 
 
 def _block_scalar_search(a: np.ndarray, part: Partition, form: str, budget: int,
@@ -179,32 +254,44 @@ def _block_scalar_search(a: np.ndarray, part: Partition, form: str, budget: int,
 
     def project(cvals: np.ndarray) -> np.ndarray:
         cvals = np.maximum(cvals, 1e-10)
-        return cvals * (n / np.sum(cvals * sizes))
+        return cvals * (n / (cvals * sizes).sum(axis=1))[:, None]
+
+    # per-block sums of each row: one bincount, each row in its own bins
+    bins = block_of + p_dim * np.arange(_MULTI_STARTS)[:, None]
+
+    def block_sums(w):
+        rows = w.shape[0]
+        return np.bincount(bins[:rows].ravel(), w.ravel(), rows * p_dim).reshape(rows, p_dim)
+
+    def av_of(v):
+        return np.matmul(a, v[:, :, None])[..., 0]
 
     if form == "lyap":
         def decode(cvals):
-            da = cvals[block_of][:, None] * a
-            return da + da.T
+            da = cvals[:, block_of, None] * a
+            return da + da.transpose(0, 2, 1)
 
         def grad(cvals, v):
-            return np.bincount(block_of, 2.0 * v * (a @ v), p_dim)
+            return block_sums(2.0 * v * av_of(v))
     else:
+        eye = np.eye(n)
+
         def decode(cvals):
-            d = cvals[block_of]
-            return np.diag(d) - a.T @ (d[:, None] * a)
+            d = cvals[:, block_of]
+            return d[:, None, :] * eye - np.matmul(a.T, d[:, :, None] * a)
 
         def grad(cvals, v):
-            av = a @ v
-            return np.bincount(block_of, v * v - av * av, p_dim)
+            av = av_of(v)
+            return block_sums(v * v - av * av)
 
     result = _ascend(init_params, decode, grad, project, budget, rng)
-    return result, lambda cvals: np.diag(project(cvals)[block_of])
+    return result, lambda cvals: np.diag(project(cvals[None])[0, block_of])
 
 
 def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
                       rng: np.random.Generator):
     """Search over per-block Cholesky factors of a block-diagonal SPD
-    witness."""
+    witness; the blocks are visited in turn, the rows together."""
     n = a.shape[0]
     slots = []  # (block index array, local lower-triangular indices)
     offsets = [0]
@@ -215,13 +302,19 @@ def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
         offsets.append(offsets[-1] + tril[0].size)
     p_dim = offsets[-1]
 
-    def decode_h(p: np.ndarray) -> np.ndarray:
-        h = np.zeros((n, n))
+    def factors(p: np.ndarray):
+        """(block indices, lower-triangular indices, parameter slice,
+        stack of Cholesky factors) per block."""
         for (sel, tril), lo, hi in zip(slots, offsets, offsets[1:]):
-            nb = sel.size
-            ell = np.zeros((nb, nb))
-            ell[tril] = p[lo:hi]
-            h[np.ix_(sel, sel)] = ell @ ell.T + 1e-12 * np.eye(nb)
+            ell = np.zeros((p.shape[0], sel.size, sel.size))
+            ell[:, tril[0], tril[1]] = p[:, lo:hi]
+            yield sel, tril, slice(lo, hi), ell
+
+    def decode_h(p: np.ndarray) -> np.ndarray:
+        h = np.zeros((p.shape[0], n, n))
+        for sel, _, _, ell in factors(p):
+            h[:, sel[:, None], sel] = (ell @ ell.transpose(0, 2, 1)
+                                       + 1e-12 * np.eye(sel.size))
         return h
 
     def init_params(start: int) -> np.ndarray:
@@ -235,32 +328,26 @@ def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
         return p
 
     def project(p: np.ndarray) -> np.ndarray:
-        h = decode_h(p)
-        tr = np.trace(h)
-        if tr <= 0:
-            return init_params(1)
-        return p * np.sqrt(n / tr)
+        # the trace is positive: each block adds 1e-12 to its diagonal
+        tr = np.trace(decode_h(p), axis1=1, axis2=2)
+        return p * np.sqrt(n / tr)[:, None]
 
     def decode(p):
-        h = decode_h(p)
-        ha = h @ a
-        return ha + ha.T
+        ha = np.matmul(decode_h(p), a)
+        return ha + ha.transpose(0, 2, 1)
 
     def grad(p, v):
         # dlambda/dH = v (A v)^T + (A v) v^T; chain through H = L L^T.
-        av = a @ v
-        gh = np.outer(v, av) + np.outer(av, v)
-        g = np.zeros(p_dim)
-        for (sel, tril), lo, hi in zip(slots, offsets, offsets[1:]):
-            nb = sel.size
-            ell = np.zeros((nb, nb))
-            ell[tril] = p[lo:hi]
-            gl = 2.0 * gh[np.ix_(sel, sel)] @ ell
-            g[lo:hi] = gl[tril]
+        av = np.matmul(a, v[:, :, None])[..., 0]
+        gh = v[:, :, None] * av[:, None, :] + av[:, :, None] * v[:, None, :]
+        g = np.zeros_like(p)
+        for sel, tril, span, ell in factors(p):
+            gl = 2.0 * np.ascontiguousarray(gh[:, sel[:, None], sel]) @ ell
+            g[:, span] = gl[:, tril[0], tril[1]]
         return g
 
     def witness_of(p):
-        h = decode_h(p)
+        h = decode_h(p[None])[0]
         return h * (n / np.trace(h))
 
     return _ascend(init_params, decode, grad, project, budget, rng), witness_of
@@ -429,11 +516,13 @@ def verify_certificate(cert: Certificate, a) -> bool:
         return False
     if not _witness_ok(cert):
         return False
-    form = certified_form(cert, a)
-    try:
-        return is_positive_definite(form)
-    except (NonSymmetricError, ValueError):
-        return False
+    # a form that overflows is rejected below as non-finite, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = certified_form(cert, a)
+        try:
+            return is_positive_definite(form)
+        except (NonSymmetricError, ValueError):
+            return False
 
 
 def implied_stabilities(cert: Certificate) -> list[tuple]:

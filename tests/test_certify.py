@@ -1,9 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from dgstab import classes, regions
 from dgstab.algebra import OpKind
 from dgstab.certify import (
+    _MULTI_STARTS,
+    FOUND_TOL,
+    STALL_LIMIT,
     CertKind,
     Certificate,
     find_diagonal_lyapunov,
@@ -285,3 +290,237 @@ def test_verify_rejects_a_form_that_overflows():
     cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([1e308, 1e308]), 1.0)
     with np.errstate(over="ignore"):
         assert verify_certificate(cert, 10.0 * np.eye(2)) is False
+
+
+def test_verify_keeps_overflow_warnings_inside():
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([1e308, 1e308]), 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert verify_certificate(cert, 10.0 * np.eye(2)) is False
+
+
+# -- the stacked ascent against the sequential one ----------------------------
+#
+# ``_min_eig_vec`` and ``_ascend`` below are the sequential multi-start
+# ascent the stacked one replaced, kept verbatim as the oracle: the
+# stacked ascent must give the same found flag, iterations, best value
+# and witness bit for bit whenever no degenerate eigenspace draws a
+# random direction.
+
+
+def _min_eig_vec(s: np.ndarray, rng: np.random.Generator):
+    """Smallest eigenvalue of symmetric ``s`` and a unit vector in its
+    eigenspace; degenerate eigenspaces get a random direction."""
+    vals, vecs = np.linalg.eigh(s)
+    lam = vals[0]
+    span = max(vals[-1] - vals[0], 1.0)
+    degenerate = np.flatnonzero(vals <= lam + 1e-10 * span)
+    if degenerate.size > 1:
+        w = rng.standard_normal(degenerate.size)
+        v = vecs[:, degenerate] @ w
+        v /= np.linalg.norm(v)
+    else:
+        v = vecs[:, 0]
+    return float(lam), v
+
+
+def _ascend(init_params, decode, grad, project, budget: int,
+            rng: np.random.Generator):
+    """Shared projected subgradient ascent over witness parameters.
+
+    ``decode`` maps parameters to the witness matrix, ``grad`` gives the
+    subgradient of the form's smallest eigenvalue at (params, v),
+    ``project`` re-normalizes parameters.  Returns the best
+    (params, min_eig, iterations used).
+    """
+    best_p = None
+    best_val = -np.inf
+    used = 0
+    per_start = max(budget // _MULTI_STARTS, 1)
+    for start in range(_MULTI_STARTS):
+        if used >= budget:
+            break
+        p = project(init_params(start))
+        stall = 0
+        t = 0
+        while used < budget and t < per_start:
+            t += 1
+            used += 1
+            s = decode(p)
+            lam, v = _min_eig_vec(s, rng)
+            if lam > best_val:
+                best_val = lam
+                best_p = p.copy()
+                stall = 0
+            else:
+                stall += 1
+            if best_val > FOUND_TOL or stall > STALL_LIMIT:
+                break
+            g = grad(p, v)
+            norm = np.linalg.norm(g)
+            if norm < 1e-15:
+                break
+            p = project(p + (0.5 / np.sqrt(t)) * g / norm)
+        if best_val > FOUND_TOL:
+            break
+    return best_p, best_val, used
+
+
+def _sequential_ascend(init_params, decode, grad, project, budget, rng):
+    """The oracle driven by the stacked parametrization, one row at a
+    time."""
+    return _ascend(
+        init_params,
+        lambda p: decode(p[None])[0],
+        lambda p, v: grad(p[None], v[None])[0],
+        lambda p: project(p[None])[0],
+        budget,
+        rng,
+    )
+
+
+def _continuous_stable(seed, h, eps):
+    """``a`` with ``h a + a^T h = w + eps I`` for a random PSD ``w``: the
+    witness ``h`` certifies it, and is harder to find for a smaller
+    eps or a more spread ``h``."""
+    r = rng(seed)
+    n = h.shape[0]
+    w = r.standard_normal((n, n))
+    k = r.standard_normal((n, n))
+    return np.linalg.solve(h, 0.5 * (w @ w.T / n + eps * np.eye(n)) + (k - k.T))
+
+
+def _spread_diag(seed, sizes, spread):
+    return np.diag(np.repeat(10.0 ** rng(seed).uniform(-spread, spread, len(sizes)),
+                             sizes))
+
+
+def _discrete_stable(seed, n, spread, norm):
+    """``d^-1/2 b d^1/2`` with ``||b||_2 = norm < 1``: the diagonal ``d``
+    certifies the Stein form."""
+    b = rng(seed).standard_normal((n, n))
+    s = np.sqrt(np.diag(_spread_diag(seed, [1] * n, spread)))
+    return norm * b / np.linalg.norm(b, 2) * s / s[:, None]
+
+
+def _equivalence_cases():
+    """(name, search(budget, seed)) pairs: certificates found at the
+    first iterate, later in start 0, in later starts and past the stall
+    limit, and failed searches."""
+    cases = []
+    for name, a in (
+        ("n=1", rng(1).standard_normal((1, 1))),
+        ("n=2", _continuous_stable(0, _spread_diag(0, [1, 1], 2.0), 1e-3)),
+        ("n=3", _continuous_stable(0, _spread_diag(0, [1] * 3, 2.0), 1e-2)),
+        ("n=3 gaussian", rng(3).standard_normal((3, 3))),
+        ("n=5", _continuous_stable(11, _spread_diag(11, [1] * 5, 2.0), 1e-2)),
+        ("n=8", _continuous_stable(3, _spread_diag(3, [1] * 8, 1.0), 1e-2)),
+    ):
+        cases.append((f"diagonal {name}",
+                      lambda b, s, a=a: find_diagonal_lyapunov(a, b, rng(s))))
+    for n in (1, 2, 3, 5, 8):
+        a = _discrete_stable(n, n, 1.0, 0.98)
+        cases.append((f"stein n={n}", lambda b, s, a=a: find_stein_diagonal(a, b, rng(s))))
+    g = rng(5).standard_normal((5, 5))
+    a = 0.95 * g / max(np.abs(np.linalg.eigvals(g)))
+    cases.append(("stein n=5 gaussian", lambda b, s, a=a: find_stein_diagonal(a, b, rng(s))))
+    sizes = [2, 1, 2]
+    m = rng(4).standard_normal((5, 5))
+    block_spd = np.zeros((5, 5))
+    for sel in Partition.from_sizes(sizes).blocks:
+        block_spd[np.ix_(sel, sel)] = (m @ m.T)[np.ix_(sel, sel)]
+    for cls, a in (
+        ("alpha_scalar", _continuous_stable(4, _spread_diag(4, sizes, 1.5), 1e-2)),
+        ("block_spd", _continuous_stable(4, block_spd, 1e-2)),
+        ("block_spd", rng(5).standard_normal((5, 5))),
+    ):
+        witnesses = classes.pos_alpha_scalar if cls == "alpha_scalar" \
+            else classes.alpha_block_spd
+        cases.append((f"{cls} {len(cases)}",
+                      lambda b, s, a=a, c=witnesses(Partition.from_sizes(sizes)):
+                      find_structured_lyapunov(a, c, b, rng(s))))
+    return cases
+
+
+def test_stacked_ascent_equals_the_sequential_ascent(monkeypatch):
+    import dgstab.certify as certify
+
+    # the stacked run evaluates every iterate the sequential one does
+    draws = []
+    stacked_min_eig_vecs = certify._min_eig_vecs
+
+    def counting_min_eig_vecs(vals, vecs, r):
+        tol = vals[:, 0] + 1e-10 * np.maximum(vals[:, -1] - vals[:, 0], 1.0)
+        draws.append(int(np.sum(vals[:, 1:2] <= tol[:, None])))
+        return stacked_min_eig_vecs(vals, vecs, r)
+
+    monkeypatch.setattr(certify, "_min_eig_vecs", counting_min_eig_vecs)
+    stacked_ascend = certify._ascend
+    outcomes = set()
+    for name, search in _equivalence_cases():
+        for budget in (1, 3, 7, 8, 50, 5000, 8000):
+            monkeypatch.setattr(certify, "_ascend", _sequential_ascend)
+            want = search(budget, 3)
+            monkeypatch.setattr(certify, "_ascend", stacked_ascend)
+            got = search(budget, 3)
+            case = (name, budget)
+            assert got.found == want.found, case
+            assert got.iterations == want.iterations, case
+            assert type(got.iterations) is int, case
+            assert got.best_min_eig == want.best_min_eig, case
+            if want.found:
+                assert got.certificate.witness.tobytes() == \
+                    want.certificate.witness.tobytes(), case
+            outcomes.add((name.split()[0], want.found, want.iterations > 1))
+    # exact only while no degenerate eigenspace drew a random direction
+    assert sum(draws) == 0
+    assert outcomes >= {(kind, found, True) for kind in ("diagonal", "stein", "block_spd")
+                        for found in (True, False)}
+    assert ("alpha_scalar", True, True) in outcomes
+
+
+def _scripted(values):
+    """A parametrization whose params are (start, iterate): iterate t of
+    start s evaluates the 1x1 form ``values[s, t - 1]``, and each step
+    moves to iterate t + 1."""
+    def init_params(start):
+        return np.array([start, 1.0])
+
+    def decode(p):
+        return values[p[:, 0].astype(int), p[:, 1].astype(int) - 1][:, None, None]
+
+    def grad(p, v):
+        return np.tile([0.0, 1.0], (p.shape[0], 1))
+
+    def project(p):
+        return np.ceil(p)
+
+    return init_params, decode, grad, project
+
+
+def test_stacked_stopping_rule_equals_the_sequential_one():
+    import dgstab.certify as certify
+
+    scripts = []
+    # start 1 certifies at iterate 900, after its stall count against
+    # start 0's best passed the limit, so the sequential run never gets
+    # there and start 2's certificate at iterate 950 wins
+    v = np.full((8, 1000), -1.0)
+    v[0, :10] = np.linspace(-1.0, -1e-3, 10)
+    v[1, :899] = np.linspace(-1.0, -0.5, 899)
+    v[1, 899] = 1.0
+    v[2, :949] = -2e-4 + 1e-7 * np.arange(949)
+    v[2, 949] = 1.0
+    scripts.append(v)
+    r = rng(8)
+    for _ in range(6):
+        steps = r.standard_normal((8, 2000)) * 1e-3
+        scripts.append(np.cumsum(steps, axis=1) - r.uniform(0.0, 0.05, (8, 1)))
+    for values in scripts:
+        for budget in (1, 7, 50, 5000, 8000, 16000):
+            got = certify._ascend(*_scripted(values), budget, rng())
+            want = _sequential_ascend(*_scripted(values), budget, rng())
+            assert got[1:] == want[1:]
+            assert np.array_equal(got[0], want[0])
+    params, best, used = certify._ascend(*_scripted(scripts[0]), 8000, rng())
+    assert (params.tolist(), best, used) == ([2.0, 950.0], 1.0, 811 + 801 + 950)

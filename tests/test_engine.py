@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -578,3 +581,39 @@ def test_inconclusive_enumeration_runs_the_certificate_stage():
             assert prov[i + 1].startswith("certificate search inconclusive (")
         else:
             assert prov[i + 1] == "certificate search disabled"
+
+
+def test_enumeration_streams_the_finite_class():
+    # 2^14 vertex members: held at once they take about 27 MB; streamed
+    # 256 to a stack the whole decision stays far below that
+    b = np.random.default_rng(14).standard_normal((14, 14))
+    q = Query(0.5 * b / np.linalg.norm(b, 2), dg.unit_disk(), classes.vertex_diag(14),
+              MUL, budget=100, seed=14)
+    tracemalloc.start()
+    try:
+        v = decide(q, use_certificates=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    out = json.loads(serialize.dumps(serialize.verdict_to_json(v)))
+    cert = out.pop("certificate")
+    assert cert.pop("min_eig") == pytest.approx(0.6068868404035478, rel=1e-12)
+    assert cert == {
+        "kind": "exhaustive",
+        "members_checked": 16384,
+        "triple": {
+            "class": {"kind": "vertex_diag", "n": 14},
+            "op": {"op": "mul", "side": "left"},
+            "region": {"boundary_tol": 1e-09, "kind": "unit_disk"},
+        },
+    }
+    assert out == {
+        "provenance": [
+            "unboundedness precheck: not applicable or no escape found",
+            "identity-element check passed",
+            "exhaustive enumeration certified 16384 members",
+        ],
+        "status": "certified",
+        "trials_used": 0,
+    }
