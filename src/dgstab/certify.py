@@ -22,9 +22,11 @@ semidefinite solver: ``NotFound`` is always inconclusive.
 The multi-starts of a search advance together as one stack of
 parameter rows, one batched ``eigh`` per iteration; the sequential
 stopping rule (budget, stall count, ``FOUND_TOL``, start order) is
-replayed on the recorded values, so a search returns what running its
-starts one after another would.  Run several searches concurrently by
-passing split generator streams.
+replayed on the recorded values, so a search reports what running its
+starts one after another would.  The generator is left in a different
+state, though: once start 0's first iterate fails, every start's
+parameters are drawn, reached by the replay or not.  Run several
+searches concurrently by passing split generator streams.
 """
 
 from __future__ import annotations
@@ -140,14 +142,16 @@ def _ascend(init_params, decode, grad, project, budget: int,
     order, only if it does not certify.
 
     A row leaves the stack when it certifies, reaches its per-start
-    share of the budget, stalls against its own best or has a vanishing
-    subgradient; later starts leave once a start certifies before the
-    stall rule could have stopped it.  The sequential stopping rule
-    (per-start budget share, stall count against the running best,
-    ``FOUND_TOL``, start order) is then replayed on the recorded values, so the result equals
-    that of running the starts one after another, unless a degenerate
-    eigenspace drew a random direction.  Returns the best
-    (params, min_eig, iterations used).
+    share of the budget, has a vanishing subgradient, or stalls against
+    the better of its own best and the replayed best of the finished
+    starts; that stall count is never larger than the sequential one.
+    The live rows leave once the finished starts certify.  The
+    sequential stopping rule (per-start budget share, stall count
+    against the running best, ``FOUND_TOL``, start order) is then
+    replayed on the recorded values, so the result equals that of
+    running the starts one after another, unless a degenerate eigenspace
+    drew a random direction.  Returns the best (params, min_eig,
+    iterations used).
     """
     if budget <= 0:
         return None, -np.inf, 0
@@ -160,64 +164,86 @@ def _ascend(init_params, decode, grad, project, budget: int,
     n_starts = min(_MULTI_STARTS, budget)
     # lams[j, s] is start s's min_eig at lockstep iteration j (start 0
     # is one iterate ahead of the others; the replay reads only what was
-    # written).  kept[j] holds the starts that improved on their own best
-    # at iteration j, with their params.
-    lams = np.empty((per_start + 1, n_starts))
+    # written); it doubles as the iterations run need it.  kept[j] holds
+    # the starts that improved on their best at iteration j, with their
+    # params.
+    lams = np.empty((min(per_start + 1, 1024), n_starts))
     kept = {}
     steps = np.zeros(n_starts, dtype=int)  # iterates evaluated per start
-    rows = np.zeros(1, dtype=int)  # the start of each live row
+    rows = np.zeros(1, dtype=int)  # the start of each live row, ascending
     t = np.zeros(1, dtype=int)
+    # prior is the replayed best of the finished starts, a lower bound
+    # of the running best each live start's sequential stall count is
+    # taken against; best and last_up are taken against it too
+    prior = -np.inf
     best = np.full(1, -np.inf)
     last_up = np.zeros(1, dtype=int)
     fresh = range(1, n_starts)  # drawn once start 0's first iterate fails
     for j in itertools.count():
         lam, v = vals[:, 0], _min_eig_vecs(vals, vecs, rng)
         t += 1
+        if j == len(lams):
+            lams = np.concatenate([lams, np.empty_like(lams)])
         lams[j, rows] = lam
         up = lam > best
         best = np.where(up, lam, best)
         last_up = np.where(up, t, last_up)
         if up.any():
             kept[j] = rows[up], p[up]
-        go = (t < per_start) & (t - last_up <= STALL_LIMIT)
-        found = lam > FOUND_TOL
-        if found.any():
-            go &= ~found
-            sure = rows[found & (t <= STALL_LIMIT + 1)]
-            if sure.size:
-                go &= rows <= sure.min()
         g = grad(p, v)
-        norm = np.sqrt(np.vecdot(g, g))
-        go &= ~(norm < 1e-15)
+        norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+        go = ((t < per_start) & (t - last_up <= STALL_LIMIT)
+              & (lam <= FOUND_TOL) & ~(norm < 1e-15))
         if not go.all():
             steps[rows[~go]] = t[~go]
+            first_live = rows[0]
             rows, t, best, last_up = rows[go], t[go], best[go], last_up[go]
             p, g, norm = p[go], g[go], norm[go]
+            if rows.size and rows[0] > first_live:
+                prior = _replay(lams, steps, rows[0])[0]
+                if prior > FOUND_TOL:
+                    break  # the sequential run never reaches the live starts
+                for i, s in enumerate(rows):
+                    x = lams[int(s > 0) : int(s > 0) + t[i], s]
+                    ups = np.flatnonzero(_ups(x, prior))
+                    best[i] = max(prior, x.max())
+                    last_up[i] = ups[-1] + 1 if ups.size else 0
         p = project(p + ((0.5 / np.sqrt(t))[:, None] * g) / norm[:, None])
         if fresh:
             new = len(fresh)
             rows = np.concatenate([rows, fresh])
             t = np.concatenate([t, np.zeros(new, dtype=int)])
-            best = np.concatenate([best, np.full(new, -np.inf)])
+            best = np.concatenate([best, np.full(new, prior)])
             last_up = np.concatenate([last_up, np.zeros(new, dtype=int)])
             p = np.concatenate([p, project(np.stack([init_params(s) for s in fresh]))])
             fresh = ()
         if rows.size == 0:
             break
         vals, vecs = np.linalg.eigh(decode(p))
-    return _replay(lams, steps, kept)
+    best_val, best_at, used = _replay(lams, steps, n_starts)
+    if best_at is None:
+        return None, best_val, used
+    s, j = best_at
+    starts, params = kept[j]
+    return params[np.flatnonzero(starts == s)[0]], best_val, used
 
 
-def _replay(lams, steps, kept):
-    """Run the sequential stopping rule over each start's recorded
-    ``min_eig`` values in start order: (best params, best value,
-    iterations used).  The starts' shares never sum past the budget."""
+def _ups(x, prior):
+    """Where each of the values ``x`` beats the running best from
+    ``prior``."""
+    return x > np.maximum.accumulate(np.concatenate(([prior], x[:-1])))
+
+
+def _replay(lams, steps, n):
+    """Run the sequential stopping rule over the recorded ``min_eig``
+    values of starts ``0..n-1`` in start order: (best value, start and
+    lockstep iteration of the best or None, iterations used).  The
+    starts' shares never sum past the budget."""
     best_val, best_at, used = -np.inf, None, 0
-    for s in range(lams.shape[1]):
-        first = 0 if s == 0 else 1  # lockstep iteration of the start's first iterate
+    for s in range(n):
+        first = int(s > 0)  # lockstep iteration of the start's first iterate
         x = lams[first : first + steps[s], s]
-        prev = np.maximum.accumulate(np.concatenate(([best_val], x[:-1])))
-        up = x > prev
+        up = _ups(x, best_val)
         idx = np.arange(x.size)
         stall = idx - np.maximum.accumulate(np.where(up, idx, -1))
         stop = np.flatnonzero((x > FOUND_TOL) | (stall > STALL_LIMIT))
@@ -228,11 +254,7 @@ def _replay(lams, steps, kept):
             best_val, best_at = float(x[ups[-1]]), (s, first + ups[-1])
         if best_val > FOUND_TOL:
             break
-    if best_at is None:
-        return None, best_val, used
-    s, j = best_at
-    starts, params = kept[j]
-    return params[np.flatnonzero(starts == s)[0]], best_val, used
+    return best_val, best_at, used
 
 
 def _block_scalar_search(a: np.ndarray, part: Partition, form: str, budget: int,

@@ -524,3 +524,35 @@ def test_stacked_stopping_rule_equals_the_sequential_one():
             assert np.array_equal(got[0], want[0])
     params, best, used = certify._ascend(*_scripted(scripts[0]), 8000, rng())
     assert (params.tolist(), best, used) == ([2.0, 950.0], 1.0, 811 + 801 + 950)
+
+
+def test_stacked_ascent_work_follows_the_iterations_run(monkeypatch):
+    # a per-start share of 1.25e11 iterations: the stall rule ends these
+    # searches after a few thousand, and the stacked run's memory and
+    # lockstep iterations must follow those, not the share
+    import dgstab.certify as certify
+
+    lockstep = []
+    stacked_min_eig_vecs = certify._min_eig_vecs
+
+    def counting_min_eig_vecs(vals, vecs, r):
+        lockstep.append(1)
+        return stacked_min_eig_vecs(vals, vecs, r)
+
+    stacked_ascend = certify._ascend
+    cases = dict(_equivalence_cases())
+    for name in ("diagonal n=3", "diagonal n=3 gaussian", "stein n=8",
+                 "stein n=5 gaussian"):
+        monkeypatch.setattr(certify, "_ascend", _sequential_ascend)
+        want = cases[name](10**12, 3)
+        monkeypatch.setattr(certify, "_ascend", stacked_ascend)
+        monkeypatch.setattr(certify, "_min_eig_vecs", counting_min_eig_vecs)
+        lockstep.clear()
+        got = cases[name](10**12, 3)
+        monkeypatch.setattr(certify, "_min_eig_vecs", stacked_min_eig_vecs)
+        assert (got.found, got.iterations, got.best_min_eig) == \
+            (want.found, want.iterations, want.best_min_eig), name
+        if want.found:
+            assert got.certificate.witness.tobytes() == \
+                want.certificate.witness.tobytes(), name
+        assert 0 < len(lockstep) <= want.iterations, name
