@@ -117,16 +117,12 @@ def check_region_stability(a, region: regions.Region) -> bool:
     return regions.spectrum_in_region(region, np.linalg.eigvals(as_square_matrix(a)))
 
 
-def _worst_eigenvalue(region, m) -> tuple[complex, float]:
-    w = np.linalg.eigvals(m)
+def _worst_eigenvalue(region, w) -> tuple[complex, float]:
+    """The eigenvalue of the spectrum ``w`` with the largest exterior
+    margin, and that margin."""
     margins = regions.exterior_margins(region, w)
     i = int(np.argmax(margins))
     return complex(w[i]), float(margins[i])
-
-
-def _nonsingular(a: np.ndarray) -> bool:
-    sv = np.linalg.svd(a, compute_uv=False)
-    return sv[0] > 0 and sv[-1] / sv[0] > 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +213,7 @@ def _unboundedness_escape(q: Query, rng) -> Verdict | None:
         return None
     if q.op.kind is OpKind.HADAMARD:
         return None
-    if q.op.kind is OpKind.MUL and not _nonsingular(q.a):
+    if q.op.kind is OpKind.MUL and algebra.op_inverse(q.op, q.a) is None:
         return None
     for _ in range(8):
         g0 = classes.sample(q.cls, rng)
@@ -225,7 +221,8 @@ def _unboundedness_escape(q: Query, rng) -> Verdict | None:
             g = (2.0 ** k) * g0
             if not classes.contains(q.cls, g, 1e-7):
                 break
-            lam, margin = _worst_eigenvalue(q.region, algebra.apply(q.op, g, q.a))
+            w = np.linalg.eigvals(algebra.apply(q.op, g, q.a))
+            lam, margin = _worst_eigenvalue(q.region, w)
             if margin > q.tol:
                 return _refuted(g, lam, margin, "bounded region with unbounded class: "
                                 f"scaled sample 2^{k} escapes")
@@ -236,12 +233,12 @@ def _identity_check(q: Query) -> tuple[Verdict | None, str | None]:
     ident = classes.identity_element(q.cls, q.op)
     if ident is None:
         return None, "class has no identity element for the operation"
-    m = algebra.apply(q.op, ident, q.a)
-    lam, margin = _worst_eigenvalue(q.region, m)
+    w = np.linalg.eigvals(algebra.apply(q.op, ident, q.a))
+    lam, margin = _worst_eigenvalue(q.region, w)
     if margin > q.tol:
         note = "identity-element necessary check refutes"
         return _refuted(ident, lam, margin, note), None
-    if not check_region_stability(m, q.region):
+    if not regions.spectrum_in_region(q.region, w):
         return None, "identity element leaves a boundary eigenvalue (inconclusive)"
     return None, "identity-element check passed"
 
@@ -431,186 +428,132 @@ class StabilizeReport:
     evaluations: int
 
 
-def _stabilize_params(cls: MatrixClass, rng):
-    """(init, decode, moves) triple for coordinate descent over the
-    class's natural parameters; None when the kind has no useful
-    parametrization (falls back to plain multi-start sampling)."""
-    n = cls.order
-    k = cls.kind
+def _coordinate_moves(step=None, clip=None, multiplicative=False, flip=False):
+    """moves(p, i, scale): copies of ``p`` whose coordinate ``i`` is
+    replaced, in this order, by ``p[i] + scale*step(p, i)`` and
+    ``p[i] - scale*step(p, i)`` (both clipped to the interval ``clip``,
+    if given), then ``p[i]*(1 + scale)`` and ``p[i]/(1 + scale)``, then
+    ``-p[i]``; each group only when it is enabled."""
 
-    def diag_decode(p):
-        return np.diag(p)
+    def moves(p, i, scale):
+        values = []
+        if step is not None:
+            delta = scale * step(p, i)
+            values += [p[i] + delta, p[i] - delta]
+            if clip is not None:
+                values = [np.clip(v, *clip) for v in values]
+        if multiplicative:
+            values += [p[i] * (1.0 + scale), p[i] / (1.0 + scale)]
+        if flip:
+            values.append(-p[i])
+        for value in values:
+            cand = p.copy()
+            cand[i] = value
+            yield cand
+
+    return moves
+
+
+def _stabilize_params(cls: MatrixClass, rng):
+    """(init, decode, moves, dim) for coordinate descent over the
+    class's natural parameters: log10 entries of positive diagonals,
+    entries of the other diagonals, one value per partition block, the
+    rank-one coefficient, and the free entries of a symmetric matrix,
+    Cholesky factor or pair of log10 rank-k factors.  Every kind except
+    the explicit list, which ``stabilize`` enumerates, has one."""
+    n, k = cls.order, cls.kind
+
+    def sampled_diag():
+        return np.diag(classes.sample(cls, rng))
 
     if k in (ClassKind.POS_DIAG, ClassKind.THETA_ORDERED):
-        def init():
-            return np.log10(np.diag(classes.sample(cls, rng)))
-
-        if k is ClassKind.POS_DIAG:
-            def decode(p):
-                return np.diag(10.0 ** p)
-        else:
-            theta = np.asarray(cls.theta)
-
-            def decode(p):
-                vals = np.sort(10.0 ** p)[::-1]
-                d = np.zeros(n)
-                d[theta] = vals
-                return np.diag(d)
-
-        def moves(p, i, scale):
-            for delta in (scale, -scale):
-                cand = p.copy()
-                cand[i] += delta
-                yield cand
-
-        return init, decode, moves, n
-
-    if k in (ClassKind.DIAG, ClassKind.SIGN_DIAG, ClassKind.VERTEX_DIAG):
-        def init():
-            return np.diag(classes.sample(cls, rng))
-
-        def moves(p, i, scale):
-            if k is not ClassKind.VERTEX_DIAG:
-                factor = 1.0 + scale
-                cand = p.copy()
-                cand[i] *= factor
-                yield cand
-                cand = p.copy()
-                cand[i] /= factor
-                yield cand
-            if k is not ClassKind.SIGN_DIAG:
-                # sign flips are the only moves that keep vertex
-                # entries at +-1; for general diagonals they jump the
-                # search across orthants
-                cand = p.copy()
-                cand[i] *= -1.0
-                yield cand
-
-        return init, diag_decode, moves, n
-
-    if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR):
-        blocks = [np.asarray(b) for b in cls.partition.blocks]
-
-        def init():
-            d = np.diag(classes.sample(cls, rng))
-            return np.array([d[b[0]] for b in blocks])
+        theta = None if cls.theta is None else np.asarray(cls.theta)
 
         def decode(p):
+            if theta is None:
+                return np.diag(10.0 ** p)
             d = np.zeros(n)
-            for val, b in zip(p, blocks):
-                d[b] = val
+            d[theta] = np.sort(10.0 ** p)[::-1]
             return np.diag(d)
 
-        def moves(p, i, scale):
-            factor = 1.0 + scale
-            cand = p.copy()
-            cand[i] *= factor
-            yield cand
-            cand = p.copy()
-            cand[i] /= factor
-            yield cand
-            if k is ClassKind.ALPHA_SCALAR:
-                cand = p.copy()
-                cand[i] *= -1.0
-                yield cand
+        return (lambda: np.log10(sampled_diag()), decode,
+                _coordinate_moves(step=lambda p, i: 1.0), n)
 
-        return init, decode, moves, len(blocks)
+    if k in (ClassKind.DIAG, ClassKind.SIGN_DIAG, ClassKind.VERTEX_DIAG):
+        # sign flips are the only moves that keep vertex entries at +-1;
+        # for general diagonals they jump the search across orthants
+        moves = _coordinate_moves(multiplicative=k is not ClassKind.VERTEX_DIAG,
+                                  flip=k is not ClassKind.SIGN_DIAG)
+        return sampled_diag, np.diag, moves, n
+
+    if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR):
+        blocks = cls.partition.blocks
+        block_of = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+        firsts = [b[0] for b in blocks]
+        moves = _coordinate_moves(multiplicative=True,
+                                  flip=k is ClassKind.ALPHA_SCALAR)
+        return (lambda: sampled_diag()[firsts], lambda p: np.diag(p[block_of]),
+                moves, len(blocks))
 
     if k is ClassKind.BOX_DIAG:
-        lo = np.asarray(cls.lo)
-        hi = np.asarray(cls.hi)
+        lo, hi = np.asarray(cls.lo), np.asarray(cls.hi)
         width = hi - lo
-
-        def init():
-            return np.diag(classes.sample(cls, rng))
-
-        def decode(p):
-            eps = 1e-9 * width
-            return np.diag(np.clip(p, lo + eps, hi - eps))
-
-        def moves(p, i, scale):
-            for delta in (scale * width[i], -scale * width[i]):
-                cand = p.copy()
-                cand[i] += delta
-                yield cand
-
-        return init, decode, moves, n
+        eps = 1e-9 * width
+        return (sampled_diag, lambda p: np.diag(np.clip(p, lo + eps, hi - eps)),
+                _coordinate_moves(step=lambda p, i: width[i]), n)
 
     if k is ClassKind.PARAMETRIC_RANK_ONE:
         outer = np.outer(cls.x, cls.y)
         lo, hi = cls.tau
+        span = max(hi - lo, 1e-12)
+        return (lambda: np.array([rng.uniform(lo, hi)]),
+                lambda p: float(np.clip(p[0], lo, hi)) * outer,
+                _coordinate_moves(step=lambda p, i: span, clip=(lo, hi)), 1)
+
+    if k is ClassKind.SYMMETRIC:
+        iu = np.triu_indices(n)
 
         def init():
-            return np.array([rng.uniform(lo, hi)])
+            return classes.sample(cls, rng)[iu]
 
         def decode(p):
-            return float(np.clip(p[0], lo, hi)) * outer
+            m = np.zeros((n, n))
+            m[iu] = p
+            return m + np.triu(m, 1).T
 
-        def moves(p, i, scale):
-            span = max(hi - lo, 1e-12)
-            for delta in (scale * span, -scale * span):
-                yield np.array([np.clip(p[0] + delta, lo, hi)])
+    elif k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
+        il = np.tril_indices(n)
+        mask = np.zeros((n, n), dtype=bool)
+        for b in cls.partition.blocks if cls.partition else (range(n),):
+            mask[np.ix_(b, b)] = True
 
-        return init, decode, moves, 1
+        def init():
+            g = classes.sample(cls, rng)
+            return np.linalg.cholesky(g + 1e-9 * np.eye(n))[il]
 
-    if k in (ClassKind.SPD, ClassKind.SYMMETRIC, ClassKind.ALPHA_BLOCK_SPD,
-             ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-        if k is ClassKind.SYMMETRIC:
-            iu = np.triu_indices(n)
+        def decode(p):
+            ell = np.zeros((n, n))
+            ell[il] = p
+            ell = np.where(np.tril(mask), ell, 0.0)
+            return ell @ ell.T + 1e-10 * np.eye(n)
 
-            def init():
-                return classes.sample(cls, rng)[iu]
+    elif k in (ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
+        r = cls.rank
 
-            def decode(p):
-                m = np.zeros((n, n))
-                m[iu] = p
-                return m + np.triu(m, 1).T
+        def init():
+            return np.log10(rng.uniform(0.1, 10.0, size=2 * r * n))
 
-        elif k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
-            il = np.tril_indices(n)
+        def decode(p):
+            u = (10.0 ** p[: r * n]).reshape(r, n)
+            v = (10.0 ** p[r * n :]).reshape(r, n)
+            return np.einsum("ki,kj->ij", u, v)
 
-            def init():
-                g = classes.sample(cls, rng)
-                return np.linalg.cholesky(g + 1e-9 * np.eye(n))[il]
-
-            if k is ClassKind.SPD:
-                def decode(p):
-                    ell = np.zeros((n, n))
-                    ell[il] = p
-                    return ell @ ell.T + 1e-10 * np.eye(n)
-            else:
-                mask = np.zeros((n, n), dtype=bool)
-                for b in cls.partition.blocks:
-                    sel = np.asarray(b)
-                    mask[np.ix_(sel, sel)] = True
-
-                def decode(p):
-                    ell = np.zeros((n, n))
-                    ell[il] = p
-                    ell = np.where(np.tril(mask), ell, 0.0)
-                    return ell @ ell.T + 1e-10 * np.eye(n)
-
-        else:
-            r = cls.rank
-
-            def init():
-                return np.log10(rng.uniform(0.1, 10.0, size=2 * r * n))
-
-            def decode(p):
-                u = (10.0 ** p[: r * n]).reshape(r, n)
-                v = (10.0 ** p[r * n :]).reshape(r, n)
-                return np.einsum("ki,kj->ij", u, v)
-
-        def moves(p, i, scale):
-            base = abs(p[i]) + 1.0
-            for delta in (scale * base, -scale * base):
-                cand = p.copy()
-                cand[i] += delta
-                yield cand
-
-        return init, decode, moves, len(init())
-
-    return None
+    else:
+        raise AssertionError(k)
+    # the dimension probe len(init()) draws one start from rng and drops
+    # it; every later draw depends on it
+    moves = _coordinate_moves(step=lambda p, i: abs(p[i]) + 1.0)
+    return init, decode, moves, len(init())
 
 
 def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
@@ -641,18 +584,8 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
                 return StabilizeReport(True, g, evals)
         return StabilizeReport(False, None, evals)
 
-    params = _stabilize_params(cls, rng)
+    init, decode, moves, dim = _stabilize_params(cls, rng)
     evals = 0
-
-    if params is None:
-        while evals < budget:
-            g = classes.sample(cls, rng)
-            evals += 1
-            if loss_of(g) == 0.0 and verified(g):
-                return StabilizeReport(True, g, evals)
-        return StabilizeReport(False, None, evals)
-
-    init, decode, moves, dim = params
     while evals < budget:
         p = np.asarray(init(), dtype=float)
         loss = loss_of(decode(p))
@@ -664,6 +597,8 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
             improved = False
             for i in range(dim):
                 for cand in moves(p, i, scale):
+                    if evals >= budget:
+                        break
                     cand_loss = loss_of(decode(cand))
                     evals += 1
                     if cand_loss < loss:
@@ -671,10 +606,6 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
                         improved = True
                         if loss == 0.0 and verified(decode(p)):
                             return StabilizeReport(True, decode(p), evals)
-                    if evals >= budget:
-                        break
-                if evals >= budget:
-                    break
             if not improved:
                 scale *= 0.5
     return StabilizeReport(False, None, evals)
@@ -690,66 +621,29 @@ class TotalStabilityReport:
     results: dict[tuple[int, ...], Verdict]
 
 
-def _restrict_partition(partition: Partition, idx: tuple[int, ...]) -> Partition:
-    pos = {orig: new for new, orig in enumerate(idx)}
-    blocks = []
-    for block in partition.blocks:
-        kept = tuple(pos[i] for i in block if i in pos)
-        if kept:
-            blocks.append(kept)
-    return Partition(tuple(blocks))
-
-
 def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
-    """Induce the class on a principal index subset (orders shrink,
-    partitions/permutations restrict, bounds select)."""
+    """Induce the class on a principal index subset: per-index fields
+    select, the partition and the permutation renumber, the rank bound
+    caps at the new order, and explicit members take their principal
+    submatrices."""
     m = len(idx)
-    k = cls.kind
-    if k is ClassKind.SYMMETRIC:
-        return classes.symmetric(m)
-    if k is ClassKind.SPD:
-        return classes.spd(m)
-    if k is ClassKind.DIAG:
-        return classes.diag(m)
-    if k is ClassKind.POS_DIAG:
-        return classes.pos_diag(m)
-    if k is ClassKind.VERTEX_DIAG:
-        return classes.vertex_diag(m)
-    if k is ClassKind.SIGN_DIAG:
-        return classes.sign_diag([cls.signs[i] for i in idx])
-    if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR,
-             ClassKind.ALPHA_BLOCK_SPD):
-        part = _restrict_partition(cls.partition, idx)
-        factory = {
-            ClassKind.ALPHA_SCALAR: classes.alpha_scalar,
-            ClassKind.POS_ALPHA_SCALAR: classes.pos_alpha_scalar,
-            ClassKind.ALPHA_BLOCK_SPD: classes.alpha_block_spd,
-        }[k]
-        return factory(part)
-    if k is ClassKind.THETA_ORDERED:
-        pos = {orig: new for new, orig in enumerate(idx)}
+    pos = {orig: new for new, orig in enumerate(idx)}
+
+    def pick(values):
+        return None if values is None else tuple(values[i] for i in idx)
+
+    partition = theta = None
+    if cls.partition is not None:
+        blocks = (tuple(pos[i] for i in b if i in pos) for b in cls.partition.blocks)
+        partition = Partition(tuple(b for b in blocks if b))
+    if cls.theta is not None:
         theta = tuple(pos[t] for t in cls.theta if t in pos)
-        return classes.theta_ordered(theta)
-    if k is ClassKind.BOX_DIAG:
-        return classes.box_diag(
-            [cls.lo[i] for i in idx], [cls.hi[i] for i in idx]
-        )
-    if k in (ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-        factory = (
-            classes.rank_k_positive
-            if k is ClassKind.RANK_K_POSITIVE
-            else classes.sum_rank_one_positive
-        )
-        return factory(m, min(cls.rank, m))
-    if k is ClassKind.PARAMETRIC_RANK_ONE:
-        return classes.parametric_rank_one(
-            [cls.x[i] for i in idx], [cls.y[i] for i in idx], cls.tau
-        )
-    if k is ClassKind.EXPLICIT_LIST:
-        subs = [principal_submatrix(np.array(mm, dtype=float), idx)
-                for mm in cls.members]
-        return classes.explicit_list(subs)
-    raise AssertionError(k)
+    members = None if cls.members is None else tuple(
+        tuple(pick(row) for row in pick(mm)) for mm in cls.members)
+    return MatrixClass(cls.kind, m, partition=partition, theta=theta,
+                       signs=pick(cls.signs), lo=pick(cls.lo), hi=pick(cls.hi),
+                       rank=None if cls.rank is None else min(cls.rank, m),
+                       x=pick(cls.x), y=pick(cls.y), tau=cls.tau, members=members)
 
 
 def total_stability(q: Query, use_certificates: bool = True) -> TotalStabilityReport:
@@ -959,16 +853,13 @@ def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
     if tf.kind is TransformKind.TRANSPOSE:
         return a.T
     if tf.kind is TransformKind.OP_INVERSE:
-        if op.kind is OpKind.ADD:
-            return -a
-        if op.kind is OpKind.MUL:
-            if not _nonsingular(a):
-                raise SingularOperatorError(
-                    "matrix is singular; no multiplicative inverse"
-                )
-            return np.linalg.inv(a)
-        raise ValueError("operation inverse transfer needs addition or "
-                         "multiplication")
+        if op.kind is OpKind.HADAMARD:
+            raise ValueError("operation inverse transfer needs addition or "
+                             "multiplication")
+        inv = algebra.op_inverse(op, a)
+        if inv is None:
+            raise SingularOperatorError("matrix is singular; no multiplicative inverse")
+        return inv
     if tf.kind is TransformKind.SCALAR:
         return float(tf.alpha) * a
     if tf.kind is TransformKind.SIMILARITY:
@@ -1027,11 +918,7 @@ def _transfer_witness(g: np.ndarray, q: Query, tf: Transform) -> np.ndarray | No
     if tf.kind is TransformKind.TRANSPOSE:
         return g.T
     if tf.kind is TransformKind.OP_INVERSE:
-        if q.op.kind is OpKind.ADD:
-            return -g
-        if not _nonsingular(g):
-            return None
-        return np.linalg.inv(g)
+        return algebra.op_inverse(q.op, g)
     if tf.kind is TransformKind.SCALAR:
         if q.op.kind is OpKind.ADD:
             return float(tf.alpha) * g
@@ -1098,7 +985,8 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
                     f"transfer ({label}): witness left the class numerically",
                 ),
             )
-        lam, margin = _worst_eigenvalue(q.region, algebra.apply(q.op, g, qt.a))
+        w = np.linalg.eigvals(algebra.apply(q.op, g, qt.a))
+        lam, margin = _worst_eigenvalue(q.region, w)
         if margin > q.tol:
             return _refuted(g, lam, margin, f"transfer ({label}): witness transformed",
                             v.provenance)

@@ -15,6 +15,8 @@ which keeps them simple and exact at the package's declared scope
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NonSymmetricError, SingularOperatorError
@@ -89,20 +91,28 @@ def symmetric_part(a) -> np.ndarray:
 def is_positive_definite(s, tol: float = PD_TOL) -> bool:
     """Whether the symmetric matrix ``s`` is positive definite.
 
-    ``s`` must be symmetric up to ``tol * ||s||_F``; otherwise
+    ``s`` must be symmetric up to ``tol * max(||s||_F, 1)``; otherwise
     ``NonSymmetricError`` is raised.  The test itself is an attempted
     Cholesky factorization of the symmetrized matrix shifted by the
     pivot threshold ``tol * max|diag|``, i.e. it requires
     ``lambda_min > tol * max|diag|`` rather than bare positivity.
     """
     s = as_square_matrix(s, "s")
-    dev = np.linalg.norm(s - s.T)
-    scale = np.linalg.norm(s)
-    if dev > tol * max(scale, 1.0):
+    # both tests run on u = s / 2^e, e >= 0 even, whose entries stay
+    # below 1 in magnitude when any entry of s reaches 1, so neither can
+    # overflow.  They decide as they would on s: scaling by 2^e is
+    # exact, and the Cholesky factor of u is that of s scaled by 2^(e/2)
+    e = max(math.frexp(float(np.max(np.abs(s))))[1], 0)
+    e += e % 2
+    u = s * 2.0 ** -e
+    dev = np.linalg.norm(u - u.T)
+    scale = max(np.linalg.norm(u), 2.0 ** -e)
+    if dev > tol * scale:
         raise NonSymmetricError(
-            f"matrix is not symmetric: deviation {dev:.3e} exceeds tolerance"
+            f"matrix is not symmetric: deviation {dev / scale:.3e} "
+            "relative to max(||s||_F, 1) exceeds tolerance"
         )
-    sym = 0.5 * (s + s.T)
+    sym = 0.5 * (u + u.T)
     thr = tol * float(np.max(np.abs(np.diag(sym))))
     try:
         np.linalg.cholesky(sym - thr * np.eye(sym.shape[0]))

@@ -292,6 +292,13 @@ def test_verify_rejects_a_form_that_overflows():
         assert verify_certificate(cert, 10.0 * np.eye(2)) is False
 
 
+def test_verify_rejects_a_false_certificate_near_the_float_limit():
+    # A = diag(1, -1) is not positive stable; its form D A + A^T D =
+    # diag(1e308, -1e308) is finite but indefinite
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([5e307, 5e307]), 1.0)
+    assert verify_certificate(cert, np.diag([1.0, -1.0])) is False
+
+
 def test_verify_keeps_overflow_warnings_inside():
     cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([1e308, 1e308]), 1.0)
     with warnings.catch_warnings():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import dgstab as dg
-from dgstab import algebra, classes, regions, serialize
+from dgstab import algebra, classes, engine, regions, serialize
 from dgstab.algebra import MUL, BinaryOp, OpKind, Side
 from dgstab.certify import CertKind
 from dgstab.engine import (
@@ -617,3 +617,98 @@ def test_enumeration_streams_the_finite_class():
         "status": "certified",
         "trials_used": 0,
     }
+
+
+def test_restrict_class_equals_the_factory_on_restricted_parameters():
+    idx = (0, 1, 3)
+    part = classes.Partition.from_sizes([2, 1, 2])
+    sub_part = classes.Partition(((0, 1), (2,)))
+    lo, hi = [-1.0, 0.0, 1.0, 2.0, 3.0], [0.5, 1.5, 2.5, 3.5, 4.5]
+    x, y = [1.0, 2.0, 3.0, 4.0, 5.0], [6.0, 7.0, 8.0, 9.0, 10.0]
+    mats = [np.arange(25.0).reshape(5, 5), -np.eye(5)]
+    cases = [
+        (classes.symmetric(5), classes.symmetric(3)),
+        (classes.spd(5), classes.spd(3)),
+        (classes.alpha_block_spd(part), classes.alpha_block_spd(sub_part)),
+        (classes.diag(5), classes.diag(3)),
+        (classes.pos_diag(5), classes.pos_diag(3)),
+        (classes.sign_diag([1, -1, 0, 1, -1]), classes.sign_diag([1, -1, 1])),
+        (classes.alpha_scalar(part), classes.alpha_scalar(sub_part)),
+        (classes.pos_alpha_scalar(part), classes.pos_alpha_scalar(sub_part)),
+        # theta entries 3, 0, 1 survive and renumber to 2, 0, 1
+        (classes.theta_ordered((3, 0, 4, 2, 1)), classes.theta_ordered((2, 0, 1))),
+        (classes.box_diag(lo, hi),
+         classes.box_diag([lo[i] for i in idx], [hi[i] for i in idx])),
+        (classes.vertex_diag(5), classes.vertex_diag(3)),
+        (classes.rank_k_positive(5, 4), classes.rank_k_positive(3, 3)),
+        (classes.sum_rank_one_positive(5, 2), classes.sum_rank_one_positive(3, 2)),
+        (classes.parametric_rank_one(x, y, (-1.0, 2.0)),
+         classes.parametric_rank_one([x[i] for i in idx], [y[i] for i in idx],
+                                     (-1.0, 2.0))),
+        (classes.explicit_list(mats),
+         classes.explicit_list([m[np.ix_(idx, idx)] for m in mats])),
+    ]
+    assert {cls.kind for cls, _ in cases} == set(classes.ClassKind)
+    for cls, expected in cases:
+        sub = restrict_class(cls, idx)
+        assert sub == expected, cls.kind
+        assert repr(sub) == repr(expected), cls.kind
+
+
+def test_stabilize_moves_per_kind():
+    # the candidate values of coordinate i at scale 0.5, in search order:
+    # additive steps, then multiplicative ones, then the sign flip
+    part = classes.Partition.from_sizes([1, 2])
+    p_i = 2.0
+    up, down, flip = p_i * 1.5, p_i / 1.5, -p_i
+    cases = [
+        (classes.pos_diag(3), [2.5, 1.5]),
+        (classes.theta_ordered((2, 0, 1)), [2.5, 1.5]),
+        (classes.diag(3), [up, down, flip]),
+        (classes.sign_diag([1, -1, 1]), [up, down]),
+        (classes.vertex_diag(3), [flip]),
+        (classes.alpha_scalar(part), [up, down, flip]),
+        (classes.pos_alpha_scalar(part), [up, down]),
+        # step 0.5 * width 4
+        (classes.box_diag([0.0, 0.0, 0.0], [4.0, 4.0, 4.0]), [4.0, 0.0]),
+        # step 0.5 * span 4, clipped to tau
+        (classes.parametric_rank_one([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], (-1.0, 3.0)),
+         [3.0, 0.0]),
+        # dense kinds: step 0.5 * (|p_i| + 1)
+        (classes.symmetric(3), [3.5, 0.5]),
+        (classes.spd(3), [3.5, 0.5]),
+        (classes.alpha_block_spd(part), [3.5, 0.5]),
+        (classes.rank_k_positive(3, 2), [3.5, 0.5]),
+        (classes.sum_rank_one_positive(3, 1), [3.5, 0.5]),
+    ]
+    assert {cls.kind for cls, _ in cases} == set(classes.ClassKind) - {
+        classes.ClassKind.EXPLICIT_LIST}
+    for cls, expected in cases:
+        _, _, moves, dim = engine._stabilize_params(cls, np.random.default_rng(0))
+        i = dim - 1
+        p = np.arange(1.0, dim + 1.0)
+        p[i] = p_i
+        before = p.copy()
+        cands = list(moves(p, i, 0.5))
+        np.testing.assert_array_equal(p, before)
+        assert [c[i] for c in cands] == expected, cls.kind
+        for c in cands:
+            np.testing.assert_array_equal(np.delete(c, i), np.delete(p, i))
+
+
+def test_identity_check_solves_one_spectrum(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(m):
+        calls.append(m)
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    for a, note in ((np.eye(2), "identity-element check passed"),
+                    (np.diag([1.0, 0.0]),
+                     "identity element leaves a boundary eigenvalue (inconclusive)")):
+        calls.clear()
+        q = Query(a, RHP, classes.pos_diag(2), MUL)
+        assert engine._identity_check(q) == (None, note)
+        assert len(calls) == 1

@@ -56,6 +56,27 @@ def test_is_positive_definite_rejects_asymmetric():
         is_positive_definite([[1, 1], [0, 1]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_is_positive_definite_symmetry_test_does_not_overflow():
+    # the Frobenius norm of diag(2e307, 2e307) overflows the float range
+    assert is_positive_definite(np.diag([2e307, 2e307]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_is_positive_definite_rejects_indefinite_matrices_near_the_float_limit():
+    # s + s^T overflows to inf and the pivot shift inf - inf to NaN,
+    # which the Cholesky factorization does not reject
+    assert not is_positive_definite(np.diag([1e308, -1e308]))
+    assert not is_positive_definite([[1e308, 0.0], [0.0, -1.0]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_is_positive_definite_rejects_asymmetry_near_the_float_limit():
+    # both Frobenius norms overflow to inf, and inf > 1e-9 * inf is False
+    with pytest.raises(NonSymmetricError):
+        is_positive_definite([[1e308, 1e308], [-1e308, 1e308]])
+
+
 def test_symmetric_part_examples():
     np.testing.assert_array_equal(
         symmetric_part([[1, 3], [0, 1]]), [[2, 3], [3, 2]]
