@@ -9,10 +9,11 @@ quadratic form built from the target matrix positive definite:
   (unit-disk region).
 
 A found certificate proves stability for every class member of the
-associated triples (see ``implied_stabilities``); a failed search
-proves nothing.  The searches maximize the smallest eigenvalue of the
-form by projected subgradient ascent over the witness parametrization
-with trace normalization and multi-starts.  One positive
+triples its kind is paired with in ``_PAIRINGS``, the one table of each
+kind's form, witness class and proven (region, class, op) triples; a
+failed search proves nothing.  The searches maximize the smallest
+eigenvalue of the form by projected subgradient ascent over the witness
+parametrization with trace normalization and multi-starts.  One positive
 block-scalar diagonal search serves the diagonal, block-scalar and
 Stein forms (a plain diagonal is the all-singleton partition); the
 block-diagonal SPD witness has its own Cholesky parametrization.  This
@@ -32,8 +33,11 @@ searches concurrently by passing split generator streams.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +54,7 @@ __all__ = [
     "find_diagonal_lyapunov",
     "find_stein_diagonal",
     "find_structured_lyapunov",
+    "search_for_triple",
     "verify_certificate",
     "implied_stabilities",
     "certified_form",
@@ -375,77 +380,49 @@ def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
     return _ascend(init_params, decode, grad, project, budget, rng), witness_of
 
 
-def _report(kind: CertKind, a: np.ndarray, result, witness_of, scale: float = 1.0,
-            partition: Partition | None = None) -> CertReport:
-    """Report an ascent result.  A witness clearing ``FOUND_TOL`` becomes
-    a certificate whose ``min_eig`` is recomputed from the certified
-    form at ``a``; otherwise the best value is reported times ``scale``
-    (the norm the search divided ``a`` by)."""
-    params, val, used = result
-    if params is None or val <= FOUND_TOL:
-        return CertReport(False, None, val * scale if params is not None else -np.inf, used)
-    cert = Certificate(kind, witness_of(params), np.nan, partition=partition)
-    min_eig = float(np.linalg.eigvalsh(certified_form(cert, a))[0])
-    return CertReport(True, replace(cert, min_eig=min_eig), min_eig, used)
-
-
-def _lyapunov_search(a: np.ndarray, kind: CertKind, part: Partition, budget: int,
-                     rng: np.random.Generator) -> CertReport:
-    """Continuous-form search on ``A`` scaled to unit Frobenius norm, so
-    that the found/not-found outcome is exactly invariant under positive
-    scaling of ``A``; the reported ``min_eig`` refers to the original
-    matrix."""
-    norm = float(np.linalg.norm(a))
+def _form_search(a, kind: CertKind, partition: Partition | None, budget: int,
+                 rng: np.random.Generator | None) -> CertReport:
+    """Search ``kind``'s form over block-diagonal SPD witnesses for
+    ``BLOCK_LYAPUNOV``, else over positive block-scalar diagonals on the
+    blocks of ``partition`` (singletons, not recorded, when None).  The
+    continuous form is searched on ``A`` scaled to unit Frobenius norm,
+    so that found/not-found is invariant under positive scaling."""
+    a = as_square_matrix(a)
+    rng = np.random.default_rng(0) if rng is None else rng
+    form = _PAIRINGS[kind].form
+    norm = float(np.linalg.norm(a)) if form == "lyap" else 1.0
     if norm == 0.0:
         return CertReport(False, None, 0.0, 0)
+    part = partition or Partition.from_sizes([1] * a.shape[0])
     if kind is CertKind.BLOCK_LYAPUNOV:
         result, witness_of = _block_spd_search(a / norm, part, budget, rng)
     else:
-        result, witness_of = _block_scalar_search(a / norm, part, "lyap", budget, rng)
-    partition = None if kind is CertKind.DIAGONAL_LYAPUNOV else part
-    return _report(kind, a, result, witness_of, norm, partition)
+        result, witness_of = _block_scalar_search(a / norm, part, form, budget, rng)
+    params, val, used = result
+    if params is None or val <= FOUND_TOL:
+        return CertReport(False, None, val * norm if params is not None else -np.inf, used)
+    cert = Certificate(kind, witness_of(params), np.nan, partition=partition)
+    min_eig = float(np.linalg.eigvalsh(certified_form(cert, a))[0])
+    return CertReport(True, replace(cert, min_eig=min_eig), min_eig, used)
 
 
 def find_diagonal_lyapunov(a, budget: int = 5000,
                            rng: np.random.Generator | None = None) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D A + A^T D``
     positive definite: the block-scalar search over singleton blocks."""
-    a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
-    singletons = Partition.from_sizes([1] * a.shape[0])
-    return _lyapunov_search(a, CertKind.DIAGONAL_LYAPUNOV, singletons, budget, rng)
+    return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None, budget, rng)
 
 
 def find_stein_diagonal(a, budget: int = 5000,
                         rng: np.random.Generator | None = None) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D - A^T D A``
     positive definite."""
-    a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
-    singletons = Partition.from_sizes([1] * a.shape[0])
-    result, witness_of = _block_scalar_search(a, singletons, "stein", budget, rng)
-    return _report(CertKind.STEIN_DIAGONAL, a, result, witness_of)
-
-
-def _is_identity_singleton(p_class: MatrixClass) -> bool:
-    if p_class.kind is not ClassKind.EXPLICIT_LIST:
-        return False
-    eye = np.eye(p_class.order)
-    return all(
-        np.array_equal(np.array(m, dtype=float), eye) for m in p_class.members
-    )
+    return _form_search(a, CertKind.STEIN_DIAGONAL, None, budget, rng)
 
 
 def identity_witness_class(n: int) -> MatrixClass:
     """The singleton witness class containing only the identity."""
     return classes.explicit_list([np.eye(n)])
-
-
-#: Certificate kind found by searching each parametrized witness class.
-_SEARCH_KINDS = {
-    ClassKind.POS_ALPHA_SCALAR: CertKind.ALPHA_SCALAR_LYAPUNOV,
-    ClassKind.ALPHA_BLOCK_SPD: CertKind.BLOCK_LYAPUNOV,
-}
 
 
 def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
@@ -458,62 +435,119 @@ def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
     ``UnsupportedClassError``.
     """
     a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
     if a.shape[0] != p_class.order:
         raise UnsupportedClassError("witness class order does not match matrix")
-
-    if _is_identity_singleton(p_class):
-        s = a + a.T
-        lam = float(np.linalg.eigvalsh(s)[0])
-        if is_positive_definite(s):
-            cert = Certificate(CertKind.IDENTITY_LYAPUNOV, np.eye(a.shape[0]), lam)
-            return CertReport(True, cert, lam, 1)
-        return CertReport(False, None, lam, 1)
-
-    kind = _SEARCH_KINDS.get(p_class.kind)
-    if kind is None:
+    kind = _BY_WITNESS.get(p_class.kind)
+    if kind is None or _at(kind, p_class.order, p_class.partition)[0] != p_class:
         raise UnsupportedClassError(
-            f"no search parametrization for witness class {p_class.kind.value}"
-        )
-    return _lyapunov_search(a, kind, p_class.partition, budget, rng)
+            f"no search parametrization for witness class {p_class.kind.value}")
+    if kind is CertKind.IDENTITY_LYAPUNOV:
+        s = a + a.T
+        lam, found = float(np.linalg.eigvalsh(s)[0]), is_positive_definite(s)
+        cert = Certificate(kind, np.eye(a.shape[0]), lam) if found else None
+        return CertReport(found, cert, lam, 1)
+    return _form_search(a, kind, p_class.partition, budget, rng)
+
+
+class _Pairing(NamedTuple):
+    form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
+    at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
+    search: Callable | None = None  # (a, witness class, budget, rng) -> CertReport
+
+
+def _rhp(cls):
+    # stability of G A and G + A for every G in the class
+    return tuple((regions.right_half_plane(), cls, op) for op in (MUL, ADD))
+
+
+def _structured(a, witness, budget, rng):
+    return find_structured_lyapunov(a, witness, budget, rng)
+
+
+#: Each kind's form, witness class, proven triples and search (None:
+#: verified when supplied, never searched); the polynomial form pairs
+#: with no class beyond the half-plane cases.  The searches look the
+#: finders up when called, so that a replaced module attribute is called.
+_PAIRINGS = {
+    CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+        classes.pos_diag(n), _rhp(classes.pos_diag(n))),
+        lambda a, w, budget, rng: find_diagonal_lyapunov(a, budget, rng)),
+    CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+        classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured),
+    CertKind.BLOCK_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+        classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _structured),
+    CertKind.IDENTITY_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+        identity_witness_class(n), _rhp(classes.spd(n))), _structured),
+    CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
+        classes.pos_diag(n), tuple((regions.unit_disk(), c, MUL) for c in (
+            classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n)))),
+        lambda a, w, budget, rng: find_stein_diagonal(a, budget, rng)),
+    CertKind.SYMMETRIC_INDEFINITE: _Pairing("lyap", lambda n, p: (classes.symmetric(n), ())),
+    CertKind.HILL: _Pairing("hill", lambda n, p: (classes.spd(n), ())),
+}
+
+
+@functools.lru_cache(maxsize=1024)
+def _at(kind: CertKind, n: int, partition: Partition | None):
+    """``kind``'s witness class and proven triples, built once: both hold
+    immutable values only."""
+    return _PAIRINGS[kind].at(n, partition)
+
+
+#: The structured searches' kinds by witness class kind, and the searched
+#: kinds by the (region, class, op) kinds of each triple (no two share one).
+_BY_WITNESS = {_at(k, 1, Partition(((0,),)))[0].kind: k
+               for k, pair in _PAIRINGS.items() if pair.search is _structured}
+_BY_TRIPLE = {(r.kind, c.kind, o.kind): k for k, pair in _PAIRINGS.items() if pair.search
+              for r, c, o in _at(k, 1, Partition(((0,),)))[1]}
+
+
+def _class_subset(sub: MatrixClass, sup: MatrixClass) -> bool:
+    if sub.kind is sup.kind is ClassKind.BOX_DIAG and sub.order == sup.order:
+        return (all(s >= p for s, p in zip(sub.lo, sup.lo))
+                and all(s <= p for s, p in zip(sub.hi, sup.hi)))
+    return sub == sup
+
+
+def _triple_covered(region, cls, op, implied) -> bool:
+    # left/right is immaterial for these operations: addition and the
+    # entrywise product are commutative, and under multiplication G A
+    # and A G share their spectrum.
+    return any(r.geometry() == region.geometry() and o.kind is op.kind
+               and _class_subset(cls, c) for r, c, o in implied)
+
+
+def _search(kind: CertKind, a, partition: Partition | None, budget: int,
+            rng: np.random.Generator | None) -> CertReport:
+    """Run ``kind``'s search; block kinds take the blocks of ``partition``."""
+    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0], budget, rng)
+
+
+def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
+                      budget: int = 5000,
+                      rng: np.random.Generator | None = None) -> CertReport | None:
+    """Search for a certificate of the kind whose proven triples cover
+    (region, cls, op), with the witness blocks of ``cls``; None when no
+    searched kind proves the triple."""
+    kind = _BY_TRIPLE.get((region.kind, cls.kind, op.kind))
+    if kind is None or not _triple_covered(
+            region, cls, op, _at(kind, cls.order, cls.partition)[1]):
+        return None
+    return _search(kind, a, cls.partition, budget, rng)
 
 
 def certified_form(cert: Certificate, a) -> np.ndarray:
     """Recompute the quadratic form the certificate claims to be
     positive definite."""
     a = as_square_matrix(a)
-    p = cert.witness
-    if cert.kind in (
-        CertKind.DIAGONAL_LYAPUNOV,
-        CertKind.ALPHA_SCALAR_LYAPUNOV,
-        CertKind.BLOCK_LYAPUNOV,
-        CertKind.IDENTITY_LYAPUNOV,
-        CertKind.SYMMETRIC_INDEFINITE,
-    ):
+    p, form = cert.witness, getattr(_PAIRINGS.get(cert.kind), "form", None)
+    if form == "lyap":
         return p @ a + a.T @ p
-    if cert.kind is CertKind.STEIN_DIAGONAL:
+    if form == "stein":
         return p - a.T @ p @ a
-    if cert.kind is CertKind.HILL:
+    if form == "hill":
         return hill_form(np.array(cert.coeffs, dtype=float), p, a)
     raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
-
-
-def _witness_ok(cert: Certificate) -> bool:
-    w = cert.witness
-    n = w.shape[0]
-    if cert.kind in (CertKind.DIAGONAL_LYAPUNOV, CertKind.STEIN_DIAGONAL):
-        return classes.contains(classes.pos_diag(n), w)
-    if cert.kind is CertKind.ALPHA_SCALAR_LYAPUNOV:
-        return classes.contains(classes.pos_alpha_scalar(cert.partition), w)
-    if cert.kind is CertKind.BLOCK_LYAPUNOV:
-        return classes.contains(classes.alpha_block_spd(cert.partition), w)
-    if cert.kind is CertKind.IDENTITY_LYAPUNOV:
-        return bool(np.allclose(w, np.eye(n), atol=1e-12))
-    if cert.kind is CertKind.SYMMETRIC_INDEFINITE:
-        return classes.contains(classes.symmetric(n), w)
-    if cert.kind is CertKind.HILL:
-        return classes.contains(classes.spd(n), w)
-    raise AssertionError(cert.kind)
 
 
 def verify_certificate(cert: Certificate, a) -> bool:
@@ -534,56 +568,20 @@ def verify_certificate(cert: Certificate, a) -> bool:
                 return False
             count += len(stack)
         return cert.members_checked is None or count == cert.members_checked
-    if cert.witness is None or cert.witness.shape != a.shape:
+    if cert.witness is None or cert.witness.shape != a.shape or not classes.contains(
+            _at(cert.kind, a.shape[0], cert.partition)[0], cert.witness):
         return False
-    if not _witness_ok(cert):
-        return False
-    # a form that overflows is rejected below as non-finite, silently
+    # a form that overflows is rejected as non-finite, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        form = certified_form(cert, a)
         try:
-            return is_positive_definite(form)
-        except (NonSymmetricError, ValueError):
+            return is_positive_definite(certified_form(cert, a))
+        except (NonSymmetricError, ValueError, OverflowError):
             return False
 
 
 def implied_stabilities(cert: Certificate) -> list[tuple]:
-    """The (region, class, operation) triples the certificate proves.
-
-    Diagonal witnesses prove stability against positive diagonals under
-    both multiplication and addition; block-scalar witnesses against
-    block-supported SPD classes and vice versa; the identity witness
-    against the full SPD class (multiplication and addition); discrete
-    diagonal witnesses prove unit-disk stability against vertex
-    diagonals and the box of diagonals with entries in (-1, 1).
-    Polynomial-form certificates for general regions imply no triple.
-    """
-    rhp = regions.right_half_plane()
+    """The (region, class, operation) triples the certificate proves:
+    those its kind is paired with, or an exhaustive certificate's own."""
     if cert.kind is CertKind.EXHAUSTIVE:
         return [cert.triple] if cert.triple is not None else []
-    if cert.kind in (CertKind.HILL, CertKind.SYMMETRIC_INDEFINITE):
-        # no class-quantified consequence: the polynomial-form witness
-        # pairs with no known class beyond the half-plane cases, and
-        # the indefinite witness only certifies the target matrix's own
-        # spectrum (plus the eigenvalue-count match of the two).
-        return []
-    n = cert.witness.shape[0]
-    if cert.kind is CertKind.DIAGONAL_LYAPUNOV:
-        cls = classes.pos_diag(n)
-        return [(rhp, cls, MUL), (rhp, cls, ADD)]
-    if cert.kind is CertKind.ALPHA_SCALAR_LYAPUNOV:
-        cls = classes.alpha_block_spd(cert.partition)
-        return [(rhp, cls, MUL), (rhp, cls, ADD)]
-    if cert.kind is CertKind.BLOCK_LYAPUNOV:
-        cls = classes.pos_alpha_scalar(cert.partition)
-        return [(rhp, cls, MUL), (rhp, cls, ADD)]
-    if cert.kind is CertKind.IDENTITY_LYAPUNOV:
-        cls = classes.spd(n)
-        return [(rhp, cls, MUL), (rhp, cls, ADD)]
-    if cert.kind is CertKind.STEIN_DIAGONAL:
-        disk = regions.unit_disk()
-        return [
-            (disk, classes.vertex_diag(n), MUL),
-            (disk, classes.box_diag([-1.0] * n, [1.0] * n), MUL),
-        ]
-    raise AssertionError(cert.kind)
+    return list(_at(cert.kind, cert.witness.shape[0], cert.partition)[1])

@@ -325,20 +325,19 @@ def contains(c: MatrixClass, m, tol: float = 1e-9) -> bool:
 
     if k is ClassKind.SYMMETRIC:
         return float(np.max(np.abs(m - m.T))) <= thr
-    if k is ClassKind.SPD:
-        if float(np.max(np.abs(m - m.T))) > thr:
-            return False
-        return is_positive_definite(0.5 * (m + m.T), tol)
-    if k is ClassKind.ALPHA_BLOCK_SPD:
+    if k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
+        # SPD is the one-block case; halves first, so that nothing
+        # overflows near the float limit
         mask = np.zeros_like(m, dtype=bool)
-        for block in c.partition.blocks:
+        for block in c.partition.blocks if c.partition else (range(c.order),):
             sel = np.asarray(block)
             mask[np.ix_(sel, sel)] = True
+        half = 0.5 * m
         if float(np.max(np.abs(m[~mask]), initial=0.0)) > thr:
             return False
-        if float(np.max(np.abs(m - m.T))) > thr:
+        if float(np.max(np.abs(half - half.T))) > 0.5 * thr:
             return False
-        return is_positive_definite(0.5 * (m + m.T), tol)
+        return is_positive_definite(half + half.T, tol)
     if k is ClassKind.DIAG:
         return _offdiag_small(m, thr)
     if k is ClassKind.POS_DIAG:

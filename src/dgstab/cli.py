@@ -51,20 +51,15 @@ def _load_matrix(spec: str) -> np.ndarray:
         return serialize.load_matrix_text(fh.read())
 
 
-def _parse_region(spec: str) -> regions.Region:
-    if spec.lstrip().startswith("{"):
-        return serialize.region_from_json(json.loads(spec))
-    return serialize.region_from_json(spec)
+def _spec(spec: str):
+    """A region or class spec: a JSON object parsed, a name as given."""
+    return json.loads(spec) if spec.lstrip().startswith("{") else spec
 
 
-def _parse_class(spec: str, n: int) -> classes.MatrixClass:
-    if spec.lstrip().startswith("{"):
-        return serialize.class_from_json(json.loads(spec), n)
-    return serialize.class_from_json(spec, n)
-
-
-def _emit(args, payload: dict) -> None:
-    text = serialize.dumps(payload)
+def _emit(args, payload) -> None:
+    """Write a payload as canonical JSON, or text as given, to ``--out``
+    or stdout."""
+    text = payload if isinstance(payload, str) else serialize.dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -89,12 +84,17 @@ def _add_query_flags(p: _Parser, need_class: bool = True) -> None:
     p.add_argument("--out", default=None, help="write output to a file")
 
 
-def _build_query(args) -> engine.Query:
+def _query_parts(args):
+    """(matrix, region, class, op) from the query flags, unvalidated."""
     a = _load_matrix(args.matrix)
-    region = _parse_region(args.region)
-    cls = _parse_class(args.cls, a.shape[0])
+    region = serialize.region_from_json(_spec(args.region))
+    cls = serialize.class_from_json(_spec(args.cls), a.shape[0])
     op = algebra.BinaryOp(algebra.OpKind(args.op), algebra.Side(args.side))
-    return engine.Query(a, region, cls, op,
+    return a, region, cls, op
+
+
+def _build_query(args) -> engine.Query:
+    return engine.Query(*_query_parts(args),
                         budget=args.budget, seed=args.seed, tol=args.tol)
 
 
@@ -105,24 +105,25 @@ def _cmd_check(args) -> int:
     return _STATUS_EXIT[v.status]
 
 
+#: The certificate kinds ``certify --kind`` searches, by name.
+_CERT_KINDS = {
+    "diagonal": certify.CertKind.DIAGONAL_LYAPUNOV,
+    "stein": certify.CertKind.STEIN_DIAGONAL,
+    "alpha_scalar": certify.CertKind.ALPHA_SCALAR_LYAPUNOV,
+    "block": certify.CertKind.BLOCK_LYAPUNOV,
+    "identity": certify.CertKind.IDENTITY_LYAPUNOV,
+}
+
+
 def _cmd_certify(args) -> int:
     a = _load_matrix(args.matrix)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    n = a.shape[0]
-    if args.kind == "diagonal":
-        report = certify.find_diagonal_lyapunov(a, args.budget, rng)
-    elif args.kind == "stein":
-        report = certify.find_stein_diagonal(a, args.budget, rng)
-    elif args.kind == "identity":
-        report = certify.find_structured_lyapunov(
-            a, certify.identity_witness_class(n), args.budget, rng)
-    else:
+    part = None
+    if args.kind in ("alpha_scalar", "block"):
         if not args.partition:
             raise UsageError(f"--kind {args.kind} requires --partition")
         part = serialize._partition_from_wire(json.loads(args.partition))
-        witness_cls = (classes.pos_alpha_scalar(part) if args.kind == "alpha_scalar"
-                       else classes.alpha_block_spd(part))
-        report = certify.find_structured_lyapunov(a, witness_cls, args.budget, rng)
+    report = certify._search(_CERT_KINDS[args.kind], a, part, args.budget, rng)
     payload: dict = {"found": report.found,
                      "best_min_eig": float(report.best_min_eig),
                      "iterations": report.iterations}
@@ -146,12 +147,7 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    a = _load_matrix(args.matrix)
-    region = _parse_region(args.region)
-    cls = _parse_class(args.cls, a.shape[0])
-    op = algebra.BinaryOp(algebra.OpKind(args.op), algebra.Side(args.side))
-    report = engine.stabilize(a, region, cls, op,
-                              budget=args.budget, seed=args.seed)
+    report = engine.stabilize(*_query_parts(args), budget=args.budget, seed=args.seed)
     payload: dict = {"found": report.found, "evaluations": report.evaluations}
     if report.found:
         payload["witness"] = serialize.matrix_to_json(report.witness)
@@ -161,7 +157,7 @@ def _cmd_stabilize(args) -> int:
 
 def _cmd_inertia(args) -> int:
     a = _load_matrix(args.matrix)
-    region = _parse_region(args.region)
+    region = serialize.region_from_json(_spec(args.region))
     inertia = regions.inertia_of(region, np.linalg.eigvals(a))
     _emit(args, {"i_plus": inertia.i_plus, "i_zero": inertia.i_zero,
                  "i_minus": inertia.i_minus})
@@ -240,10 +236,7 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
 
 
 def _cmd_plot(args) -> int:
-    a = _load_matrix(args.matrix)
-    region = _parse_region(args.region)
-    cls = _parse_class(args.cls, a.shape[0])
-    op = algebra.BinaryOp(algebra.OpKind(args.op), algebra.Side(args.side))
+    a, region, cls, op = _query_parts(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     pts = np.zeros(0, dtype=complex)
     if args.samples > 0:
@@ -281,12 +274,7 @@ def _cmd_plot(args) -> int:
         px, py = to_px(z.real, z.imag)
         body.append(_svg_circle(px, py, 2.0, "#1a5fb4"))
     body.append("</svg>")
-    text = "\n".join(body) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, "\n".join(body) + "\n")
     return EXIT_CERTIFIED
 
 
@@ -302,9 +290,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("certify", help="search for a stability certificate")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--kind", required=True,
-                   choices=["diagonal", "stein", "alpha_scalar", "block",
-                            "identity"])
+    p.add_argument("--kind", required=True, choices=list(_CERT_KINDS))
     p.add_argument("--partition", default=None,
                    help="JSON blocks, 1-based, e.g. [[1,2],[3]]")
     p.add_argument("--budget", type=int, default=5000)

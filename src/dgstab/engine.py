@@ -17,12 +17,13 @@ first, and stops at the first definite answer:
 
 1. unbounded-class escape for bounded regions;
 2. the identity-element necessary check;
-3. exact enumeration, for finite classes only;
-4. the certificate stage: search the form matching the triple, then
-   re-verify the certificate independently.  Finite classes whose
-   enumeration was inconclusive run this same stage;
-5. randomized falsification, for infinite classes only (sampling a
-   finite class again cannot add to its enumeration).
+3. exact enumeration, for finite classes only, whose verdict is final
+   (an inconclusive one means boundary eigenvalues, which block every
+   verdict);
+4. the certificate stage, for infinite classes: search the form whose
+   proven triples cover the query (``certify.search_for_triple``), then
+   re-verify the certificate independently;
+5. randomized falsification, for infinite classes.
 
 Every REFUTED verdict, from whichever stage or from a verdict
 transfer, is built by one constructor.  Verdicts are deterministic
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import algebra, certify, classes, regions
 from .algebra import BinaryOp, OpKind
-from .certify import CertKind, Certificate, CertReport
+from .certify import CertKind, Certificate
 from .classes import ClassKind, MatrixClass, Partition
 from .errors import OrderTooLargeError, SingularOperatorError, UnrepresentableError
 from .linalg import as_square_matrix, principal_submatrix
@@ -287,87 +288,21 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
     )
 
 
-def _box_within_unit(cls: MatrixClass) -> bool:
-    return all(l >= -1.0 for l in cls.lo) and all(h <= 1.0 for h in cls.hi)
-
-
-def _certificate_search(q: Query, rng) -> CertReport | None:
-    """Dispatch to the certificate search matching the query triple, if
-    any sufficiency theorem applies."""
-    rk, ck = q.region.kind, q.cls.kind
-    n = q.a.shape[0]
-    if rk is regions.RegionKind.RIGHT_HALF_PLANE and q.op.kind in (
-        OpKind.ADD,
-        OpKind.MUL,
-    ):
-        if ck is ClassKind.POS_DIAG:
-            return certify.find_diagonal_lyapunov(q.a, _CERT_BUDGET, rng)
-        if ck is ClassKind.ALPHA_BLOCK_SPD:
-            return certify.find_structured_lyapunov(
-                q.a, classes.pos_alpha_scalar(q.cls.partition), _CERT_BUDGET, rng
-            )
-        if ck is ClassKind.POS_ALPHA_SCALAR:
-            return certify.find_structured_lyapunov(
-                q.a, classes.alpha_block_spd(q.cls.partition), _CERT_BUDGET, rng
-            )
-        if ck is ClassKind.SPD:
-            return certify.find_structured_lyapunov(
-                q.a, certify.identity_witness_class(n), _CERT_BUDGET, rng
-            )
-    if (
-        rk is regions.RegionKind.UNIT_DISK
-        and q.op.kind is OpKind.MUL
-        and (
-            ck is ClassKind.VERTEX_DIAG
-            or (ck is ClassKind.BOX_DIAG and _box_within_unit(q.cls))
-        )
-    ):
-        return certify.find_stein_diagonal(q.a, _CERT_BUDGET, rng)
-    return None
-
-
-def _class_subset(sub: MatrixClass, sup: MatrixClass) -> bool:
-    if sub == sup:
-        return True
-    if (
-        sub.kind is ClassKind.BOX_DIAG
-        and sup.kind is ClassKind.BOX_DIAG
-        and sub.order == sup.order
-    ):
-        return all(sl >= pl for sl, pl in zip(sub.lo, sup.lo)) and all(
-            sh <= ph for sh, ph in zip(sub.hi, sup.hi)
-        )
-    return False
-
-
-def _triple_covered(region, cls, op, implied) -> bool:
-    for r2, c2, o2 in implied:
-        if r2.geometry() != region.geometry():
-            continue
-        if o2.kind is not op.kind:
-            continue
-        # left/right is immaterial for these operations: addition and
-        # the entrywise product are commutative, and under
-        # multiplication G A and A G share their spectrum.
-        if _class_subset(cls, c2):
-            return True
-    return False
-
-
 def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None, str]:
-    """Search the certificate form matching the query triple and keep a
-    found certificate only if it re-verifies and its implied triples
-    cover the query.  Returns (certificate | None, provenance note)."""
+    """Search the certificate form whose proven triples cover the query
+    and keep a found certificate only if it re-verifies and its implied
+    triples cover the query.  Returns (certificate | None, provenance
+    note)."""
     if not enabled:
         return None, "certificate search disabled"
-    report = _certificate_search(q, rng)
+    report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET, rng)
     if report is None:
         return None, "no certificate form matches the query triple"
     if not report.found:
         return None, ("certificate search inconclusive "
                       f"(best min_eig={report.best_min_eig:.3e})")
     cert = report.certificate
-    if certify.verify_certificate(cert, q.a) and _triple_covered(
+    if certify.verify_certificate(cert, q.a) and certify._triple_covered(
         q.region, q.cls, q.op, certify.implied_stabilities(cert)
     ):
         return cert, (f"certificate found ({cert.kind.value}, "
@@ -377,8 +312,8 @@ def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None
 
 def decide(q: Query, use_certificates: bool = True) -> Verdict:
     """Layered decision: unboundedness escape, identity-element check,
-    exact enumeration (finite classes), certificate search, randomized
-    falsification (infinite classes), in that order.
+    then exact enumeration for finite classes, or certificate search and
+    randomized falsification for infinite ones.
 
     ``use_certificates=False`` skips the certificate stage (the other
     stages are unaffected); useful for honesty testing and benchmarks.
@@ -401,19 +336,14 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     prov.append(note)
 
     if q.cls.is_finite:
-        v = _exhaustive_check(q.a, q.region, q.cls, q.op, q.tol)
-        if v.status is not VerdictStatus.UNKNOWN:
-            return done(v)
-        prov.extend(v.provenance)
+        # boundary eigenvalues block every verdict, so an inconclusive
+        # enumeration is final
+        return done(_exhaustive_check(q.a, q.region, q.cls, q.op, q.tol))
 
     cert, note = _certificate_stage(q, np.random.default_rng(ss_cert), use_certificates)
     prov.append(note)
     if cert is not None:
         return done(Verdict(VerdictStatus.CERTIFIED, certificate=cert))
-    if q.cls.is_finite:
-        # sampling the members already enumerated cannot add information
-        prov.append("finite class: falsification skipped (already enumerated)")
-        return done(Verdict(VerdictStatus.UNKNOWN))
     return done(falsify(q))
 
 

@@ -88,6 +88,26 @@ def symmetric_part(a) -> np.ndarray:
     return a + a.T
 
 
+def _scaled_symmetric(s: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """``s / 2^e``, with ``e >= 0`` even chosen so that its entries stay
+    below 1 in magnitude when any entry of ``s`` reaches 1, after
+    checking on it that ``||s - s^T||_F <= tol * max(||s||_F, 1)``
+    (``NonSymmetricError`` otherwise).  No norm of the scaled copy can
+    overflow, and the check decides as it would on ``s``, since scaling
+    by a power of two is exact."""
+    e = max(math.frexp(float(np.max(np.abs(s))))[1], 0)
+    e += e % 2
+    u = s * 2.0 ** -e
+    dev = np.linalg.norm(u - u.T)
+    scale = max(np.linalg.norm(u), 2.0 ** -e)
+    if dev > tol * scale:
+        raise NonSymmetricError(
+            f"{name} is not symmetric: deviation {dev / scale:.3e} "
+            f"relative to max(||{name}||_F, 1) exceeds tolerance"
+        )
+    return u
+
+
 def is_positive_definite(s, tol: float = PD_TOL) -> bool:
     """Whether the symmetric matrix ``s`` is positive definite.
 
@@ -97,21 +117,10 @@ def is_positive_definite(s, tol: float = PD_TOL) -> bool:
     pivot threshold ``tol * max|diag|``, i.e. it requires
     ``lambda_min > tol * max|diag|`` rather than bare positivity.
     """
-    s = as_square_matrix(s, "s")
-    # both tests run on u = s / 2^e, e >= 0 even, whose entries stay
-    # below 1 in magnitude when any entry of s reaches 1, so neither can
-    # overflow.  They decide as they would on s: scaling by 2^e is
-    # exact, and the Cholesky factor of u is that of s scaled by 2^(e/2)
-    e = max(math.frexp(float(np.max(np.abs(s))))[1], 0)
-    e += e % 2
-    u = s * 2.0 ** -e
-    dev = np.linalg.norm(u - u.T)
-    scale = max(np.linalg.norm(u), 2.0 ** -e)
-    if dev > tol * scale:
-        raise NonSymmetricError(
-            f"matrix is not symmetric: deviation {dev / scale:.3e} "
-            "relative to max(||s||_F, 1) exceeds tolerance"
-        )
+    # the Cholesky test runs on the scaled copy too: it decides as it
+    # would on s, since the Cholesky factor of s / 2^e is that of s
+    # scaled by 2^(e/2)
+    u = _scaled_symmetric(as_square_matrix(s, "s"), tol, "s")
     sym = 0.5 * (u + u.T)
     thr = tol * float(np.max(np.abs(np.diag(sym))))
     try:
@@ -123,10 +132,8 @@ def is_positive_definite(s, tol: float = PD_TOL) -> bool:
 
 def _require_symmetric(w, name: str) -> np.ndarray:
     w = as_square_matrix(w, name)
-    dev = np.linalg.norm(w - w.T)
-    if dev > 1e-9 * max(np.linalg.norm(w), 1.0):
-        raise NonSymmetricError(f"{name} must be symmetric (deviation {dev:.3e})")
-    return 0.5 * (w + w.T)
+    _scaled_symmetric(w, 1e-9, name)
+    return 0.5 * w + 0.5 * w.T
 
 
 def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
@@ -143,7 +150,7 @@ def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
             f"(rcond ~ {0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.2e})"
         )
     h = np.linalg.solve(op, w.flatten(order="F")).reshape((n, n), order="F")
-    return 0.5 * (h + h.T)
+    return 0.5 * h + 0.5 * h.T
 
 
 def solve_lyapunov(a, w) -> np.ndarray:

@@ -389,6 +389,13 @@ def is_scale_invariant(region: Region, interval: tuple[float, float]) -> bool:
     lo, hi = float(interval[0]), float(interval[1])
     if not lo < hi:
         raise ValueError("interval must satisfy lo < hi")
+    return _scale_rule(region, lo, hi)
+
+
+def _scale_rule(region: Region, lo: float, hi: float) -> bool:
+    """Whether multiplying by every scalar strictly between ``lo`` and
+    ``hi`` (by ``lo`` alone, nonzero, when ``lo == hi``) keeps interior
+    points in the region."""
     k = region.kind
     if k in (RegionKind.RIGHT_HALF_PLANE, RegionKind.LEFT_HALF_PLANE,
              RegionKind.POSITIVE_RAY, RegionKind.SECTOR):
@@ -411,20 +418,4 @@ def scalar_preserves_region(region: Region, alpha: float) -> bool:
         # alpha * z == 0 for every z; 0 is interior only for the disk
         # and the real axis among supported kinds.
         return region.kind in (RegionKind.UNIT_DISK, RegionKind.REAL_AXIS)
-    k = region.kind
-    if k in (RegionKind.RIGHT_HALF_PLANE, RegionKind.LEFT_HALF_PLANE,
-             RegionKind.POSITIVE_RAY, RegionKind.SECTOR):
-        return alpha > 0.0
-    if k is RegionKind.REAL_AXIS:
-        return True
-    if k in (RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE):
-        return True
-    if k is RegionKind.UNIT_DISK:
-        return abs(alpha) <= 1.0
-    if k is RegionKind.HILL:
-        eps = 1e-12
-        span = abs(alpha)
-        lo = alpha - eps * span
-        hi = alpha + eps * span
-        return _hill_scale_invariant(region, lo, hi)
-    raise AssertionError(k)
+    return _scale_rule(region, alpha, alpha)

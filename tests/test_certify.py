@@ -292,6 +292,14 @@ def test_verify_rejects_a_form_that_overflows():
         assert verify_certificate(cert, 10.0 * np.eye(2)) is False
 
 
+def test_verify_rejects_a_polynomial_form_that_overflows():
+    # H - A^T H A overflows; the polynomial form raises OverflowError,
+    # which verification turns into a rejection like any other overflow
+    cert = Certificate(CertKind.HILL, np.diag([1e200, 1e200]), 1.0,
+                       coeffs=tuple(map(tuple, case_iii_coefficients())))
+    assert verify_certificate(cert, 1e60 * np.eye(2)) is False
+
+
 def test_verify_rejects_a_false_certificate_near_the_float_limit():
     # A = diag(1, -1) is not positive stable; its form D A + A^T D =
     # diag(1e308, -1e308) is finite but indefinite
@@ -563,3 +571,254 @@ def test_stacked_ascent_work_follows_the_iterations_run(monkeypatch):
             assert got.certificate.witness.tobytes() == \
                 want.certificate.witness.tobytes(), name
         assert 0 < len(lockstep) <= want.iterations, name
+
+
+# ---------------------------------------------------------------------------
+# the pairing table against the hand-written dispatch it replaced, kept
+# here verbatim (module references qualified) as the reference
+
+
+def _reference_certificate_search(q, rng):
+    """Dispatch to the certificate search matching the query triple, if
+    any sufficiency theorem applies."""
+    import dgstab.certify as certify
+    from dgstab.algebra import OpKind
+    from dgstab.engine import _CERT_BUDGET
+
+    def _box_within_unit(cls):
+        return all(l >= -1.0 for l in cls.lo) and all(h <= 1.0 for h in cls.hi)
+
+    rk, ck = q.region.kind, q.cls.kind
+    n = q.a.shape[0]
+    if rk is regions.RegionKind.RIGHT_HALF_PLANE and q.op.kind in (
+        OpKind.ADD,
+        OpKind.MUL,
+    ):
+        if ck is ClassKind.POS_DIAG:
+            return certify.find_diagonal_lyapunov(q.a, _CERT_BUDGET, rng)
+        if ck is ClassKind.ALPHA_BLOCK_SPD:
+            return certify.find_structured_lyapunov(
+                q.a, classes.pos_alpha_scalar(q.cls.partition), _CERT_BUDGET, rng
+            )
+        if ck is ClassKind.POS_ALPHA_SCALAR:
+            return certify.find_structured_lyapunov(
+                q.a, classes.alpha_block_spd(q.cls.partition), _CERT_BUDGET, rng
+            )
+        if ck is ClassKind.SPD:
+            return certify.find_structured_lyapunov(
+                q.a, certify.identity_witness_class(n), _CERT_BUDGET, rng
+            )
+    if (
+        rk is regions.RegionKind.UNIT_DISK
+        and q.op.kind is OpKind.MUL
+        and (
+            ck is ClassKind.VERTEX_DIAG
+            or (ck is ClassKind.BOX_DIAG and _box_within_unit(q.cls))
+        )
+    ):
+        return certify.find_stein_diagonal(q.a, _CERT_BUDGET, rng)
+    return None
+
+
+def _reference_witness_ok(cert):
+    w = cert.witness
+    n = w.shape[0]
+    if cert.kind in (CertKind.DIAGONAL_LYAPUNOV, CertKind.STEIN_DIAGONAL):
+        return classes.contains(classes.pos_diag(n), w)
+    if cert.kind is CertKind.ALPHA_SCALAR_LYAPUNOV:
+        return classes.contains(classes.pos_alpha_scalar(cert.partition), w)
+    if cert.kind is CertKind.BLOCK_LYAPUNOV:
+        return classes.contains(classes.alpha_block_spd(cert.partition), w)
+    if cert.kind is CertKind.IDENTITY_LYAPUNOV:
+        return bool(np.allclose(w, np.eye(n), atol=1e-12))
+    if cert.kind is CertKind.SYMMETRIC_INDEFINITE:
+        return classes.contains(classes.symmetric(n), w)
+    if cert.kind is CertKind.HILL:
+        return classes.contains(classes.spd(n), w)
+    raise AssertionError(cert.kind)
+
+
+def _reference_certified_form(cert, a):
+    from dgstab.linalg import hill_form
+
+    p = cert.witness
+    if cert.kind in (
+        CertKind.DIAGONAL_LYAPUNOV,
+        CertKind.ALPHA_SCALAR_LYAPUNOV,
+        CertKind.BLOCK_LYAPUNOV,
+        CertKind.IDENTITY_LYAPUNOV,
+        CertKind.SYMMETRIC_INDEFINITE,
+    ):
+        return p @ a + a.T @ p
+    if cert.kind is CertKind.STEIN_DIAGONAL:
+        return p - a.T @ p @ a
+    if cert.kind is CertKind.HILL:
+        return hill_form(np.array(cert.coeffs, dtype=float), p, a)
+    raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
+
+
+def _reference_implied_stabilities(cert):
+    from dgstab.algebra import ADD, MUL
+
+    rhp = regions.right_half_plane()
+    if cert.kind is CertKind.EXHAUSTIVE:
+        return [cert.triple] if cert.triple is not None else []
+    if cert.kind in (CertKind.HILL, CertKind.SYMMETRIC_INDEFINITE):
+        return []
+    n = cert.witness.shape[0]
+    if cert.kind is CertKind.DIAGONAL_LYAPUNOV:
+        cls = classes.pos_diag(n)
+        return [(rhp, cls, MUL), (rhp, cls, ADD)]
+    if cert.kind is CertKind.ALPHA_SCALAR_LYAPUNOV:
+        cls = classes.alpha_block_spd(cert.partition)
+        return [(rhp, cls, MUL), (rhp, cls, ADD)]
+    if cert.kind is CertKind.BLOCK_LYAPUNOV:
+        cls = classes.pos_alpha_scalar(cert.partition)
+        return [(rhp, cls, MUL), (rhp, cls, ADD)]
+    if cert.kind is CertKind.IDENTITY_LYAPUNOV:
+        cls = classes.spd(n)
+        return [(rhp, cls, MUL), (rhp, cls, ADD)]
+    if cert.kind is CertKind.STEIN_DIAGONAL:
+        disk = regions.unit_disk()
+        return [
+            (disk, classes.vertex_diag(n), MUL),
+            (disk, classes.box_diag([-1.0] * n, [1.0] * n), MUL),
+        ]
+    raise AssertionError(cert.kind)
+
+
+def _factory_classes():
+    p21 = Partition.from_sizes([2, 1])
+    return [
+        classes.symmetric(3), classes.spd(3), classes.alpha_block_spd(p21),
+        classes.diag(3), classes.pos_diag(3), classes.sign_diag((1, -1, 0)),
+        classes.alpha_scalar(p21), classes.pos_alpha_scalar(p21),
+        classes.theta_ordered((2, 0, 1)),
+        classes.box_diag([-0.5, -1.0, 0.0], [1.0, 0.5, 0.9]),
+        classes.box_diag([-2.0, 0.0, 0.0], [1.0, 1.0, 1.0]),
+        classes.vertex_diag(3), classes.rank_k_positive(3, 1),
+        classes.sum_rank_one_positive(3, 2),
+        classes.parametric_rank_one([1, 2, 3], [1, 0, 1], (-1.0, 2.0)),
+        classes.explicit_list([np.eye(3)]),
+        classes.explicit_list([np.diag([1.0, -1.0, 0.5]), np.eye(3)]),
+    ]
+
+
+def test_search_for_triple_picks_what_the_dispatch_picked(monkeypatch):
+    # 17 classes x 10 regions x 3 operations x 2 sides: the table calls
+    # the finder the hand-written dispatch called, with an equal witness
+    # class, or calls none when it called none
+    import dgstab.certify as certify
+    from dgstab.algebra import BinaryOp, Side
+    from dgstab.certify import search_for_triple
+    from dgstab.engine import Query
+
+    calls = []
+
+    def recorder(name):
+        def record(a, *rest):
+            witness = rest[0] if name == "find_structured_lyapunov" else None
+            calls.append((name, witness))
+            return name
+        return record
+
+    for name in ("find_diagonal_lyapunov", "find_stein_diagonal",
+                 "find_structured_lyapunov"):
+        monkeypatch.setattr(certify, name, recorder(name))
+    all_regions = [regions.right_half_plane(), regions.left_half_plane(),
+                   regions.unit_disk(), regions.real_axis(), regions.positive_ray(),
+                   regions.nonzero_real_part(), regions.punctured_plane(),
+                   regions.sector(0.7), regions.hill_region([[0, 1], [1, 0]]),
+                   regions.unit_disk(1e-6)]
+    a = np.array([[2.0, 1.0, 0.0], [-1.0, 3.0, 0.5], [0.0, -0.5, 1.0]])
+    searched = 0
+    for cls in _factory_classes():
+        for region in all_regions:
+            for kind in OpKind:
+                for side in Side:
+                    q = Query(a, region, cls, BinaryOp(kind, side))
+                    calls.clear()
+                    want = _reference_certificate_search(q, rng())
+                    want_calls = list(calls)
+                    calls.clear()
+                    got = search_for_triple(a, region, cls, q.op, 5000, rng())
+                    assert got == want and calls == want_calls, (cls, region, q.op)
+                    searched += want is not None
+    assert searched == 24
+
+
+def _witness_candidates(n, part):
+    r = rng(n)
+    b = r.standard_normal((n, n))
+    block = np.zeros((n, n))
+    for blk in part.blocks:
+        sel = np.ix_(blk, blk)
+        block[sel] = b[sel] @ b[sel].T + np.eye(len(blk))
+    scalars = np.diag([1.0 + k for k, blk in enumerate(part.blocks) for _ in blk])
+    return [np.eye(n), 2.0 * np.eye(n), np.diag(10.0 ** r.uniform(-1, 1, n)),
+            -np.eye(n), np.diag(np.linspace(-1.0, 1.0, n)), scalars, block,
+            b @ b.T + np.eye(n), b + b.T, b, np.eye(n) + 1e-13 * (b + b.T)]
+
+
+def test_pairing_table_agrees_with_the_hand_written_functions():
+    # every kind, n = 1..4, singleton and mixed partitions: the same
+    # witness verdicts, forms and proven triples as before the table
+    from dgstab.certify import _PAIRINGS, certified_form
+
+    coeffs = tuple(map(tuple, case_iii_coefficients()))
+    for n in (1, 2, 3, 4):
+        a = rng(10 + n).standard_normal((n, n))
+        for sizes in ([1] * n, [n], [1, n - 1] if n > 1 else [1], [n - 1, 1] if n > 1 else [1]):
+            part = Partition.from_sizes(sizes)
+            for kind in CertKind:
+                if kind is CertKind.EXHAUSTIVE:
+                    continue
+                for w in _witness_candidates(n, part):
+                    cert = Certificate(kind, w, 1.0, partition=part, coeffs=coeffs)
+                    witness_class = _PAIRINGS[kind].at(n, part)[0]
+                    assert classes.contains(witness_class, w) == _reference_witness_ok(cert)
+                    sym = w.T @ w
+                    cert = Certificate(kind, sym, 1.0, partition=part, coeffs=coeffs)
+                    np.testing.assert_array_equal(certified_form(cert, a),
+                                                  _reference_certified_form(cert, a))
+                    assert implied_stabilities(cert) == _reference_implied_stabilities(cert)
+    # the selection index loses no kind: no two searched kinds prove a
+    # triple of the same (region, class, op) kinds
+    from dgstab.certify import _BY_TRIPLE
+
+    proven = [t for pair in _PAIRINGS.values() if pair.search
+              for t in pair.at(1, Partition.from_sizes([1]))[1]]
+    assert len(_BY_TRIPLE) == len(proven)
+    exhaustive = Certificate(CertKind.EXHAUSTIVE, None, 1.0,
+                             triple=(regions.unit_disk(), classes.vertex_diag(2), None))
+    assert implied_stabilities(exhaustive) == [exhaustive.triple]
+    with pytest.raises(ValueError, match="no closed form"):
+        certified_form(exhaustive, np.eye(2))
+
+
+def test_identity_witness_tolerance_is_class_membership():
+    # the identity witness is checked by membership in its singleton
+    # class (1e-9 of the largest entry), no longer by np.allclose, whose
+    # relative 1e-5 accepted a diagonal entry 1e-7 away from 1
+    a = np.diag([1.0, 2.0])
+    for w, ok in ((np.eye(2), True), (np.diag([1.0, 1.0 + 1e-7]), False),
+                  (np.eye(2) + 1e-10 * np.ones((2, 2)), True)):
+        cert = Certificate(CertKind.IDENTITY_LYAPUNOV, w, 1.0)
+        assert verify_certificate(cert, a) is ok
+
+
+def test_unsearched_kinds_verify_and_prove_nothing():
+    from dgstab.certify import _BY_TRIPLE, _BY_WITNESS, _PAIRINGS
+
+    h = np.diag([1.0, -1.0])
+    hill = Certificate(CertKind.HILL, 0.5 * np.eye(2) + 1.5 * np.eye(2), 1.0,
+                       coeffs=tuple(map(tuple, case_iii_coefficients())))
+    for cert, a in ((Certificate(CertKind.SYMMETRIC_INDEFINITE, h, 2.0), h),
+                    (hill, 0.5 * np.eye(2))):
+        assert verify_certificate(cert, a)
+        assert implied_stabilities(cert) == []
+        assert _PAIRINGS[cert.kind].search is None
+        assert cert.kind not in {*_BY_TRIPLE.values(), *_BY_WITNESS.values()}
+    for n in (1, 2, 3, 4):
+        with pytest.raises(UnsupportedClassError):
+            find_structured_lyapunov(np.eye(n), classes.pos_diag(n), rng=rng())

@@ -78,6 +78,17 @@ def test_contains_structure_checks():
     assert not contains(rank_k_positive(3, 1), np.ones((3, 3)) + np.diag([1.0, 2, 3]))
 
 
+@pytest.mark.filterwarnings("error")
+def test_spd_membership_near_the_float_limit():
+    # m + m^T overflows; the halves do not
+    big = np.diag([1e308, 1e308])
+    for cls in (spd(2), alpha_block_spd(Partition.from_sizes([1, 1])),
+                alpha_block_spd(Partition.from_sizes([2]))):
+        assert contains(cls, big)
+        assert not contains(cls, [[1e308, 1e308], [-1e308, 1e308]])
+        assert not contains(cls, np.diag([1e308, -1e308]))
+
+
 def test_contains_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         contains(pos_diag(3), np.eye(2))

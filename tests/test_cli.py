@@ -109,6 +109,22 @@ def test_certify_subcommand(files, capsys):
     assert not json.loads(out)["found"]
 
 
+def test_certify_kinds(files, capsys):
+    for name, kind in (("diagonal", "diagonal_lyapunov"), ("stein", "stein_diagonal"),
+                       ("alpha_scalar", "alpha_scalar_lyapunov"),
+                       ("block", "block_lyapunov"), ("identity", "identity_lyapunov")):
+        matrix = files["id2"] if name != "stein" else json.dumps(
+            serialize.matrix_to_json(0.5 * np.eye(2)))
+        code, out = run(capsys, "certify", "--matrix", matrix, "--kind", name,
+                        "--partition", "[[1], [2]]")
+        assert code == 0, name
+        assert json.loads(out)["certificate"]["kind"] == kind
+    # the block kinds take their witness blocks from --partition
+    for name in ("alpha_scalar", "block"):
+        code, out = run(capsys, "certify", "--matrix", files["id2"], "--kind", name)
+        assert (code, out) == (64, "")
+
+
 def test_falsify_subcommand(files, capsys):
     code, out = run(capsys, "falsify", "--matrix", files["bad2"], "--region",
                     "rhp", "--class", "pos_diag", "--op", "mul",

@@ -564,23 +564,23 @@ def test_verdicts_do_not_depend_on_thread_count(monkeypatch):
     assert verdicts[0].trials_used > 512  # the witness is not in the first chunk
 
 
-def test_inconclusive_enumeration_runs_the_certificate_stage():
+def test_inconclusive_enumeration_is_final(monkeypatch):
     # eigenvalue 1 sits on the disk boundary for every vertex member, so
-    # enumeration is inconclusive; the certificate stage then runs (the
-    # Stein form diag(0, 0.75 d2) is never definite) before decide stops
+    # enumeration is inconclusive, and that is the verdict: no
+    # certificate search runs after it
+    calls = []
+    for name in ("find_diagonal_lyapunov", "find_stein_diagonal",
+                 "find_structured_lyapunov"):
+        monkeypatch.setattr(dg.certify, name,
+                            lambda *args, name=name, **kw: calls.append(name))
     q = Query(np.diag([1.0, 0.5]), dg.unit_disk(), classes.vertex_diag(2), MUL,
               budget=100, seed=1)
     for use_certificates in (True, False):
         v = decide(q, use_certificates=use_certificates)
         assert v.status is VerdictStatus.UNKNOWN
-        prov = v.provenance
-        i = prov.index("exhaustive enumeration inconclusive: boundary eigenvalues "
-                       "without strict exterior margin")
-        assert prov[i + 2:] == ("finite class: falsification skipped (already enumerated)",)
-        if use_certificates:
-            assert prov[i + 1].startswith("certificate search inconclusive (")
-        else:
-            assert prov[i + 1] == "certificate search disabled"
+        assert v.provenance[-1] == ("exhaustive enumeration inconclusive: boundary "
+                                    "eigenvalues without strict exterior margin")
+    assert calls == []
 
 
 def test_enumeration_streams_the_finite_class():

@@ -110,6 +110,18 @@ def test_solve_lyapunov_requires_symmetric_w():
         solve_lyapunov(np.eye(2), [[1, 1], [0, 1]])
 
 
+@pytest.mark.filterwarnings("error")
+def test_solvers_check_symmetry_without_overflow():
+    # the Frobenius norm of W and the symmetrization W + W^T overflow the
+    # float range, though W and the solution H are finite
+    h = solve_lyapunov(np.eye(2), np.diag([2e307, 2e307]))
+    np.testing.assert_array_equal(h, np.diag([1e307, 1e307]))
+    h = solve_stein(0.5 * np.eye(2), np.diag([1e308, 1e308]))
+    np.testing.assert_allclose(h, np.diag([1e308 / 0.75, 1e308 / 0.75]), rtol=1e-12)
+    with pytest.raises(NonSymmetricError):
+        solve_lyapunov(np.eye(2), [[1e308, 1e308], [-1e308, 1e308]])
+
+
 def test_solve_stein_examples():
     h = solve_stein(0.5 * np.eye(2), np.eye(2))
     np.testing.assert_allclose(h, (4.0 / 3.0) * np.eye(2), atol=1e-12)

@@ -18,6 +18,7 @@ from dgstab.regions import (
     punctured_plane,
     real_axis,
     right_half_plane,
+    scalar_preserves_region,
     sector,
     spectrum_in_region,
     transform_region,
@@ -116,20 +117,26 @@ SCALE_INTERVALS = [(0.0, np.inf), (0.5, 2.0), (-1.0, 1.0), (-1.0, 0.0),
                    (-np.inf, 0.0), (-np.inf, np.inf)]
 SCALE_INVARIANT_CASES = [(r, iv) for r in ALL_KINDS for iv in SCALE_INTERVALS
                          if is_scale_invariant(r, iv)]
+# a scalar that preserves the region is checked as the interval [alpha, alpha]
+SCALARS = [0.0, 1e-300, 0.5, 1.0 - 1e-7, 1.0, 1.0 + 1e-7, 1.25, 2.0, 1e300]
+SCALE_INVARIANT_CASES += [(r, (alpha, alpha)) for r in ALL_KINDS
+                          for alpha in SCALARS + [-x for x in SCALARS[1:]]
+                          if scalar_preserves_region(r, alpha)]
 
 
 @pytest.mark.parametrize(
     "region, interval", SCALE_INVARIANT_CASES,
     ids=[f"{r.kind.value}-{lo}-{hi}" for r, (lo, hi) in SCALE_INVARIANT_CASES])
 def test_scale_invariance_holds_on_sampled_points(region, interval):
-    # every analytic "invariant" answer must survive scaling sampled
-    # interior points by sampled factors from the interval
+    # every analytic "invariant" or "preserves" answer must survive
+    # scaling sampled interior points by sampled factors from the interval
     rng = np.random.default_rng(20240)
     pts = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
     pts = pts * 10.0 ** rng.uniform(-2, 2, 4000)
     codes, _ = regions._classify_arrays(region, pts)
     pts = pts[codes == 1][:1000]
-    alphas = rng.uniform(max(interval[0], -1e6), min(interval[1], 1e6), 16)
+    lo, hi = (x if np.isfinite(x) else np.sign(x) * 1e6 for x in interval)
+    alphas = rng.uniform(lo, hi, 16)
     for alpha in alphas:
         margins = exterior_margins(region, alpha * pts)
         assert not np.any(margins > 1e-6 * (1.0 + np.abs(alpha * pts))), alpha
