@@ -20,6 +20,15 @@ block-diagonal SPD witness has its own Cholesky parametrization.  This
 is a self-contained heuristic, deliberately chosen over an external
 semidefinite solver: ``NotFound`` is always inconclusive.
 
+Before it searches, ``search_for_triple`` runs the kind's screen, the
+``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
+with a certificate of the kind meets (the form's principal submatrices
+are positive definite), or None where no such condition is known.  A
+screen rejects only when its condition fails beyond rounding, and its
+rejection is a not-found report with 0 iterations whose ``reason``
+names the failed condition.  It proves only that no certificate of that
+kind exists, never a verdict.  The ``find_*`` functions never screen.
+
 The multi-starts of a search advance together as one stack of
 parameter rows, one batched ``eigh`` per iteration; the sequential
 stopping rule (budget, stall count, ``FOUND_TOL``, start order) is
@@ -35,6 +44,7 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -111,6 +121,8 @@ class CertReport:
     certificate: Certificate | None
     best_min_eig: float
     iterations: int
+    #: why no search ran, when a screen ruled the certificate out
+    reason: str | None = None
 
 
 def _min_eig_vecs(vals: np.ndarray, vecs: np.ndarray, rng: np.random.Generator):
@@ -449,10 +461,75 @@ def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
     return _form_search(a, kind, p_class.partition, budget, rng)
 
 
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+def _entry(i: int, j: int) -> str:
+    return f"a_{i + 1}{j + 1}" if max(i, j) < 9 else f"a_{i + 1},{j + 1}"
+
+
+def _diagonal_screen(a: np.ndarray, partition) -> str | None:
+    """The form ``D A + A^T D`` has diagonal ``2 d_i a_ii`` and 2x2
+    principal minors ``4 d_i d_j (a_ii a_jj - a_ij a_ji) - (d_i a_ij -
+    d_j a_ji)^2``, so a certificate needs every 1x1 and 2x2 principal
+    minor of ``A`` positive.  Both tests are exact: a computed product
+    is the exact one rounded, and rounding is monotone, so
+    ``fl(a_ii a_jj) < fl(a_ij a_ji)`` proves ``a_ii a_jj < a_ij a_ji``.
+    Returns the first failed condition, or None."""
+    d = a.diagonal()
+    if d.min() <= 0.0:
+        i = int(np.argmax(d <= 0.0))
+        return f"{_entry(i, i)} <= 0"
+    with np.errstate(over="ignore"):  # an overflowed product stays ordered
+        less = d[:, None] * d < a * a.T
+    if less.any():
+        i, j = np.argwhere(less)[0]
+        return f"{_entry(i, i)}*{_entry(j, j)} < {_entry(i, j)}*{_entry(j, i)}"
+    return None
+
+
+def _blocks(a: np.ndarray, partition: Partition):
+    """(block number from 1, size, diagonal block) per block of
+    ``partition``, of ``a`` times the power of two that brings its
+    largest entry into [0.5, 1): no sum of two entries overflows, and no
+    entry moves by more than half the smallest subnormal."""
+    s = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
+    for k, block in enumerate(partition.blocks, 1):
+        yield k, len(block), s[block[0]:block[-1] + 1, block[0]:block[-1] + 1]
+
+
+def _block_scalar_screen(a: np.ndarray, partition: Partition) -> str | None:
+    """The form's diagonal block k is ``c_k (A_kk + A_kk^T)`` for a
+    block-scalar witness, so a certificate needs each ``A_kk + A_kk^T``
+    positive definite.  A block fails when its smallest computed
+    eigenvalue lies below minus ``eigvalsh``'s error (Weyl's bound)."""
+    for k, m, b in _blocks(a, partition):
+        h = b + b.T
+        if np.linalg.eigvalsh(h)[0] < -(8.0 * m * _EPS * np.linalg.norm(h) + _TINY):
+            return f"A_kk + A_kk^T is not positive definite at block k = {k}"
+    return None
+
+
+def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
+    """The form's diagonal block k is ``P_k A_kk + A_kk^T P_k`` for a
+    block-diagonal SPD witness, so a certificate needs each ``A_kk``
+    positive stable (Lyapunov).  A computed eigenvalue is one of
+    ``A_kk + E`` with ``||E|| <= c m eps ||A_kk||`` at block size m, so
+    by Elsner's bound an eigenvalue of ``A_kk`` lies within
+    ``2 ||A_kk|| (c m eps)^(1/m)`` of it; a block fails below that."""
+    for k, m, b in _blocks(a, partition):
+        bound = 3.0 * (np.linalg.norm(b) + _TINY) * (64.0 * m * _EPS) ** (1.0 / m)
+        if np.linalg.eigvals(b).real.min() < -bound:
+            return f"A_kk is not positive stable at block k = {k}"
+    return None
+
+
 class _Pairing(NamedTuple):
     form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
     search: Callable | None = None  # (a, witness class, budget, rng) -> CertReport
+    screen: Callable | None = None  # (a, partition) -> failed condition | None
 
 
 def _rhp(cls):
@@ -464,18 +541,22 @@ def _structured(a, witness, budget, rng):
     return find_structured_lyapunov(a, witness, budget, rng)
 
 
-#: Each kind's form, witness class, proven triples and search (None:
-#: verified when supplied, never searched); the polynomial form pairs
-#: with no class beyond the half-plane cases.  The searches look the
-#: finders up when called, so that a replaced module attribute is called.
+#: Each kind's form, witness class, proven triples, search (None:
+#: verified when supplied, never searched) and screen (None: no cheap
+#: necessary condition known); the polynomial form pairs with no class
+#: beyond the half-plane cases.  The searches look the finders up when
+#: called, so that a replaced module attribute is called.
 _PAIRINGS = {
     CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         classes.pos_diag(n), _rhp(classes.pos_diag(n))),
-        lambda a, w, budget, rng: find_diagonal_lyapunov(a, budget, rng)),
+        lambda a, w, budget, rng: find_diagonal_lyapunov(a, budget, rng),
+        _diagonal_screen),
     CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured),
+        classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured,
+        _block_scalar_screen),
     CertKind.BLOCK_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _structured),
+        classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _structured,
+        _block_spd_screen),
     CertKind.IDENTITY_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         identity_witness_class(n), _rhp(classes.spd(n))), _structured),
     CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
@@ -528,11 +609,17 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
                       rng: np.random.Generator | None = None) -> CertReport | None:
     """Search for a certificate of the kind whose proven triples cover
     (region, cls, op), with the witness blocks of ``cls``; None when no
-    searched kind proves the triple."""
+    searched kind proves the triple.  The kind's screen runs first: when
+    it rejects, no search runs and the report's ``reason`` says why."""
     kind = _BY_TRIPLE.get((region.kind, cls.kind, op.kind))
     if kind is None or not _triple_covered(
             region, cls, op, _at(kind, cls.order, cls.partition)[1]):
         return None
+    screen = _PAIRINGS[kind].screen
+    failed = screen and screen(as_square_matrix(a), cls.partition)
+    if failed:
+        return CertReport(False, None, -np.inf, 0,
+                          f"no {kind.value} certificate exists: {failed}")
     return _search(kind, a, cls.partition, budget, rng)
 
 
@@ -548,6 +635,16 @@ def certified_form(cert: Certificate, a) -> np.ndarray:
     if form == "hill":
         return hill_form(np.array(cert.coeffs, dtype=float), p, a)
     raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
+
+
+def _paired(cert: Certificate):
+    """The witness class and proven triples of a non-exhaustive
+    certificate, or None when it lacks its witness or, for a block
+    kind, its partition."""
+    if cert.witness is None or (cert.partition is None and cert.kind in (
+            CertKind.ALPHA_SCALAR_LYAPUNOV, CertKind.BLOCK_LYAPUNOV)):
+        return None
+    return _at(cert.kind, cert.witness.shape[0], cert.partition)
 
 
 def verify_certificate(cert: Certificate, a) -> bool:
@@ -568,8 +665,10 @@ def verify_certificate(cert: Certificate, a) -> bool:
                 return False
             count += len(stack)
         return cert.members_checked is None or count == cert.members_checked
-    if cert.witness is None or cert.witness.shape != a.shape or not classes.contains(
-            _at(cert.kind, a.shape[0], cert.partition)[0], cert.witness):
+    if cert.witness is None or cert.witness.shape != a.shape:
+        return False
+    paired = _paired(cert)
+    if paired is None or not classes.contains(paired[0], cert.witness):
         return False
     # a form that overflows is rejected as non-finite, silently
     with np.errstate(over="ignore", invalid="ignore"):
@@ -584,4 +683,5 @@ def implied_stabilities(cert: Certificate) -> list[tuple]:
     those its kind is paired with, or an exhaustive certificate's own."""
     if cert.kind is CertKind.EXHAUSTIVE:
         return [cert.triple] if cert.triple is not None else []
-    return list(_at(cert.kind, cert.witness.shape[0], cert.partition)[1])
+    paired = _paired(cert)
+    return [] if paired is None else list(paired[1])

@@ -20,9 +20,10 @@ first, and stops at the first definite answer:
 3. exact enumeration, for finite classes only, whose verdict is final
    (an inconclusive one means boundary eigenvalues, which block every
    verdict);
-4. the certificate stage, for infinite classes: search the form whose
-   proven triples cover the query (``certify.search_for_triple``), then
-   re-verify the certificate independently;
+4. the certificate stage, for infinite classes: screen and search the
+   form whose proven triples cover the query
+   (``certify.search_for_triple``), then re-verify the certificate
+   independently;
 5. randomized falsification, for infinite classes.
 
 Every REFUTED verdict, from whichever stage or from a verdict
@@ -298,6 +299,8 @@ def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None
     report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET, rng)
     if report is None:
         return None, "no certificate form matches the query triple"
+    if report.reason is not None:
+        return None, report.reason
     if not report.found:
         return None, ("certificate search inconclusive "
                       f"(best min_eig={report.best_min_eig:.3e})")

@@ -55,7 +55,7 @@ def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError(f"{name} must have positive order")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 

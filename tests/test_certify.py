@@ -822,3 +822,166 @@ def test_unsearched_kinds_verify_and_prove_nothing():
     for n in (1, 2, 3, 4):
         with pytest.raises(UnsupportedClassError):
             find_structured_lyapunov(np.eye(n), classes.pos_diag(n), rng=rng())
+
+
+# ---------------------------------------------------------------------------
+# certificates missing their witness or partition
+
+
+def test_block_certificates_without_a_partition_are_rejected():
+    for kind in (CertKind.ALPHA_SCALAR_LYAPUNOV, CertKind.BLOCK_LYAPUNOV):
+        cert = Certificate(kind, np.eye(2), 1.0)
+        assert verify_certificate(cert, np.eye(2)) is False
+        assert implied_stabilities(cert) == []
+
+
+def test_certificates_without_a_witness_are_rejected():
+    part = Partition.from_sizes([1, 1])
+    for kind in CertKind:
+        if kind is CertKind.EXHAUSTIVE:
+            continue
+        cert = Certificate(kind, None, 1.0, partition=part,
+                           coeffs=tuple(map(tuple, case_iii_coefficients())))
+        assert verify_certificate(cert, np.eye(2)) is False, kind
+        assert implied_stabilities(cert) == [], kind
+
+
+# ---------------------------------------------------------------------------
+# the screens: cheap necessary conditions run before a search
+
+
+def _screen(kind):
+    from dgstab.certify import _PAIRINGS
+
+    return _PAIRINGS[kind].screen
+
+
+def _random_partition(r, n):
+    cuts = np.sort(r.choice(np.arange(1, n), size=r.integers(0, n), replace=False))
+    return Partition.from_sizes(np.diff(np.concatenate(([0], cuts, [n]))).tolist())
+
+
+def _with_certificate(r, n, part, witness, decades):
+    """``A = P^-1 (W/2 + K)`` with ``W = B B^T + I/2`` and ``K`` skew, so
+    that ``P A + A^T P = W`` is positive definite: ``P`` is a positive
+    diagonal ('diag'), positive and constant on each block of ``part``
+    ('scalar'), or SPD on each block ('spd'), its eigenvalues spread
+    over ``decades`` either side of 1."""
+    b = r.standard_normal((n, n))
+    w = b @ b.T + 0.5 * np.eye(n)
+    k = r.standard_normal((n, n))
+    k = k - k.T
+    p = np.zeros((n, n))
+    for blk in part.blocks:
+        sel = np.ix_(blk, blk)
+        m = len(blk)
+        if witness == "diag":
+            p[sel] = np.diag(10.0 ** r.uniform(-decades, decades, m))
+        elif witness == "scalar":
+            p[sel] = 10.0 ** r.uniform(-decades, decades) * np.eye(m)
+        else:
+            q = np.linalg.qr(r.standard_normal((m, m)))[0]
+            p[sel] = (q * 10.0 ** r.uniform(-decades, decades, m)) @ q.T
+    return np.linalg.solve(p, 0.5 * w + k)
+
+
+def test_screens_never_reject_a_matrix_with_a_certificate():
+    # every witness is a block-diagonal SPD matrix on its partition, and
+    # a block-scalar one is a positive diagonal too
+    diag, scalar, spd = (_screen(k) for k in (CertKind.DIAGONAL_LYAPUNOV,
+                                              CertKind.ALPHA_SCALAR_LYAPUNOV,
+                                              CertKind.BLOCK_LYAPUNOV))
+    singletons = {n: Partition.from_sizes([1] * n) for n in range(1, 13)}
+    r = rng(61)
+    for trial in range(600):
+        n = 1 + trial % 12
+        decades = r.uniform(0.0, 3.0)
+        part = _random_partition(r, n)
+        a = _with_certificate(r, n, singletons[n], "diag", decades)
+        assert diag(a, None) is None and spd(a, part) is None, (trial, a)
+        a = _with_certificate(r, n, part, "scalar", decades)
+        assert diag(a, None) is None, (trial, a)
+        assert scalar(a, part) is None and spd(a, part) is None, (trial, a)
+        a = _with_certificate(r, n, part, "spd", decades)
+        assert spd(a, part) is None, (trial, a)
+    # a 2x2 minor of 2^-104 computes as 0: D = diag(1 - 2^-52, 1 + 2^-52)
+    # certifies A, so only a strict test of the computed minor is sound
+    e = 2.0 ** -52
+    a = np.array([[1.0, 1.0 + e], [1.0 - e, 1.0]])
+    assert diag(a, None) is None
+    # A + A^T = ones + 2^-52 I is positive definite, yet eigvalsh puts
+    # its smallest eigenvalue near -1e-15
+    a = 0.5 * (np.ones((7, 7)) + e * np.eye(7))
+    whole = Partition.from_sizes([7])
+    assert scalar(a, whole) is None and spd(a, whole) is None
+    # S (2^-20 I + 1024 N) S^-1, stored exactly, has the triple
+    # eigenvalue 2^-20, yet eigvals puts one near -6.5e-3
+    s = np.tril(np.ones((3, 3)))
+    a = s @ (2.0 ** -20 * np.eye(3) + 1024.0 * np.eye(3, k=1)) @ (np.eye(3) - np.eye(3, k=-1))
+    assert spd(a, Partition.from_sizes([3])) is None
+
+
+def test_screens_are_necessary():
+    # a matrix a screen rejects has no certificate the unscreened search
+    # finds and verification accepts
+    from dgstab.certify import _search
+
+    r = rng(62)
+    rejected = dict.fromkeys(CertKind, 0)
+    for trial in range(120):
+        n = 2 + trial % 5
+        a = r.standard_normal((n, n))
+        if trial % 2:
+            a[np.diag_indices(n)] = np.abs(np.diag(a))
+        part = _random_partition(r, n)
+        for kind in (CertKind.DIAGONAL_LYAPUNOV, CertKind.ALPHA_SCALAR_LYAPUNOV,
+                     CertKind.BLOCK_LYAPUNOV):
+            blocks = None if kind is CertKind.DIAGONAL_LYAPUNOV else part
+            if _screen(kind)(a, blocks) is None or rejected[kind] == 8:
+                continue
+            rejected[kind] += 1
+            rep = _search(kind, a, blocks, 600, rng(trial))
+            assert not (rep.found and verify_certificate(rep.certificate, a)), (kind, a)
+    assert min(rejected[k] for k in (CertKind.DIAGONAL_LYAPUNOV,
+                                     CertKind.ALPHA_SCALAR_LYAPUNOV,
+                                     CertKind.BLOCK_LYAPUNOV)) == 8
+
+
+def test_search_for_triple_reports_the_failed_condition(monkeypatch):
+    import dgstab.certify as certify
+    from dgstab.algebra import MUL
+    from dgstab.certify import CertReport, search_for_triple
+
+    def refuse(*args):
+        raise AssertionError("a screened query was searched")
+
+    rhp = regions.right_half_plane()
+    part = Partition.from_sizes([2, 1])
+    cases = [
+        (np.array([[0.0, 1.0], [-1.0, 1.0]]), classes.pos_diag(2),
+         "no diagonal_lyapunov certificate exists: a_11 <= 0"),
+        (np.array([[1.0, 2.0], [1.0, 1.0]]), classes.pos_diag(2),
+         "no diagonal_lyapunov certificate exists: a_11*a_22 < a_12*a_21"),
+        (np.diag([1.0, 2.0, -3.0] + [1.0] * 8), classes.pos_diag(11),
+         "no diagonal_lyapunov certificate exists: a_33 <= 0"),
+        (np.diag([1.0] * 9 + [-3.0, 1.0]), classes.pos_diag(11),
+         "no diagonal_lyapunov certificate exists: a_10,10 <= 0"),
+        (np.array([[1.0, 3.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]),
+         classes.alpha_block_spd(part), "no alpha_scalar_lyapunov certificate "
+         "exists: A_kk + A_kk^T is not positive definite at block k = 1"),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]),
+         classes.pos_alpha_scalar(part), "no block_lyapunov certificate exists: "
+         "A_kk is not positive stable at block k = 2"),
+    ]
+    for name in ("find_diagonal_lyapunov", "find_structured_lyapunov"):
+        monkeypatch.setattr(certify, name, refuse)
+    for a, cls, reason in cases:
+        got = search_for_triple(a, rhp, cls, MUL, 5000, rng())
+        assert isinstance(got, CertReport)
+        assert (got.found, got.certificate, got.iterations, got.reason) == \
+            (False, None, 0, reason)
+    monkeypatch.undo()
+    # the finders never screen
+    a = np.array([[0.0, 1.0], [-1.0, 1.0]])
+    rep = find_diagonal_lyapunov(a, 400, rng())
+    assert rep.iterations > 0 and rep.reason is None

@@ -712,3 +712,57 @@ def test_identity_check_solves_one_spectrum(monkeypatch):
         q = Query(a, RHP, classes.pos_diag(2), MUL)
         assert engine._identity_check(q) == (None, note)
         assert len(calls) == 1
+
+
+def _block_instance(block):
+    # [[B, C], [0, S]] with S = P^-1 (W/2 + K) diagonally stable, rows
+    # and columns permuted so that B's (1, 1) entry lands at (2, 2): the
+    # destabilising block B decides the verdict
+    r = np.random.default_rng(5)
+    b = r.standard_normal((2, 2))
+    k = r.standard_normal((2, 2))
+    s = np.linalg.solve(np.diag([0.5, 3.0]), 0.5 * (b @ b.T + 0.5 * np.eye(2)) + k - k.T)
+    m = np.block([[block, r.standard_normal((2, 2))], [np.zeros((2, 2)), s]])
+    perm = [2, 0, 3, 1]
+    return m[np.ix_(perm, perm)]
+
+
+def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
+    # a negative or zero-ish (2, 2) entry rules out a diagonal
+    # certificate: the screen skips the ascent, and the falsifier, which
+    # draws from its own seed stream, returns what it returned after the
+    # failed ascent
+    from dgstab import certify
+
+    pairing = certify._PAIRINGS[CertKind.DIAGONAL_LYAPUNOV]
+    calls = []
+    for name in ("find_diagonal_lyapunov", "find_stein_diagonal",
+                 "find_structured_lyapunov"):
+        def counted(*args, _f=getattr(certify, name), **kw):
+            calls.append(_f)
+            return _f(*args, **kw)
+        monkeypatch.setattr(certify, name, counted)
+    for block, status in ((NOT_D_STABLE, VerdictStatus.REFUTED),
+                          (np.array([[-1e-9, 1.0], [-1.0, 1.0]]), VerdictStatus.UNKNOWN)):
+        q = Query(_block_instance(block), RHP, classes.pos_diag(4), MUL,
+                  budget=2000, seed=11)
+        calls.clear()
+        got = decide(q)
+        assert calls == []
+        with monkeypatch.context() as m:
+            m.setitem(certify._PAIRINGS, CertKind.DIAGONAL_LYAPUNOV,
+                      pairing._replace(screen=None))
+            want = decide(q)
+        assert len(calls) == 1
+        assert got.status is want.status is status
+        assert got.trials_used == want.trials_used
+        assert got.margin == want.margin
+        assert got.offending_eigenvalue == want.offending_eigenvalue
+        if status is VerdictStatus.REFUTED:
+            np.testing.assert_array_equal(got.witness, want.witness)
+        else:
+            assert got.witness is want.witness is None
+        note = "no diagonal_lyapunov certificate exists: a_22 <= 0"
+        assert note in got.provenance and len(got.provenance) == len(want.provenance)
+        assert [p for p in got.provenance if p != note] == \
+            [p for p in want.provenance if not p.startswith("certificate search inconclusive")]
