@@ -8,6 +8,12 @@ members from an explicit generator stream, so parallel callers split
 streams deterministically; the two genuinely finite kinds (vertex
 diagonals and explicit lists) can be enumerated exactly.
 
+Every per-kind closure fact lives in one table, ``_FACTS``, with the
+columns ``diagonal``, ``finite``, ``bounded``, ``scalable``,
+``negatable``, ``invertible`` and ``transposable``; a cell is a bool, or
+a predicate where the answer depends on the class's parameters.  Read
+it through ``MatrixClass.fact(name)``.
+
 Sampler distributions: diagonal magnitudes are log-uniform on
 [1e-3, 1e3] to stress scale separation; dense symmetric positive
 definite draws use ``B^T B + 1e-8 I`` with Gaussian ``B``; positive
@@ -20,6 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -87,20 +94,6 @@ class ClassKind(enum.Enum):
     EXPLICIT_LIST = "explicit_list"
 
 
-_DIAGONAL_KINDS = frozenset(
-    {
-        ClassKind.DIAG,
-        ClassKind.POS_DIAG,
-        ClassKind.SIGN_DIAG,
-        ClassKind.ALPHA_SCALAR,
-        ClassKind.POS_ALPHA_SCALAR,
-        ClassKind.THETA_ORDERED,
-        ClassKind.BOX_DIAG,
-        ClassKind.VERTEX_DIAG,
-    }
-)
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered list of disjoint contiguous index blocks covering 0..n-1."""
@@ -151,6 +144,11 @@ class MatrixClass:
     tau: tuple[float, float] | None = None
     members: tuple | None = None
 
+    def fact(self, name: str) -> bool:
+        """The ``_FACTS`` cell ``name`` for this class."""
+        value = getattr(_FACTS[self.kind], name)
+        return value(self) if callable(value) else value
+
     @property
     def is_finite(self) -> bool:
         """Finite in the enumeration sense used by the decision engine.
@@ -159,7 +157,7 @@ class MatrixClass:
         single representative, their membership predicate covers a
         continuum, so exhaustion over them would be unsound.
         """
-        return self.kind in (ClassKind.VERTEX_DIAG, ClassKind.EXPLICIT_LIST)
+        return self.fact("finite")
 
     @property
     def finite_size(self) -> int:
@@ -173,23 +171,58 @@ class MatrixClass:
 
     @property
     def is_unbounded(self) -> bool:
-        k = self.kind
-        if k in (ClassKind.VERTEX_DIAG, ClassKind.BOX_DIAG, ClassKind.EXPLICIT_LIST):
-            return False
-        if k is ClassKind.SIGN_DIAG:
-            return any(s != 0 for s in self.signs)
-        if k is ClassKind.PARAMETRIC_RANK_ONE:
-            return False  # tau ranges are finite intervals
-        return True
+        return not self.fact("bounded")
 
     @property
     def closed_under_positive_scaling(self) -> bool:
-        return self.kind not in (
-            ClassKind.VERTEX_DIAG,
-            ClassKind.BOX_DIAG,
-            ClassKind.PARAMETRIC_RANK_ONE,
-            ClassKind.EXPLICIT_LIST,
-        )
+        return self.fact("scalable")
+
+
+class _Facts(NamedTuple):
+    diagonal: bool | Callable  # every member is diagonal
+    finite: bool | Callable  # exact enumeration is sound
+    bounded: bool | Callable  # the members form a bounded set
+    scalable: bool | Callable  # closed under G -> c G for every c > 0
+    negatable: bool | Callable  # closed under G -> -G
+    invertible: bool | Callable  # closed under G -> G^-1 (invertible G)
+    transposable: bool | Callable  # closed under G -> G^T
+
+
+def _members_diagonal(c: MatrixClass) -> bool:
+    return all(contains(diag(c.order), m, 1e-12) for m in _member_arrays(c))
+
+
+def _members_transposable(c: MatrixClass) -> bool:
+    return all(contains(c, m.T, 1e-9) for m in _member_arrays(c))
+
+
+#: The closure facts of each kind, in the column order of ``_Facts``.
+#: The engine's unboundedness escape, enumeration and verdict-transfer
+#: rules read them here.
+_FACTS = {
+    ClassKind.SYMMETRIC: _Facts(False, False, False, True, True, True, True),
+    ClassKind.SPD: _Facts(False, False, False, True, False, True, True),
+    ClassKind.ALPHA_BLOCK_SPD: _Facts(False, False, False, True, False, True, True),
+    ClassKind.DIAG: _Facts(True, False, False, True, True, True, True),
+    ClassKind.POS_DIAG: _Facts(True, False, False, True, False, True, True),
+    ClassKind.SIGN_DIAG: _Facts(
+        True, False, lambda c: not any(c.signs), True, False, True, True),
+    ClassKind.ALPHA_SCALAR: _Facts(True, False, False, True, True, True, True),
+    ClassKind.POS_ALPHA_SCALAR: _Facts(True, False, False, True, False, True, True),
+    ClassKind.THETA_ORDERED: _Facts(True, False, False, True, False, False, True),
+    ClassKind.BOX_DIAG: _Facts(
+        True, False, True, False,
+        lambda c: all(l == -h for l, h in zip(c.lo, c.hi)), False, True),
+    ClassKind.VERTEX_DIAG: _Facts(True, True, True, False, True, True, True),
+    ClassKind.RANK_K_POSITIVE: _Facts(False, False, False, True, False, False, True),
+    ClassKind.SUM_RANK_ONE_POSITIVE: _Facts(
+        False, False, False, True, False, False, True),
+    ClassKind.PARAMETRIC_RANK_ONE: _Facts(
+        False, False, True, False, lambda c: c.tau[0] == -c.tau[1], False,
+        lambda c: bool(np.allclose(np.outer(c.x, c.y), np.outer(c.y, c.x)))),
+    ClassKind.EXPLICIT_LIST: _Facts(
+        _members_diagonal, True, True, False, False, False, _members_transposable),
+}
 
 
 def _check_perm(theta, n: int) -> tuple[int, ...]:

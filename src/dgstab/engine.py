@@ -52,7 +52,8 @@ from . import algebra, certify, classes, regions
 from .algebra import BinaryOp, OpKind
 from .certify import CertKind, Certificate
 from .classes import ClassKind, MatrixClass, Partition
-from .errors import OrderTooLargeError, SingularOperatorError, UnrepresentableError
+from .errors import (DimensionMismatchError, OrderTooLargeError, SingularOperatorError,
+                     UnrepresentableError)
 from .linalg import as_square_matrix, principal_submatrix
 
 __all__ = [
@@ -555,10 +556,12 @@ class TotalStabilityReport:
 
 
 def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
-    """Induce the class on a principal index subset: per-index fields
-    select, the partition and the permutation renumber, the rank bound
-    caps at the new order, and explicit members take their principal
-    submatrices."""
+    """Induce the class on the indices ``idx``, in that order: per-index
+    fields select, the partition (blocks sorted) and the permutation
+    renumber, the rank bound caps at the new order, and explicit members
+    take their principal submatrices.  A reordering of all indices gives
+    the class conjugated by that permutation; ``Partition`` raises
+    ValueError when the reordered blocks are not contiguous."""
     m = len(idx)
     pos = {orig: new for new, orig in enumerate(idx)}
 
@@ -567,8 +570,9 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
 
     partition = theta = None
     if cls.partition is not None:
-        blocks = (tuple(pos[i] for i in b if i in pos) for b in cls.partition.blocks)
-        partition = Partition(tuple(b for b in blocks if b))
+        blocks = (tuple(sorted(pos[i] for i in b if i in pos))
+                  for b in cls.partition.blocks)
+        partition = Partition(tuple(sorted(b for b in blocks if b)))
     if cls.theta is not None:
         theta = tuple(pos[t] for t in cls.theta if t in pos)
     members = None if cls.members is None else tuple(
@@ -682,102 +686,32 @@ def _is_nonsingular_diagonal(s: np.ndarray) -> bool:
     )
 
 
-def _closed_under_transpose(cls: MatrixClass) -> bool:
-    if cls.kind is ClassKind.PARAMETRIC_RANK_ONE:
-        return bool(np.allclose(np.outer(cls.x, cls.y), np.outer(cls.y, cls.x)))
-    if cls.kind is ClassKind.EXPLICIT_LIST:
-        return all(
-            classes.contains(cls, np.array(m, dtype=float).T, 1e-9)
-            for m in cls.members
-        )
-    return True
-
-
-def _closed_under_op_inverse(cls: MatrixClass, op: BinaryOp) -> bool:
-    k = cls.kind
-    if op.kind is OpKind.ADD:
-        if k in (ClassKind.SYMMETRIC, ClassKind.DIAG, ClassKind.VERTEX_DIAG,
-                 ClassKind.ALPHA_SCALAR):
-            return True
-        if k is ClassKind.BOX_DIAG:
-            return all(l == -h for l, h in zip(cls.lo, cls.hi))
-        if k is ClassKind.PARAMETRIC_RANK_ONE:
-            return cls.tau[0] == -cls.tau[1]
-        return False
-    if op.kind is OpKind.MUL:
-        return k in (
-            ClassKind.SYMMETRIC,
-            ClassKind.SPD,
-            ClassKind.ALPHA_BLOCK_SPD,
-            ClassKind.DIAG,
-            ClassKind.POS_DIAG,
-            ClassKind.SIGN_DIAG,
-            ClassKind.ALPHA_SCALAR,
-            ClassKind.POS_ALPHA_SCALAR,
-            ClassKind.VERTEX_DIAG,
-        )
-    return False
-
-
 def _closed_under_scalar(cls: MatrixClass, alpha: float) -> bool:
     """Both alpha*G and G/alpha stay in the class."""
     if alpha == 0.0:
         return False
-    if alpha == 1.0:
-        return True
-    k = cls.kind
-    if alpha > 0.0:
-        return cls.closed_under_positive_scaling
-    if alpha == -1.0 and k is ClassKind.VERTEX_DIAG:
-        return True
-    return k in (ClassKind.SYMMETRIC, ClassKind.DIAG, ClassKind.ALPHA_SCALAR)
+    return ((alpha > 0.0 or cls.fact("negatable"))
+            and (abs(alpha) == 1.0 or cls.fact("scalable")))
 
 
 def _similarity_invariant(cls: MatrixClass, s: np.ndarray) -> bool:
-    k = cls.kind
+    """Whether ``S G S^-1`` stays in the class for every member ``G``;
+    ``s`` is a nonsingular diagonal or a permutation matrix."""
     if _is_nonsingular_diagonal(s):
         # diagonal similarity fixes every diagonal matrix pointwise
-        if k in (ClassKind.DIAG, ClassKind.POS_DIAG, ClassKind.SIGN_DIAG,
-                 ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR,
-                 ClassKind.THETA_ORDERED, ClassKind.BOX_DIAG,
-                 ClassKind.VERTEX_DIAG):
-            return True
-        if k is ClassKind.EXPLICIT_LIST:
-            return all(
-                classes.contains(classes.diag(cls.order), np.array(m, dtype=float),
-                                 1e-12)
-                for m in cls.members
-            )
+        return cls.fact("diagonal")
+    if cls.kind is ClassKind.EXPLICIT_LIST:
+        return all(
+            classes.contains(cls, s @ np.array(m, dtype=float) @ s.T, 1e-9)
+            for m in cls.members
+        )
+    # conjugation sends g_ij to g_pi(i)pi(j): the class induced on the
+    # reordered indices
+    pi = tuple(int(j) for j in np.argmax(s, axis=1))
+    try:
+        return restrict_class(cls, pi) == cls
+    except ValueError:  # the renumbered blocks are not contiguous
         return False
-    if _is_permutation_matrix(s):
-        pi = np.argmax(s, axis=1)  # conjugation sends d_i to d_{pi(i)}
-        if k in (ClassKind.SYMMETRIC, ClassKind.SPD, ClassKind.DIAG,
-                 ClassKind.POS_DIAG, ClassKind.VERTEX_DIAG,
-                 ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-            return True
-        if k is ClassKind.SIGN_DIAG:
-            return tuple(cls.signs[j] for j in pi) == cls.signs
-        if k is ClassKind.BOX_DIAG:
-            return (
-                tuple(cls.lo[j] for j in pi) == cls.lo
-                and tuple(cls.hi[j] for j in pi) == cls.hi
-            )
-        if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR,
-                 ClassKind.ALPHA_BLOCK_SPD):
-            blocks = {frozenset(b) for b in cls.partition.blocks}
-            mapped = {frozenset(int(pi[i]) for i in b) for b in cls.partition.blocks}
-            return mapped == blocks
-        if k is ClassKind.THETA_ORDERED:
-            inv = np.empty_like(pi)
-            inv[pi] = np.arange(pi.size)
-            return tuple(int(inv[t]) for t in cls.theta) == cls.theta
-        if k is ClassKind.EXPLICIT_LIST:
-            return all(
-                classes.contains(cls, s @ np.array(m, dtype=float) @ s.T, 1e-9)
-                for m in cls.members
-            )
-        return False
-    return False
 
 
 def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
@@ -797,6 +731,10 @@ def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
         return float(tf.alpha) * a
     if tf.kind is TransformKind.SIMILARITY:
         s = as_square_matrix(tf.s, "s")
+        if s.shape != a.shape:
+            raise DimensionMismatchError(
+                f"similarity matrix order {s.shape[0]} does not match "
+                f"matrix order {a.shape[0]}")
         return s @ a @ np.linalg.inv(s)
     raise AssertionError(tf.kind)
 
@@ -809,7 +747,7 @@ def transform_query(q: Query, tf: Transform) -> Query:
 def _transfer_applicable(q: Query, tf: Transform) -> str | None:
     """None when the relevant theorem's hypotheses hold, else a reason."""
     if tf.kind is TransformKind.TRANSPOSE:
-        if not _closed_under_transpose(q.cls):
+        if not q.cls.fact("transposable"):
             return "class is not closed under transposition"
         return None
     if tf.kind is TransformKind.OP_INVERSE:
@@ -825,11 +763,13 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
                 return "region is not invariant under the spectral map"
         except UnrepresentableError:
             return "region is not invariant under the spectral map"
-        if not _closed_under_op_inverse(q.cls, q.op):
+        if not q.cls.fact("negatable" if q.op.kind is OpKind.ADD else "invertible"):
             return "class is not closed under the operation inverse"
         return None
     if tf.kind is TransformKind.SCALAR:
         alpha = float(tf.alpha)
+        if not math.isfinite(alpha):
+            return "scalar is not finite"
         if not regions.scalar_preserves_region(q.region, alpha):
             return "region is not invariant under this scalar"
         if q.op.kind is OpKind.ADD and not _closed_under_scalar(q.cls, alpha):
@@ -839,6 +779,8 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
         if q.op.kind is OpKind.HADAMARD:
             return "similarity transfer needs addition or multiplication"
         s = np.asarray(tf.s, dtype=float)
+        if s.shape != q.a.shape:
+            return "similarity matrix order does not match the matrix"
         if not (_is_permutation_matrix(s) or _is_nonsingular_diagonal(s)):
             return "similarity matrix must be a permutation or a nonsingular diagonal"
         if not _similarity_invariant(q.cls, s):
@@ -873,12 +815,9 @@ def _transfer_certificate(cert: Certificate, q: Query,
     elif tf.kind in (TransformKind.OP_INVERSE, TransformKind.SCALAR):
         new_w = w
     elif tf.kind is TransformKind.SIMILARITY:
-        s = np.asarray(tf.s, dtype=float)
-        if _is_permutation_matrix(s):
-            new_w = s @ w @ s.T
-        else:
-            s_inv = np.linalg.inv(s)
-            new_w = s_inv @ w @ s_inv
+        # S^-T P S^-1 certifies S A S^-1: the two forms are congruent
+        s_inv = np.linalg.inv(np.asarray(tf.s, dtype=float))
+        new_w = s_inv.T @ w @ s_inv
     else:
         raise AssertionError(tf.kind)
     return Certificate(cert.kind, new_w, min_eig=np.nan,
@@ -889,8 +828,9 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     """Carry a verdict for ``q`` over to the transformed matrix.
 
     Certified and refuted verdicts transfer with transformed witnesses
-    when the corresponding theorem's hypotheses hold (checked against a
-    static table) and the transformed witness re-verifies; anything
+    when the corresponding theorem's hypotheses hold (the region's
+    invariance and the class's closure facts from the static table
+    ``classes._FACTS``) and the transformed witness re-verifies; anything
     else comes back unknown with the reason in the provenance.
     """
     reason = _transfer_applicable(q, tf)

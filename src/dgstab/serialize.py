@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from . import algebra, certify, classes, engine, regions
-from .classes import ClassKind, MatrixClass, Partition
+from .classes import MatrixClass, Partition
 from .regions import Region, RegionKind
 
 __all__ = [
@@ -118,46 +118,55 @@ def _partition_from_wire(blocks) -> Partition:
     return Partition(tuple(tuple(i - 1 for i in block) for block in blocks))
 
 
+def _partitioned(factory):
+    return (lambda c: _partition_to_wire(c.partition),
+            lambda p, n: factory(_partition_from_wire(p)))
+
+
+def _ranked(factory):
+    def decode(rank, n):
+        if n is None:
+            raise ValueError(f"{factory.__name__} needs a matrix order")
+        return factory(int(n), int(rank))
+
+    return lambda c: c.rank, decode
+
+
+#: Classes named by their kind alone; they take the order from ``n``.
+_NAMED = {f.__name__: f for f in (classes.symmetric, classes.spd, classes.diag,
+                                  classes.pos_diag, classes.vertex_diag)}
+
+#: The other kinds, as ``{"kind": {name: payload}}``: per name, the
+#: payload encoder (class -> payload) and decoder (payload, order ->
+#: class).  Decoding tries the names in this order.
+_PAYLOADS = {
+    "sign_diag": (lambda c: list(c.signs), lambda p, n: classes.sign_diag(p)),
+    "alpha_scalar": _partitioned(classes.alpha_scalar),
+    "pos_alpha_scalar": _partitioned(classes.pos_alpha_scalar),
+    "alpha_block_spd": _partitioned(classes.alpha_block_spd),
+    "theta_ordered": (lambda c: [t + 1 for t in c.theta],
+                      lambda p, n: classes.theta_ordered([t - 1 for t in p])),
+    "box_diag": (lambda c: {"lo": list(c.lo), "hi": list(c.hi)},
+                 lambda p, n: classes.box_diag(p["lo"], p["hi"])),
+    "rank_k_positive": _ranked(classes.rank_k_positive),
+    "sum_rank_one_positive": _ranked(classes.sum_rank_one_positive),
+    "parametric_rank_one": (
+        lambda c: {"x": list(c.x), "y": list(c.y), "tau": [c.tau[0], c.tau[1]]},
+        lambda p, n: classes.parametric_rank_one(p["x"], p["y"], tuple(p["tau"]))),
+    "explicit_list": (
+        lambda c: [_listify(m) for m in c.members],
+        lambda p, n: classes.explicit_list(p)),
+}
+
+
 def class_to_json(cls: MatrixClass):
-    k = cls.kind
-    if k in (ClassKind.SYMMETRIC, ClassKind.SPD, ClassKind.DIAG,
-             ClassKind.POS_DIAG, ClassKind.VERTEX_DIAG):
-        return {"kind": k.value, "n": cls.order}
-    if k is ClassKind.SIGN_DIAG:
-        return {"kind": {"sign_diag": list(cls.signs)}}
-    if k is ClassKind.ALPHA_SCALAR:
-        return {"kind": {"alpha_scalar": _partition_to_wire(cls.partition)}}
-    if k is ClassKind.POS_ALPHA_SCALAR:
-        return {"kind": {"pos_alpha_scalar": _partition_to_wire(cls.partition)}}
-    if k is ClassKind.ALPHA_BLOCK_SPD:
-        return {"kind": {"alpha_block_spd": _partition_to_wire(cls.partition)}}
-    if k is ClassKind.THETA_ORDERED:
-        return {"kind": {"theta_ordered": [t + 1 for t in cls.theta]}}
-    if k is ClassKind.BOX_DIAG:
-        return {"kind": {"box_diag": {"lo": list(cls.lo), "hi": list(cls.hi)}}}
-    if k is ClassKind.RANK_K_POSITIVE:
-        return {"kind": {"rank_k_positive": cls.rank}, "n": cls.order}
-    if k is ClassKind.SUM_RANK_ONE_POSITIVE:
-        return {"kind": {"sum_rank_one_positive": cls.rank}, "n": cls.order}
-    if k is ClassKind.PARAMETRIC_RANK_ONE:
-        return {
-            "kind": {
-                "parametric_rank_one": {
-                    "x": list(cls.x),
-                    "y": list(cls.y),
-                    "tau": [cls.tau[0], cls.tau[1]],
-                }
-            }
-        }
-    if k is ClassKind.EXPLICIT_LIST:
-        return {
-            "kind": {
-                "explicit_list": [
-                    _listify(np.array(m, dtype=float)) for m in cls.members
-                ]
-            }
-        }
-    raise AssertionError(k)
+    name = cls.kind.value
+    if name in _NAMED:
+        return {"kind": name, "n": cls.order}
+    out = {"kind": {name: _PAYLOADS[name][0](cls)}}
+    if cls.rank is not None:  # the rank payload leaves the order open
+        out["n"] = cls.order
+    return out
 
 
 def class_from_json(obj, n: int | None = None) -> MatrixClass:
@@ -170,47 +179,12 @@ def class_from_json(obj, n: int | None = None) -> MatrixClass:
     if isinstance(spec, str):
         if n is None:
             raise ValueError("class spec needs a matrix order")
-        simple = {
-            "symmetric": classes.symmetric,
-            "spd": classes.spd,
-            "diag": classes.diag,
-            "pos_diag": classes.pos_diag,
-            "vertex_diag": classes.vertex_diag,
-        }
-        if spec not in simple:
+        if spec not in _NAMED:
             raise ValueError(f"unrecognized class name {spec!r}")
-        return simple[spec](int(n))
-    if "sign_diag" in spec:
-        return classes.sign_diag(spec["sign_diag"])
-    if "alpha_scalar" in spec:
-        return classes.alpha_scalar(_partition_from_wire(spec["alpha_scalar"]))
-    if "pos_alpha_scalar" in spec:
-        return classes.pos_alpha_scalar(
-            _partition_from_wire(spec["pos_alpha_scalar"])
-        )
-    if "alpha_block_spd" in spec:
-        return classes.alpha_block_spd(
-            _partition_from_wire(spec["alpha_block_spd"])
-        )
-    if "theta_ordered" in spec:
-        return classes.theta_ordered([t - 1 for t in spec["theta_ordered"]])
-    if "box_diag" in spec:
-        return classes.box_diag(spec["box_diag"]["lo"], spec["box_diag"]["hi"])
-    if "rank_k_positive" in spec:
-        if n is None:
-            raise ValueError("rank_k_positive needs a matrix order")
-        return classes.rank_k_positive(int(n), int(spec["rank_k_positive"]))
-    if "sum_rank_one_positive" in spec:
-        if n is None:
-            raise ValueError("sum_rank_one_positive needs a matrix order")
-        return classes.sum_rank_one_positive(
-            int(n), int(spec["sum_rank_one_positive"])
-        )
-    if "parametric_rank_one" in spec:
-        p = spec["parametric_rank_one"]
-        return classes.parametric_rank_one(p["x"], p["y"], tuple(p["tau"]))
-    if "explicit_list" in spec:
-        return classes.explicit_list(spec["explicit_list"])
+        return _NAMED[spec](int(n))
+    for name, (_, decode) in _PAYLOADS.items():
+        if name in spec:
+            return decode(spec[name], n)
     raise ValueError(f"unrecognized class spec {obj!r}")
 
 

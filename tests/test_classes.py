@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from dgstab import algebra
+from dgstab.algebra import MUL
 from dgstab.classes import (
     Partition,
     alpha_block_spd,
@@ -56,6 +59,46 @@ def all_kinds(n=4):
         parametric_rank_one([1.0] * n, [0.5] * n, (-2.0, 2.0)),
         explicit_list([np.eye(n), 2 * np.eye(n)]),
     ]
+
+
+def _compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        sizes, size = [], 1
+        for cut in cuts:
+            if cut:
+                sizes.append(size)
+                size = 1
+            else:
+                size += 1
+        yield Partition.from_sizes(sizes + [size])
+
+
+def factory_classes(n):
+    """Every kind at order n, with the parameters that decide its facts:
+    every sign pattern, partition and ordering; symmetric and asymmetric
+    boxes, tau ranges and rank-one directions; diagonal, symmetric,
+    transpose-closed and permutation-closed explicit lists."""
+    up = np.arange(1.0, n + 1)
+    g = np.triu(np.ones((n, n)))
+    out = [f(n) for f in (symmetric, spd, diag, pos_diag, vertex_diag)]
+    out += [sign_diag(s) for s in itertools.product((-1, 0, 1), repeat=n)]
+    for p in _compositions(n):
+        out += [alpha_scalar(p), pos_alpha_scalar(p), alpha_block_spd(p)]
+    out += [theta_ordered(t) for t in itertools.permutations(range(n))]
+    out += [box_diag(lo, hi) for lo, hi in (
+        (-np.ones(n), np.ones(n)), (np.zeros(n), np.ones(n)), (-up, up),
+        (-up, up + 1.0), (-np.ones(n), 2.0 * np.ones(n)))]
+    for k in range(1, n + 1):
+        out += [rank_k_positive(n, k), sum_rank_one_positive(n, k)]
+    for x, y in ((np.ones(n), np.ones(n)), (np.ones(n), 0.5 * np.ones(n)),
+                 (up, up), (up, up[::-1]), (np.eye(n)[0], np.eye(n)[-1])):
+        for tau in ((-1.0, 1.0), (0.0, 2.0), (-2.0, 1.0)):
+            out.append(parametric_rank_one(x, y, tau))
+    out += [explicit_list(ms) for ms in (
+        [np.eye(n)], [np.eye(n), 2 * np.eye(n)], [-np.eye(n), np.eye(n)],
+        [np.diag(up)], [np.diag(up), np.diag(up[::-1])], [g], [g, g.T],
+        [g + g.T])]
+    return out
 
 
 def test_contains_examples():
@@ -262,3 +305,36 @@ def test_finiteness_flags():
     assert pos_diag(3).is_unbounded
     assert not box_diag([0, 0], [1, 1]).is_unbounded
     assert not sign_diag([0, 0]).is_unbounded
+
+
+def _claim_images(name, g):
+    """The matrices that the True cell ``name`` claims stay in the class
+    of ``g`` (for ``diagonal``: in the diagonal matrices)."""
+    if name == "invertible":
+        # contains() asks lambda_min > 1e-7 * max|diag| of a definite
+        # member, which the inverse of a member with condition number
+        # beyond about 1e7 fails in any class: check the others
+        if np.linalg.cond(g) > 1e6:
+            return []
+        return [algebra.op_inverse(MUL, g)]
+    return {"diagonal": [g], "negatable": [-g], "scalable": [2.0 * g, 0.5 * g],
+            "transposable": [g.T]}[name]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_closure_facts_hold_on_sampled_members(n):
+    names = ("diagonal", "negatable", "invertible", "scalable", "transposable")
+    for cls in all_kinds(n):
+        # a closure claim maps members to members: take the draws that
+        # pass the membership test the images must pass
+        gs = [g for g in sample_batch(cls, np.random.default_rng(n), 200)
+              if contains(cls, g, 1e-7)]
+        assert len(gs) > 150, cls.kind
+        for name in names:
+            if not cls.fact(name):
+                continue
+            target = diag(n) if name == "diagonal" else cls
+            images = [m for g in gs for m in _claim_images(name, g)]
+            assert images, (cls.kind, name)
+            for m in images:
+                assert contains(target, m, 1e-7), (cls.kind, name, m)

@@ -5,6 +5,7 @@ import pytest
 
 from dgstab import serialize
 from dgstab.cli import main
+from test_classes import factory_classes
 
 
 @pytest.fixture
@@ -253,3 +254,24 @@ def test_roundtrip_serialization():
         assert serialize.class_from_json(
             serialize.class_to_json(cls), cls.order
         ) == cls
+
+
+def test_every_class_round_trips_through_canonical_json():
+    for n in range(1, 5):
+        for cls in factory_classes(n):
+            text = serialize.dumps(serialize.class_to_json(cls))
+            assert serialize.class_from_json(json.loads(text)) == cls, text
+
+
+@pytest.mark.parametrize("spec, n, message", [
+    ("foo", None, "class spec needs a matrix order"),
+    ("foo", 2, "unrecognized class name 'foo'"),
+    ({"kind": {"rank_k_positive": 1}}, None, "rank_k_positive needs a matrix order"),
+    ({"kind": {"sum_rank_one_positive": 1}}, None,
+     "sum_rank_one_positive needs a matrix order"),
+    ({"kind": {"bogus": 1}}, 2, "unrecognized class spec {'kind': {'bogus': 1}}"),
+])
+def test_class_spec_errors(spec, n, message):
+    with pytest.raises(ValueError) as err:
+        serialize.class_from_json(spec, n)
+    assert str(err.value) == message

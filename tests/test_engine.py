@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,11 @@ from dgstab.engine import (
     transfer_verdict,
     transform_query,
 )
-from dgstab.errors import OrderTooLargeError, SingularOperatorError
+from dgstab.errors import (
+    DimensionMismatchError,
+    OrderTooLargeError,
+    SingularOperatorError,
+)
 
 RHP = dg.right_half_plane()
 
@@ -287,6 +292,65 @@ def test_transfer_op_inverse_requires_nonsingular():
               budget=10, seed=1)
     with pytest.raises(SingularOperatorError):
         transform_query(q, Transform(TransformKind.OP_INVERSE))
+
+
+def test_similarity_of_another_order_is_inapplicable():
+    a = np.array([[1.0, 2.0], [0.0, 3.0]])
+    for cls in (classes.pos_diag(2), classes.sign_diag([1, -1]),
+                classes.box_diag([0, 0], [1, 1])):
+        q = Query(a, RHP, cls, MUL, budget=100, seed=1)
+        v = decide(q)
+        for s in (np.eye(3), np.eye(3)[[1, 0, 2]]):
+            tf = Transform(TransformKind.SIMILARITY, s=s)
+            vt = transfer_verdict(v, q, tf)
+            assert vt.status is VerdictStatus.UNKNOWN
+            assert vt.provenance == (
+                "transfer (similarity): theorem inapplicable: similarity matrix "
+                "order does not match the matrix",)
+            with pytest.raises(DimensionMismatchError):
+                engine.transform_matrix(a, tf, MUL)
+
+
+def test_non_finite_scalar_is_inapplicable():
+    q = Query(np.eye(2), RHP, classes.pos_diag(2), MUL, budget=100, seed=1)
+    v = decide(q)
+    for alpha in (np.inf, -np.inf, np.nan):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=alpha))
+        assert vt.status is VerdictStatus.UNKNOWN
+        assert vt.provenance == (
+            "transfer (scalar): theorem inapplicable: scalar is not finite",)
+
+
+def _transferred_refutation_reproduces(q, tf):
+    v = decide(q)
+    assert v.status is VerdictStatus.REFUTED
+    vt = transfer_verdict(v, q, tf)
+    assert vt.status is VerdictStatus.REFUTED, vt.provenance
+    assert classes.contains(q.cls, vt.witness, 1e-7)
+    w = np.linalg.eigvals(algebra.apply(q.op, vt.witness, transform_query(q, tf).a))
+    assert np.max(regions.exterior_margins(q.region, w)) > q.tol
+
+
+@pytest.mark.parametrize("cls", [
+    classes.box_diag([-1, -1], [1, 1]),
+    classes.parametric_rank_one([1.0, 1.0], [1.0, 1.0], (-1.0, 1.0)),
+])
+def test_negation_transfers_on_classes_closed_under_it(cls):
+    # G + (-A) = -((-G) + A) and the disk is symmetric about 0
+    q = Query(0.5 * np.eye(2), dg.unit_disk(), cls, BinaryOp(OpKind.ADD),
+              budget=2000, seed=3)
+    _transferred_refutation_reproduces(
+        q, Transform(TransformKind.SCALAR, alpha=-1.0))
+
+
+def test_a_permutation_fixing_x_and_y_transfers_on_a_rank_one_class():
+    # S (tau x y^T) S^T = tau x y^T when S fixes x and y
+    cls = classes.parametric_rank_one([1.0, 1.0], [1.0, 1.0], (-1.0, 1.0))
+    q = Query([[1.0, 2.0], [0.0, 3.0]], RHP, cls, MUL, budget=2000, seed=3)
+    _transferred_refutation_reproduces(
+        q, Transform(TransformKind.SIMILARITY, s=np.array([[0.0, 1.0], [1.0, 0.0]])))
 
 
 def test_refuted_transfers_to_smaller_region():
