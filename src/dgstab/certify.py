@@ -11,14 +11,17 @@ quadratic form built from the target matrix positive definite:
 A found certificate proves stability for every class member of the
 triples its kind is paired with in ``_PAIRINGS``, the one table of each
 kind's form, witness class and proven (region, class, op) triples; a
-failed search proves nothing.  The searches maximize the smallest
-eigenvalue of the form by projected subgradient ascent over the witness
-parametrization with trace normalization and multi-starts.  One positive
-block-scalar diagonal search serves the diagonal, block-scalar and
-Stein forms (a plain diagonal is the all-singleton partition); the
-block-diagonal SPD witness has its own Cholesky parametrization.  This
-is a self-contained heuristic, deliberately chosen over an external
-semidefinite solver: ``NotFound`` is always inconclusive.
+failed search proves nothing.  ``proves`` is the one check that a
+certificate proves a query's own triple at its matrix: the certificate
+re-verifies there and its kind's triples cover the query's.  The searches
+maximize the smallest eigenvalue of the form by projected subgradient
+ascent over the witness parametrization with trace normalization and
+multi-starts.  One positive block-scalar diagonal search serves the
+diagonal, block-scalar and Stein forms (a plain diagonal is the
+all-singleton partition); the block-diagonal SPD witness has its own
+Cholesky parametrization.  This is a self-contained heuristic,
+deliberately chosen over an external semidefinite solver: ``NotFound``
+is always inconclusive.
 
 Before it searches, ``search_for_triple`` runs the kind's screen, the
 ``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
@@ -67,6 +70,7 @@ __all__ = [
     "search_for_triple",
     "verify_certificate",
     "implied_stabilities",
+    "proves",
     "certified_form",
 ]
 
@@ -651,12 +655,15 @@ def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
     search path: witness class membership plus positive definiteness.
     Exhaustive certificates re-run the member check, 256 members to a
-    stack as in the enumeration stage."""
+    stack as in the enumeration stage; they verify only over a finite
+    class."""
     a = as_square_matrix(a)
     if cert.kind is CertKind.EXHAUSTIVE:
         if cert.triple is None:
             return False
         region, cls, op = cert.triple
+        if not cls.is_finite:
+            return False
         members = classes.enumerate_members(cls)
         count = 0
         while stack := list(itertools.islice(members, 256)):
@@ -685,3 +692,10 @@ def implied_stabilities(cert: Certificate) -> list[tuple]:
         return [cert.triple] if cert.triple is not None else []
     paired = _paired(cert)
     return [] if paired is None else list(paired[1])
+
+
+def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass, op) -> bool:
+    """Whether ``cert`` proves the triple (region, cls, op) at ``a``: it
+    re-verifies at ``a`` and its implied triples cover the query's."""
+    return verify_certificate(cert, a) and _triple_covered(
+        region, cls, op, implied_stabilities(cert))

@@ -292,9 +292,8 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
 
 def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None, str]:
     """Search the certificate form whose proven triples cover the query
-    and keep a found certificate only if it re-verifies and its implied
-    triples cover the query.  Returns (certificate | None, provenance
-    note)."""
+    and keep a found certificate only if ``certify.proves`` the query's
+    triple with it.  Returns (certificate | None, provenance note)."""
     if not enabled:
         return None, "certificate search disabled"
     report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET, rng)
@@ -306,9 +305,7 @@ def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None
         return None, ("certificate search inconclusive "
                       f"(best min_eig={report.best_min_eig:.3e})")
     cert = report.certificate
-    if certify.verify_certificate(cert, q.a) and certify._triple_covered(
-        q.region, q.cls, q.op, certify.implied_stabilities(cert)
-    ):
+    if certify.proves(cert, q.a, q.region, q.cls, q.op):
         return cert, (f"certificate found ({cert.kind.value}, "
                       f"min_eig={cert.min_eig:.3e}) and re-verified")
     return None, "certificate candidate failed re-verification"
@@ -583,7 +580,7 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
                        x=pick(cls.x), y=pick(cls.y), tau=cls.tau, members=members)
 
 
-def total_stability(q: Query, use_certificates: bool = True) -> TotalStabilityReport:
+def total_stability(q: Query) -> TotalStabilityReport:
     """Decide the query on every nonempty principal submatrix (class
     induced on the index subset).  Overall verdict: certified only if
     every subset is, refuted if any subset is."""
@@ -603,7 +600,7 @@ def total_stability(q: Query, use_certificates: bool = True) -> TotalStabilityRe
             seed=q.seed,
             tol=q.tol,
         )
-        v = decide(sub, use_certificates=use_certificates)
+        v = decide(sub)
         results[idx] = v
         statuses.append(v.status)
     if any(s is VerdictStatus.REFUTED for s in statuses):
@@ -728,7 +725,10 @@ def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
             raise SingularOperatorError("matrix is singular; no multiplicative inverse")
         return inv
     if tf.kind is TransformKind.SCALAR:
-        return float(tf.alpha) * a
+        alpha = float(tf.alpha)
+        if not math.isfinite(alpha):
+            raise ValueError("scalar is not finite")
+        return alpha * a
     if tf.kind is TransformKind.SIMILARITY:
         s = as_square_matrix(tf.s, "s")
         if s.shape != a.shape:
@@ -790,24 +790,17 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
 
 
 def _transfer_witness(g: np.ndarray, q: Query, tf: Transform) -> np.ndarray | None:
-    if tf.kind is TransformKind.TRANSPOSE:
-        return g.T
-    if tf.kind is TransformKind.OP_INVERSE:
-        return algebra.op_inverse(q.op, g)
-    if tf.kind is TransformKind.SCALAR:
-        if q.op.kind is OpKind.ADD:
-            return float(tf.alpha) * g
+    """The witness mapped like the matrix, except that under a scalar
+    only an additive witness moves; None for a singular op-inverse."""
+    if tf.kind is TransformKind.SCALAR and q.op.kind is not OpKind.ADD:
         return g
-    if tf.kind is TransformKind.SIMILARITY:
-        s = np.asarray(tf.s, dtype=float)
-        return s @ g @ np.linalg.inv(s)
-    raise AssertionError(tf.kind)
+    try:
+        return transform_matrix(g, tf, q.op)
+    except SingularOperatorError:
+        return None
 
 
-def _transfer_certificate(cert: Certificate, q: Query,
-                          tf: Transform) -> Certificate | None:
-    if cert.kind is CertKind.EXHAUSTIVE:
-        return None  # handled by re-running the enumeration
+def _transfer_certificate(cert: Certificate, tf: Transform) -> Certificate:
     w = cert.witness
     if tf.kind is TransformKind.TRANSPOSE:
         new_w = np.linalg.inv(w)
@@ -830,73 +823,56 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     Certified and refuted verdicts transfer with transformed witnesses
     when the corresponding theorem's hypotheses hold (the region's
     invariance and the class's closure facts from the static table
-    ``classes._FACTS``) and the transformed witness re-verifies; anything
-    else comes back unknown with the reason in the provenance.
+    ``classes._FACTS``) and the transformed witness re-verifies: a
+    refutation's witness must stay in the class with its exterior
+    margin, and a transformed certificate must prove the query's own
+    triple at the transformed matrix (``certify.proves``), whatever
+    triple the verdict came from.  A finite class is enumerated again.
+    Anything else comes back unknown with the reason in the provenance.
     """
+    label = f"transfer ({tf.kind.value})"
+
+    def unknown(note: str, prior=(), trials_used: int = 0) -> Verdict:
+        return Verdict(VerdictStatus.UNKNOWN, trials_used=trials_used,
+                       provenance=prior + (f"{label}: {note}",))
+
     reason = _transfer_applicable(q, tf)
-    label = tf.kind.value
     if reason is not None:
-        return Verdict(
-            VerdictStatus.UNKNOWN,
-            provenance=(f"transfer ({label}): theorem inapplicable: {reason}",),
-        )
+        return unknown(f"theorem inapplicable: {reason}")
     qt = transform_query(q, tf)
 
     if v.status is VerdictStatus.UNKNOWN:
-        return Verdict(
-            VerdictStatus.UNKNOWN,
-            trials_used=v.trials_used,
-            provenance=v.provenance + (f"transfer ({label}): unknown stays unknown",),
-        )
+        return unknown("unknown stays unknown", v.provenance, v.trials_used)
 
     if v.status is VerdictStatus.REFUTED:
         g = _transfer_witness(v.witness, q, tf)
-        if g is None or not classes.contains(q.cls, g, 1e-7):
-            return Verdict(
-                VerdictStatus.UNKNOWN,
-                provenance=(
-                    f"transfer ({label}): witness left the class numerically",
-                ),
-            )
-        w = np.linalg.eigvals(algebra.apply(q.op, g, qt.a))
-        lam, margin = _worst_eigenvalue(q.region, w)
-        if margin > q.tol:
-            return _refuted(g, lam, margin, f"transfer ({label}): witness transformed",
-                            v.provenance)
-        return Verdict(
-            VerdictStatus.UNKNOWN,
-            provenance=(
-                f"transfer ({label}): transformed witness lost its exterior margin",
-            ),
-        )
+        note = "witness left the class numerically"
+        if g is not None and classes.contains(q.cls, g, 1e-7):
+            w = np.linalg.eigvals(algebra.apply(q.op, g, qt.a))
+            lam, margin = _worst_eigenvalue(q.region, w)
+            if margin > q.tol:
+                return _refuted(g, lam, margin, f"{label}: witness transformed",
+                                v.provenance)
+            note = "transformed witness lost its exterior margin"
+        return unknown(note)
 
     cert = v.certificate
-    if cert is not None and cert.kind is CertKind.EXHAUSTIVE:
+    if cert.kind is CertKind.EXHAUSTIVE:
         vt = _exhaustive_check(qt.a, q.region, q.cls, q.op, q.tol)
         vt.provenance = v.provenance + (
-            f"transfer ({label}): finite class re-enumerated",
+            f"{label}: finite class re-enumerated",
         ) + vt.provenance
         return vt
-    new_cert = _transfer_certificate(cert, q, tf)
-    if new_cert is not None and certify.verify_certificate(new_cert, qt.a):
-        form = certify.certified_form(new_cert, qt.a)
-        new_cert = Certificate(
-            new_cert.kind,
-            new_cert.witness,
-            float(np.linalg.eigvalsh(0.5 * (form + form.T))[0]),
-            partition=new_cert.partition,
-            coeffs=new_cert.coeffs,
-        )
-        return Verdict(
-            VerdictStatus.CERTIFIED,
-            certificate=new_cert,
-            provenance=v.provenance + (
-                f"transfer ({label}): certificate transformed and re-verified",
-            ),
-        )
+    new_cert = _transfer_certificate(cert, tf)
+    if not certify.proves(new_cert, qt.a, q.region, q.cls, q.op):
+        return unknown("transformed certificate failed verification")
+    form = certify.certified_form(new_cert, qt.a)
+    new_cert = replace(
+        new_cert, min_eig=float(np.linalg.eigvalsh(0.5 * (form + form.T))[0]))
     return Verdict(
-        VerdictStatus.UNKNOWN,
-        provenance=(
-            f"transfer ({label}): transformed certificate failed verification",
+        VerdictStatus.CERTIFIED,
+        certificate=new_cert,
+        provenance=v.provenance + (
+            f"{label}: certificate transformed and re-verified",
         ),
     )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgstab import classes, regions
-from dgstab.algebra import OpKind
+from dgstab.algebra import ADD, MUL, OpKind
 from dgstab.certify import (
     _MULTI_STARTS,
     FOUND_TOL,
@@ -16,6 +16,7 @@ from dgstab.certify import (
     find_structured_lyapunov,
     identity_witness_class,
     implied_stabilities,
+    proves,
     verify_certificate,
 )
 from dgstab.classes import ClassKind, Partition
@@ -152,6 +153,31 @@ def test_verify_certificate_examples():
     )
     assert verify_certificate(hill_cert, 0.5 * np.eye(2))
     assert not verify_certificate(hill_cert, np.eye(2))
+
+
+def test_exhaustive_certificates_verify_only_over_finite_classes():
+    # a sign-pattern class enumerates one representative, here I, whose
+    # product with A is stable, yet diag(d, 1) destabilizes A for d > 3
+    a = np.array([[-1.0, 2.0], [-4.0, 3.0]])
+    rhp = regions.right_half_plane()
+    for cls, members, ok in ((classes.sign_diag([1, 1]), 1, False),
+                             (classes.explicit_list([np.eye(2), 2.0 * np.eye(2)]), 2, True)):
+        cert = Certificate(CertKind.EXHAUSTIVE, None, 0.0, triple=(rhp, cls, MUL),
+                           members_checked=members)
+        assert verify_certificate(cert, a) is ok, cls.kind
+
+
+def test_proves_asks_for_the_query_triple():
+    # a Stein certificate proves (disk, box, MUL); it verifies at -A too,
+    # where it proves nothing about the additive triple
+    a = np.array([[0.3, 0.2], [0.0, 0.4]])
+    cert = find_stein_diagonal(a, rng=rng()).certificate
+    disk, box = regions.unit_disk(), classes.box_diag([-1, -1], [1, 1])
+    assert proves(cert, a, disk, box, MUL)
+    assert verify_certificate(cert, -a)
+    assert not proves(cert, -a, disk, box, ADD)
+    assert not proves(cert, a, regions.right_half_plane(), box, MUL)
+    assert not proves(cert, 3.0 * a, disk, box, MUL)
 
 
 def test_verify_symmetric_indefinite_certificate():
@@ -582,7 +608,7 @@ def _reference_certificate_search(q, rng):
     """Dispatch to the certificate search matching the query triple, if
     any sufficiency theorem applies."""
     import dgstab.certify as certify
-    from dgstab.algebra import OpKind
+    from dgstab.algebra import ADD, MUL, OpKind
     from dgstab.engine import _CERT_BUDGET
 
     def _box_within_unit(cls):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import dgstab as dg
-from dgstab import algebra, classes, engine, regions, serialize
+from dgstab import algebra, certify, classes, engine, regions, serialize
 from dgstab.algebra import MUL, BinaryOp, OpKind, Side
-from dgstab.certify import CertKind
+from dgstab.certify import CertKind, Certificate
 from dgstab.engine import (
     Query,
     Transform,
@@ -315,9 +315,14 @@ def test_non_finite_scalar_is_inapplicable():
     q = Query(np.eye(2), RHP, classes.pos_diag(2), MUL, budget=100, seed=1)
     v = decide(q)
     for alpha in (np.inf, -np.inf, np.nan):
+        tf = Transform(TransformKind.SCALAR, alpha=alpha)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=alpha))
+            vt = transfer_verdict(v, q, tf)
+            with pytest.raises(ValueError, match="scalar is not finite"):
+                engine.transform_matrix(q.a, tf, MUL)
+            with pytest.raises(ValueError, match="scalar is not finite"):
+                transform_query(q, tf)
         assert vt.status is VerdictStatus.UNKNOWN
         assert vt.provenance == (
             "transfer (scalar): theorem inapplicable: scalar is not finite",)
@@ -469,18 +474,21 @@ def test_transfer_additive_scalar_scales_witness():
 
 
 def test_transfer_additive_inverse_on_disk():
-    # negation leaves the disk invariant; the discrete certificate
-    # carries over to -A with the same witness
+    # the Stein certificate proves (disk, box, MUL) only: passed as the
+    # verdict of the additive triple, it must not certify -A, where
+    # G = diag(-0.9, 0) puts the eigenvalue -1.2 of G - A off the disk
     a = np.array([[0.3, 0.2], [0.0, 0.4]])
-    q = Query(a, dg.unit_disk(), classes.box_diag([-1, -1], [1, 1]), MUL,
-              budget=500, seed=3)
+    box = classes.box_diag([-1, -1], [1, 1])
+    q = Query(a, dg.unit_disk(), box, MUL, budget=500, seed=3)
     v = decide(q)
     assert v.status is VerdictStatus.CERTIFIED
-    q_add = Query(a, dg.unit_disk(), classes.box_diag([-1, -1], [1, 1]),
-                  dg.ADD, budget=500, seed=3)
-    vt = transfer_verdict(v, q_add, Transform(TransformKind.OP_INVERSE))
-    assert vt.status is VerdictStatus.CERTIFIED
-    assert dg.verify_certificate(vt.certificate, -a)
+    q_add = Query(a, dg.unit_disk(), box, dg.ADD, budget=500, seed=3)
+    tf = Transform(TransformKind.OP_INVERSE)
+    vt = transfer_verdict(v, q_add, tf)
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.provenance == (
+        "transfer (op_inverse): transformed certificate failed verification",)
+    assert decide(transform_query(q_add, tf)).status is VerdictStatus.REFUTED
 
 
 def test_stabilize_dense_classes():
@@ -830,3 +838,87 @@ def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
         assert note in got.provenance and len(got.provenance) == len(want.provenance)
         assert [p for p in got.provenance if p != note] == \
             [p for p in want.provenance if not p.startswith("certificate search inconclusive")]
+
+
+# ---------------------------------------------------------------------------
+# the exits of the certificate stage and of verdict transfer
+
+
+@pytest.mark.parametrize("a, cert", [
+    # the form A + A^T = diag(0, 2) is not positive definite
+    (D_STABLE_NO_CERT, Certificate(CertKind.DIAGONAL_LYAPUNOV, np.eye(2), 1.0)),
+    # a valid Stein certificate, which proves no right-half-plane triple
+    (0.5 * np.eye(2), Certificate(CertKind.STEIN_DIAGONAL, np.eye(2), 0.75)),
+])
+def test_a_certificate_that_does_not_prove_the_query_is_dropped(monkeypatch, a, cert):
+    monkeypatch.setattr(certify, "search_for_triple",
+                        lambda *args: certify.CertReport(True, cert, cert.min_eig, 1))
+    v = decide(Query(a, RHP, classes.pos_diag(2), MUL, budget=200, seed=1))
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.provenance == (
+        "unboundedness precheck: not applicable or no escape found",
+        "identity-element check passed",
+        "certificate candidate failed re-verification",
+        "falsification exhausted 200 trials",
+    )
+
+
+def test_unknown_transfers_as_unknown_with_its_trials():
+    q = Query(D_STABLE_NO_CERT, RHP, classes.pos_diag(2), MUL, budget=200, seed=1)
+    v = decide(q)
+    assert v.status is VerdictStatus.UNKNOWN
+    vt = transfer_verdict(v, q, Transform(TransformKind.TRANSPOSE))
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.trials_used == v.trials_used == 200
+    assert vt.provenance == v.provenance + ("transfer (transpose): unknown stays unknown",)
+
+
+def test_a_witness_that_leaves_the_class_does_not_transfer():
+    q = Query(NOT_D_STABLE, RHP, classes.pos_diag(2), MUL, budget=200, seed=1)
+    # a singular witness has no op-inverse; a non-member stays one
+    for g, tf in ((np.diag([1.0, 0.0]), Transform(TransformKind.OP_INVERSE)),
+                  (np.diag([-1.0, 1.0]), Transform(TransformKind.TRANSPOSE))):
+        v = engine.Verdict(VerdictStatus.REFUTED, witness=g)
+        vt = transfer_verdict(v, q, tf)
+        assert vt.status is VerdictStatus.UNKNOWN
+        assert vt.provenance == (
+            f"transfer ({tf.kind.value}): witness left the class numerically",)
+
+
+def test_a_witness_that_loses_its_margin_does_not_transfer():
+    # the identity refutes diag(1.5, 0.2) on the disk; halved, it is stable
+    q = Query(np.diag([1.5, 0.2]), dg.unit_disk(), classes.vertex_diag(2), MUL,
+              budget=200, seed=1)
+    v = decide(q)
+    assert v.status is VerdictStatus.REFUTED
+    vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=0.5))
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.provenance == (
+        "transfer (scalar): transformed witness lost its exterior margin",)
+
+
+def test_a_finite_class_is_enumerated_again_on_transfer():
+    q = Query(0.4 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
+              budget=200, seed=1)
+    v = decide(q)
+    assert v.certificate.kind is CertKind.EXHAUSTIVE
+    tf = Transform(TransformKind.SCALAR, alpha=0.5)
+    vt = transfer_verdict(v, q, tf)
+    assert vt.status is VerdictStatus.CERTIFIED
+    assert vt.provenance == v.provenance + (
+        "transfer (scalar): finite class re-enumerated",
+        "exhaustive enumeration certified 4 members",
+    )
+    assert dg.verify_certificate(vt.certificate, transform_query(q, tf).a)
+
+
+def test_a_certificate_that_fails_after_the_transform_does_not_transfer():
+    # the identity is no diagonal Lyapunov witness for D_STABLE_NO_CERT,
+    # nor, transposed, for its transpose
+    q = Query(D_STABLE_NO_CERT, RHP, classes.pos_diag(2), MUL, budget=200, seed=1)
+    v = engine.Verdict(VerdictStatus.CERTIFIED, certificate=Certificate(
+        CertKind.DIAGONAL_LYAPUNOV, np.eye(2), 1.0))
+    vt = transfer_verdict(v, q, Transform(TransformKind.TRANSPOSE))
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.provenance == (
+        "transfer (transpose): transformed certificate failed verification",)
