@@ -58,7 +58,7 @@ from . import algebra, classes, regions
 from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
 from .errors import NonSymmetricError, UnsupportedClassError
-from .linalg import as_square_matrix, hill_form, is_positive_definite
+from .linalg import as_square_matrix, hill_form, is_positive_definite, principal_submatrix
 
 __all__ = [
     "CertKind",
@@ -71,6 +71,7 @@ __all__ = [
     "verify_certificate",
     "implied_stabilities",
     "proves",
+    "restrict_certificate",
     "certified_form",
 ]
 
@@ -417,9 +418,8 @@ def _form_search(a, kind: CertKind, partition: Partition | None, budget: int,
     params, val, used = result
     if params is None or val <= FOUND_TOL:
         return CertReport(False, None, val * norm if params is not None else -np.inf, used)
-    cert = Certificate(kind, witness_of(params), np.nan, partition=partition)
-    min_eig = float(np.linalg.eigvalsh(certified_form(cert, a))[0])
-    return CertReport(True, replace(cert, min_eig=min_eig), min_eig, used)
+    cert = _measured(Certificate(kind, witness_of(params), np.nan, partition=partition), a)
+    return CertReport(True, cert, cert.min_eig, used)
 
 
 def find_diagonal_lyapunov(a, budget: int = 5000,
@@ -641,6 +641,12 @@ def certified_form(cert: Certificate, a) -> np.ndarray:
     raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
 
 
+def _measured(cert: Certificate, a) -> Certificate:
+    """``cert`` with ``min_eig`` the smallest eigenvalue of its form at
+    ``a``."""
+    return replace(cert, min_eig=float(np.linalg.eigvalsh(certified_form(cert, a))[0]))
+
+
 def _paired(cert: Certificate):
     """The witness class and proven triples of a non-exhaustive
     certificate, or None when it lacks its witness or, for a block
@@ -699,3 +705,27 @@ def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass, op) -
     re-verifies at ``a`` and its implied triples cover the query's."""
     return verify_certificate(cert, a) and _triple_covered(
         region, cls, op, implied_stabilities(cert))
+
+
+def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
+                         cls: MatrixClass, op) -> Certificate | None:
+    """The certificate of the principal submatrix ``a`` on the ascending
+    indices ``idx`` that ``cert`` restricts to: the witness's principal
+    submatrix scaled to trace ``len(idx)``, as the searches normalize,
+    with the partition restricted as the class is and ``min_eig``
+    measured at ``a``.  None unless it ``proves`` the triple (region,
+    cls, op) at ``a``.  A certificate of the full matrix's triple
+    restricts to one of the restricted class's for the diagonal,
+    block-scalar, identity and Stein-diagonal kinds, and for a block SPD
+    witness when ``idx`` splits no block: ``(P A)[idx] = P[idx] A[idx]``
+    for such ``P``, and a positive diagonal ``P`` gives ``P[idx] -
+    A[idx]^T P[idx] A[idx] >= (P - A^T P A)[idx]``."""
+    if _paired(cert) is None:
+        return None
+    p = principal_submatrix(cert.witness, idx)
+    trace = float(np.trace(p))
+    if not trace > 0.0:
+        return None
+    partition = None if cert.partition is None else cert.partition.restrict(idx)
+    restricted = replace(cert, witness=p * (len(idx) / trace), partition=partition)
+    return _measured(restricted, a) if proves(restricted, a, region, cls, op) else None

@@ -122,6 +122,15 @@ class Partition:
     def order(self) -> int:
         return sum(len(b) for b in self.blocks)
 
+    def restrict(self, idx) -> "Partition":
+        """The partition induced on the indices ``idx``, renumbered in
+        that order: each block keeps its indices in ``idx`` (sorted), and
+        the nonempty blocks are sorted.  Raises ValueError when a
+        reordering leaves them non-contiguous."""
+        pos = {orig: new for new, orig in enumerate(idx)}
+        blocks = (tuple(sorted(pos[i] for i in b if i in pos)) for b in self.blocks)
+        return Partition(tuple(sorted(b for b in blocks if b)))
+
     def block_of(self, i: int) -> int:
         for k, block in enumerate(self.blocks):
             if i in block:

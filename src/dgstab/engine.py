@@ -51,7 +51,7 @@ import numpy as np
 from . import algebra, certify, classes, regions
 from .algebra import BinaryOp, OpKind
 from .certify import CertKind, Certificate
-from .classes import ClassKind, MatrixClass, Partition
+from .classes import ClassKind, MatrixClass
 from .errors import (DimensionMismatchError, OrderTooLargeError, SingularOperatorError,
                      UnrepresentableError)
 from .linalg import as_square_matrix, principal_submatrix
@@ -151,6 +151,13 @@ def _refuted(g, lam: complex, margin: float, note: str, provenance=(),
                    provenance=tuple(provenance) + (note,))
 
 
+def _stream(seed: int, i: int) -> np.random.SeedSequence:
+    """Child ``i`` of ``SeedSequence(seed)``, without spawning its
+    siblings: 0 seeds the unboundedness escape, 1 the certificate search
+    and 2 the falsifier's chunks."""
+    return np.random.SeedSequence(seed, spawn_key=(i,))
+
+
 def _thread_count() -> int:
     try:
         return max(1, int(os.environ.get("DGSTAB_THREADS", "1")))
@@ -168,7 +175,7 @@ def falsify(q: Query) -> Verdict:
     """
     a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
     n_chunks = math.ceil(budget / _CHUNK)
-    children = np.random.SeedSequence(q.seed).spawn(3)[2].spawn(n_chunks)
+    children = _stream(q.seed, 2).spawn(n_chunks)
 
     def eval_chunk(i: int):
         count = min(_CHUNK, budget - i * _CHUNK)
@@ -207,7 +214,7 @@ def falsify(q: Query) -> Verdict:
 # decide pipeline
 
 
-def _unboundedness_escape(q: Query, rng) -> Verdict | None:
+def _unboundedness_escape(q: Query) -> Verdict | None:
     """For a bounded region and an unbounded class, scale a sampled
     member upward until an eigenvalue exits; produces a concrete
     witness rather than a bare impossibility claim."""
@@ -218,6 +225,7 @@ def _unboundedness_escape(q: Query, rng) -> Verdict | None:
         return None
     if q.op.kind is OpKind.MUL and algebra.op_inverse(q.op, q.a) is None:
         return None
+    rng = np.random.default_rng(_stream(q.seed, 0))
     for _ in range(8):
         g0 = classes.sample(q.cls, rng)
         for k in range(61):
@@ -290,13 +298,14 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
     )
 
 
-def _certificate_stage(q: Query, rng, enabled: bool) -> tuple[Certificate | None, str]:
+def _certificate_stage(q: Query, enabled: bool) -> tuple[Certificate | None, str]:
     """Search the certificate form whose proven triples cover the query
     and keep a found certificate only if ``certify.proves`` the query's
     triple with it.  Returns (certificate | None, provenance note)."""
     if not enabled:
         return None, "certificate search disabled"
-    report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET, rng)
+    report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET,
+                                       np.random.default_rng(_stream(q.seed, 1)))
     if report is None:
         return None, "no certificate form matches the query triple"
     if report.reason is not None:
@@ -320,13 +329,12 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     stages are unaffected); useful for honesty testing and benchmarks.
     """
     prov: list[str] = []
-    ss_pre, ss_cert, _ = np.random.SeedSequence(q.seed).spawn(3)
 
     def done(v: Verdict) -> Verdict:
         v.provenance = tuple(prov) + v.provenance
         return v
 
-    v = _unboundedness_escape(q, np.random.default_rng(ss_pre))
+    v = _unboundedness_escape(q)
     if v is not None:
         return done(v)
     prov.append("unboundedness precheck: not applicable or no escape found")
@@ -341,7 +349,7 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
         # enumeration is final
         return done(_exhaustive_check(q.a, q.region, q.cls, q.op, q.tol))
 
-    cert, note = _certificate_stage(q, np.random.default_rng(ss_cert), use_certificates)
+    cert, note = _certificate_stage(q, use_certificates)
     prov.append(note)
     if cert is not None:
         return done(Verdict(VerdictStatus.CERTIFIED, certificate=cert))
@@ -557,7 +565,7 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
     fields select, the partition (blocks sorted) and the permutation
     renumber, the rank bound caps at the new order, and explicit members
     take their principal submatrices.  A reordering of all indices gives
-    the class conjugated by that permutation; ``Partition`` raises
+    the class conjugated by that permutation; ``Partition.restrict`` raises
     ValueError when the reordered blocks are not contiguous."""
     m = len(idx)
     pos = {orig: new for new, orig in enumerate(idx)}
@@ -565,13 +573,8 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
     def pick(values):
         return None if values is None else tuple(values[i] for i in idx)
 
-    partition = theta = None
-    if cls.partition is not None:
-        blocks = (tuple(sorted(pos[i] for i in b if i in pos))
-                  for b in cls.partition.blocks)
-        partition = Partition(tuple(sorted(b for b in blocks if b)))
-    if cls.theta is not None:
-        theta = tuple(pos[t] for t in cls.theta if t in pos)
+    partition = None if cls.partition is None else cls.partition.restrict(idx)
+    theta = None if cls.theta is None else tuple(pos[t] for t in cls.theta if t in pos)
     members = None if cls.members is None else tuple(
         tuple(pick(row) for row in pick(mm)) for mm in cls.members)
     return MatrixClass(cls.kind, m, partition=partition, theta=theta,
@@ -580,29 +583,45 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
                        x=pick(cls.x), y=pick(cls.y), tau=cls.tau, members=members)
 
 
+def _restricted_verdict(cert: Certificate | None, idx: tuple[int, ...],
+                        sub: Query) -> Verdict | None:
+    """CERTIFIED for the subset query ``sub`` when the full matrix's
+    certificate restricts to one that proves ``sub``'s triple; else None."""
+    rc = None if cert is None else certify.restrict_certificate(
+        cert, idx, sub.a, sub.region, sub.cls, sub.op)
+    if rc is None:
+        return None
+    return Verdict(VerdictStatus.CERTIFIED, certificate=rc, provenance=(
+        f"restricted from the full matrix's certificate ({rc.kind.value}, "
+        f"min_eig={rc.min_eig:.3e}) and re-verified",))
+
+
 def total_stability(q: Query) -> TotalStabilityReport:
     """Decide the query on every nonempty principal submatrix (class
-    induced on the index subset).  Overall verdict: certified only if
-    every subset is, refuted if any subset is."""
+    induced on the index subset), keyed in index-mask order.  The full
+    index set is decided first.  When a certificate certifies it, each
+    proper subset whose triple that certificate's restriction proves
+    (``certify.restrict_certificate``) is certified by it; every other
+    subset is decided.  Overall verdict: certified only if every subset is,
+    refuted if any subset is."""
     n = q.a.shape[0]
     if n > 16:
         raise OrderTooLargeError("total stability supported for order <= 16")
+
+    def sub_query(idx):
+        return Query(principal_submatrix(q.a, idx), q.region, restrict_class(q.cls, idx),
+                     q.op, budget=q.budget, seed=q.seed, tol=q.tol)
+
+    everything = tuple(range(n))
+    full = decide(sub_query(everything))
+    cert = full.certificate if full.status is VerdictStatus.CERTIFIED else None
     results: dict[tuple[int, ...], Verdict] = {}
-    statuses = []
-    for mask in range(1, 2 ** n):
+    for mask in range(1, 2 ** n - 1):
         idx = tuple(i for i in range(n) if mask >> i & 1)
-        sub = Query(
-            principal_submatrix(q.a, idx),
-            q.region,
-            restrict_class(q.cls, idx),
-            q.op,
-            budget=q.budget,
-            seed=q.seed,
-            tol=q.tol,
-        )
-        v = decide(sub)
-        results[idx] = v
-        statuses.append(v.status)
+        sub = sub_query(idx)
+        results[idx] = _restricted_verdict(cert, idx, sub) or decide(sub)
+    results[everything] = full
+    statuses = [v.status for v in results.values()]
     if any(s is VerdictStatus.REFUTED for s in statuses):
         overall = VerdictStatus.REFUTED
     elif all(s is VerdictStatus.CERTIFIED for s in statuses):
@@ -661,11 +680,20 @@ class TransformKind(enum.Enum):
     SIMILARITY = "similarity"
 
 
+#: The field each parametrized transform kind cannot do without.
+_TRANSFORM_PARAMETER = {TransformKind.SCALAR: "alpha", TransformKind.SIMILARITY: "s"}
+
+
 @dataclass(frozen=True, eq=False)
 class Transform:
     kind: TransformKind
     alpha: float | None = None
     s: np.ndarray | None = None
+
+    def __post_init__(self):
+        needed = _TRANSFORM_PARAMETER.get(self.kind)
+        if needed is not None and getattr(self, needed) is None:
+            raise ValueError(f"{self.kind.value} transform needs its {needed!r} field")
 
 
 def _is_permutation_matrix(s: np.ndarray) -> bool:

@@ -11,17 +11,20 @@ from dgstab.certify import (
     STALL_LIMIT,
     CertKind,
     Certificate,
+    certified_form,
     find_diagonal_lyapunov,
     find_stein_diagonal,
     find_structured_lyapunov,
     identity_witness_class,
     implied_stabilities,
     proves,
+    restrict_certificate,
     verify_certificate,
 )
 from dgstab.classes import ClassKind, Partition
+from dgstab.engine import restrict_class
 from dgstab.errors import UnsupportedClassError
-from dgstab.linalg import case_iii_coefficients
+from dgstab.linalg import case_iii_coefficients, principal_submatrix
 
 
 def rng(seed=0):
@@ -893,6 +896,11 @@ def _with_certificate(r, n, part, witness, decades):
     diagonal ('diag'), positive and constant on each block of ``part``
     ('scalar'), or SPD on each block ('spd'), its eigenvalues spread
     over ``decades`` either side of 1."""
+    return _with_witness(r, n, part, witness, decades)[1]
+
+
+def _with_witness(r, n, part, witness, decades):
+    """``(P, A)`` of ``_with_certificate``."""
     b = r.standard_normal((n, n))
     w = b @ b.T + 0.5 * np.eye(n)
     k = r.standard_normal((n, n))
@@ -908,7 +916,7 @@ def _with_certificate(r, n, part, witness, decades):
         else:
             q = np.linalg.qr(r.standard_normal((m, m)))[0]
             p[sel] = (q * 10.0 ** r.uniform(-decades, decades, m)) @ q.T
-    return np.linalg.solve(p, 0.5 * w + k)
+    return p, np.linalg.solve(p, 0.5 * w + k)
 
 
 def test_screens_never_reject_a_matrix_with_a_certificate():
@@ -1011,3 +1019,75 @@ def test_search_for_triple_reports_the_failed_condition(monkeypatch):
     a = np.array([[0.0, 1.0], [-1.0, 1.0]])
     rep = find_diagonal_lyapunov(a, 400, rng())
     assert rep.iterations > 0 and rep.reason is None
+
+
+# restriction: a certificate's principal submatrices certify A's
+
+
+def _constructed_certificates(r, n):
+    """(certificate, A) per restricting kind, each certificate built with
+    ``A`` and proving its kind's triples at ``A``."""
+    part = _random_partition(r, n)
+    singletons = Partition.from_sizes([1] * n)
+    out = []
+    for kind, blocks, witness in ((CertKind.DIAGONAL_LYAPUNOV, None, "diag"),
+                                  (CertKind.ALPHA_SCALAR_LYAPUNOV, part, "scalar"),
+                                  (CertKind.BLOCK_LYAPUNOV, part, "spd")):
+        p, a = _with_witness(r, n, blocks or singletons, witness, 1.0)
+        out.append((Certificate(kind, p, np.nan, partition=blocks), a))
+    _, a = _with_witness(r, n, Partition.from_sizes([n]), "scalar", 0.0)
+    out.append((Certificate(CertKind.IDENTITY_LYAPUNOV, np.eye(n), np.nan), a))
+    seed = int(r.integers(1 << 30))
+    out.append((Certificate(CertKind.STEIN_DIAGONAL, _spread_diag(seed, [1] * n, 1.0),
+                            np.nan), _discrete_stable(seed, n, 1.0, 0.9)))
+    return out
+
+
+def test_every_restriction_of_a_constructed_certificate_proves():
+    r = rng(63)
+    rejected = 0
+    for trial in range(30):
+        n = 1 + trial % 6
+        for cert, a in _constructed_certificates(r, n):
+            triples = implied_stabilities(cert)
+            assert triples and all(proves(cert, a, *t) for t in triples), cert.kind
+            for mask in range(1, 2 ** n):
+                idx = tuple(i for i in range(n) if mask >> i & 1)
+                kept = set(idx)
+                splits = cert.kind is CertKind.BLOCK_LYAPUNOV and any(
+                    not kept.isdisjoint(b) and not kept.issuperset(b)
+                    for b in cert.partition.blocks)
+                sub = principal_submatrix(a, idx)
+                for region, cls, op in triples:
+                    sub_cls = restrict_class(cls, idx)
+                    rc = restrict_certificate(cert, idx, sub, region, sub_cls, op)
+                    if rc is None:
+                        # only a block SPD witness cut across a block may fail
+                        assert splits, (cert.kind, idx)
+                        rejected += 1
+                        continue
+                    assert proves(rc, sub, region, sub_cls, op)
+                    assert np.trace(rc.witness) == pytest.approx(len(idx), rel=1e-12)
+                    assert rc.min_eig == np.linalg.eigvalsh(certified_form(rc, sub))[0] > 0
+    assert rejected > 0
+
+
+def test_other_kinds_and_malformed_certificates_give_no_restriction():
+    idx, sub = (0, 2), np.eye(2)
+    p = np.eye(3)
+    for cert in (Certificate(CertKind.SYMMETRIC_INDEFINITE, p, 1.0),
+                 Certificate(CertKind.HILL, p, 1.0, coeffs=((1.0,),)),
+                 Certificate(CertKind.EXHAUSTIVE, None, 1.0, members_checked=8,
+                             triple=(regions.unit_disk(), classes.vertex_diag(3), MUL)),
+                 # no partition, no witness, a restricted trace of 0
+                 Certificate(CertKind.ALPHA_SCALAR_LYAPUNOV, p, 1.0),
+                 Certificate(CertKind.DIAGONAL_LYAPUNOV, None, 1.0),
+                 Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([0.0, 2.0, 0.0]), 1.0)):
+        assert restrict_certificate(cert, idx, sub, regions.right_half_plane(),
+                                    classes.pos_diag(2), MUL) is None, cert.kind
+    # the restriction proves only the triple it is asked for
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, p, 2.0)
+    assert restrict_certificate(cert, idx, -sub, regions.right_half_plane(),
+                                classes.pos_diag(2), MUL) is None
+    assert restrict_certificate(cert, idx, sub, regions.unit_disk(),
+                                classes.pos_diag(2), MUL) is None

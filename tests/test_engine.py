@@ -182,6 +182,63 @@ def test_total_stability_identity():
     assert len(rep.results) == 7
 
 
+def test_total_stability_restricts_the_full_certificate():
+    q = Query(np.eye(3), RHP, classes.pos_diag(3), MUL, budget=100, seed=1)
+    rep = total_stability(q)
+    full = rep.results.pop((0, 1, 2))
+    assert full.provenance == decide(q).provenance
+    assert list(rep.results) == [(0,), (1,), (0, 1), (2,), (0, 2), (1, 2)]
+    for idx, v in rep.results.items():
+        assert v.status is VerdictStatus.CERTIFIED
+        assert v.certificate.kind is CertKind.DIAGONAL_LYAPUNOV
+        np.testing.assert_array_equal(v.certificate.witness, np.eye(len(idx)))
+        assert v.certificate.min_eig == 2.0
+        assert v.provenance == ("restricted from the full matrix's certificate "
+                                "(diagonal_lyapunov, min_eig=2.000e+00) and re-verified",)
+
+
+def test_total_stability_decides_what_an_exhaustive_certificate_cannot_restrict():
+    q = Query(0.5 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
+              budget=100, seed=1)
+    rep = total_stability(q)
+    assert rep.overall is VerdictStatus.CERTIFIED
+    for idx, v in rep.results.items():
+        assert v.certificate.kind is CertKind.EXHAUSTIVE
+        assert v.provenance == decide(Query(
+            0.5 * np.eye(len(idx)), q.region, classes.vertex_diag(len(idx)), MUL,
+            budget=100, seed=1)).provenance
+
+
+def test_decide_draws_each_stage_from_its_spawned_stream(monkeypatch):
+    # the escape, the certificate search and the falsifier's first chunk
+    # start from children 0, 1 and 2 of SeedSequence(seed)
+    seed = 11
+    kids = np.random.SeedSequence(seed).spawn(3)
+    states = []
+
+    def recording(fn):
+        def wrapped(*args):
+            rng = next(x for x in args if isinstance(x, np.random.Generator))
+            states.append(rng.bit_generator.state)
+            return fn(*args)
+        return wrapped
+
+    cases = [
+        # the escape scales a sample of the unbounded class
+        (classes, "sample", np.eye(2), dg.unit_disk(), kids[0]),
+        # D = I is no certificate, so the search draws its other starts
+        (certify, "search_for_triple", np.array([[1.0, 3.0], [0.0, 1.0]]), RHP, kids[1]),
+        # the screen rejects a_11 = 0, so only the falsifier draws
+        (classes, "sample_batch", D_STABLE_NO_CERT, RHP, kids[2].spawn(2)[0]),
+    ]
+    for module, attr, a, region, stream in cases:
+        states.clear()
+        with monkeypatch.context() as m:
+            m.setattr(module, attr, recording(getattr(module, attr)))
+            decide(Query(a, region, classes.pos_diag(2), MUL, budget=600, seed=seed))
+        assert states and states[0] == np.random.default_rng(stream).bit_generator.state, attr
+
+
 def test_total_stability_negative_entry_refutes_at_singleton():
     a = np.array([[1.0, 0.0], [0.0, -0.5]])
     q = Query(a, RHP, classes.pos_diag(2), MUL, budget=100, seed=1)
@@ -326,6 +383,23 @@ def test_non_finite_scalar_is_inapplicable():
         assert vt.status is VerdictStatus.UNKNOWN
         assert vt.provenance == (
             "transfer (scalar): theorem inapplicable: scalar is not finite",)
+
+
+@pytest.mark.parametrize("kind, needed", [
+    (TransformKind.TRANSPOSE, None),
+    (TransformKind.OP_INVERSE, None),
+    (TransformKind.SCALAR, "alpha"),
+    (TransformKind.SIMILARITY, "s"),
+])
+def test_a_transform_without_its_parameter_is_rejected(kind, needed):
+    if needed is None:
+        assert Transform(kind).kind is kind
+        return
+    other = {"alpha": {"s": np.eye(2)}, "s": {"alpha": 2.0}}[needed]
+    for fields in ({}, other):
+        with pytest.raises(ValueError, match=f"^{kind.value} transform needs its "
+                                             f"'{needed}' field$"):
+            Transform(kind, **fields)
 
 
 def _transferred_refutation_reproduces(q, tf):
