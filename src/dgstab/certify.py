@@ -37,9 +37,10 @@ parameter rows, one batched ``eigh`` per iteration; the sequential
 stopping rule (budget, stall count, ``FOUND_TOL``, start order) is
 replayed on the recorded values, so a search reports what running its
 starts one after another would.  The generator is left in a different
-state, though: once start 0's first iterate fails, every start's
-parameters are drawn, reached by the replay or not.  Run several
-searches concurrently by passing split generator streams.
+state, though: every start's parameters are drawn before the first
+iterate, reached by the replay or not, so a caller's generator advances
+even when start 0 certifies at once.  Run several searches concurrently
+by passing split generator streams.
 """
 
 from __future__ import annotations
@@ -158,10 +159,10 @@ def _ascend(init_params, decode, grad, project, budget: int,
     and ``decode`` (rows to the stack of forms), ``grad`` (subgradient
     of each form's smallest eigenvalue at the rows and their
     eigenvectors) and ``project`` (re-normalization) act on the stack.
-    Each lockstep iteration is one batched ``eigh``; each row keeps its
-    own iteration count ``t`` and step ``0.5/sqrt(t)``.  Start 0's first
-    iterate is evaluated alone, and the other starts are drawn, in start
-    order, only if it does not certify.
+    Every start's parameters are drawn, in start order, before the first
+    iterate, so the generator advances even when start 0 certifies at
+    once.  Each lockstep iteration ``t`` is one batched ``eigh`` and a
+    step of ``0.5/sqrt(t)`` for every live row.
 
     A row leaves the stack when it certifies, reaches its per-start
     share of the budget, has a vanishing subgradient, or stalls against
@@ -177,71 +178,53 @@ def _ascend(init_params, decode, grad, project, budget: int,
     """
     if budget <= 0:
         return None, -np.inf, 0
-    p = project(init_params(0)[None])
-    vals, vecs = np.linalg.eigh(decode(p))
-    if vals[0, 0] > FOUND_TOL:
-        return p[0], float(vals[0, 0]), 1
-
     per_start = max(budget // _MULTI_STARTS, 1)
     n_starts = min(_MULTI_STARTS, budget)
-    # lams[j, s] is start s's min_eig at lockstep iteration j (start 0
-    # is one iterate ahead of the others; the replay reads only what was
-    # written); it doubles as the iterations run need it.  kept[j] holds
-    # the starts that improved on their best at iteration j, with their
-    # params.
-    lams = np.empty((min(per_start + 1, 1024), n_starts))
+    # lams[t - 1, s] is start s's min_eig at iteration t (the replay reads
+    # only what was written); it doubles as the iterations run need it.
+    # kept[t - 1] holds the starts that improved on their best at
+    # iteration t, with their params.
+    lams = np.empty((min(per_start, 1024), n_starts))
     kept = {}
     steps = np.zeros(n_starts, dtype=int)  # iterates evaluated per start
-    rows = np.zeros(1, dtype=int)  # the start of each live row, ascending
-    t = np.zeros(1, dtype=int)
+    rows = np.arange(n_starts)  # the start of each live row, ascending
+    p = project(np.stack([init_params(s) for s in rows]))
     # prior is the replayed best of the finished starts, a lower bound
     # of the running best each live start's sequential stall count is
     # taken against; best and last_up are taken against it too
     prior = -np.inf
-    best = np.full(1, -np.inf)
-    last_up = np.zeros(1, dtype=int)
-    fresh = range(1, n_starts)  # drawn once start 0's first iterate fails
-    for j in itertools.count():
+    best = np.full(n_starts, -np.inf)
+    last_up = np.zeros(n_starts, dtype=int)
+    for t in itertools.count(1):
+        vals, vecs = np.linalg.eigh(decode(p))
         lam, v = vals[:, 0], _min_eig_vecs(vals, vecs, rng)
-        t += 1
-        if j == len(lams):
+        if t > len(lams):
             lams = np.concatenate([lams, np.empty_like(lams)])
-        lams[j, rows] = lam
+        lams[t - 1, rows] = lam
         up = lam > best
         best = np.where(up, lam, best)
         last_up = np.where(up, t, last_up)
         if up.any():
-            kept[j] = rows[up], p[up]
+            kept[t - 1] = rows[up], p[up]
         g = grad(p, v)
         norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
         go = ((t < per_start) & (t - last_up <= STALL_LIMIT)
               & (lam <= FOUND_TOL) & ~(norm < 1e-15))
         if not go.all():
-            steps[rows[~go]] = t[~go]
+            steps[rows[~go]] = t
             first_live = rows[0]
-            rows, t, best, last_up = rows[go], t[go], best[go], last_up[go]
-            p, g, norm = p[go], g[go], norm[go]
-            if rows.size and rows[0] > first_live:
+            rows, p, g, norm = rows[go], p[go], g[go], norm[go]
+            if rows.size == 0:
+                break
+            if rows[0] > first_live:
                 prior = _replay(lams, steps, rows[0])[0]
                 if prior > FOUND_TOL:
                     break  # the sequential run never reaches the live starts
-                for i, s in enumerate(rows):
-                    x = lams[int(s > 0) : int(s > 0) + t[i], s]
-                    ups = np.flatnonzero(_ups(x, prior))
-                    best[i] = max(prior, x.max())
-                    last_up[i] = ups[-1] + 1 if ups.size else 0
-        p = project(p + ((0.5 / np.sqrt(t))[:, None] * g) / norm[:, None])
-        if fresh:
-            new = len(fresh)
-            rows = np.concatenate([rows, fresh])
-            t = np.concatenate([t, np.zeros(new, dtype=int)])
-            best = np.concatenate([best, np.full(new, prior)])
-            last_up = np.concatenate([last_up, np.zeros(new, dtype=int)])
-            p = np.concatenate([p, project(np.stack([init_params(s) for s in fresh]))])
-            fresh = ()
-        if rows.size == 0:
-            break
-        vals, vecs = np.linalg.eigh(decode(p))
+            # recount the live rows' best and last_up from their records
+            x = lams[:t, rows]
+            best = np.maximum(prior, x.max(axis=0))
+            last_up = (_ups(x, prior) * np.arange(1, t + 1)[:, None]).max(axis=0)
+        p = project(p + (0.5 / np.sqrt(t)) * g / norm[:, None])
     best_val, best_at, used = _replay(lams, steps, n_starts)
     if best_at is None:
         return None, best_val, used
@@ -252,19 +235,19 @@ def _ascend(init_params, decode, grad, project, budget: int,
 
 def _ups(x, prior):
     """Where each of the values ``x`` beats the running best from
-    ``prior``."""
-    return x > np.maximum.accumulate(np.concatenate(([prior], x[:-1])))
+    ``prior`` along the first axis."""
+    before = np.concatenate((np.full_like(x[:1], prior), x[:-1]))
+    return x > np.maximum.accumulate(before)
 
 
 def _replay(lams, steps, n):
     """Run the sequential stopping rule over the recorded ``min_eig``
     values of starts ``0..n-1`` in start order: (best value, start and
-    lockstep iteration of the best or None, iterations used).  The
-    starts' shares never sum past the budget."""
+    iteration index of the best or None, iterations used).  The starts'
+    shares never sum past the budget."""
     best_val, best_at, used = -np.inf, None, 0
     for s in range(n):
-        first = int(s > 0)  # lockstep iteration of the start's first iterate
-        x = lams[first : first + steps[s], s]
+        x = lams[:steps[s], s]
         up = _ups(x, best_val)
         idx = np.arange(x.size)
         stall = idx - np.maximum.accumulate(np.where(up, idx, -1))
@@ -273,7 +256,7 @@ def _replay(lams, steps, n):
         used += end
         ups = np.flatnonzero(up[:end])
         if ups.size:
-            best_val, best_at = float(x[ups[-1]]), (s, first + ups[-1])
+            best_val, best_at = float(x[ups[-1]]), (s, ups[-1])
         if best_val > FOUND_TOL:
             break
     return best_val, best_at, used

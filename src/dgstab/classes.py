@@ -104,6 +104,8 @@ class Partition:
         flat = [i for block in self.blocks for i in block]
         if not flat:
             raise ValueError("partition must be nonempty")
+        if not all(self.blocks):
+            raise ValueError("partition blocks must be nonempty")
         if flat != list(range(len(flat))):
             raise ValueError(
                 "blocks must be contiguous, disjoint, and cover 0..n-1 in order"
@@ -130,12 +132,6 @@ class Partition:
         pos = {orig: new for new, orig in enumerate(idx)}
         blocks = (tuple(sorted(pos[i] for i in b if i in pos)) for b in self.blocks)
         return Partition(tuple(sorted(b for b in blocks if b)))
-
-    def block_of(self, i: int) -> int:
-        for k, block in enumerate(self.blocks):
-            if i in block:
-                return k
-        raise IndexError(i)
 
 
 @dataclass(frozen=True)

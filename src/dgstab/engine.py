@@ -100,6 +100,8 @@ class Query:
         object.__setattr__(self, "a", as_square_matrix(self.a))
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError("tol must be finite and >= 0")
         if self.a.shape[0] != self.cls.order:
             raise ValueError("matrix order does not match class order")
 

@@ -77,11 +77,8 @@ class RegionTransform(enum.Enum):
     RECIPROCAL = "reciprocal"
 
 
-#: Kinds whose point set is a curve (or a plane minus a curve): the
-#: complement has empty interior, so no point is ever a strict exterior
-#: witness for NONZERO_REAL_PART / PUNCTURED_PLANE, and points on the
-#: curve are interior for REAL_AXIS.
-_THIN_KINDS = (RegionKind.REAL_AXIS, RegionKind.POSITIVE_RAY)
+#: Kinds whose point set is a plane minus a curve: the complement has
+#: empty interior, so no point is ever a strict exterior witness.
 _THIN_COMPLEMENT_KINDS = (RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE)
 
 

@@ -520,6 +520,8 @@ def test_stacked_ascent_equals_the_sequential_ascent(monkeypatch):
     assert sum(draws) == 0
     assert outcomes >= {(kind, found, True) for kind in ("diagonal", "stein", "block_spd")
                         for found in (True, False)}
+    # first-iterate certificates: start 0 certifies before any step
+    assert outcomes >= {(kind, True, False) for kind in ("diagonal", "stein")}
     assert ("alpha_scalar", True, True) in outcomes
 
 

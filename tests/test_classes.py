@@ -294,7 +294,16 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(((0,), (2,)))
     p = Partition.from_sizes([2, 2])
-    assert p.order == 4 and p.block_of(3) == 1
+    assert p.order == 4 and p.blocks == ((0, 1), (2, 3))
+
+
+@pytest.mark.parametrize("blocks", [((0, 1), ()), ((), (0,)), ((0,), (), (1,))])
+def test_partition_rejects_an_empty_block(blocks):
+    # an empty block once passed, and classes.contains then raised IndexError
+    with pytest.raises(ValueError, match="partition blocks must be nonempty"):
+        Partition(blocks)
+    with pytest.raises(ValueError):
+        Partition.from_sizes([len(b) for b in blocks])
 
 
 def test_finiteness_flags():

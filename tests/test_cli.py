@@ -78,6 +78,19 @@ def test_usage_errors_exit_64(files, capsys):
     assert code == 64
 
 
+def test_invalid_tol_and_empty_partition_block_exit_64(capsys):
+    for tol in ("-1", "inf", "nan"):
+        code, out = run(capsys, "check", "--matrix", "[[0.5,0],[0,0.5]]", "--region",
+                        "rhp", "--class", "pos_diag", "--op", "mul", f"--tol={tol}")
+        assert (code, out) == (64, ""), tol
+    code, out = run(capsys, "check", "--matrix", "[[1,0],[0,1]]", "--region", "rhp",
+                    "--class", '{"kind":{"alpha_scalar":[[1,2],[]]}}', "--op", "mul")
+    assert (code, out) == (64, "")
+    code, out = run(capsys, "certify", "--matrix", "[[1,0],[0,1]]", "--kind",
+                    "alpha_scalar", "--partition", "[[1,2],[]]")
+    assert (code, out) == (64, "")
+
+
 def test_csv_matrix_and_inertia(files, capsys):
     code, out = run(capsys, "inertia", "--matrix", files["diag3"],
                     "--region", "rhp")

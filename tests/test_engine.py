@@ -57,6 +57,16 @@ def test_decide_certifies_identity():
     assert dg.verify_certificate(v.certificate, np.eye(2))
 
 
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, np.inf, np.nan])
+def test_query_rejects_a_negative_or_non_finite_tol(tol):
+    # with tol=-1 every spectrum has an exterior margin beyond tol: 0.5*I
+    # was refuted for positive diagonals, witness I and margin -0.5
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        Query(0.5 * np.eye(2), RHP, classes.pos_diag(2), MUL, tol=tol)
+    q = Query(0.5 * np.eye(2), RHP, classes.pos_diag(2), MUL, tol=0.0)
+    assert decide(q).status is VerdictStatus.CERTIFIED
+
+
 def test_decide_refutes_non_d_stable():
     q = Query(NOT_D_STABLE, RHP, classes.pos_diag(2), MUL, budget=100_000, seed=1)
     v = decide(q)
