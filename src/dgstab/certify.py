@@ -13,7 +13,10 @@ triples its kind is paired with in ``_PAIRINGS``, the one table of each
 kind's form, witness class and proven (region, class, op) triples; a
 failed search proves nothing.  ``proves`` is the one check that a
 certificate proves a query's own triple at its matrix: the certificate
-re-verifies there and its kind's triples cover the query's.  The searches
+re-verifies there and its kind's triples cover the query's.  ``exhaust``
+is the one enumeration of a finite class: the engine's enumeration stage
+and verdict transfer turn its result into a verdict, and an
+``EXHAUSTIVE`` certificate verifies by running it again.  The searches
 maximize the smallest eigenvalue of the form by projected subgradient
 ascent over the witness parametrization with trace normalization and
 multi-starts.  One positive block-scalar diagonal search serves the
@@ -69,6 +72,7 @@ __all__ = [
     "find_stein_diagonal",
     "find_structured_lyapunov",
     "search_for_triple",
+    "exhaust",
     "verify_certificate",
     "implied_stabilities",
     "proves",
@@ -640,27 +644,52 @@ def _paired(cert: Certificate):
     return _at(cert.kind, cert.witness.shape[0], cert.partition)
 
 
+class Exhaustion(NamedTuple):
+    hit: tuple[int, np.ndarray, complex, float] | None
+    checked: int
+    boundary: bool
+    min_score: float
+
+
+def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exhaustion:
+    """Check ``G o A`` against the region for the members ``G`` of the
+    finite class ``cls`` in enumeration order, 256 to a stack, up to the
+    first that exits by more than ``tol`` (``regions.first_exit``).  The
+    ``hit`` is that exit as (member index, member, eigenvalue, margin), or
+    None; without one, ``checked`` counts the members, ``boundary`` says
+    whether one of them left an eigenvalue off the interior, and
+    ``min_score`` is their eigenvalues' smallest interior score."""
+    members = classes.enumerate_members(cls)
+    checked, boundary, min_score = 0, False, np.inf
+    while chunk := list(itertools.islice(members, 256)):
+        stack = np.stack(chunk)
+        ws = np.linalg.eigvals(algebra.apply(op, stack, a))
+        hit = regions.first_exit(region, ws, tol)
+        if hit is not None:
+            j, lam, margin = hit
+            return Exhaustion((checked + j, stack[j], lam, margin), checked, boundary,
+                              min_score)
+        flat = ws.ravel()
+        boundary = boundary or not regions.spectrum_in_region(region, flat)
+        min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
+        checked += len(stack)
+    return Exhaustion(None, checked, boundary, min_score)
+
+
 def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
     search path: witness class membership plus positive definiteness.
-    Exhaustive certificates re-run the member check, 256 members to a
-    stack as in the enumeration stage; they verify only over a finite
-    class."""
+    An exhaustive certificate verifies when ``exhaust`` finds every
+    eigenvalue interior, over the same number of members; it verifies
+    only over a finite class."""
     a = as_square_matrix(a)
     if cert.kind is CertKind.EXHAUSTIVE:
-        if cert.triple is None:
+        if cert.triple is None or not cert.triple[1].is_finite:
             return False
-        region, cls, op = cert.triple
-        if not cls.is_finite:
-            return False
-        members = classes.enumerate_members(cls)
-        count = 0
-        while stack := list(itertools.islice(members, 256)):
-            ws = np.linalg.eigvals(algebra.apply(op, np.stack(stack), a))
-            if not regions.spectrum_in_region(region, ws.ravel()):
-                return False
-            count += len(stack)
-        return cert.members_checked is None or count == cert.members_checked
+        # an exit beyond tol 0 also puts an eigenvalue off the interior
+        r = exhaust(a, *cert.triple, 0.0)
+        return r.hit is None and not r.boundary and (
+            cert.members_checked is None or r.checked == cert.members_checked)
     if cert.witness is None or cert.witness.shape != a.shape:
         return False
     paired = _paired(cert)

@@ -5,7 +5,7 @@ A class descriptor is an immutable value carrying the structural
 parameters (partition, permutation, sign pattern, bounds, rank, ...).
 Membership is a structural predicate with tolerance; samplers draw
 members from an explicit generator stream, so parallel callers split
-streams deterministically; the two genuinely finite kinds (vertex
+streams deterministically; only the two finite kinds (vertex
 diagonals and explicit lists) can be enumerated exactly.
 
 Every per-kind closure fact lives in one table, ``_FACTS``, with the
@@ -16,7 +16,8 @@ it through ``MatrixClass.fact(name)``.
 
 Sampler distributions: diagonal magnitudes are log-uniform on
 [1e-3, 1e3] to stress scale separation; dense symmetric positive
-definite draws use ``B^T B + 1e-8 I`` with Gaussian ``B``; positive
+definite draws use ``B^T B + 1e-6 max_i (B^T B)_ii I`` with Gaussian ``B``
+(``B^T B`` block by block where the class fixes blocks); positive
 low-rank draws sum rank-one outer products of entrywise-positive
 vectors with entries uniform on (0.1, 10).
 """
@@ -156,12 +157,9 @@ class MatrixClass:
 
     @property
     def is_finite(self) -> bool:
-        """Finite in the enumeration sense used by the decision engine.
-
-        Sign-pattern classes are excluded: although they enumerate to a
-        single representative, their membership predicate covers a
-        continuum, so exhaustion over them would be unsound.
-        """
+        """Whether the class has finitely many members (the ``finite``
+        fact), so that ``enumerate_members`` lists them all and exhaustion
+        over them decides."""
         return self.fact("finite")
 
     @property
@@ -170,8 +168,6 @@ class MatrixClass:
             return 2 ** self.order
         if self.kind is ClassKind.EXPLICIT_LIST:
             return len(self.members)
-        if self.kind is ClassKind.SIGN_DIAG:
-            return 1
         raise InfiniteClassError(f"{self.kind.value} has infinitely many members")
 
     @property
@@ -445,7 +441,8 @@ def sample_batch(c: MatrixClass, rng: np.random.Generator, count: int) -> np.nda
     """Draw ``count`` members as a (count, n, n) stack.
 
     Deterministic given the generator state; every draw satisfies
-    ``contains``.
+    ``contains``, at tolerances up to 1e-7 (the engine re-checks
+    witnesses at 1e-7).
     """
     n = c.order
     k = c.kind
@@ -454,18 +451,16 @@ def sample_batch(c: MatrixClass, rng: np.random.Generator, count: int) -> np.nda
     if k is ClassKind.SYMMETRIC:
         g = rng.standard_normal((count, n, n))
         return g + np.swapaxes(g, 1, 2)
-    if k is ClassKind.SPD:
-        b = rng.standard_normal((count, n, n))
-        return np.swapaxes(b, 1, 2) @ b + 1e-8 * np.eye(n)
-    if k is ClassKind.ALPHA_BLOCK_SPD:
-        for block in c.partition.blocks:
+    if k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
+        # SPD is the one-block case; the shift puts every draw's smallest
+        # eigenvalue above 1e-7 times its largest diagonal entry, which
+        # is what contains(c, g, 1e-7) asks of it
+        for block in c.partition.blocks if c.partition else (range(n),):
             sel = np.asarray(block)
-            nb = len(block)
-            b = rng.standard_normal((count, nb, nb))
-            out[np.ix_(range(count), sel, sel)] = (
-                np.swapaxes(b, 1, 2) @ b + 1e-8 * np.eye(nb)
-            )
-        return out
+            b = rng.standard_normal((count, sel.size, sel.size))
+            out[np.ix_(range(count), sel, sel)] = np.swapaxes(b, 1, 2) @ b
+        shift = 1e-6 * out.diagonal(axis1=1, axis2=2).max(axis=1)
+        return out + shift[:, None, None] * np.eye(n)
     if k is ClassKind.DIAG:
         vals = rng.choice([-1.0, 1.0], size=(count, n)) * _log_uniform(rng, (count, n))
     elif k is ClassKind.POS_DIAG:
@@ -512,22 +507,18 @@ def sample(c: MatrixClass, rng: np.random.Generator) -> np.ndarray:
 
 
 def enumerate_members(c: MatrixClass):
-    """Yield every member of a finite class exactly once.
+    """Yield every member of a finite class (``is_finite``) exactly once.
 
     Vertex diagonals enumerate all ``2^n`` sign assignments in
     lexicographic order (+1 before -1, first index most significant);
-    sign-pattern classes yield their single +-1/0 representative;
-    explicit lists yield their members in order.  Any other kind raises
-    ``InfiniteClassError``.
+    explicit lists yield their members in order.  Every infinite class
+    raises ``InfiniteClassError``.
     """
     if c.kind is ClassKind.VERTEX_DIAG:
         if c.order > 20:
             raise ValueError("vertex enumeration supported for order <= 20")
         for signs in itertools.product((1.0, -1.0), repeat=c.order):
             yield np.diag(np.asarray(signs))
-        return
-    if c.kind is ClassKind.SIGN_DIAG:
-        yield np.diag(np.asarray(c.signs, dtype=float))
         return
     if c.kind is ClassKind.EXPLICIT_LIST:
         yield from _member_arrays(c)
@@ -541,11 +532,7 @@ def identity_element(c: MatrixClass, op: BinaryOp) -> np.ndarray | None:
     """The operation's identity element if the class contains it, else
     None."""
     elem = algebra.identity_matrix_for(op, c.order)
-    try:
-        ok = contains(c, elem)
-    except DimensionMismatchError:
-        return None
-    return elem if ok else None
+    return elem if contains(c, elem) else None
 
 
 @dataclass

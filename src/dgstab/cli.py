@@ -116,6 +116,8 @@ _CERT_KINDS = {
 
 
 def _cmd_certify(args) -> int:
+    if args.budget < 1:
+        raise UsageError("budget must be >= 1")
     a = _load_matrix(args.matrix)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     part = None

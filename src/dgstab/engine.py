@@ -27,8 +27,12 @@ first, and stops at the first definite answer:
 5. randomized falsification, for infinite classes.
 
 Every REFUTED verdict, from whichever stage or from a verdict
-transfer, is built by one constructor.  Verdicts are deterministic
-functions of the query (including its seed).
+transfer, is built by one constructor.  Every stage that tests members
+picks the refuting member and eigenvalue by one rule,
+``regions.first_exit``, and a finite class is scanned only by
+``certify.exhaust``, whose result the enumeration stage and verdict
+transfer turn into a verdict.  Verdicts are deterministic functions of
+the query (including its seed).
 
 Falsification trials are evaluated in fixed-size chunks with generator
 streams spawned per chunk, and the first witness in chunk order wins;
@@ -39,7 +43,6 @@ threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool).
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -122,26 +125,8 @@ def check_region_stability(a, region: regions.Region) -> bool:
     return regions.spectrum_in_region(region, np.linalg.eigvals(as_square_matrix(a)))
 
 
-def _worst_eigenvalue(region, w) -> tuple[complex, float]:
-    """The eigenvalue of the spectrum ``w`` with the largest exterior
-    margin, and that margin."""
-    margins = regions.exterior_margins(region, w)
-    i = int(np.argmax(margins))
-    return complex(w[i]), float(margins[i])
-
-
 # ---------------------------------------------------------------------------
 # falsification
-
-
-def _first_hit(margins: np.ndarray, tol: float) -> tuple[int, int] | None:
-    """(row, column) of the worst eigenvalue in the first row of
-    ``margins`` with an exterior margin beyond ``tol``, or None."""
-    hits = np.flatnonzero(margins.max(axis=1) > tol)
-    if not hits.size:
-        return None
-    j = int(hits[0])
-    return j, int(np.argmax(margins[j]))
 
 
 def _refuted(g, lam: complex, margin: float, note: str, provenance=(),
@@ -183,14 +168,8 @@ def falsify(q: Query) -> Verdict:
         count = min(_CHUNK, budget - i * _CHUNK)
         rng = np.random.default_rng(children[i])
         gs = classes.sample_batch(cls, rng, count)
-        ms = algebra.apply(op, gs, a)
-        ws = np.linalg.eigvals(ms)
-        margins = regions.exterior_margins(region, ws.ravel()).reshape(count, -1)
-        hit = _first_hit(margins, tol)
-        if hit is None:
-            return None
-        j, lam = hit
-        return (j, gs[j], complex(ws[j, lam]), float(margins[j, lam]))
+        hit = regions.first_exit(region, np.linalg.eigvals(algebra.apply(op, gs, a)), tol)
+        return None if hit is None else (gs[hit[0]],) + hit
 
     threads = _thread_count()
     window = threads * 4
@@ -200,7 +179,7 @@ def falsify(q: Query) -> Verdict:
             hi = min(lo + window, n_chunks)
             for i, res in zip(range(lo, hi), chunk_map(eval_chunk, range(lo, hi))):
                 if res is not None:
-                    j, g, lam, margin = res
+                    g, j, lam, margin = res
                     used = i * _CHUNK + j + 1
                     return _refuted(g, lam, margin,
                                     f"falsification found witness after {used} trials",
@@ -235,9 +214,9 @@ def _unboundedness_escape(q: Query) -> Verdict | None:
             if not classes.contains(q.cls, g, 1e-7):
                 break
             w = np.linalg.eigvals(algebra.apply(q.op, g, q.a))
-            lam, margin = _worst_eigenvalue(q.region, w)
-            if margin > q.tol:
-                return _refuted(g, lam, margin, "bounded region with unbounded class: "
+            hit = regions.first_exit(q.region, w[None], q.tol)
+            if hit is not None:
+                return _refuted(g, *hit[1:], "bounded region with unbounded class: "
                                 f"scaled sample 2^{k} escapes")
     return None
 
@@ -247,38 +226,22 @@ def _identity_check(q: Query) -> tuple[Verdict | None, str | None]:
     if ident is None:
         return None, "class has no identity element for the operation"
     w = np.linalg.eigvals(algebra.apply(q.op, ident, q.a))
-    lam, margin = _worst_eigenvalue(q.region, w)
-    if margin > q.tol:
-        note = "identity-element necessary check refutes"
-        return _refuted(ident, lam, margin, note), None
+    hit = regions.first_exit(q.region, w[None], q.tol)
+    if hit is not None:
+        return _refuted(ident, *hit[1:], "identity-element necessary check refutes"), None
     if not regions.spectrum_in_region(q.region, w):
         return None, "identity element leaves a boundary eigenvalue (inconclusive)"
     return None, "identity-element check passed"
 
 
 def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
-    """Exact decision over a finite class by enumeration, streamed 256
-    members to a stack."""
-    members = classes.enumerate_members(cls)
-    checked = 0
-    min_score = np.inf
-    boundary_blocked = False
-    while chunk := list(itertools.islice(members, 256)):
-        stack = np.stack(chunk)
-        ws = np.linalg.eigvals(algebra.apply(op, stack, a))
-        flat = ws.ravel()
-        margins = regions.exterior_margins(region, flat).reshape(ws.shape)
-        hit = _first_hit(margins, tol)
-        if hit is not None:
-            j, lam = hit
-            return _refuted(stack[j], complex(ws[j, lam]), float(margins[j, lam]),
-                            f"exhaustive enumeration refutes at member {checked + j} "
-                            f"of {cls.finite_size}")
-        if not regions.spectrum_in_region(region, flat):
-            boundary_blocked = True
-        min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
-        checked += len(stack)
-    if boundary_blocked:
+    """Exact decision over a finite class from ``certify.exhaust``."""
+    r = certify.exhaust(a, region, cls, op, tol)
+    if r.hit is not None:
+        i, g, lam, margin = r.hit
+        return _refuted(g, lam, margin, f"exhaustive enumeration refutes at member {i} "
+                        f"of {cls.finite_size}")
+    if r.boundary:
         return Verdict(
             VerdictStatus.UNKNOWN,
             provenance=(
@@ -289,14 +252,14 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
     cert = Certificate(
         CertKind.EXHAUSTIVE,
         witness=None,
-        min_eig=min_score,
+        min_eig=r.min_score,
         triple=(region, cls, op),
-        members_checked=checked,
+        members_checked=r.checked,
     )
     return Verdict(
         VerdictStatus.CERTIFIED,
         certificate=cert,
-        provenance=(f"exhaustive enumeration certified {checked} members",),
+        provenance=(f"exhaustive enumeration certified {r.checked} members",),
     )
 
 
@@ -879,10 +842,9 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
         note = "witness left the class numerically"
         if g is not None and classes.contains(q.cls, g, 1e-7):
             w = np.linalg.eigvals(algebra.apply(q.op, g, qt.a))
-            lam, margin = _worst_eigenvalue(q.region, w)
-            if margin > q.tol:
-                return _refuted(g, lam, margin, f"{label}: witness transformed",
-                                v.provenance)
+            hit = regions.first_exit(q.region, w[None], q.tol)
+            if hit is not None:
+                return _refuted(g, *hit[1:], f"{label}: witness transformed", v.provenance)
             note = "transformed witness lost its exterior margin"
         return unknown(note)
 

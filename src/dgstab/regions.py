@@ -44,6 +44,7 @@ __all__ = [
     "hill_region",
     "classify_point",
     "exterior_margins",
+    "first_exit",
     "interior_scores",
     "spectrum_in_region",
     "inertia_of",
@@ -266,6 +267,21 @@ def exterior_margins(region: Region, lams) -> np.ndarray:
     lies.  Positive exactly for strictly exterior points."""
     _, margins = _classify_arrays(region, np.asarray(lams, dtype=complex))
     return margins
+
+
+def first_exit(region: Region, spectra, tol: float) -> tuple[int, complex, float] | None:
+    """The rule that says which member refutes: for a ``(count, n)``
+    stack of spectra, (row, eigenvalue, margin) of the first row with an
+    exterior margin beyond ``tol``, its eigenvalue of largest margin
+    (the first such on a tie), or None when no row exits."""
+    spectra = np.asarray(spectra)
+    margins = exterior_margins(region, spectra.ravel()).reshape(spectra.shape)
+    exits = margins.max(axis=1) > tol
+    j = int(exits.argmax())
+    if not exits[j]:
+        return None
+    i = int(margins[j].argmax())
+    return j, complex(spectra[j, i]), float(margins[j, i])
 
 
 def interior_scores(region: Region, lams) -> np.ndarray:

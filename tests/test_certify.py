@@ -159,8 +159,8 @@ def test_verify_certificate_examples():
 
 
 def test_exhaustive_certificates_verify_only_over_finite_classes():
-    # a sign-pattern class enumerates one representative, here I, whose
-    # product with A is stable, yet diag(d, 1) destabilizes A for d > 3
+    # a sign-pattern class holds I, whose product with A is stable, yet
+    # diag(d, 1) destabilizes A for d > 3
     a = np.array([[-1.0, 2.0], [-4.0, 3.0]])
     rhp = regions.right_half_plane()
     for cls, members, ok in ((classes.sign_diag([1, 1]), 1, False),

@@ -144,6 +144,16 @@ def test_sampled_members_pass_membership():
             assert contains(cls, g), cls.kind
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+def test_spd_draws_pass_membership_at_the_witness_tolerance(n):
+    # the engine re-checks witnesses at 1e-7; a fixed 1e-8 I shift once
+    # left 0.1-0.5% of draws below that
+    part = Partition.from_sizes([1] * (n % 2) + [2] * (n // 2))
+    for cls in (spd(n), alpha_block_spd(part)):
+        for g in sample_batch(cls, np.random.default_rng(n), 2000):
+            assert contains(cls, g, 1e-7), cls.kind
+
+
 def test_sample_is_deterministic_given_stream():
     cls = spd(3)
     a = sample(cls, np.random.default_rng(5))
@@ -183,10 +193,14 @@ def test_enumerate_infinite_class_raises():
         list(enumerate_members(pos_diag(2)))
 
 
-def test_enumerate_sign_diag_representative():
-    members = list(enumerate_members(sign_diag([1, -1, 0])))
-    assert len(members) == 1
-    np.testing.assert_array_equal(members[0], np.diag([1.0, -1.0, 0.0]))
+def test_enumerate_sign_diag_raises():
+    # a sign pattern covers a continuum: it once enumerated one +-1/0
+    # representative and had finite_size 1, though it is not finite
+    cls = sign_diag([1, -1, 0])
+    with pytest.raises(InfiniteClassError):
+        list(enumerate_members(cls))
+    with pytest.raises(InfiniteClassError):
+        cls.finite_size
 
 
 def test_identity_element_examples():
@@ -309,7 +323,7 @@ def test_partition_rejects_an_empty_block(blocks):
 def test_finiteness_flags():
     assert vertex_diag(3).is_finite and vertex_diag(3).finite_size == 8
     assert explicit_list([np.eye(2)]).is_finite
-    assert not sign_diag([1, -1]).is_finite  # continuum despite 1-member enumeration
+    assert not sign_diag([1, -1]).is_finite
     assert not pos_diag(3).is_finite
     assert pos_diag(3).is_unbounded
     assert not box_diag([0, 0], [1, 1]).is_unbounded

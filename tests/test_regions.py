@@ -9,6 +9,7 @@ from dgstab.regions import (
     RegionTransform,
     classify_point,
     exterior_margins,
+    first_exit,
     hill_region,
     inertia_of,
     is_scale_invariant,
@@ -190,6 +191,32 @@ def test_exterior_margin_is_distance_like():
     assert m[0] == pytest.approx(0.5)
     m = exterior_margins(unit_disk(), np.array([2.0]))
     assert m[0] == pytest.approx(1.0)
+
+
+def test_first_exit_margin_equal_to_tol_is_no_exit():
+    assert first_exit(right_half_plane(), np.array([[-0.5, 1.0]]), 0.5) is None
+    assert first_exit(right_half_plane(), np.array([[-0.5, 1.0]]), 0.25) == (0, -0.5, 0.5)
+
+
+def test_first_exit_takes_the_first_row_then_its_largest_margin():
+    rhp = right_half_plane()
+    # an earlier row beats a later row's larger margin
+    spectra = np.array([[1.0, -0.1 + 2j, 3.0], [-5.0, 1.0, 1.0], [-0.7, -0.2, 1.0]])
+    assert first_exit(rhp, spectra, 1e-7) == (0, -0.1 + 2j, pytest.approx(0.1))
+    # within a row the largest margin wins, the first of equal ones
+    assert first_exit(rhp, spectra[1:], 1e-7) == (0, -5.0, 5.0)
+    assert first_exit(rhp, spectra[2:], 1e-7) == (0, -0.7, pytest.approx(0.7))
+    assert first_exit(rhp, np.array([[2.0, -1.0, -1.0 + 1j]]), 0.0) == (0, -1.0, 1.0)
+    assert first_exit(unit_disk(), spectra, 1e-7) == (0, 3.0, 2.0)
+
+
+def test_first_exit_at_order_one():
+    disk = unit_disk()
+    assert first_exit(disk, np.array([[0.5], [-3.0], [4.0]]), 1e-7) == (1, -3.0, 2.0)
+    assert first_exit(disk, np.array([0.5])[None], 1e-7) is None
+    # an exit's eigenvalue is a Python complex, its row and margin plain numbers
+    row, lam, margin = first_exit(disk, np.array([[2.0]]), 0.0)
+    assert (type(row), type(lam), type(margin)) == (int, complex, float)
 
 
 def test_hill_senses():
