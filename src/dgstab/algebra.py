@@ -248,7 +248,10 @@ def law_gate(law: str, kind: OpKind) -> float:
 
 def law_table(trials: int, n: int, rng: np.random.Generator
               ) -> dict[OpKind, dict[str, LawReport]]:
-    """Full deviation table over the three operations."""
+    """Full deviation table over the three operations; ``trials`` must be
+    at least 1, since no trial shows no deviation."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     table: dict[OpKind, dict[str, LawReport]] = {}
     for kind in OpKind:
         op = BinaryOp(kind)

@@ -11,9 +11,10 @@ quadratic form built from the target matrix positive definite:
 A found certificate proves stability for every class member of the
 triples its kind is paired with in ``_PAIRINGS``, the one table of each
 kind's form, witness class and proven (region, class, op) triples; a
-failed search proves nothing.  ``proves`` is the one check that a
-certificate proves a query's own triple at its matrix: the certificate
-re-verifies there and its kind's triples cover the query's.  ``exhaust``
+failed search proves nothing.  ``proves`` is the one check that turns a
+candidate certificate into a proof of a query's own triple at its
+matrix: it returns the certificate, with ``min_eig`` measured there,
+when it re-verifies and its kind's triples cover the query's.  ``exhaust``
 is the one enumeration of a finite class: the engine's enumeration stage
 and verdict transfer turn its result into a verdict, and an
 ``EXHAUSTIVE`` certificate verifies by running it again.  The searches
@@ -712,11 +713,16 @@ def implied_stabilities(cert: Certificate) -> list[tuple]:
     return [] if paired is None else list(paired[1])
 
 
-def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass, op) -> bool:
-    """Whether ``cert`` proves the triple (region, cls, op) at ``a``: it
-    re-verifies at ``a`` and its implied triples cover the query's."""
-    return verify_certificate(cert, a) and _triple_covered(
-        region, cls, op, implied_stabilities(cert))
+def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass,
+           op) -> Certificate | None:
+    """``cert``, with ``min_eig`` measured at ``a`` unless it is
+    exhaustive, when it proves the triple (region, cls, op) at ``a``: it
+    re-verifies at ``a`` and its implied triples cover the query's.
+    Else None."""
+    if not (verify_certificate(cert, a) and _triple_covered(
+            region, cls, op, implied_stabilities(cert))):
+        return None
+    return cert if cert.kind is CertKind.EXHAUSTIVE else _measured(cert, a)
 
 
 def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
@@ -740,4 +746,4 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
         return None
     partition = None if cert.partition is None else cert.partition.restrict(idx)
     restricted = replace(cert, witness=p * (len(idx) / trace), partition=partition)
-    return _measured(restricted, a) if proves(restricted, a, region, cls, op) else None
+    return proves(restricted, a, region, cls, op)

@@ -238,6 +238,8 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
 
 
 def _cmd_plot(args) -> int:
+    if args.samples < 0:
+        raise UsageError("samples must be >= 0")
     a, region, cls, op = _query_parts(args)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     pts = np.zeros(0, dtype=complex)

@@ -27,7 +27,10 @@ first, and stops at the first definite answer:
 5. randomized falsification, for infinite classes.
 
 Every REFUTED verdict, from whichever stage or from a verdict
-transfer, is built by one constructor.  Every stage that tests members
+transfer, is built by one constructor, ``_refuted``.  Every CERTIFIED
+verdict is built by ``_certified``, from a certificate that
+``certify.proves`` returned (a searched, restricted or transferred one)
+or from exhaustion of a finite class.  Every stage that tests members
 picks the refuting member and eigenvalue by one rule,
 ``regions.first_exit``, and a finite class is scanned only by
 ``certify.exhaust``, whose result the enumeration stage and verdict
@@ -135,6 +138,13 @@ def _refuted(g, lam: complex, margin: float, note: str, provenance=(),
     eigenvalue ``lam`` at exterior ``margin``."""
     return Verdict(VerdictStatus.REFUTED, witness=g, offending_eigenvalue=lam,
                    margin=margin, trials_used=trials_used,
+                   provenance=tuple(provenance) + (note,))
+
+
+def _certified(cert: Certificate, note: str, provenance=()) -> Verdict:
+    """The CERTIFIED verdict carrying ``cert``: one that ``certify.proves``
+    returned, or an exhaustive certificate from ``certify.exhaust``."""
+    return Verdict(VerdictStatus.CERTIFIED, certificate=cert,
                    provenance=tuple(provenance) + (note,))
 
 
@@ -256,17 +266,14 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
         triple=(region, cls, op),
         members_checked=r.checked,
     )
-    return Verdict(
-        VerdictStatus.CERTIFIED,
-        certificate=cert,
-        provenance=(f"exhaustive enumeration certified {r.checked} members",),
-    )
+    return _certified(cert, f"exhaustive enumeration certified {r.checked} members")
 
 
-def _certificate_stage(q: Query, enabled: bool) -> tuple[Certificate | None, str]:
+def _certificate_stage(q: Query, enabled: bool) -> tuple[Verdict | None, str | None]:
     """Search the certificate form whose proven triples cover the query
-    and keep a found certificate only if ``certify.proves`` the query's
-    triple with it.  Returns (certificate | None, provenance note)."""
+    and certify with a found certificate only if ``certify.proves`` the
+    query's triple with it.  Returns (CERTIFIED verdict, None) or (None,
+    provenance note)."""
     if not enabled:
         return None, "certificate search disabled"
     report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET,
@@ -278,11 +285,11 @@ def _certificate_stage(q: Query, enabled: bool) -> tuple[Certificate | None, str
     if not report.found:
         return None, ("certificate search inconclusive "
                       f"(best min_eig={report.best_min_eig:.3e})")
-    cert = report.certificate
-    if certify.proves(cert, q.a, q.region, q.cls, q.op):
-        return cert, (f"certificate found ({cert.kind.value}, "
-                      f"min_eig={cert.min_eig:.3e}) and re-verified")
-    return None, "certificate candidate failed re-verification"
+    cert = certify.proves(report.certificate, q.a, q.region, q.cls, q.op)
+    if cert is None:
+        return None, "certificate candidate failed re-verification"
+    return _certified(cert, f"certificate found ({cert.kind.value}, "
+                      f"min_eig={cert.min_eig:.3e}) and re-verified"), None
 
 
 def decide(q: Query, use_certificates: bool = True) -> Verdict:
@@ -314,10 +321,10 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
         # enumeration is final
         return done(_exhaustive_check(q.a, q.region, q.cls, q.op, q.tol))
 
-    cert, note = _certificate_stage(q, use_certificates)
+    v, note = _certificate_stage(q, use_certificates)
+    if v is not None:
+        return done(v)
     prov.append(note)
-    if cert is not None:
-        return done(Verdict(VerdictStatus.CERTIFIED, certificate=cert))
     return done(falsify(q))
 
 
@@ -548,44 +555,32 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
                        x=pick(cls.x), y=pick(cls.y), tau=cls.tau, members=members)
 
 
-def _restricted_verdict(cert: Certificate | None, idx: tuple[int, ...],
-                        sub: Query) -> Verdict | None:
-    """CERTIFIED for the subset query ``sub`` when the full matrix's
-    certificate restricts to one that proves ``sub``'s triple; else None."""
-    rc = None if cert is None else certify.restrict_certificate(
-        cert, idx, sub.a, sub.region, sub.cls, sub.op)
-    if rc is None:
-        return None
-    return Verdict(VerdictStatus.CERTIFIED, certificate=rc, provenance=(
-        f"restricted from the full matrix's certificate ({rc.kind.value}, "
-        f"min_eig={rc.min_eig:.3e}) and re-verified",))
-
-
 def total_stability(q: Query) -> TotalStabilityReport:
     """Decide the query on every nonempty principal submatrix (class
     induced on the index subset), keyed in index-mask order.  The full
     index set is decided first.  When a certificate certifies it, each
     proper subset whose triple that certificate's restriction proves
     (``certify.restrict_certificate``) is certified by it; every other
-    subset is decided.  Overall verdict: certified only if every subset is,
-    refuted if any subset is."""
+    subset is decided as its own query.  Overall verdict: certified only
+    if every subset is, refuted if any subset is."""
     n = q.a.shape[0]
     if n > 16:
         raise OrderTooLargeError("total stability supported for order <= 16")
-
-    def sub_query(idx):
-        return Query(principal_submatrix(q.a, idx), q.region, restrict_class(q.cls, idx),
-                     q.op, budget=q.budget, seed=q.seed, tol=q.tol)
-
-    everything = tuple(range(n))
-    full = decide(sub_query(everything))
+    full = decide(q)
     cert = full.certificate if full.status is VerdictStatus.CERTIFIED else None
     results: dict[tuple[int, ...], Verdict] = {}
     for mask in range(1, 2 ** n - 1):
         idx = tuple(i for i in range(n) if mask >> i & 1)
-        sub = sub_query(idx)
-        results[idx] = _restricted_verdict(cert, idx, sub) or decide(sub)
-    results[everything] = full
+        a, cls = principal_submatrix(q.a, idx), restrict_class(q.cls, idx)
+        rc = None if cert is None else certify.restrict_certificate(
+            cert, idx, a, q.region, cls, q.op)
+        if rc is None:
+            results[idx] = decide(replace(q, a=a, cls=cls))
+        else:
+            results[idx] = _certified(rc, "restricted from the full matrix's certificate "
+                                      f"({rc.kind.value}, min_eig={rc.min_eig:.3e}) "
+                                      "and re-verified")
+    results[tuple(range(n))] = full
     statuses = [v.status for v in results.values()]
     if any(s is VerdictStatus.REFUTED for s in statuses):
         overall = VerdictStatus.REFUTED
@@ -758,6 +753,8 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
             return "region is not invariant under the spectral map"
         if not q.cls.fact("negatable" if q.op.kind is OpKind.ADD else "invertible"):
             return "class is not closed under the operation inverse"
+        if algebra.op_inverse(q.op, q.a) is None:
+            return "matrix is singular; no multiplicative inverse"
         return None
     if tf.kind is TransformKind.SCALAR:
         alpha = float(tf.alpha)
@@ -820,7 +817,8 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     refutation's witness must stay in the class with its exterior
     margin, and a transformed certificate must prove the query's own
     triple at the transformed matrix (``certify.proves``), whatever
-    triple the verdict came from.  A finite class is enumerated again.
+    triple the verdict came from, and carries the ``min_eig`` measured
+    there.  A finite class is enumerated again.
     Anything else comes back unknown with the reason in the provenance.
     """
     label = f"transfer ({tf.kind.value})"
@@ -855,16 +853,8 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
             f"{label}: finite class re-enumerated",
         ) + vt.provenance
         return vt
-    new_cert = _transfer_certificate(cert, tf)
-    if not certify.proves(new_cert, qt.a, q.region, q.cls, q.op):
+    new_cert = certify.proves(_transfer_certificate(cert, tf), qt.a, q.region, q.cls, q.op)
+    if new_cert is None:
         return unknown("transformed certificate failed verification")
-    form = certify.certified_form(new_cert, qt.a)
-    new_cert = replace(
-        new_cert, min_eig=float(np.linalg.eigvalsh(0.5 * (form + form.T))[0]))
-    return Verdict(
-        VerdictStatus.CERTIFIED,
-        certificate=new_cert,
-        provenance=v.provenance + (
-            f"{label}: certificate transformed and re-verified",
-        ),
-    )
+    return _certified(new_cert, f"{label}: certificate transformed and re-verified",
+                      v.provenance)

@@ -219,11 +219,12 @@ def _signed_depth(region: Region, z: np.ndarray) -> np.ndarray:
 
 
 def _classify_arrays(region: Region, z: np.ndarray):
-    """Vectorized classification.
+    """Vectorized classification, the one rule per region kind.
 
-    Returns ``(codes, margins)`` where codes are 1 interior, 0 boundary,
-    -1 exterior, and margins are the exterior margins (positive only for
-    strictly exterior points; <= 0 otherwise).
+    Returns ``(codes, margins, scores)`` where codes are 1 interior, 0
+    boundary, -1 exterior, margins are the exterior margins (positive
+    only for strictly exterior points; <= 0 otherwise), and scores are
+    the interior scores (see ``interior_scores``).
     """
     z = np.asarray(z, dtype=complex)
     t = region.boundary_tol
@@ -232,31 +233,32 @@ def _classify_arrays(region: Region, z: np.ndarray):
     if k is RegionKind.REAL_AXIS:
         d = np.abs(z.imag)
         codes = np.where(d <= t, 1, -1)
-        return codes, np.where(d <= t, -d, d)
+        return codes, np.where(d <= t, -d, d), t - d
     if k is RegionKind.POSITIVE_RAY:
         dist = np.where(z.real > 0.0, np.abs(z.imag), np.abs(z))
         interior = (z.real > t) & (np.abs(z.imag) <= t)
         codes = np.where(interior, 1, np.where(dist > t, -1, 0))
-        return codes, np.where(codes == -1, dist, -dist)
+        return (codes, np.where(codes == -1, dist, -dist),
+                np.minimum(z.real - t, t - np.abs(z.imag)))
     if k in _THIN_COMPLEMENT_KINDS:
         s = np.abs(z.real) if k is RegionKind.NONZERO_REAL_PART else np.abs(z)
         codes = np.where(s > t, 1, 0)
-        return codes, -s
+        return codes, -s, s - t
     if k is RegionKind.HILL and region.sense == "zero":
         d = np.abs(_hill_values(region, z))
         codes = np.where(d <= t, 1, -1)
-        return codes, np.where(d <= t, -d, d)
+        return codes, np.where(d <= t, -d, d), t - d
 
     s = _signed_depth(region, z)
     codes = np.where(s > t, 1, np.where(s < -t, -1, 0))
-    return codes, -s
+    return codes, -s, s
 
 
 def classify_point(region: Region, lam: complex) -> PointClass:
     """Classify one complex point against the region."""
     if not (math.isfinite(complex(lam).real) and math.isfinite(complex(lam).imag)):
         raise ValueError("point must be finite")
-    codes, _ = _classify_arrays(region, np.array([lam]))
+    codes = _classify_arrays(region, np.array([lam]))[0]
     return {1: PointClass.INTERIOR, 0: PointClass.BOUNDARY, -1: PointClass.EXTERIOR}[
         int(codes[0])
     ]
@@ -265,8 +267,7 @@ def classify_point(region: Region, lam: complex) -> PointClass:
 def exterior_margins(region: Region, lams) -> np.ndarray:
     """Exterior margin of each point: how far beyond the boundary it
     lies.  Positive exactly for strictly exterior points."""
-    _, margins = _classify_arrays(region, np.asarray(lams, dtype=complex))
-    return margins
+    return _classify_arrays(region, lams)[1]
 
 
 def first_exit(region: Region, spectra, tol: float) -> tuple[int, complex, float] | None:
@@ -291,31 +292,18 @@ def interior_scores(region: Region, lams) -> np.ndarray:
     it equals the signed depth, for thin kinds it measures how deep the
     point sits within the tolerance band.
     """
-    z = np.asarray(lams, dtype=complex)
-    t = region.boundary_tol
-    k = region.kind
-    if k is RegionKind.REAL_AXIS:
-        return t - np.abs(z.imag)
-    if k is RegionKind.POSITIVE_RAY:
-        return np.minimum(z.real - t, t - np.abs(z.imag))
-    if k is RegionKind.NONZERO_REAL_PART:
-        return np.abs(z.real) - t
-    if k is RegionKind.PUNCTURED_PLANE:
-        return np.abs(z) - t
-    if k is RegionKind.HILL and region.sense == "zero":
-        return t - np.abs(_hill_values(region, z))
-    return _signed_depth(region, z)
+    return _classify_arrays(region, lams)[2]
 
 
 def spectrum_in_region(region: Region, spectrum) -> bool:
     """True iff every eigenvalue classifies as interior."""
-    codes, _ = _classify_arrays(region, np.asarray(spectrum, dtype=complex))
+    codes = _classify_arrays(region, spectrum)[0]
     return bool(np.all(codes == 1))
 
 
 def inertia_of(region: Region, spectrum) -> Inertia:
     """Count eigenvalues inside / on the boundary of / outside the region."""
-    codes, _ = _classify_arrays(region, np.asarray(spectrum, dtype=complex))
+    codes = _classify_arrays(region, spectrum)[0]
     return Inertia(
         i_plus=int(np.sum(codes == 1)),
         i_zero=int(np.sum(codes == 0)),

@@ -133,6 +133,12 @@ def test_hadamard_distributivity_fails_even_at_2x2():
     assert found
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_law_table_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        law_table(trials, 3, np.random.default_rng(0))
+
+
 def test_law_table_shape():
     rng = np.random.default_rng(35)
     table = law_table(20, 3, rng)

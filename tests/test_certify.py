@@ -176,11 +176,15 @@ def test_proves_asks_for_the_query_triple():
     a = np.array([[0.3, 0.2], [0.0, 0.4]])
     cert = find_stein_diagonal(a, rng=rng()).certificate
     disk, box = regions.unit_disk(), classes.box_diag([-1, -1], [1, 1])
-    assert proves(cert, a, disk, box, MUL)
+    proof = proves(cert, a, disk, box, MUL)
+    assert proof is not None and proof.kind is cert.kind
+    np.testing.assert_array_equal(proof.witness, cert.witness)
+    # the returned certificate reports its form at the query's matrix
+    assert proof.min_eig == np.linalg.eigvalsh(certified_form(cert, a))[0]
     assert verify_certificate(cert, -a)
-    assert not proves(cert, -a, disk, box, ADD)
-    assert not proves(cert, a, regions.right_half_plane(), box, MUL)
-    assert not proves(cert, 3.0 * a, disk, box, MUL)
+    assert proves(cert, -a, disk, box, ADD) is None
+    assert proves(cert, a, regions.right_half_plane(), box, MUL) is None
+    assert proves(cert, 3.0 * a, disk, box, MUL) is None
 
 
 def test_verify_symmetric_indefinite_certificate():

@@ -191,6 +191,21 @@ def test_laws_subcommand(capsys):
                 assert cell["has_witness"]
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_laws_rejects_trials_below_one(capsys, trials):
+    # with no trial every cell once read "holds": true, even the seven
+    # that EXPECTED_LAWS marks as failing
+    code, out = run(capsys, "laws", "--trials", trials, "--n", "3")
+    assert (code, out) == (64, "")
+
+
+def test_plot_rejects_negative_samples(capsys):
+    # it once drew an empty cloud and exited 0
+    code, out = run(capsys, "plot", "--matrix", "[[1,0],[0,1]]", "--region", "rhp",
+                    "--class", "pos_diag", "--op", "mul", "--samples", "-5")
+    assert (code, out) == (64, "")
+
+
 def test_plot_subcommand(files, capsys, tmp_path):
     out_file = tmp_path / "cloud.svg"
     code, _ = run(capsys, "plot", "--matrix", files["id2"], "--region", "rhp",

@@ -29,6 +29,7 @@ from dgstab.errors import (
     OrderTooLargeError,
     SingularOperatorError,
 )
+from dgstab.linalg import principal_submatrix
 
 RHP = dg.right_half_plane()
 
@@ -1006,3 +1007,76 @@ def test_a_certificate_that_fails_after_the_transform_does_not_transfer():
     assert vt.status is VerdictStatus.UNKNOWN
     assert vt.provenance == (
         "transfer (transpose): transformed certificate failed verification",)
+
+
+def test_transfer_of_a_singular_matrix_by_op_inverse_is_unknown():
+    # decide leaves [[1,1],[1,1]] unknown (eigenvalue 0 under every D);
+    # the transfer once raised SingularOperatorError from inverting it
+    q = Query(np.ones((2, 2)), RHP, classes.pos_diag(2), MUL, budget=200, seed=3)
+    v = decide(q)
+    assert v.status is VerdictStatus.UNKNOWN
+    vt = transfer_verdict(v, q, Transform(TransformKind.OP_INVERSE))
+    assert vt.status is VerdictStatus.UNKNOWN
+    assert vt.provenance == ("transfer (op_inverse): theorem inapplicable: "
+                             "matrix is singular; no multiplicative inverse",)
+
+
+def _proof_queries(r):
+    """Seeded queries whose certified verdicts carry diagonal, identity,
+    block SPD, block-scalar and Stein witnesses, plus finite classes."""
+    out = []
+    for n in (2, 3, 4):
+        dominant = np.diag(r.uniform(1.0, 3.0, n)) + 0.3 * r.standard_normal((n, n))
+        out.append(Query(dominant, RHP, classes.pos_diag(n), MUL, budget=256, seed=5))
+        out.append(Query(dominant, RHP, classes.spd(n), MUL, budget=256, seed=5))
+        part = classes.Partition.from_sizes([2] + [1] * (n - 2))
+        block = 0.05 * r.standard_normal((n, n)) + np.eye(n)
+        block[0, 1] += r.uniform(2.0, 6.0)  # positive stable, not diagonally stable
+        out.append(Query(block, RHP, classes.pos_alpha_scalar(part), MUL, budget=256, seed=5))
+        out.append(Query(dominant, RHP, classes.alpha_block_spd(part), MUL, budget=256,
+                         seed=5))
+        small = 0.6 * r.standard_normal((n, n)) / np.sqrt(n)
+        for cls in (classes.box_diag([-1.0] * n, [1.0] * n), classes.vertex_diag(n)):
+            out.append(Query(small, dg.unit_disk(), cls, MUL, budget=256, seed=5))
+    return out
+
+
+def _transfers(n):
+    yield Transform(TransformKind.TRANSPOSE)
+    yield Transform(TransformKind.OP_INVERSE)
+    yield Transform(TransformKind.SCALAR, alpha=0.5)
+    yield Transform(TransformKind.SIMILARITY, s=np.eye(n)[::-1])
+    yield Transform(TransformKind.SIMILARITY, s=np.diag(np.arange(1.0, n + 1)))
+
+
+def test_every_certified_witness_reverifies_with_its_own_min_eig():
+    # whatever path certified it (search, restriction or transfer), a
+    # CERTIFIED verdict's certificate verifies at the verdict's own matrix,
+    # and its min_eig is that matrix's form's smallest eigenvalue, bit for bit
+    seen = {"decide": 0, "total": 0, "transfer": 0}
+
+    def check(v, a, path):
+        if v.status is not VerdictStatus.CERTIFIED or v.certificate.witness is None:
+            return
+        cert = v.certificate
+        assert certify.verify_certificate(cert, a), (path, cert.kind)
+        assert cert.min_eig == np.linalg.eigvalsh(certify.certified_form(cert, a))[0], (
+            path, cert.kind)
+        seen[path] += 1
+
+    kinds = set()
+    # seed 11 includes Stein transfers whose form is not exactly symmetric
+    for q in _proof_queries(np.random.default_rng(11)):
+        v = decide(q)
+        check(v, q.a, "decide")
+        if v.status is VerdictStatus.CERTIFIED:
+            kinds.add(v.certificate.kind)
+        for idx, sub in total_stability(q).results.items():
+            check(sub, principal_submatrix(q.a, idx), "total")
+        for tf in _transfers(q.a.shape[0]):
+            check(transfer_verdict(v, q, tf), engine.transform_matrix(q.a, tf, q.op),
+                  "transfer")
+    assert min(seen.values()) > 0, seen
+    assert {CertKind.DIAGONAL_LYAPUNOV, CertKind.IDENTITY_LYAPUNOV, CertKind.BLOCK_LYAPUNOV,
+            CertKind.ALPHA_SCALAR_LYAPUNOV, CertKind.STEIN_DIAGONAL,
+            CertKind.EXHAUSTIVE} <= kinds, kinds

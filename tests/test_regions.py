@@ -134,7 +134,7 @@ def test_scale_invariance_holds_on_sampled_points(region, interval):
     rng = np.random.default_rng(20240)
     pts = rng.standard_normal(4000) + 1j * rng.standard_normal(4000)
     pts = pts * 10.0 ** rng.uniform(-2, 2, 4000)
-    codes, _ = regions._classify_arrays(region, pts)
+    codes, _, _ = regions._classify_arrays(region, pts)
     pts = pts[codes == 1][:1000]
     lo, hi = (x if np.isfinite(x) else np.sign(x) * 1e6 for x in interval)
     alphas = rng.uniform(lo, hi, 16)
@@ -148,8 +148,8 @@ def test_classification_is_conjugate_symmetric():
     pts = rng.standard_normal(10_000) + 1j * rng.standard_normal(10_000)
     pts = pts * 10.0 ** rng.uniform(-3, 3, 10_000)
     for region in ALL_KINDS:
-        codes, _ = regions._classify_arrays(region, pts)
-        codes_conj, _ = regions._classify_arrays(region, np.conj(pts))
+        codes, _, _ = regions._classify_arrays(region, pts)
+        codes_conj, _, _ = regions._classify_arrays(region, np.conj(pts))
         np.testing.assert_array_equal(codes, codes_conj)
 
 

@@ -170,7 +170,7 @@ def test_restrictions_that_fail_to_prove_fall_back_to_decide(monkeypatch):
     def proves_but_restrictions(*args):
         if restricting:
             rejected.append(args[0])
-            return False
+            return None
         return proves(*args)
 
     monkeypatch.setattr(certify, "restrict_certificate", restrict_and_record)
