@@ -14,8 +14,10 @@ kind's form, witness class and proven (region, class, op) triples; a
 failed search proves nothing.  ``proves`` is the one check that turns a
 candidate certificate into a proof of a query's own triple at its
 matrix: it returns the certificate, with ``min_eig`` measured there,
-when it re-verifies and its kind's triples cover the query's.  ``exhaust``
-is the one enumeration of a finite class: the engine's enumeration stage
+when it re-verifies and its kind's triples cover the query's.
+``restrict_certificate`` decides the restrictions of one certificate to
+many principal submatrices of one order the same way, with the same
+check run on their stack.  ``exhaust`` is the one enumeration of a finite class: the engine's enumeration stage
 and verdict transfer turn its result into a verdict, and an
 ``EXHAUSTIVE`` certificate verifies by running it again.  The searches
 maximize the smallest eigenvalue of the form by projected subgradient
@@ -63,7 +65,7 @@ from . import algebra, classes, regions
 from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
 from .errors import NonSymmetricError, UnsupportedClassError
-from .linalg import as_square_matrix, hill_form, is_positive_definite, principal_submatrix
+from .linalg import as_square_matrix, are_positive_definite, hill_form, is_positive_definite
 
 __all__ = [
     "CertKind",
@@ -615,18 +617,26 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
     return _search(kind, a, cls.partition, budget, rng)
 
 
+def _forms(kind: CertKind, coeffs, p: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The quadratic forms of ``kind`` for the stacked witnesses ``p`` at
+    the stacked matrices ``a``; each matrix of the stack is computed as it
+    would be alone."""
+    form = getattr(_PAIRINGS.get(kind), "form", None)
+    if form == "lyap":
+        return p @ a + a.swapaxes(1, 2) @ p
+    if form == "stein":
+        return p - a.swapaxes(1, 2) @ p @ a
+    if form == "hill":
+        c = np.array(coeffs, dtype=float)
+        return np.stack([hill_form(c, w, x) for w, x in zip(p, a)])
+    raise ValueError(f"no closed form for certificate kind {kind.value}")
+
+
 def certified_form(cert: Certificate, a) -> np.ndarray:
     """Recompute the quadratic form the certificate claims to be
     positive definite."""
-    a = as_square_matrix(a)
-    p, form = cert.witness, getattr(_PAIRINGS.get(cert.kind), "form", None)
-    if form == "lyap":
-        return p @ a + a.T @ p
-    if form == "stein":
-        return p - a.T @ p @ a
-    if form == "hill":
-        return hill_form(np.array(cert.coeffs, dtype=float), p, a)
-    raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
+    p = np.asarray(cert.witness)[None]
+    return _forms(cert.kind, cert.coeffs, p, as_square_matrix(a)[None])[0]
 
 
 def _measured(cert: Certificate, a) -> Certificate:
@@ -677,9 +687,32 @@ def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exha
     return Exhaustion(None, checked, boundary, min_score)
 
 
+def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
+    """The one check of non-exhaustive certificates: for the stacked
+    witnesses ``p`` of ``cert``'s kind (with ``partitions``, one per
+    witness) at the stacked matrices ``a``, the mask of those in their
+    witness class whose form is positive definite, and the forms.  A
+    witness fails alone: a form that is not finite or not symmetric
+    rejects only its own matrix."""
+    k = a.shape[1]
+    ok = np.array([classes.contains(_at(cert.kind, k, part)[0], w)
+                   for w, part in zip(p, partitions)], dtype=bool)
+    # a form that overflows is rejected as non-finite, silently
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            forms = _forms(cert.kind, cert.coeffs, p, a)
+        except (NonSymmetricError, ValueError, OverflowError):
+            # only the polynomial form raises; it proves no triple, so
+            # only verify_certificate checks it, on a stack of one
+            return np.zeros(len(p), dtype=bool), np.full_like(p, np.nan)
+        ok &= are_positive_definite(forms)
+    return ok, forms
+
+
 def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
-    search path: witness class membership plus positive definiteness.
+    search path: witness class membership plus positive definiteness,
+    the stack of one of the check that ``restrict_certificate`` runs.
     An exhaustive certificate verifies when ``exhaust`` finds every
     eigenvalue interior, over the same number of members; it verifies
     only over a finite class."""
@@ -691,17 +724,9 @@ def verify_certificate(cert: Certificate, a) -> bool:
         r = exhaust(a, *cert.triple, 0.0)
         return r.hit is None and not r.boundary and (
             cert.members_checked is None or r.checked == cert.members_checked)
-    if cert.witness is None or cert.witness.shape != a.shape:
+    if cert.witness is None or cert.witness.shape != a.shape or _paired(cert) is None:
         return False
-    paired = _paired(cert)
-    if paired is None or not classes.contains(paired[0], cert.witness):
-        return False
-    # a form that overflows is rejected as non-finite, silently
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            return is_positive_definite(certified_form(cert, a))
-        except (NonSymmetricError, ValueError, OverflowError):
-            return False
+    return bool(_verified(cert, cert.witness[None], [cert.partition], a[None])[0][0])
 
 
 def implied_stabilities(cert: Certificate) -> list[tuple]:
@@ -726,24 +751,42 @@ def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass,
 
 
 def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
-                         cls: MatrixClass, op) -> Certificate | None:
-    """The certificate of the principal submatrix ``a`` on the ascending
-    indices ``idx`` that ``cert`` restricts to: the witness's principal
-    submatrix scaled to trace ``len(idx)``, as the searches normalize,
-    with the partition restricted as the class is and ``min_eig``
-    measured at ``a``.  None unless it ``proves`` the triple (region,
-    cls, op) at ``a``.  A certificate of the full matrix's triple
-    restricts to one of the restricted class's for the diagonal,
-    block-scalar, identity and Stein-diagonal kinds, and for a block SPD
-    witness when ``idx`` splits no block: ``(P A)[idx] = P[idx] A[idx]``
-    for such ``P``, and a positive diagonal ``P`` gives ``P[idx] -
-    A[idx]^T P[idx] A[idx] >= (P - A^T P A)[idx]``."""
+                         sub_classes, op) -> list[Certificate | None]:
+    """The certificates that ``cert`` restricts to on the principal
+    submatrices of one order k: ``idx`` holds one row of k ascending
+    indices per submatrix, ``a`` the ``(m, k, k)`` stack of those
+    submatrices and ``sub_classes`` their m restricted classes.  Row i's
+    certificate is the witness's principal submatrix on ``idx[i]``,
+    scaled to trace k as the searches normalize, with the partition
+    restricted as the class is and ``min_eig`` measured at ``a[i]``; it
+    is None unless it proves the triple (region, ``sub_classes[i]``, op) at
+    ``a[i]``, as ``proves`` would decide it alone.  The witness
+    membership and the triple coverage are checked row by row; the
+    forms, their definiteness test and their smallest eigenvalues are
+    computed on the stack, each row bit for bit as alone.
+
+    A certificate of the full matrix's triple restricts to one of the
+    restricted class's for the diagonal, block-scalar, identity and
+    Stein-diagonal kinds, and for a block SPD witness when ``idx[i]``
+    splits no block: ``(P A)[idx] = P[idx] A[idx]`` for such ``P``, and
+    a positive diagonal ``P`` gives ``P[idx] - A[idx]^T P[idx] A[idx] >=
+    (P - A^T P A)[idx]``."""
+    idx = np.asarray(idx)
+    out: list[Certificate | None] = [None] * len(idx)
     if _paired(cert) is None:
-        return None
-    p = principal_submatrix(cert.witness, idx)
-    trace = float(np.trace(p))
-    if not trace > 0.0:
-        return None
-    partition = None if cert.partition is None else cert.partition.restrict(idx)
-    restricted = replace(cert, witness=p * (len(idx) / trace), partition=partition)
-    return proves(restricted, a, region, cls, op)
+        return out
+    k = idx.shape[1]
+    p = cert.witness[idx[:, :, None], idx[:, None, :]]
+    trace = np.trace(p, axis1=1, axis2=2)
+    parts = [None if cert.partition is None else cert.partition.restrict(i)
+             for i in idx.tolist()]
+    rows = np.array([i for i in range(len(idx)) if trace[i] > 0.0 and _triple_covered(
+        region, sub_classes[i], op, _at(cert.kind, k, parts[i])[1])], dtype=int)
+    if not rows.size:
+        return out
+    w = p[rows] * (k / trace[rows])[:, None, None]
+    ok, forms = _verified(cert, w, [parts[i] for i in rows], a[rows])
+    if ok.any():
+        for i, wi, lam in zip(rows[ok], w[ok], np.linalg.eigvalsh(forms[ok])[:, 0]):
+            out[i] = replace(cert, witness=wi, partition=parts[i], min_eig=float(lam))
+    return out

@@ -25,7 +25,6 @@ vectors with entries uniform on (0.1, 10).
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -515,10 +514,17 @@ def enumerate_members(c: MatrixClass):
     raises ``InfiniteClassError``.
     """
     if c.kind is ClassKind.VERTEX_DIAG:
-        if c.order > 20:
+        n = c.order
+        if n > 20:
             raise ValueError("vertex enumeration supported for order <= 20")
-        for signs in itertools.product((1.0, -1.0), repeat=c.order):
-            yield np.diag(np.asarray(signs))
+        # member j has -1 at index i when bit n-1-i of j is set: the order
+        # of itertools.product((1.0, -1.0), repeat=n), built 256 at a time
+        shifts, diag = np.arange(n - 1, -1, -1), np.arange(n)
+        for start in range(0, 2 ** n, 256):
+            j = np.arange(start, min(start + 256, 2 ** n))
+            block = np.zeros((j.size, n, n))
+            block[:, diag, diag] = 1.0 - 2.0 * (j[:, None] >> shifts & 1)
+            yield from block
         return
     if c.kind is ClassKind.EXPLICIT_LIST:
         yield from _member_arrays(c)

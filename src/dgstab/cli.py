@@ -149,6 +149,8 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
+    if args.budget < 1:
+        raise UsageError("budget must be >= 1")
     report = engine.stabilize(*_query_parts(args), budget=args.budget, seed=args.seed)
     payload: dict = {"found": report.found, "evaluations": report.evaluations}
     if report.found:

@@ -46,6 +46,7 @@ threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool).
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -60,7 +61,7 @@ from .certify import CertKind, Certificate
 from .classes import ClassKind, MatrixClass
 from .errors import (DimensionMismatchError, OrderTooLargeError, SingularOperatorError,
                      UnrepresentableError)
-from .linalg import as_square_matrix, principal_submatrix
+from .linalg import as_square_matrix
 
 __all__ = [
     "Query",
@@ -474,6 +475,8 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
     summed exterior margin.  A found witness is re-verified before it
     is returned."""
     a = as_square_matrix(a)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     req = 2.0 * region.boundary_tol
 
@@ -558,28 +561,36 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
 def total_stability(q: Query) -> TotalStabilityReport:
     """Decide the query on every nonempty principal submatrix (class
     induced on the index subset), keyed in index-mask order.  The full
-    index set is decided first.  When a certificate certifies it, each
-    proper subset whose triple that certificate's restriction proves
-    (``certify.restrict_certificate``) is certified by it; every other
-    subset is decided as its own query.  Overall verdict: certified only
-    if every subset is, refuted if any subset is."""
+    index set is decided first.  The proper subsets follow in groups of
+    one order k, each gathered as one stack of submatrices from ``q.a``.
+    When a certificate certifies the full set, one call of
+    ``certify.restrict_certificate`` per group checks its restrictions,
+    and each subset whose triple its restriction proves is certified by
+    it; every other subset is decided as its own query.  Overall
+    verdict: certified only if every subset is, refuted if any subset
+    is."""
     n = q.a.shape[0]
     if n > 16:
         raise OrderTooLargeError("total stability supported for order <= 16")
     full = decide(q)
     cert = full.certificate if full.status is VerdictStatus.CERTIFIED else None
-    results: dict[tuple[int, ...], Verdict] = {}
-    for mask in range(1, 2 ** n - 1):
-        idx = tuple(i for i in range(n) if mask >> i & 1)
-        a, cls = principal_submatrix(q.a, idx), restrict_class(q.cls, idx)
-        rc = None if cert is None else certify.restrict_certificate(
-            cert, idx, a, q.region, cls, q.op)
-        if rc is None:
-            results[idx] = decide(replace(q, a=a, cls=cls))
-        else:
-            results[idx] = _certified(rc, "restricted from the full matrix's certificate "
-                                      f"({rc.kind.value}, min_eig={rc.min_eig:.3e}) "
-                                      "and re-verified")
+    decided: dict[tuple[int, ...], Verdict] = {}
+    for k in range(1, n):
+        subsets = list(itertools.combinations(range(n), k))
+        idx = np.array(subsets)
+        subs = q.a[idx[:, :, None], idx[:, None, :]]
+        sub_classes = [restrict_class(q.cls, s) for s in subsets]
+        proofs = [None] * len(subsets) if cert is None else certify.restrict_certificate(
+            cert, idx, subs, q.region, sub_classes, q.op)
+        for s, a, cls, rc in zip(subsets, subs, sub_classes, proofs):
+            if rc is None:
+                decided[s] = decide(replace(q, a=a, cls=cls))
+            else:
+                decided[s] = _certified(rc, "restricted from the full matrix's certificate "
+                                        f"({rc.kind.value}, min_eig={rc.min_eig:.3e}) "
+                                        "and re-verified")
+    results = {s: decided[s] for s in (tuple(i for i in range(n) if mask >> i & 1)
+                                       for mask in range(1, 2 ** n - 1))}
     results[tuple(range(n))] = full
     statuses = [v.status for v in results.values()]
     if any(s is VerdictStatus.REFUTED for s in statuses):

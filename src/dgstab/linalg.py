@@ -26,6 +26,7 @@ __all__ = [
     "eigenvalues",
     "spectral_radius",
     "is_positive_definite",
+    "are_positive_definite",
     "symmetric_part",
     "solve_lyapunov",
     "solve_stein",
@@ -88,24 +89,58 @@ def symmetric_part(a) -> np.ndarray:
     return a + a.T
 
 
-def _scaled_symmetric(s: np.ndarray, tol: float, name: str) -> np.ndarray:
-    """``s / 2^e``, with ``e >= 0`` even chosen so that its entries stay
-    below 1 in magnitude when any entry of ``s`` reaches 1, after
-    checking on it that ``||s - s^T||_F <= tol * max(||s||_F, 1)``
-    (``NonSymmetricError`` otherwise).  No norm of the scaled copy can
-    overflow, and the check decides as it would on ``s``, since scaling
-    by a power of two is exact."""
-    e = max(math.frexp(float(np.max(np.abs(s))))[1], 0)
+def _frobenius(x: np.ndarray) -> np.ndarray:
+    """The Frobenius norm of each matrix of the stack ``x``, bit for bit
+    as ``np.linalg.norm`` takes it of one matrix (a dot product of the
+    flattened entries)."""
+    v = x.reshape(len(x), -1)
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
+
+
+def _scaled(s: np.ndarray, tol: float):
+    """For a finite ``(m, k, k)`` stack ``s``: each matrix divided by
+    ``2^e``, with ``e >= 0`` even chosen so that its entries stay below 1
+    in magnitude when any entry reaches 1, and the mask of the matrices
+    with ``||s - s^T||_F <= tol * max(||s||_F, 1)``, with their relative
+    deviations.  No norm of a scaled matrix can overflow, and the test
+    decides as it would on ``s``, since scaling by a power of two is
+    exact."""
+    e = np.maximum(np.frexp(np.abs(s).max(axis=(1, 2)))[1], 0)
     e += e % 2
-    u = s * 2.0 ** -e
-    dev = np.linalg.norm(u - u.T)
-    scale = max(np.linalg.norm(u), 2.0 ** -e)
-    if dev > tol * scale:
+    f = np.ldexp(1.0, -e)
+    u = s * f[:, None, None]
+    dev = _frobenius(u - u.swapaxes(1, 2))
+    scale = np.maximum(_frobenius(u), f)
+    return u, dev <= tol * scale, dev / scale
+
+
+def _scaled_symmetric(s: np.ndarray, tol: float, name: str) -> np.ndarray:
+    """``_scaled`` of the one finite matrix ``s``; ``NonSymmetricError``
+    when it is not symmetric."""
+    u, ok, rel = _scaled(s[None], tol)
+    if not ok[0]:
         raise NonSymmetricError(
-            f"{name} is not symmetric: deviation {dev / scale:.3e} "
+            f"{name} is not symmetric: deviation {rel[0]:.3e} "
             f"relative to max(||{name}||_F, 1) exceeds tolerance"
         )
-    return u
+    return u[0]
+
+
+def _cholesky_passes(u: np.ndarray, tol: float) -> np.ndarray:
+    """Per matrix of the stack ``u``: whether its symmetrized copy,
+    shifted by ``tol * max|diag|``, has a Cholesky factorization.  One
+    factorization runs on the whole stack; only when it fails are the
+    matrices factored one by one."""
+    sym = 0.5 * (u + u.swapaxes(1, 2))
+    thr = tol * np.abs(np.diagonal(sym, axis1=1, axis2=2)).max(axis=1)
+    shifted = sym - thr[:, None, None] * np.eye(sym.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        if len(shifted) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_cholesky_passes(x[None], tol) for x in u])
+    return np.ones(len(shifted), dtype=bool)
 
 
 def is_positive_definite(s, tol: float = PD_TOL) -> bool:
@@ -121,13 +156,21 @@ def is_positive_definite(s, tol: float = PD_TOL) -> bool:
     # would on s, since the Cholesky factor of s / 2^e is that of s
     # scaled by 2^(e/2)
     u = _scaled_symmetric(as_square_matrix(s, "s"), tol, "s")
-    sym = 0.5 * (u + u.T)
-    thr = tol * float(np.max(np.abs(np.diag(sym))))
-    try:
-        np.linalg.cholesky(sym - thr * np.eye(sym.shape[0]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return bool(_cholesky_passes(u[None], tol)[0])
+
+
+def are_positive_definite(s: np.ndarray, tol: float = PD_TOL) -> np.ndarray:
+    """``is_positive_definite`` of each matrix of the ``(m, k, k)`` stack
+    ``s``, as a boolean mask: a matrix that is non-finite or not
+    symmetric up to ``tol * max(||s||_F, 1)`` is False, alone."""
+    ok = np.isfinite(s).all(axis=(1, 2))
+    if ok.any():
+        rows = np.flatnonzero(ok)
+        u, sym, _ = _scaled(s[rows], tol)
+        ok[rows] = sym
+        if sym.any():
+            ok[rows[sym]] = _cholesky_passes(u[sym], tol)
+    return ok
 
 
 def _require_symmetric(w, name: str) -> np.ndarray:

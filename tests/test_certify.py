@@ -1,4 +1,6 @@
+import itertools
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from dgstab.certify import (
     _MULTI_STARTS,
     FOUND_TOL,
     STALL_LIMIT,
+    _paired,
     CertKind,
     Certificate,
     certified_form,
@@ -1066,7 +1069,7 @@ def test_every_restriction_of_a_constructed_certificate_proves():
                 sub = principal_submatrix(a, idx)
                 for region, cls, op in triples:
                     sub_cls = restrict_class(cls, idx)
-                    rc = restrict_certificate(cert, idx, sub, region, sub_cls, op)
+                    rc = restrict_certificate(cert, [idx], sub[None], region, [sub_cls], op)[0]
                     if rc is None:
                         # only a block SPD witness cut across a block may fail
                         assert splits, (cert.kind, idx)
@@ -1089,11 +1092,93 @@ def test_other_kinds_and_malformed_certificates_give_no_restriction():
                  Certificate(CertKind.ALPHA_SCALAR_LYAPUNOV, p, 1.0),
                  Certificate(CertKind.DIAGONAL_LYAPUNOV, None, 1.0),
                  Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([0.0, 2.0, 0.0]), 1.0)):
-        assert restrict_certificate(cert, idx, sub, regions.right_half_plane(),
-                                    classes.pos_diag(2), MUL) is None, cert.kind
+        assert restrict_certificate(cert, [idx], sub[None], regions.right_half_plane(),
+                                    [classes.pos_diag(2)], MUL) == [None], cert.kind
     # the restriction proves only the triple it is asked for
     cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, p, 2.0)
-    assert restrict_certificate(cert, idx, -sub, regions.right_half_plane(),
-                                classes.pos_diag(2), MUL) is None
-    assert restrict_certificate(cert, idx, sub, regions.unit_disk(),
-                                classes.pos_diag(2), MUL) is None
+    assert restrict_certificate(cert, [idx], -sub[None], regions.right_half_plane(),
+                                [classes.pos_diag(2)], MUL) == [None]
+    assert restrict_certificate(cert, [idx], sub[None], regions.unit_disk(),
+                                [classes.pos_diag(2)], MUL) == [None]
+
+
+# restriction: one stack per order equals one subset at a time
+
+
+def _old_restrict(cert, idx, a, region, cls, op):
+    """The former one-subset restriction, kept as the reference: the
+    witness's principal submatrix scaled to trace ``len(idx)``, then
+    ``proves``."""
+    if _paired(cert) is None:
+        return None
+    p = principal_submatrix(cert.witness, idx)
+    trace = float(np.trace(p))
+    if not trace > 0.0:
+        return None
+    partition = None if cert.partition is None else cert.partition.restrict(idx)
+    return proves(replace(cert, witness=p * (len(idx) / trace), partition=partition),
+                  a, region, cls, op)
+
+
+def _same(x, y) -> bool:
+    if x is None or y is None:
+        return x is y
+    return (x.kind is y.kind and x.partition == y.partition
+            and x.witness.shape == y.witness.shape
+            and x.witness.tobytes() == y.witness.tobytes()
+            and np.float64(x.min_eig).tobytes() == np.float64(y.min_eig).tobytes())
+
+
+def _restrict_order(cert, a, region, cls, op, k):
+    """Every order-k restriction of ``cert`` at ``a`` from one stacked
+    call, after checking each row bit for bit against the stack of one
+    and the former one-subset restriction."""
+    subsets = list(itertools.combinations(range(a.shape[0]), k))
+    idx = np.array(subsets)
+    subs = a[idx[:, :, None], idx[:, None, :]]
+    sub_classes = [restrict_class(cls, s) for s in subsets]
+    stacked = restrict_certificate(cert, idx, subs, region, sub_classes, op)
+    assert len(stacked) == len(subsets)
+    for i, s in enumerate(subsets):
+        one = restrict_certificate(cert, idx[i:i + 1], subs[i:i + 1], region,
+                                   sub_classes[i:i + 1], op)
+        old = _old_restrict(cert, s, principal_submatrix(a, s), region, sub_classes[i], op)
+        assert _same(stacked[i], one[0]) and _same(stacked[i], old), (cert.kind, s)
+    return dict(zip(subsets, stacked))
+
+
+def test_stacked_restrictions_equal_one_subset_at_a_time():
+    r = rng(64)
+    outcomes = {}
+    for trial in range(12):
+        n = 2 + trial % 5
+        for cert, a in _constructed_certificates(r, n):
+            for region, cls, op in implied_stabilities(cert):
+                for k in range(1, n):
+                    for rc in _restrict_order(cert, a, region, cls, op, k).values():
+                        outcomes.setdefault(cert.kind, set()).add(rc is None)
+    assert outcomes[CertKind.BLOCK_LYAPUNOV] == {True, False}  # a split block fails
+    assert all(False in seen for seen in outcomes.values()) and len(outcomes) == 5
+
+
+def test_a_stacked_restriction_rejects_its_failing_rows_alone():
+    rhp = regions.right_half_plane()
+    # a witness spread over 1e-300..1 at A = 1e-30 I: on {1, 4} the scaled
+    # witness is diag(2e-300, 2) and its form underflows to a zero pivot,
+    # so every pair with index 1 fails the Cholesky among passing pairs
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.diag([1e-300, 1e-3, 0.5, 1.0]), np.nan)
+    a = 1e-30 * np.eye(4)
+    got = _restrict_order(cert, a, rhp, classes.pos_diag(4), MUL, 2)
+    assert [s for s, rc in got.items() if rc is None] == [(0, 1), (0, 2), (0, 3)]
+    form = certified_form(replace(cert, witness=np.diag([2e-300, 2.0])), a[:2, :2])
+    assert form[0, 0] == 0.0
+    assert all(rc is not None for rc in _restrict_order(cert, a, rhp, classes.pos_diag(4),
+                                                        MUL, 1).values())
+    # a form that overflows on one row is rejected there alone, silently
+    cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.eye(3), np.nan)
+    a = np.diag([1.0, 2.0, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k, failing in ((1, [(2,)]), (2, [(0, 2), (1, 2)])):
+            got = _restrict_order(cert, a, rhp, classes.pos_diag(3), MUL, k)
+            assert [s for s, rc in got.items() if rc is None] == failing

@@ -188,6 +188,16 @@ def test_enumerate_vertex_count_and_membership():
     assert all(contains(cls, m) for m in members)
 
 
+def test_enumerate_vertex_diag_matches_the_product_order_bit_for_bit():
+    # the members come in blocks of 256; the reference builds each alone
+    for n in (1, 2, 3, 8, 9):
+        got = list(enumerate_members(vertex_diag(n)))
+        want = [np.diag(np.asarray(s)) for s in itertools.product((1.0, -1.0), repeat=n)]
+        assert len(got) == len(want) == 2 ** n
+        assert all(g.shape == w.shape and g.tobytes() == w.tobytes()
+                   for g, w in zip(got, want)), n
+
+
 def test_enumerate_infinite_class_raises():
     with pytest.raises(InfiniteClassError):
         list(enumerate_members(pos_diag(2)))

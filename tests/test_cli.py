@@ -93,11 +93,13 @@ def test_invalid_tol_and_empty_partition_block_exit_64(capsys):
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_certify_rejects_a_budget_below_one(capsys, budget):
-    # it once ran no search and printed "best_min_eig":-Infinity, which is
-    # not JSON, with exit 2; check and falsify already exit 64
-    for cmd in (("certify", "--kind", "diagonal"),
-                ("check", "--region", "rhp", "--class", "pos_diag", "--op", "mul"),
-                ("falsify", "--region", "rhp", "--class", "pos_diag", "--op", "mul")):
+    # certify once ran no search and printed "best_min_eig":-Infinity,
+    # which is not JSON, with exit 2, and stabilize printed
+    # {"evaluations":0,"found":false} with exit 2; check and falsify
+    # already exit 64
+    query = ("--region", "rhp", "--class", "pos_diag", "--op", "mul")
+    for cmd in (("certify", "--kind", "diagonal"), ("check", *query),
+                ("falsify", *query), ("stabilize", *query)):
         code, out = run(capsys, *cmd, "--matrix", "[[1,0],[0,1]]", "--budget", budget)
         assert (code, out) == (64, ""), cmd
 

@@ -179,6 +179,14 @@ def test_stabilize_examples():
     assert not rep.found
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_stabilize_rejects_a_budget_below_one(budget):
+    # it once ran no search and reported nothing found, as Query rejects
+    for cls in (classes.diag(2), classes.explicit_list([np.eye(2)])):
+        with pytest.raises(ValueError, match="budget"):
+            stabilize(-np.eye(2), RHP, cls, MUL, budget=budget)
+
+
 def test_stabilize_explicit_list():
     cls = classes.explicit_list([-np.eye(2), np.eye(2)])
     rep = stabilize(-np.eye(2), RHP, cls, MUL, budget=10, seed=1)

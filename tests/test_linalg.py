@@ -4,6 +4,7 @@ import pytest
 from dgstab.algebra import multiset_distance
 from dgstab.errors import NonSymmetricError, SingularOperatorError
 from dgstab.linalg import (
+    are_positive_definite,
     case_i_coefficients,
     case_iii_coefficients,
     eigenvalues,
@@ -75,6 +76,27 @@ def test_is_positive_definite_rejects_asymmetry_near_the_float_limit():
     # both Frobenius norms overflow to inf, and inf > 1e-9 * inf is False
     with pytest.raises(NonSymmetricError):
         is_positive_definite([[1e308, 1e308], [-1e308, 1e308]])
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_stacked_definiteness_test_decides_each_matrix_alone():
+    # rows that fail the Cholesky, are asymmetric, non-finite or near the
+    # float limit sit among passing rows; each decides as one matrix
+    stack = np.array([np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.5, -0.25], [-0.25, 0.75]],
+                      [[1.0, 1.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                      np.diag([2e307, 2e307]), np.diag([1e308, -1e308]),
+                      [[1e308, 1e308], [-1e308, 1e308]], np.diag([1.0, 1e-12])])
+    want = []
+    for s in stack:
+        try:
+            want.append(is_positive_definite(s))
+        except (NonSymmetricError, ValueError):
+            want.append(False)
+    assert want == [True, False, True, False, False, True, False, False, False]
+    assert are_positive_definite(stack).tolist() == want
+    assert are_positive_definite(stack[[0, 2, 5]]).tolist() == [True] * 3
+    for i in range(len(stack)):
+        assert are_positive_definite(stack[i:i + 1]).tolist() == want[i:i + 1]
 
 
 def test_symmetric_part_examples():

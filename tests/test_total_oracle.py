@@ -157,24 +157,17 @@ def test_total_stability_agrees_with_the_old_loop():
 
 
 def test_restrictions_that_fail_to_prove_fall_back_to_decide(monkeypatch):
-    restrict, proves = certify.restrict_certificate, certify.proves
-    restricting, rejected = [], []
+    # every restriction the stacked check proves is rejected on its way
+    # back to total_stability, which must then decide that subset
+    restrict = certify.restrict_certificate
+    rejected = []
 
-    def restrict_and_record(*args):
-        restricting.append(True)
-        try:
-            return restrict(*args)
-        finally:
-            restricting.pop()
+    def reject_every_restriction(*args):
+        proofs = restrict(*args)
+        rejected.extend(rc for rc in proofs if rc is not None)
+        return [None] * len(proofs)
 
-    def proves_but_restrictions(*args):
-        if restricting:
-            rejected.append(args[0])
-            return None
-        return proves(*args)
-
-    monkeypatch.setattr(certify, "restrict_certificate", restrict_and_record)
-    monkeypatch.setattr(certify, "proves", proves_but_restrictions)
+    monkeypatch.setattr(certify, "restrict_certificate", reject_every_restriction)
     for q in _queries():
         assert _text(total_stability(q)) == _text(_old_total_stability(q))
     assert rejected
