@@ -627,8 +627,10 @@ def _forms(kind: CertKind, coeffs, p: np.ndarray, a: np.ndarray) -> np.ndarray:
     if form == "stein":
         return p - a.swapaxes(1, 2) @ p @ a
     if form == "hill":
-        c = np.array(coeffs, dtype=float)
-        return np.stack([hill_form(c, w, x) for w, x in zip(p, a)])
+        # the polynomial form proves no triple, so only verify_certificate
+        # checks it, for one witness
+        assert len(p) == 1, "the polynomial form is checked one witness at a time"
+        return hill_form(np.array(coeffs, dtype=float), p[0], a[0])[None]
     raise ValueError(f"no closed form for certificate kind {kind.value}")
 
 
@@ -702,8 +704,8 @@ def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
         try:
             forms = _forms(cert.kind, cert.coeffs, p, a)
         except (NonSymmetricError, ValueError, OverflowError):
-            # only the polynomial form raises; it proves no triple, so
-            # only verify_certificate checks it, on a stack of one
+            # only the polynomial form raises, and it comes one witness
+            # at a time
             return np.zeros(len(p), dtype=bool), np.full_like(p, np.nan)
         ok &= are_positive_definite(forms)
     return ok, forms

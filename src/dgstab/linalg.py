@@ -15,8 +15,6 @@ which keeps them simple and exact at the package's declared scope
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import NonSymmetricError, SingularOperatorError
@@ -159,17 +157,18 @@ def is_positive_definite(s, tol: float = PD_TOL) -> bool:
     return bool(_cholesky_passes(u[None], tol)[0])
 
 
-def are_positive_definite(s: np.ndarray, tol: float = PD_TOL) -> np.ndarray:
+def are_positive_definite(s: np.ndarray) -> np.ndarray:
     """``is_positive_definite`` of each matrix of the ``(m, k, k)`` stack
-    ``s``, as a boolean mask: a matrix that is non-finite or not
-    symmetric up to ``tol * max(||s||_F, 1)`` is False, alone."""
+    ``s`` at the default tolerance, as a boolean mask: a matrix that is
+    non-finite or not symmetric up to ``PD_TOL * max(||s||_F, 1)`` is
+    False, alone."""
     ok = np.isfinite(s).all(axis=(1, 2))
     if ok.any():
         rows = np.flatnonzero(ok)
-        u, sym, _ = _scaled(s[rows], tol)
+        u, sym, _ = _scaled(s[rows], PD_TOL)
         ok[rows] = sym
         if sym.any():
-            ok[rows[sym]] = _cholesky_passes(u[sym], tol)
+            ok[rows[sym]] = _cholesky_passes(u[sym], PD_TOL)
     return ok
 
 

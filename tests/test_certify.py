@@ -4,8 +4,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import reference_2d
 
-from dgstab import classes, regions
+from dgstab import certify, classes, regions
 from dgstab.algebra import ADD, MUL, OpKind
 from dgstab.certify import (
     _MULTI_STARTS,
@@ -26,7 +27,7 @@ from dgstab.certify import (
 )
 from dgstab.classes import ClassKind, Partition
 from dgstab.engine import restrict_class
-from dgstab.errors import UnsupportedClassError
+from dgstab.errors import NonSymmetricError, UnsupportedClassError
 from dgstab.linalg import case_iii_coefficients, principal_submatrix
 
 
@@ -1106,9 +1107,11 @@ def test_other_kinds_and_malformed_certificates_give_no_restriction():
 
 
 def _old_restrict(cert, idx, a, region, cls, op):
-    """The former one-subset restriction, kept as the reference: the
-    witness's principal submatrix scaled to trace ``len(idx)``, then
-    ``proves``."""
+    """The one-subset restriction on 2-D arrays, the reference: the
+    witness's principal submatrix scaled to trace ``len(idx)``, its
+    class membership and triple coverage, then its form, definiteness
+    test and ``min_eig`` on the one matrix (``reference_2d``, which
+    shares no code with the stacked check)."""
     if _paired(cert) is None:
         return None
     p = principal_submatrix(cert.witness, idx)
@@ -1116,8 +1119,22 @@ def _old_restrict(cert, idx, a, region, cls, op):
     if not trace > 0.0:
         return None
     partition = None if cert.partition is None else cert.partition.restrict(idx)
-    return proves(replace(cert, witness=p * (len(idx) / trace), partition=partition),
-                  a, region, cls, op)
+    w = p * (len(idx) / trace)
+    witness_cls, triples = certify._at(cert.kind, len(idx), partition)
+    if not (classes.contains(witness_cls, w)
+            and certify._triple_covered(region, cls, op, triples)):
+        return None
+    form = (reference_2d.stein_form if cert.kind is CertKind.STEIN_DIAGONAL
+            else reference_2d.lyapunov_form)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = form(w, a)
+        try:
+            if not reference_2d.is_positive_definite(f):
+                return None
+        except (NonSymmetricError, ValueError):
+            return None
+    return replace(cert, witness=w, partition=partition,
+                   min_eig=float(np.linalg.eigvalsh(f)[0]))
 
 
 def _same(x, y) -> bool:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import reference_2d
 
 from dgstab.algebra import multiset_distance
 from dgstab.errors import NonSymmetricError, SingularOperatorError
@@ -89,7 +90,7 @@ def test_a_stacked_definiteness_test_decides_each_matrix_alone():
     want = []
     for s in stack:
         try:
-            want.append(is_positive_definite(s))
+            want.append(reference_2d.is_positive_definite(s))
         except (NonSymmetricError, ValueError):
             want.append(False)
     assert want == [True, False, True, False, False, True, False, False, False]
@@ -97,6 +98,46 @@ def test_a_stacked_definiteness_test_decides_each_matrix_alone():
     assert are_positive_definite(stack[[0, 2, 5]]).tolist() == [True] * 3
     for i in range(len(stack)):
         assert are_positive_definite(stack[i:i + 1]).tolist() == want[i:i + 1]
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_definiteness_matches_the_one_matrix_reference_at_its_edges():
+    # per order, random matrices whose asymmetry straddles the symmetry
+    # tolerance and whose smallest eigenvalue straddles the pivot shift,
+    # at scales across the float range
+    r = np.random.default_rng(7)
+    seen = set()
+    for k in (1, 2, 3, 5, 8):
+        stack = []
+        for _ in range(60):
+            q = np.linalg.qr(r.standard_normal((k, k)))[0]
+            lam = r.uniform(0.5, 2.0, k)
+            lam[0] = r.choice([-1.0, 1.0]) * 10.0 ** r.uniform(-11, -7)
+            s = (q * lam) @ q.T
+            s = 0.5 * (s + s.T)
+            skew = r.standard_normal((k, k))
+            skew -= skew.T
+            if k > 1:
+                # ||s - s^T||_F = 2 c ||skew||_F, near 1e-9 * ||s||_F
+                s += skew * (r.uniform(0.98, 1.02) * 1e-9 * np.linalg.norm(s)
+                             / (2.0 * np.linalg.norm(skew)))
+            stack.append(s * 2.0 ** int(r.integers(-1000, 1000)))
+        stack = np.array(stack)
+        want = []
+        for s in stack:
+            try:
+                want.append(reference_2d.is_positive_definite(s))
+            except NonSymmetricError:
+                want.append(None)
+            got = None
+            try:
+                got = is_positive_definite(s)
+            except NonSymmetricError:
+                pass
+            assert got is want[-1], (k, s)
+        seen.update(want)
+        assert are_positive_definite(stack).tolist() == [w is True for w in want], k
+    assert seen == {True, False, None}
 
 
 def test_symmetric_part_examples():
