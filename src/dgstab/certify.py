@@ -17,9 +17,10 @@ matrix: it returns the certificate, with ``min_eig`` measured there,
 when it re-verifies and its kind's triples cover the query's.
 ``restrict_certificate`` decides the restrictions of one certificate to
 many principal submatrices of one order the same way, with the same
-check run on their stack.  ``exhaust`` is the one enumeration of a finite class: the engine's enumeration stage
-and verdict transfer turn its result into a verdict, and an
-``EXHAUSTIVE`` certificate verifies by running it again.  The searches
+check run on their stack.  ``exhaust`` is the one enumeration of a
+finite class: the engine's enumeration stage and verdict transfer turn
+its result into a verdict, and an ``EXHAUSTIVE`` certificate verifies
+by running it again.  The searches
 maximize the smallest eigenvalue of the form by projected subgradient
 ascent over the witness parametrization with trace normalization and
 multi-starts.  One positive block-scalar diagonal search serves the

@@ -13,7 +13,9 @@ engine returns a three-valued verdict:
 * ``UNKNOWN``  -- neither, within the trial budget.
 
 ``decide`` runs one sequence of stages, cheapest necessary conditions
-first, and stops at the first definite answer:
+first.  Each stage takes the ``Query`` and returns a ``Verdict``, which
+ends the run, or the provenance note it adds (a ``str``); ``decide``
+alone orders the stages and joins their notes:
 
 1. unbounded-class escape for bounded regions;
 2. the identity-element necessary check;
@@ -206,17 +208,17 @@ def falsify(q: Query) -> Verdict:
 # decide pipeline
 
 
-def _unboundedness_escape(q: Query) -> Verdict | None:
+def _unboundedness_escape(q: Query) -> Verdict | str:
     """For a bounded region and an unbounded class, scale a sampled
     member upward until an eigenvalue exits; produces a concrete
     witness rather than a bare impossibility claim."""
+    no_escape = "unboundedness precheck: not applicable or no escape found"
     if not (q.region.is_bounded and q.cls.is_unbounded
-            and q.cls.closed_under_positive_scaling):
-        return None
-    if q.op.kind is OpKind.HADAMARD:
-        return None
-    if q.op.kind is OpKind.MUL and algebra.op_inverse(q.op, q.a) is None:
-        return None
+            and q.cls.closed_under_positive_scaling
+            and q.op.kind is not OpKind.HADAMARD
+            and (q.op.kind is not OpKind.MUL
+                 or algebra.op_inverse(q.op, q.a) is not None)):
+        return no_escape
     rng = np.random.default_rng(_stream(q.seed, 0))
     for _ in range(8):
         g0 = classes.sample(q.cls, rng)
@@ -229,29 +231,29 @@ def _unboundedness_escape(q: Query) -> Verdict | None:
             if hit is not None:
                 return _refuted(g, *hit[1:], "bounded region with unbounded class: "
                                 f"scaled sample 2^{k} escapes")
-    return None
+    return no_escape
 
 
-def _identity_check(q: Query) -> tuple[Verdict | None, str | None]:
+def _identity_check(q: Query) -> Verdict | str:
     ident = classes.identity_element(q.cls, q.op)
     if ident is None:
-        return None, "class has no identity element for the operation"
+        return "class has no identity element for the operation"
     w = np.linalg.eigvals(algebra.apply(q.op, ident, q.a))
     hit = regions.first_exit(q.region, w[None], q.tol)
     if hit is not None:
-        return _refuted(ident, *hit[1:], "identity-element necessary check refutes"), None
+        return _refuted(ident, *hit[1:], "identity-element necessary check refutes")
     if not regions.spectrum_in_region(q.region, w):
-        return None, "identity element leaves a boundary eigenvalue (inconclusive)"
-    return None, "identity-element check passed"
+        return "identity element leaves a boundary eigenvalue (inconclusive)"
+    return "identity-element check passed"
 
 
-def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
+def _exhaustive_check(q: Query) -> Verdict:
     """Exact decision over a finite class from ``certify.exhaust``."""
-    r = certify.exhaust(a, region, cls, op, tol)
+    r = certify.exhaust(q.a, q.region, q.cls, q.op, q.tol)
     if r.hit is not None:
         i, g, lam, margin = r.hit
         return _refuted(g, lam, margin, f"exhaustive enumeration refutes at member {i} "
-                        f"of {cls.finite_size}")
+                        f"of {q.cls.finite_size}")
     if r.boundary:
         return Verdict(
             VerdictStatus.UNKNOWN,
@@ -264,69 +266,58 @@ def _exhaustive_check(a, region, cls, op, tol) -> Verdict:
         CertKind.EXHAUSTIVE,
         witness=None,
         min_eig=r.min_score,
-        triple=(region, cls, op),
+        triple=(q.region, q.cls, q.op),
         members_checked=r.checked,
     )
     return _certified(cert, f"exhaustive enumeration certified {r.checked} members")
 
 
-def _certificate_stage(q: Query, enabled: bool) -> tuple[Verdict | None, str | None]:
+def _certificate_stage(q: Query) -> Verdict | str:
     """Search the certificate form whose proven triples cover the query
     and certify with a found certificate only if ``certify.proves`` the
-    query's triple with it.  Returns (CERTIFIED verdict, None) or (None,
-    provenance note)."""
-    if not enabled:
-        return None, "certificate search disabled"
+    query's triple with it."""
     report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET,
                                        np.random.default_rng(_stream(q.seed, 1)))
     if report is None:
-        return None, "no certificate form matches the query triple"
+        return "no certificate form matches the query triple"
     if report.reason is not None:
-        return None, report.reason
+        return report.reason
     if not report.found:
-        return None, ("certificate search inconclusive "
-                      f"(best min_eig={report.best_min_eig:.3e})")
+        return f"certificate search inconclusive (best min_eig={report.best_min_eig:.3e})"
     cert = certify.proves(report.certificate, q.a, q.region, q.cls, q.op)
     if cert is None:
-        return None, "certificate candidate failed re-verification"
+        return "certificate candidate failed re-verification"
     return _certified(cert, f"certificate found ({cert.kind.value}, "
-                      f"min_eig={cert.min_eig:.3e}) and re-verified"), None
+                      f"min_eig={cert.min_eig:.3e}) and re-verified")
 
 
 def decide(q: Query, use_certificates: bool = True) -> Verdict:
     """Layered decision: unboundedness escape, identity-element check,
     then exact enumeration for finite classes, or certificate search and
-    randomized falsification for infinite ones.
+    randomized falsification for infinite ones.  Each stage returns a
+    verdict, which ends the run, or its note; the verdict's provenance
+    begins with the notes before it.  The last stage always returns one.
 
-    ``use_certificates=False`` skips the certificate stage (the other
-    stages are unaffected); useful for honesty testing and benchmarks.
+    ``use_certificates=False`` replaces the certificate stage by the
+    note "certificate search disabled" (the other stages are
+    unaffected); useful for honesty testing and benchmarks.
     """
-    prov: list[str] = []
-
-    def done(v: Verdict) -> Verdict:
-        v.provenance = tuple(prov) + v.provenance
-        return v
-
-    v = _unboundedness_escape(q)
-    if v is not None:
-        return done(v)
-    prov.append("unboundedness precheck: not applicable or no escape found")
-
-    v, note = _identity_check(q)
-    if v is not None:
-        return done(v)
-    prov.append(note)
-
     if q.cls.is_finite:
         # boundary eigenvalues block every verdict, so an inconclusive
         # enumeration is final
-        return done(_exhaustive_check(q.a, q.region, q.cls, q.op, q.tol))
-
-    v, note = _certificate_stage(q, use_certificates)
-    if v is not None:
-        return done(v)
-    prov.append(note)
-    return done(falsify(q))
+        later = (_exhaustive_check,)
+    elif use_certificates:
+        later = (_certificate_stage, falsify)
+    else:
+        later = (lambda _: "certificate search disabled", falsify)
+    notes: list[str] = []
+    for stage in (_unboundedness_escape, _identity_check) + later:
+        v = stage(q)
+        if isinstance(v, Verdict):
+            v.provenance = tuple(notes) + v.provenance
+            return v
+        notes.append(v)
+    raise AssertionError("the last stage returns a verdict")
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +463,9 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
               budget: int = 10_000, seed: int = 42) -> StabilizeReport:
     """Search the class for one member whose composition with ``a`` is
     region-stable: random multi-start plus coordinate descent on the
-    summed exterior margin.  A found witness is re-verified before it
-    is returned."""
+    summed exterior margin, or a scan of an explicit list's first
+    ``budget`` members.  A found witness is re-verified before it is
+    returned."""
     a = as_square_matrix(a)
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -492,7 +484,7 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
 
     if cls.kind is ClassKind.EXPLICIT_LIST:
         evals = 0
-        for g in classes.enumerate_members(cls):
+        for g in itertools.islice(classes.enumerate_members(cls), budget):
             evals += 1
             if loss_of(g) == 0.0 and verified(g):
                 return StabilizeReport(True, g, evals)
@@ -622,6 +614,8 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
     eigenvalue counts relative to the region; any mismatch is returned
     as a witness."""
     a = as_square_matrix(a)
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = 0
     while done < budget:
@@ -744,7 +738,9 @@ def transform_query(q: Query, tf: Transform) -> Query:
 
 
 def _transfer_applicable(q: Query, tf: Transform) -> str | None:
-    """None when the relevant theorem's hypotheses hold, else a reason."""
+    """None when the relevant theorem's hypotheses hold, else a reason.
+    The op-inverse's last one, an invertible matrix, is left to
+    ``transform_query``, which inverts it anyway."""
     if tf.kind is TransformKind.TRANSPOSE:
         if not q.cls.fact("transposable"):
             return "class is not closed under transposition"
@@ -764,8 +760,6 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
             return "region is not invariant under the spectral map"
         if not q.cls.fact("negatable" if q.op.kind is OpKind.ADD else "invertible"):
             return "class is not closed under the operation inverse"
-        if algebra.op_inverse(q.op, q.a) is None:
-            return "matrix is singular; no multiplicative inverse"
         return None
     if tf.kind is TransformKind.SCALAR:
         alpha = float(tf.alpha)
@@ -839,9 +833,13 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
                        provenance=prior + (f"{label}: {note}",))
 
     reason = _transfer_applicable(q, tf)
+    if reason is None:
+        try:
+            qt = transform_query(q, tf)
+        except SingularOperatorError as exc:
+            reason = str(exc)
     if reason is not None:
         return unknown(f"theorem inapplicable: {reason}")
-    qt = transform_query(q, tf)
 
     if v.status is VerdictStatus.UNKNOWN:
         return unknown("unknown stays unknown", v.provenance, v.trials_used)
@@ -859,7 +857,7 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
 
     cert = v.certificate
     if cert.kind is CertKind.EXHAUSTIVE:
-        vt = _exhaustive_check(qt.a, q.region, q.cls, q.op, q.tol)
+        vt = _exhaustive_check(qt)
         vt.provenance = v.provenance + (
             f"{label}: finite class re-enumerated",
         ) + vt.provenance

@@ -187,11 +187,46 @@ def test_stabilize_rejects_a_budget_below_one(budget):
             stabilize(-np.eye(2), RHP, cls, MUL, budget=budget)
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_inertia_preserving_rejects_a_budget_below_one(budget):
+    # it once reported plausible=True from zero trials
+    with pytest.raises(ValueError, match="budget"):
+        inertia_preserving(np.eye(2), classes.symmetric(2), MUL, RHP, budget=budget)
+
+
 def test_stabilize_explicit_list():
     cls = classes.explicit_list([-np.eye(2), np.eye(2)])
     rep = stabilize(-np.eye(2), RHP, cls, MUL, budget=10, seed=1)
     assert rep.found
     np.testing.assert_array_equal(rep.witness, -np.eye(2))
+
+
+def test_stabilize_enumerates_at_most_budget_members_of_a_list():
+    # it once scanned the whole list whatever the budget
+    cls = classes.explicit_list([np.eye(2), 2.0 * np.eye(2), -np.eye(2)])
+    rep = stabilize(-np.eye(2), RHP, cls, MUL, budget=1)
+    assert (rep.found, rep.evaluations) == (False, 1)
+    rep = stabilize(-np.eye(2), RHP, cls, MUL, budget=3)
+    assert (rep.found, rep.evaluations) == (True, 3)
+    np.testing.assert_array_equal(rep.witness, -np.eye(2))
+
+
+@pytest.mark.parametrize("op", [MUL, dg.ADD], ids=["mul", "add"])
+@pytest.mark.parametrize("cls", [
+    classes.pos_diag(2), classes.theta_ordered((0, 1)), classes.symmetric(2),
+    classes.rank_k_positive(2, 2), classes.sum_rank_one_positive(2, 2)],
+    ids=lambda c: c.kind.value)
+def test_stabilize_decodes_the_parametrization_of_each_kind(cls, op):
+    # every class has members near diag(3, 2), which stabilizes both:
+    # D A = [[d1, -3 d1], [d2, -d2]] for d1 > d2 > 0, D + A for d2 > 1
+    a = np.array([[1.0, -3.0], [1.0, -1.0]]) if op is MUL else np.diag([1.0, -1.0])
+    rep = stabilize(a, RHP, cls, op, budget=2000, seed=3)
+    assert rep.found
+    assert classes.contains(cls, rep.witness, 1e-7)
+    assert check_region_stability(algebra.apply(op, rep.witness, a), RHP)
+    again = stabilize(a, RHP, cls, op, budget=2000, seed=3)
+    assert again.evaluations == rep.evaluations
+    np.testing.assert_array_equal(again.witness, rep.witness)
 
 
 def test_total_stability_identity():
@@ -875,7 +910,7 @@ def test_identity_check_solves_one_spectrum(monkeypatch):
                      "identity element leaves a boundary eigenvalue (inconclusive)")):
         calls.clear()
         q = Query(a, RHP, classes.pos_diag(2), MUL)
-        assert engine._identity_check(q) == (None, note)
+        assert engine._identity_check(q) == note
         assert len(calls) == 1
 
 
@@ -1027,6 +1062,23 @@ def test_transfer_of_a_singular_matrix_by_op_inverse_is_unknown():
     assert vt.status is VerdictStatus.UNKNOWN
     assert vt.provenance == ("transfer (op_inverse): theorem inapplicable: "
                              "matrix is singular; no multiplicative inverse",)
+
+
+def test_transfer_by_op_inverse_inverts_the_matrix_once(monkeypatch):
+    # the applicability check once inverted it only to test singularity
+    calls = []
+    op_inverse = algebra.op_inverse
+
+    def counted(op, a):
+        calls.append(a)
+        return op_inverse(op, a)
+
+    monkeypatch.setattr(algebra, "op_inverse", counted)
+    q = Query(np.diag([1.0, 2.0]), RHP, classes.pos_diag(2), MUL, budget=1)
+    v = engine.Verdict(VerdictStatus.UNKNOWN)
+    vt = transfer_verdict(v, q, Transform(TransformKind.OP_INVERSE))
+    assert vt.provenance == ("transfer (op_inverse): unknown stays unknown",)
+    assert len(calls) == 1
 
 
 def _proof_queries(r):

@@ -19,7 +19,7 @@ import numpy as np
 from dgstab import algebra, classes, engine, regions, serialize
 from dgstab.algebra import ADD, HADAMARD, MUL
 from dgstab.certify import CertKind, Certificate, verify_certificate
-from dgstab.engine import Verdict, VerdictStatus, _refuted
+from dgstab.engine import Query, Verdict, VerdictStatus, _refuted
 from dgstab.linalg import as_square_matrix
 
 # --- the former loops, verbatim -----------------------------------------------
@@ -143,7 +143,7 @@ def test_enumeration_stage_and_verification_agree_with_the_old_loops():
     verified = 0
     for a, region, cls, op in _cases():
         old = _old_exhaustive_check(a, region, cls, op, 1e-7)
-        new = engine._exhaustive_check(a, region, cls, op, 1e-7)
+        new = engine._exhaustive_check(Query(a, region, cls, op, tol=1e-7))
         assert _json(new) == _json(old), (a, region, cls.kind, op)
         seen[new.status] += 1
         # the verdict's own certificate, else a claimed one; both tampered
