@@ -2,9 +2,10 @@
 """The verdict engine: certified / refuted / unknown.
 
 The stability property quantifies over an infinite class, so the
-engine layers cheap necessary checks, exact enumeration of finite
-classes, certificate search, and randomized falsification - and says
-"unknown" when none of them resolves the query.
+engine layers cheap necessary checks (the identity element, negative
+principal minors), exact enumeration of finite classes, certificate
+search, and randomized falsification - and says "unknown" when none of
+them resolves the query.
 """
 
 import numpy as np
@@ -31,8 +32,9 @@ def show(title, q, **kw):
 show("identity over positive diagonals",
      Query(np.eye(2), RHP, dg.pos_diag(2), dg.MUL, budget=1000, seed=1))
 
-# positive stable (eigenvalues 1 +- 2i) but refutable: a heavy first
-# diagonal weight drives the trace of D A negative
+# positive stable (eigenvalues 1 +- 2i) but refutable: a_11 < 0, so a
+# heavy first diagonal weight drives the trace of D A negative, which
+# the principal-minor stage proves in exact arithmetic
 a = np.array([[-1.0, 2.0], [-4.0, 3.0]])
 show("stable but not robust to diagonal scaling",
      Query(a, RHP, dg.pos_diag(2), dg.MUL, budget=100_000, seed=1))

@@ -91,20 +91,43 @@ def identity_matrix_for(op: BinaryOp, n: int) -> np.ndarray:
     return np.ones((n, n))
 
 
+def row_scaling(op: BinaryOp, u) -> np.ndarray:
+    """The matrix ``G`` with ``G o A = diag(u) A`` for every ``A``:
+    ``diag(u)`` under multiplication (from the right, ``A diag(u)`` has
+    the same spectrum) and ``u 1^T`` under the entrywise product.
+    Addition has none."""
+    u = np.asarray(u, dtype=float)
+    if op.kind is OpKind.MUL:
+        return np.diag(u)
+    if op.kind is OpKind.HADAMARD:
+        return np.repeat(u[:, None], u.size, axis=1)
+    raise ValueError("addition scales no rows")
+
+
+def is_invertible(op: BinaryOp, g) -> bool:
+    """Whether ``op_inverse`` computes an inverse of ``g``: always under
+    addition, for a condition number up to 1e12 under multiplication,
+    and for no entry below 1e-12 in magnitude under the entrywise
+    product."""
+    g = as_square_matrix(g, "g")
+    if op.kind is OpKind.ADD:
+        return True
+    if op.kind is OpKind.MUL:
+        sv = np.linalg.svd(g, compute_uv=False)
+        return bool(sv[0] != 0.0 and sv[-1] / sv[0] >= 1e-12)
+    return bool(np.min(np.abs(g)) >= 1e-12)
+
+
 def op_inverse(op: BinaryOp, g) -> np.ndarray | None:
     """Inverse of ``g`` with respect to the operation, or None when it
-    is not computable (singular under multiplication, zero entries under
-    the entrywise product)."""
+    is not computable (``is_invertible``)."""
     g = as_square_matrix(g, "g")
+    if not is_invertible(op, g):
+        return None
     if op.kind is OpKind.ADD:
         return -g
     if op.kind is OpKind.MUL:
-        sv = np.linalg.svd(g, compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] / sv[0] < 1e-12:
-            return None
         return np.linalg.inv(g)
-    if np.min(np.abs(g)) < 1e-12:
-        return None
     return 1.0 / g
 
 

@@ -76,6 +76,7 @@ __all__ = [
     "find_stein_diagonal",
     "find_structured_lyapunov",
     "search_for_triple",
+    "minor_violation",
     "exhaust",
     "verify_certificate",
     "implied_stabilities",
@@ -464,24 +465,36 @@ def _entry(i: int, j: int) -> str:
     return f"a_{i + 1}{j + 1}" if max(i, j) < 9 else f"a_{i + 1},{j + 1}"
 
 
+def minor_violation(a: np.ndarray, strict: bool) -> tuple[tuple[int, ...], str] | None:
+    """The first principal minor of order 1 or 2 of ``a`` that is
+    negative, or a zero diagonal entry unless ``strict``, as (its
+    indices, the failed condition): a diagonal entry below 0 (``strict``)
+    or at most 0, else, with every diagonal entry passing, the first pair
+    with ``a_ii a_jj < a_ij a_ji`` in row order; None when every one
+    passes.  Both tests are exact: a computed product
+    is the exact one rounded, and rounding is monotone, so
+    ``fl(a_ii a_jj) < fl(a_ij a_ji)`` proves ``a_ii a_jj < a_ij a_ji``."""
+    d = a.diagonal()
+    low = d < 0.0 if strict else d <= 0.0
+    if low.any():
+        i = int(np.argmax(low))
+        return (i,), f"{_entry(i, i)} {'<' if strict else '<='} 0"
+    with np.errstate(over="ignore"):  # an overflowed product stays ordered
+        less = d[:, None] * d < a * a.T
+    if less.any():
+        i, j = (int(k) for k in np.argwhere(less)[0])
+        return (i, j), f"{_entry(i, i)}*{_entry(j, j)} < {_entry(i, j)}*{_entry(j, i)}"
+    return None
+
+
 def _diagonal_screen(a: np.ndarray, partition) -> str | None:
     """The form ``D A + A^T D`` has diagonal ``2 d_i a_ii`` and 2x2
     principal minors ``4 d_i d_j (a_ii a_jj - a_ij a_ji) - (d_i a_ij -
     d_j a_ji)^2``, so a certificate needs every 1x1 and 2x2 principal
-    minor of ``A`` positive.  Both tests are exact: a computed product
-    is the exact one rounded, and rounding is monotone, so
-    ``fl(a_ii a_jj) < fl(a_ij a_ji)`` proves ``a_ii a_jj < a_ij a_ji``.
-    Returns the first failed condition, or None."""
-    d = a.diagonal()
-    if d.min() <= 0.0:
-        i = int(np.argmax(d <= 0.0))
-        return f"{_entry(i, i)} <= 0"
-    with np.errstate(over="ignore"):  # an overflowed product stays ordered
-        less = d[:, None] * d < a * a.T
-    if less.any():
-        i, j = np.argwhere(less)[0]
-        return f"{_entry(i, i)}*{_entry(j, j)} < {_entry(i, j)}*{_entry(j, i)}"
-    return None
+    minor of ``A`` positive (``minor_violation``).  Returns the first
+    failed condition, or None."""
+    found = minor_violation(a, strict=False)
+    return None if found is None else found[1]
 
 
 def _blocks(a: np.ndarray, partition: Partition):

@@ -10,9 +10,10 @@ diagonals and explicit lists) can be enumerated exactly.
 
 Every per-kind closure fact lives in one table, ``_FACTS``, with the
 columns ``diagonal``, ``finite``, ``bounded``, ``scalable``,
-``negatable``, ``invertible`` and ``transposable``; a cell is a bool, or
-a predicate where the answer depends on the class's parameters.  Read
-it through ``MatrixClass.fact(name)``.
+``negatable``, ``invertible``, ``transposable`` and ``row_scaling``; a
+cell is a value (a bool; an operation kind or None for
+``row_scaling``), or a predicate where the answer depends on the class's
+parameters.  Read it through ``MatrixClass.fact(name)``.
 
 Sampler distributions: diagonal magnitudes are log-uniform on
 [1e-3, 1e3] to stress scale separation; dense symmetric positive
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import algebra
-from .algebra import BinaryOp
+from .algebra import BinaryOp, OpKind
 from .errors import (
     DimensionMismatchError,
     InfiniteClassError,
@@ -186,6 +187,12 @@ class _Facts(NamedTuple):
     negatable: bool | Callable  # closed under G -> -G
     invertible: bool | Callable  # closed under G -> G^-1 (invertible G)
     transposable: bool | Callable  # closed under G -> G^T
+    # the operation o under which, for every positive vector u, the class
+    # holds a member G with G o A = diag(u) A for every A (diag(u) under
+    # the product, u 1^T under the entrywise product) that also passes
+    # contains at 1e-7; None otherwise.  The SPD kinds hold every
+    # positive diagonal, but that test rejects a wide spread of u.
+    row_scaling: OpKind | None
 
 
 def _members_diagonal(c: MatrixClass) -> bool:
@@ -197,31 +204,32 @@ def _members_transposable(c: MatrixClass) -> bool:
 
 
 #: The closure facts of each kind, in the column order of ``_Facts``.
-#: The engine's unboundedness escape, enumeration and verdict-transfer
-#: rules read them here.
+#: The engine's unboundedness escape, enumeration, principal-minor
+#: refutation and verdict-transfer rules read them here.
 _FACTS = {
-    ClassKind.SYMMETRIC: _Facts(False, False, False, True, True, True, True),
-    ClassKind.SPD: _Facts(False, False, False, True, False, True, True),
-    ClassKind.ALPHA_BLOCK_SPD: _Facts(False, False, False, True, False, True, True),
-    ClassKind.DIAG: _Facts(True, False, False, True, True, True, True),
-    ClassKind.POS_DIAG: _Facts(True, False, False, True, False, True, True),
+    ClassKind.SYMMETRIC: _Facts(False, False, False, True, True, True, True, None),
+    ClassKind.SPD: _Facts(False, False, False, True, False, True, True, None),
+    ClassKind.ALPHA_BLOCK_SPD: _Facts(False, False, False, True, False, True, True, None),
+    ClassKind.DIAG: _Facts(True, False, False, True, True, True, True, OpKind.MUL),
+    ClassKind.POS_DIAG: _Facts(True, False, False, True, False, True, True, OpKind.MUL),
     ClassKind.SIGN_DIAG: _Facts(
-        True, False, lambda c: not any(c.signs), True, False, True, True),
-    ClassKind.ALPHA_SCALAR: _Facts(True, False, False, True, True, True, True),
-    ClassKind.POS_ALPHA_SCALAR: _Facts(True, False, False, True, False, True, True),
-    ClassKind.THETA_ORDERED: _Facts(True, False, False, True, False, False, True),
+        True, False, lambda c: not any(c.signs), True, False, True, True, None),
+    ClassKind.ALPHA_SCALAR: _Facts(True, False, False, True, True, True, True, None),
+    ClassKind.POS_ALPHA_SCALAR: _Facts(True, False, False, True, False, True, True, None),
+    ClassKind.THETA_ORDERED: _Facts(True, False, False, True, False, False, True, None),
     ClassKind.BOX_DIAG: _Facts(
         True, False, True, False,
-        lambda c: all(l == -h for l, h in zip(c.lo, c.hi)), False, True),
-    ClassKind.VERTEX_DIAG: _Facts(True, True, True, False, True, True, True),
-    ClassKind.RANK_K_POSITIVE: _Facts(False, False, False, True, False, False, True),
+        lambda c: all(l == -h for l, h in zip(c.lo, c.hi)), False, True, None),
+    ClassKind.VERTEX_DIAG: _Facts(True, True, True, False, True, True, True, None),
+    ClassKind.RANK_K_POSITIVE: _Facts(
+        False, False, False, True, False, False, True, OpKind.HADAMARD),
     ClassKind.SUM_RANK_ONE_POSITIVE: _Facts(
-        False, False, False, True, False, False, True),
+        False, False, False, True, False, False, True, OpKind.HADAMARD),
     ClassKind.PARAMETRIC_RANK_ONE: _Facts(
         False, False, True, False, lambda c: c.tau[0] == -c.tau[1], False,
-        lambda c: bool(np.allclose(np.outer(c.x, c.y), np.outer(c.y, c.x)))),
+        lambda c: bool(np.allclose(np.outer(c.x, c.y), np.outer(c.y, c.x))), None),
     ClassKind.EXPLICIT_LIST: _Facts(
-        _members_diagonal, True, True, False, False, False, _members_transposable),
+        _members_diagonal, True, True, False, False, False, _members_transposable, None),
 }
 
 

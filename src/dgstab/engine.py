@@ -19,14 +19,22 @@ alone orders the stages and joins their notes:
 
 1. unbounded-class escape for bounded regions;
 2. the identity-element necessary check;
-3. exact enumeration, for finite classes only, whose verdict is final
+3. the principal-minor refutation, on the right half-plane for a class
+   that holds every positive row scaling ``D A`` under the query's
+   operation (the ``row_scaling`` fact: positive and general diagonals
+   under multiplication, positive rank-one outer products under the
+   entrywise product); other queries skip it.  A negative principal
+   minor of order 1 or 2 (Cross's necessary condition) gives a scaling
+   whose sum of principal minors of that order is negative in exact
+   arithmetic;
+4. exact enumeration, for finite classes only, whose verdict is final
    (an inconclusive one means boundary eigenvalues, which block every
    verdict);
-4. the certificate stage, for infinite classes: screen and search the
+5. the certificate stage, for infinite classes: screen and search the
    form whose proven triples cover the query
    (``certify.search_for_triple``), then re-verify the certificate
    independently;
-5. randomized falsification, for infinite classes.
+6. randomized falsification, for infinite classes.
 
 Every REFUTED verdict, from whichever stage or from a verdict
 transfer, is built by one constructor, ``_refuted``.  Every CERTIFIED
@@ -51,6 +59,7 @@ import enum
 import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -171,18 +180,29 @@ def falsify(q: Query) -> Verdict:
     Trials run in chunks of ``_CHUNK``, each drawn from its own spawned
     generator stream, so the first witness in chunk order is the same
     for every thread count.  Returns ``REFUTED`` with that witness or
-    ``UNKNOWN`` with the number of trials spent.
+    ``UNKNOWN`` with the number of trials spent.  A worker skips every
+    chunk after one known to hold a witness: the pool starts chunks in
+    order, so each chunk before that one has started, and the first
+    witness is among them.
     """
     a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
     n_chunks = math.ceil(budget / _CHUNK)
     children = _stream(q.seed, 2).spawn(n_chunks)
+    first_hit = [n_chunks]  # the lowest chunk known to hold a witness
+    lock = threading.Lock()
 
     def eval_chunk(i: int):
+        if i > first_hit[0]:
+            return None
         count = min(_CHUNK, budget - i * _CHUNK)
         rng = np.random.default_rng(children[i])
         gs = classes.sample_batch(cls, rng, count)
         hit = regions.first_exit(region, np.linalg.eigvals(algebra.apply(op, gs, a)), tol)
-        return None if hit is None else (gs[hit[0]],) + hit
+        if hit is None:
+            return None
+        with lock:
+            first_hit[0] = min(first_hit[0], i)
+        return (gs[hit[0]],) + hit
 
     threads = _thread_count()
     window = threads * 4
@@ -216,8 +236,7 @@ def _unboundedness_escape(q: Query) -> Verdict | str:
     if not (q.region.is_bounded and q.cls.is_unbounded
             and q.cls.closed_under_positive_scaling
             and q.op.kind is not OpKind.HADAMARD
-            and (q.op.kind is not OpKind.MUL
-                 or algebra.op_inverse(q.op, q.a) is not None)):
+            and algebra.is_invertible(q.op, q.a)):
         return no_escape
     rng = np.random.default_rng(_stream(q.seed, 0))
     for _ in range(8):
@@ -245,6 +264,72 @@ def _identity_check(q: Query) -> Verdict | str:
     if not regions.spectrum_in_region(q.region, w):
         return "identity element leaves a boundary eigenvalue (inconclusive)"
     return "identity-element check passed"
+
+
+def _dyadic(x: np.ndarray) -> np.ndarray:
+    """Python integers ``N`` with ``x = N / 2**m`` exactly, for one
+    ``m``: an object array of ``x``'s shape."""
+    ratios = [v.as_integer_ratio() for v in x.ravel().tolist()]
+    m = max(den.bit_length() for _, den in ratios)
+    return np.array([num << (m - den.bit_length()) for num, den in ratios],
+                    dtype=object).reshape(x.shape)
+
+
+def _minor_sum_coeffs(a: np.ndarray, s: tuple[int, ...]) -> list[int]:
+    """Integers ``c_0 .. c_k``, ``k = len(s)`` (1 or 2), such that the
+    sum ``E_k`` of the principal minors of order k of ``D_t A`` is
+    ``sum_m c_m t^m`` times a positive power of two, where ``D_t`` has t
+    at the indices ``s`` and 1 elsewhere: the minor on the indices K
+    gains the factor ``t^|K & s|``.  Exact, in integer arithmetic."""
+    inside = np.zeros(a.shape[0], dtype=int)
+    inside[list(s)] = 1
+    if len(s) == 1:
+        minors, count = _dyadic(a.diagonal()), inside
+    else:
+        x = _dyadic(a)
+        iu = np.triu_indices(a.shape[0], 1)
+        minors = (np.outer(x.diagonal(), x.diagonal()) - x * x.T)[iu]
+        count = (inside[:, None] + inside)[iu]
+    return [sum(minors[count == m].tolist()) for m in range(len(s) + 1)]
+
+
+def _minor_refutation(q: Query) -> Verdict | str:
+    """Cross's necessary condition (LAA 20, 1978): a matrix that stays
+    positive stable under every positive row scaling ``D A`` has no
+    negative principal minor of order 1 or 2.  For the first such minor
+    (``certify.minor_violation``) on the indices s, put ``t = 2^e`` at s
+    in ``D_t``, doubling t, until the sum ``E_k(D_t A)`` of the principal
+    minors of the minor's order is negative in exact arithmetic, which
+    proves an eigenvalue with negative real part, and ``regions.first_exit``
+    sees it beyond ``tol``.  The class holds the member with composition
+    ``D_t A`` (its ``row_scaling`` fact).  The search stops before an
+    entry of that composition overflows."""
+    found = certify.minor_violation(q.a, strict=True)
+    if found is None:
+        return "principal-minor check passed"
+    s, failed = found
+    idx = list(s)
+    coeffs = _minor_sum_coeffs(q.a, s)
+    mask = np.zeros(q.a.shape[0])
+    mask[idx] = 1.0
+    # the largest entry of the composition that t multiplies
+    top = float(algebra.apply(q.op, algebra.row_scaling(q.op, mask), np.abs(q.a)).max())
+    u = np.ones(q.a.shape[0])
+    for e in range(1, 1024):
+        t = math.ldexp(1.0, e)
+        if not math.isfinite(top * t):
+            break
+        if sum(c << (e * m) for m, c in enumerate(coeffs)) >= 0:
+            continue
+        u[idx] = t
+        g = algebra.row_scaling(q.op, u)
+        w = np.linalg.eigvals(algebra.apply(q.op, g, q.a))
+        hit = regions.first_exit(q.region, w[None], q.tol)
+        if hit is not None:
+            at = ", ".join(str(i + 1) for i in s)
+            return _refuted(g, *hit[1:], f"principal minor {failed} refutes: t = 2^{e} "
+                            f"on {{{at}}}, E_{len(s)} < 0 (exact)")
+    return f"principal minor {failed}: no t = 2^k refutes before G o A overflows"
 
 
 def _exhaustive_check(q: Query) -> Verdict:
@@ -293,8 +378,12 @@ def _certificate_stage(q: Query) -> Verdict | str:
 
 def decide(q: Query, use_certificates: bool = True) -> Verdict:
     """Layered decision: unboundedness escape, identity-element check,
-    then exact enumeration for finite classes, or certificate search and
-    randomized falsification for infinite ones.  Each stage returns a
+    the exact principal-minor refutation on the right half-plane where
+    the class holds every positive row scaling under the query's
+    operation, then exact enumeration for finite classes, or
+    certificate search and randomized falsification for infinite ones.
+    A stage that does not apply to the query does not run and adds no
+    note.  Each stage returns a
     verdict, which ends the run, or its note; the verdict's provenance
     begins with the notes before it.  The last stage always returns one.
 
@@ -302,16 +391,20 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     note "certificate search disabled" (the other stages are
     unaffected); useful for honesty testing and benchmarks.
     """
+    stages = (_unboundedness_escape, _identity_check)
+    if (q.region.kind is regions.RegionKind.RIGHT_HALF_PLANE
+            and q.cls.fact("row_scaling") is q.op.kind):
+        stages += (_minor_refutation,)
     if q.cls.is_finite:
         # boundary eigenvalues block every verdict, so an inconclusive
         # enumeration is final
-        later = (_exhaustive_check,)
+        stages += (_exhaustive_check,)
     elif use_certificates:
-        later = (_certificate_stage, falsify)
+        stages += (_certificate_stage, falsify)
     else:
-        later = (lambda _: "certificate search disabled", falsify)
+        stages += (lambda _: "certificate search disabled", falsify)
     notes: list[str] = []
-    for stage in (_unboundedness_escape, _identity_check) + later:
+    for stage in stages:
         v = stage(q)
         if isinstance(v, Verdict):
             v.provenance = tuple(notes) + v.provenance

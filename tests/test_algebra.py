@@ -14,9 +14,11 @@ from dgstab.algebra import (
     check_spectrum_commutation,
     check_transpose_law,
     identity_matrix_for,
+    is_invertible,
     law_table,
     multiset_distance,
     op_inverse,
+    row_scaling,
 )
 from dgstab.errors import DimensionMismatchError
 
@@ -58,6 +60,30 @@ def test_op_inverse():
                                0.5 * np.ones((2, 2)))
     assert op_inverse(MUL, np.zeros((2, 2))) is None
     assert op_inverse(HADAMARD, np.diag([1.0, 1.0])) is None
+
+
+def test_is_invertible_is_the_criterion_of_op_inverse():
+    # condition numbers on both sides of 1e12, and entries on both sides
+    # of 1e-12
+    mats = [np.eye(2), np.zeros((2, 2)), np.diag([1.0, 0.0]), np.diag([1.0, 2e-12]),
+            np.diag([1.0, 5e-13]), 2 * np.ones((2, 2)), np.full((2, 2), 5e-13),
+            np.array([[1.0, 2.0], [2.0, 4.0]])]
+    for op in (ADD, MUL, HADAMARD):
+        for g in mats:
+            assert is_invertible(op, g) is (op_inverse(op, g) is not None), (op, g)
+    assert is_invertible(MUL, np.diag([1.0, 2e-12]))
+    assert not is_invertible(MUL, np.diag([1.0, 5e-13]))
+
+
+def test_row_scaling_scales_the_rows():
+    u = np.array([2.0 ** 60, 1.0, 0.25])
+    a = np.random.default_rng(0).standard_normal((3, 3))
+    for op in (MUL, HADAMARD):
+        np.testing.assert_array_equal(apply(op, row_scaling(op, u), a), u[:, None] * a)
+    right = BinaryOp(OpKind.MUL, Side.RIGHT)
+    np.testing.assert_array_equal(apply(right, row_scaling(right, u), a), a * u)
+    with pytest.raises(ValueError):
+        row_scaling(ADD, u)
 
 
 def test_multiset_distance():

@@ -991,6 +991,24 @@ def test_screens_are_necessary():
                                      CertKind.BLOCK_LYAPUNOV)) == 8
 
 
+def test_minor_violation_is_strict_only_when_asked():
+    # the screen rejects a_ii <= 0; a refutation needs a_ii < 0, so a zero
+    # diagonal entry leaves the pairs to decide
+    order_2 = np.array([[2.0, 2.0, -2.0], [-1.0, 2.0, -1.0], [-3.0, 1.0, 2.0]])
+    cases = [
+        (np.array([[0.0, 1.0], [-1.0, 1.0]]), None, ((0,), "a_11 <= 0")),
+        (np.array([[-0.0, 1.0], [-1.0, 1.0]]), None, ((0,), "a_11 <= 0")),
+        (np.array([[1.0, 0.0], [0.0, -1e-300]]), ((1,), "a_22 < 0"), ((1,), "a_22 <= 0")),
+        (np.array([[0.0, 1.0], [1.0, 1.0]]), ((0, 1), "a_11*a_22 < a_12*a_21"),
+         ((0,), "a_11 <= 0")),
+        (order_2, ((0, 2), "a_11*a_33 < a_13*a_31"), ((0, 2), "a_11*a_33 < a_13*a_31")),
+        (np.eye(3), None, None),
+    ]
+    for a, strict, loose in cases:
+        assert certify.minor_violation(a, strict=True) == strict, a
+        assert certify.minor_violation(a, strict=False) == loose, a
+
+
 def test_search_for_triple_reports_the_failed_condition(monkeypatch):
     import dgstab.certify as certify
     from dgstab.algebra import MUL

@@ -6,6 +6,7 @@ import pytest
 from dgstab import algebra
 from dgstab.algebra import MUL
 from dgstab.classes import (
+    ClassKind,
     Partition,
     alpha_block_spd,
     alpha_scalar,
@@ -352,6 +353,27 @@ def _claim_images(name, g):
         return [algebra.op_inverse(MUL, g)]
     return {"diagonal": [g], "negatable": [-g], "scalable": [2.0 * g, 0.5 * g],
             "transposable": [g.T]}[name]
+
+
+def test_row_scaling_fact_holds_at_every_spread():
+    # the member that scales row i by u_i, for spreads of u far beyond
+    # the sampler's range
+    a = np.random.default_rng(3).standard_normal((4, 4))
+    kinds = set()
+    for cls in all_kinds(4):
+        kind = cls.fact("row_scaling")
+        if kind is None:
+            continue
+        kinds.add(cls.kind)
+        op = algebra.BinaryOp(kind)
+        for e in (1, 30, 60, 500):
+            for u in (np.array([2.0 ** e, 1.0, 1.0, 1.0]),
+                      np.array([1.0, 2.0 ** e, 2.0 ** e, 1.0])):
+                g = algebra.row_scaling(op, u)
+                assert contains(cls, g, 1e-7), (cls.kind, e)
+                np.testing.assert_array_equal(algebra.apply(op, g, a), u[:, None] * a)
+    assert kinds == {ClassKind.DIAG, ClassKind.POS_DIAG, ClassKind.RANK_K_POSITIVE,
+                     ClassKind.SUM_RANK_ONE_POSITIVE}
 
 
 @pytest.mark.parametrize("n", [3, 4])

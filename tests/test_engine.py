@@ -1,6 +1,8 @@
 import json
+import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -759,9 +761,11 @@ def test_verdicts_do_not_depend_on_thread_count(monkeypatch):
         outputs[threads] = [serialize.dumps(serialize.verdict_to_json(stage(q)))
                             for q in queries for stage in (decide, falsify)]
     assert outputs["1"] == outputs["2"] == outputs["3"]
-    verdicts = [decide(q) for q in queries]
-    assert [v.status for v in verdicts] == [VerdictStatus.REFUTED, VerdictStatus.UNKNOWN]
-    assert verdicts[0].trials_used > 512  # the witness is not in the first chunk
+    found = [falsify(q) for q in queries]
+    assert [v.status for v in found] == [VerdictStatus.REFUTED, VerdictStatus.UNKNOWN]
+    assert found[0].trials_used > 512  # the witness is not in the first chunk
+    # a_11 < 0: the principal-minor stage refutes both before any search
+    assert [decide(q).status for q in queries] == [VerdictStatus.REFUTED] * 2
 
 
 def test_inconclusive_enumeration_is_final(monkeypatch):
@@ -928,10 +932,11 @@ def _block_instance(block):
 
 
 def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
-    # a negative or zero-ish (2, 2) entry rules out a diagonal
-    # certificate: the screen skips the ascent, and the falsifier, which
+    # a zero (2, 2) entry rules out a diagonal certificate but refutes no
+    # D-stability: the screen skips the ascent, and the falsifier, which
     # draws from its own seed stream, returns what it returned after the
-    # failed ascent
+    # failed ascent.  P0_NOT_D_STABLE has nonnegative principal minors of
+    # order 1 and 2, yet a positive diagonal destabilises it.
     from dgstab import certify
 
     pairing = certify._PAIRINGS[CertKind.DIAGONAL_LYAPUNOV]
@@ -942,10 +947,10 @@ def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
             calls.append(_f)
             return _f(*args, **kw)
         monkeypatch.setattr(certify, name, counted)
-    for block, status in ((NOT_D_STABLE, VerdictStatus.REFUTED),
-                          (np.array([[-1e-9, 1.0], [-1.0, 1.0]]), VerdictStatus.UNKNOWN)):
-        q = Query(_block_instance(block), RHP, classes.pos_diag(4), MUL,
-                  budget=2000, seed=11)
+    p0_not_d_stable = np.array([[1.0, 1.0, 1.0], [0.0, 0.0, -1.0], [-2.0, 1.0, 1.0]])
+    for a, status in ((p0_not_d_stable, VerdictStatus.REFUTED),
+                      (_block_instance(D_STABLE_NO_CERT), VerdictStatus.UNKNOWN)):
+        q = Query(a, RHP, classes.pos_diag(len(a)), MUL, budget=2000, seed=11)
         calls.clear()
         got = decide(q)
         assert calls == []
@@ -966,6 +971,201 @@ def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
         assert note in got.provenance and len(got.provenance) == len(want.provenance)
         assert [p for p in got.provenance if p != note] == \
             [p for p in want.provenance if not p.startswith("certificate search inconclusive")]
+    # a negative diagonal entry is refuted by the principal-minor stage,
+    # before the screen and the ascent
+    calls.clear()
+    for block in (NOT_D_STABLE, np.array([[-1e-9, 1.0], [-1.0, 1.0]])):
+        q = Query(_block_instance(block), RHP, classes.pos_diag(4), MUL,
+                  budget=2000, seed=11)
+        v = decide(q)
+        assert v.status is VerdictStatus.REFUTED and v.trials_used == 0
+        assert v.provenance[-1].startswith("principal minor a_22 < 0 refutes")
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# the principal-minor refutation
+
+
+def _exact_minor_sum(m: np.ndarray, k: int) -> Fraction:
+    """The sum of the principal minors of order k (1 or 2) of ``m``, in
+    rationals."""
+    f = [[Fraction(x) for x in row] for row in m.tolist()]
+    n = len(f)
+    if k == 1:
+        return sum(f[i][i] for i in range(n))
+    return sum(f[i][i] * f[j][j] - f[i][j] * f[j][i]
+               for i in range(n) for j in range(i + 1, n))
+
+
+def _check_minor_refutation(q, v, k, at):
+    """``v`` refutes ``q`` from the principal-minor stage: an in-class
+    witness that scales the rows ``at`` by one power of two, an exact
+    negative sum of principal minors of order k, and a margin above
+    tol."""
+    assert v.status is VerdictStatus.REFUTED and v.trials_used == 0
+    assert "(exact)" in v.provenance[-1] and "t = 2^" in v.provenance[-1]
+    assert classes.contains(q.cls, v.witness, 1e-7)
+    u = v.witness.max(axis=1)
+    np.testing.assert_array_equal(v.witness, algebra.row_scaling(q.op, u))
+    t = u[at[0]]
+    assert t == 2.0 ** round(np.log2(t)) and t > 1.0
+    np.testing.assert_array_equal(u, np.where(np.isin(np.arange(len(u)), at), t, 1.0))
+    m = algebra.apply(q.op, v.witness, q.a)
+    assert np.all(np.isfinite(m))
+    # from the right, A D_t has the principal minors of D_t A
+    np.testing.assert_array_equal(m, q.a * u[None, :] if q.op.side is Side.RIGHT
+                                  and q.op.kind is OpKind.MUL else u[:, None] * q.a)
+    assert _exact_minor_sum(m, k) < 0
+    w = np.linalg.eigvals(m)
+    assert np.max(regions.exterior_margins(q.region, w)) == v.margin > q.tol
+
+
+def _unknown_block_instance(n):
+    # UNKNOWN_BLOCK [[-1e-9, 1], [-1, 1]] over a diagonally stable block:
+    # only d1 / d2 > 1e9 destabilises it, which the sampler never draws
+    a = np.zeros((n, n))
+    a[:2, :2] = [[-1e-9, 1.0], [-1.0, 1.0]]
+    a[:2, 2:] = 0.3
+    a[2:, 2:] = np.eye(n - 2) + 0.5 * np.triu(np.ones((n - 2, n - 2)), 1)
+    perm = np.random.default_rng(n).permutation(n)
+    return a[np.ix_(perm, perm)], int(np.flatnonzero(perm == 0)[0])
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_a_negative_diagonal_entry_is_refuted_exactly(n):
+    a, i = _unknown_block_instance(n)
+    for cls, op in ((classes.pos_diag(n), MUL), (classes.diag(n), MUL),
+                    (classes.rank_k_positive(n, 1), dg.HADAMARD),
+                    (classes.sum_rank_one_positive(n, 2), dg.HADAMARD),
+                    (classes.pos_diag(n), BinaryOp(OpKind.MUL, Side.RIGHT))):
+        q = Query(a, RHP, cls, op, budget=200, seed=n)
+        v = decide(q)
+        _check_minor_refutation(q, v, 1, [i])
+        assert v.provenance[:2] == ("unboundedness precheck: not applicable or no escape "
+                                    "found", "identity-element check passed")
+        assert v.provenance[-1].startswith(f"principal minor {certify._entry(i, i)} < 0 "
+                                           f"refutes: t = 2^")
+
+
+def test_a_negative_minor_of_order_two_is_refuted_exactly():
+    # positive stable with a positive diagonal, but a_11 a_33 - a_13 a_31
+    # = -2: t on {1, 3} drives E_2 negative
+    a = np.array([[2.0, 2.0, -2.0], [-1.0, 2.0, -1.0], [-3.0, 1.0, 2.0]])
+    assert np.linalg.eigvals(a).real.min() > 0
+    for cls, op in ((classes.pos_diag(3), MUL), (classes.rank_k_positive(3, 1), dg.HADAMARD)):
+        q = Query(a, RHP, cls, op, budget=200, seed=1)
+        v = decide(q)
+        _check_minor_refutation(q, v, 2, [0, 2])
+        assert v.provenance[-1] == ("principal minor a_11*a_33 < a_13*a_31 refutes: "
+                                    "t = 2^3 on {1, 3}, E_2 < 0 (exact)")
+
+
+def test_a_zero_diagonal_entry_refutes_nothing():
+    # D_STABLE_NO_CERT is D-stable: no minor is negative, whatever the
+    # sign of its zero
+    for zero in (0.0, -0.0):
+        a = D_STABLE_NO_CERT.copy()
+        a[0, 0] = zero
+        v = decide(Query(a, RHP, classes.pos_diag(2), MUL, budget=300, seed=1))
+        assert v.status is VerdictStatus.UNKNOWN
+        assert v.provenance[2] == "principal-minor check passed"
+
+
+def test_a_tiny_negative_entry_stops_before_overflow():
+    # t * 1e-300 stays below a_22 = 1 until t * 1e9 would overflow: the
+    # stage gives up, and the later stages run
+    a = np.array([[-1e-300, 1e9], [-1e-9, 1.0]])
+    q = Query(a, RHP, classes.pos_diag(2), MUL, budget=300, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = decide(q)
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.provenance[2:] == (
+        "principal minor a_11 < 0: no t = 2^k refutes before G o A overflows",
+        "no diagonal_lyapunov certificate exists: a_11 <= 0",
+        "falsification exhausted 300 trials",
+    )
+    # with a_12 = 1 the trace turns negative at t = 2^997, short of overflow
+    a[0, 1], a[1, 0] = 1.0, -1.0
+    q = Query(a, RHP, classes.pos_diag(2), MUL, budget=300, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = decide(q)
+    _check_minor_refutation(q, v, 1, [0])
+    assert "t = 2^997 on {1}" in v.provenance[-1]
+
+
+def test_minor_refutations_do_not_depend_on_seed_or_threads(monkeypatch):
+    a, _ = _unknown_block_instance(6)
+    order_2 = np.array([[2.0, 2.0, -2.0], [-1.0, 2.0, -1.0], [-3.0, 1.0, 2.0]])
+    for m in (a, order_2):
+        outputs = set()
+        for threads in ("1", "2"):
+            monkeypatch.setenv("DGSTAB_THREADS", threads)
+            for seed in (1, 2, 3):
+                q = Query(m, RHP, classes.pos_diag(len(m)), MUL, budget=1000, seed=seed)
+                outputs.add(serialize.dumps(serialize.verdict_to_json(decide(q))))
+        assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("region, cls, op", [
+    (RHP, classes.pos_diag(2), dg.ADD),
+    (dg.unit_disk(), classes.pos_diag(2), MUL),
+    (dg.left_half_plane(), classes.pos_diag(2), MUL),
+    (RHP, classes.vertex_diag(2), MUL),
+    (RHP, classes.box_diag([0.1, 0.1], [10.0, 10.0]), MUL),
+    (RHP, classes.spd(2), MUL),
+    (RHP, classes.pos_diag(2), dg.HADAMARD),
+    (RHP, classes.rank_k_positive(2, 1), MUL),
+])
+def test_the_minor_stage_runs_only_where_it_applies(monkeypatch, region, cls, op):
+    def refuse(q):
+        raise AssertionError("the principal-minor stage ran")
+
+    monkeypatch.setattr(engine, "_minor_refutation", refuse)
+    decide(Query(np.array([[-1e-9, 1.0], [-1.0, 1.0]]), region, cls, op,
+                 budget=100, seed=1))
+
+
+def test_falsifier_samples_no_chunk_after_a_known_witness(monkeypatch):
+    # every member refutes -I, so chunk 0 holds the first witness; a
+    # worker that finishes a chunk skips every later one, so at most one
+    # chunk per worker is sampled, and the verdict bytes stay the same
+    calls = []
+    sample_batch = classes.sample_batch
+
+    def counted(*args):
+        calls.append(args)
+        time.sleep(0.01)
+        return sample_batch(*args)
+
+    monkeypatch.setattr(classes, "sample_batch", counted)
+    q = Query(-np.eye(2), RHP, classes.pos_diag(2), MUL, budget=10_000, seed=1)
+    outputs = set()
+    for threads in (1, 2, 3):
+        monkeypatch.setenv("DGSTAB_THREADS", str(threads))
+        calls.clear()
+        v = falsify(q)
+        assert v.trials_used == 1 and 1 <= len(calls) <= threads, threads
+        outputs.add(serialize.dumps(serialize.verdict_to_json(v)))
+    assert len(outputs) == 1
+
+
+def test_the_escape_inverts_nothing(monkeypatch):
+    # invertibility is judged by the singular values alone
+    def refuse(*args):
+        raise AssertionError("the escape inverted the matrix")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(algebra, "op_inverse", refuse)
+    v = decide(Query(0.5 * np.eye(2), dg.unit_disk(), classes.pos_diag(2), MUL,
+                     budget=100, seed=1))
+    assert v.status is VerdictStatus.REFUTED
+    assert v.provenance[-1].startswith("bounded region with unbounded class: scaled sample")
+    v = decide(Query(np.diag([0.5, 0.0]), dg.unit_disk(), classes.pos_diag(2), MUL,
+                     budget=100, seed=1))
+    assert v.provenance[0] == "unboundedness precheck: not applicable or no escape found"
 
 
 # ---------------------------------------------------------------------------
@@ -986,6 +1186,7 @@ def test_a_certificate_that_does_not_prove_the_query_is_dropped(monkeypatch, a, 
     assert v.provenance == (
         "unboundedness precheck: not applicable or no escape found",
         "identity-element check passed",
+        "principal-minor check passed",
         "certificate candidate failed re-verification",
         "falsification exhausted 200 trials",
     )
