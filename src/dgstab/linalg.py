@@ -10,7 +10,10 @@ are safe to call concurrently.
 
 The equation solvers vectorize to a dense ``n^2 x n^2`` linear system,
 which keeps them simple and exact at the package's declared scope
-(``n <= 32``); they are not meant for large-scale use.
+(``n <= 32``); they are not meant for large-scale use.  One LU
+factorization of that system both solves it and judges it singular: a
+probed 1-norm estimate of its reciprocal condition number, taken from
+the same solve, must reach ``RCOND_SINGULAR``.
 """
 
 from __future__ import annotations
@@ -178,20 +181,51 @@ def _require_symmetric(w, name: str) -> np.ndarray:
     return 0.5 * w + 0.5 * w.T
 
 
-def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """Solve ``op @ vec(H) = vec(W)`` and return symmetrized ``H``.
+def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int, e: int = 0) -> np.ndarray:
+    """Solve ``op @ vec(H) = vec(W)`` and return symmetrized ``H / 2^e``.
 
     ``op`` acts on column-stacked matrices.  Raises
     ``SingularOperatorError`` when the reciprocal condition estimate of
-    ``op`` falls below ``RCOND_SINGULAR``.
+    ``op`` falls below ``RCOND_SINGULAR``, and ``OverflowError`` when
+    the 1-norm of ``op`` or an entry of ``H / 2^e`` overflows.
+
+    One LU factorization solves for ``vec(W)`` and for two Gaussian
+    probe columns drawn from a fixed seed.  Each column ``b`` with
+    solution ``x`` bounds ``||op^-1||_1 >= ||x||_1 / ||b||_1`` from
+    below (the probing estimators of Dixon, 1983, and Higham and
+    Tisseur, 2000), so ``1 / (||op||_1 * max ||x||_1 / ||b||_1)``
+    estimates rcond from above.  An exactly singular pivot or a
+    non-finite solution reads as rcond 0.  Each column is scaled by a
+    power of two to entries below 1 in magnitude, so that no 1-norm
+    of it overflows and ``H`` is recovered exactly.
     """
-    sv = np.linalg.svd(op, compute_uv=False)
-    if sv[0] == 0.0 or sv[-1] / sv[0] < RCOND_SINGULAR:
-        raise SingularOperatorError(
-            "equation operator is numerically singular "
-            f"(rcond ~ {0.0 if sv[0] == 0.0 else sv[-1] / sv[0]:.2e})"
-        )
-    h = np.linalg.solve(op, w.flatten(order="F")).reshape((n, n), order="F")
+    # an overflow below yields inf, which a finiteness test then catches
+    with np.errstate(over="ignore"):
+        op_norm = np.abs(op).sum(axis=0).max()
+        if not np.isfinite(op_norm):
+            raise OverflowError("equation operator overflowed; rescale the inputs")
+        b = np.empty((n * n, 3))
+        b[:, 0] = w.flatten(order="F")
+        b[:, 1:] = np.random.default_rng(0).standard_normal((n * n, 2))
+        s = np.frexp(np.abs(b).max(axis=0))[1]
+        b = np.ldexp(b, -s)
+        try:
+            x = np.linalg.solve(op, b)
+        except np.linalg.LinAlgError:
+            x = None
+        rcond = 0.0
+        if x is not None and np.isfinite(x).all():
+            b_norm = np.abs(b).sum(axis=0)
+            live = b_norm > 0.0  # vec(W) may be zero; a probe never is
+            ratio = np.max(np.abs(x).sum(axis=0)[live] / b_norm[live])
+            rcond = 1.0 / (op_norm * ratio)
+        if rcond < RCOND_SINGULAR:
+            raise SingularOperatorError(
+                f"equation operator is numerically singular (rcond ~ {rcond:.2e})"
+            )
+        h = np.ldexp(x[:, 0], s[0] - e).reshape((n, n), order="F")
+    if not np.isfinite(h).all():
+        raise OverflowError("solution overflowed; rescale the inputs")
     return 0.5 * h + 0.5 * h.T
 
 
@@ -199,16 +233,25 @@ def solve_lyapunov(a, w) -> np.ndarray:
     """Solve ``H A + A^T H = W`` for symmetric ``H``.
 
     ``W`` must be symmetric.  Solvable when no two eigenvalues of ``A``
-    sum to zero; otherwise ``SingularOperatorError`` is raised.
+    sum to zero; otherwise ``SingularOperatorError`` is raised.  An
+    ``H`` beyond the float range raises ``OverflowError``.
     """
     a = as_square_matrix(a, "a")
     w = _require_symmetric(w, "w")
     if w.shape != a.shape:
         raise ValueError("a and w must have equal orders")
     n = a.shape[0]
-    eye = np.eye(n)
-    op = np.kron(a.T, eye) + np.kron(eye, a.T)
-    return _solve_vectorized(op, w, n)
+    # the equation is homogeneous in A: solve it for A / 2^e, whose
+    # entries lie below 1 in magnitude, and divide that H by 2^e
+    e = int(np.frexp(np.abs(a).max())[1])
+    at = np.ldexp(a.T, -e)
+    # op = kron(A^T, I) + kron(I, A^T), written block by block
+    op = np.zeros((n * n, n * n))
+    blocks = op.reshape(n, n, n, n)
+    idx = np.arange(n)
+    blocks[idx, :, idx, :] = at
+    blocks[:, idx, :, idx] += at
+    return _solve_vectorized(op, w, n, e)
 
 
 def solve_stein(a, w) -> np.ndarray:
@@ -216,14 +259,21 @@ def solve_stein(a, w) -> np.ndarray:
 
     ``W`` must be symmetric.  Solvable when no product of two
     eigenvalues of ``A`` equals one; otherwise ``SingularOperatorError``
-    is raised.
+    is raised.  The equation is not homogeneous in ``A``, so an ``A``
+    whose operator overflows raises ``OverflowError``, as does an ``H``
+    beyond the float range.
     """
     a = as_square_matrix(a, "a")
     w = _require_symmetric(w, "w")
     if w.shape != a.shape:
         raise ValueError("a and w must have equal orders")
     n = a.shape[0]
-    op = np.eye(n * n) - np.kron(a.T, a.T)
+    # op = I - kron(A^T, A^T), with no n^4 temporary
+    op = np.empty((n * n, n * n))
+    with np.errstate(over="ignore"):
+        np.multiply(a.T[:, None, :, None], -a.T[None, :, None, :],
+                    out=op.reshape(n, n, n, n))
+    op.reshape(-1)[:: n * n + 1] += 1.0
     return _solve_vectorized(op, w, n)
 
 

@@ -194,6 +194,134 @@ def test_solve_stein_examples():
         solve_stein([[0, 1], [-1, 0]], np.eye(2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_solvers_overflow_edges():
+    # the Lyapunov equation is homogeneous in A, so a huge A is solved
+    # exactly on A / 2^e; the Kronecker sum of A itself would overflow
+    h = solve_lyapunov(1e308 * np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2))
+    np.testing.assert_allclose(h, 1e-308 * np.array([[0.5, -0.25], [-0.25, 0.75]]),
+                               rtol=1e-12, atol=0.0)
+    with pytest.raises(OverflowError, match="rescale the inputs"):
+        solve_stein(1e200 * np.eye(2), np.eye(2))
+    # H = W / (2 * 2^-20) leaves the float range
+    with pytest.raises(OverflowError, match="rescale the inputs"):
+        solve_lyapunov(2.0**-20 * np.eye(2), 1e308 * np.eye(2))
+
+
+def test_solvers_at_order_one_and_at_zero_inputs():
+    np.testing.assert_array_equal(solve_lyapunov([[2.0]], [[1.0]]), [[0.25]])
+    # W = 0 gives no column for the condition estimate, only H = 0
+    np.testing.assert_array_equal(solve_stein(0.5 * np.eye(2), np.zeros((2, 2))),
+                                  np.zeros((2, 2)))
+    for solver, a in ((solve_lyapunov, [[0.0]]), (solve_stein, [[1.0]]),
+                      (solve_stein, [[-1.0]]), (solve_lyapunov, np.zeros((3, 3)))):
+        with pytest.raises(SingularOperatorError):
+            solver(a, np.eye(len(a)))
+
+
+@pytest.mark.parametrize("solver", [solve_lyapunov, solve_stein])
+def test_solvers_are_deterministic(solver):
+    rng = np.random.default_rng(7)
+    a = 0.3 * rng.standard_normal((6, 6))
+    b = rng.standard_normal((6, 6))
+    assert solver(a, b + b.T).tobytes() == solver(a, b + b.T).tobytes()
+
+
+def test_solve_lyapunov_scales_exactly_with_a():
+    rng = np.random.default_rng(8)
+    for n in (1, 3, 7):
+        a = rng.standard_normal((n, n)) + n * np.eye(n)
+        b = rng.standard_normal((n, n))
+        h = solve_lyapunov(a, b + b.T)
+        for k in (10, -10):
+            np.testing.assert_array_equal(solve_lyapunov(np.ldexp(a, k), b + b.T),
+                                          np.ldexp(h, -k))
+
+
+def _kron_operator(a, mode):
+    n = len(a)
+    if mode == "lyap":
+        return np.kron(a.T, np.eye(n)) + np.kron(np.eye(n), a.T)
+    return np.eye(n * n) - np.kron(a.T, a.T)
+
+
+def _hidden(rng, t):
+    """``S T S^-1`` for a Gaussian ``S`` with ``cond(S) < 1e3``."""
+    n = len(t)
+    while True:
+        s = rng.standard_normal((n, n))
+        if np.linalg.cond(s) < 1e3:
+            return s @ t @ np.linalg.inv(s)
+
+
+def _oracle_inputs(rng, n, mode):
+    """One input of each kind: singular diagonalizable, singular
+    defective, separated and raw Gaussian."""
+    lam = rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n)
+    lam[1] = -lam[0] if mode == "lyap" else 1.0 / lam[0]
+    yield "singular", _hidden(rng, np.diag(lam))
+    # a Jordan block J_k(mu) with partner -mu (lyap) or 1 / mu (stein);
+    # with no room for a partner, mu = 0 (lyap) or +-1 (stein) pairs
+    # the block with itself
+    k = int(rng.integers(2, min(4, n) + 1))
+    t = np.diag(rng.uniform(0.5, 2.0, n) * rng.choice([-1.0, 1.0], n))
+    mu = t[0, 0] if k < n else (0.0 if mode == "lyap" else t[0, 0] / abs(t[0, 0]))
+    t[:k, :k] = mu * np.eye(k) + np.diag(rng.uniform(0.5, 2.0, k - 1), 1)
+    if k < n:
+        t[k, k] = -mu if mode == "lyap" else 1.0 / mu
+    yield "singular", _hidden(rng, t)
+    while True:
+        a = rng.standard_normal((n, n))
+        w = np.linalg.eigvals(a)
+        gaps = (np.abs(w[:, None] + w[None, :]) if mode == "lyap"
+                else np.abs(w[:, None] * w[None, :] - 1.0))
+        if gaps.min() > 0.05:
+            yield "separated", a
+            break
+    yield "raw", rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("solver,mode,residual", [
+    (solve_lyapunov, "lyap", lambda a, h: h @ a + a.T @ h),
+    (solve_stein, "stein", lambda a, h: h - a.T @ h @ a),
+])
+def test_solvers_agree_with_the_svd_oracle(monkeypatch, solver, mode, residual):
+    # the solvers judge singularity from their one LU solve; the SVD of
+    # the Kronecker operator, run here only, is the reference
+    svd = np.linalg.svd
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a solver called np.linalg.svd")
+
+    rng = np.random.default_rng(2024)
+    seen = {"singular": 0, "solved": 0}
+    for n in [*range(2, 11)] * 3 + [16, 16]:
+        for kind, a in _oracle_inputs(rng, n, mode):
+            b = rng.standard_normal((n, n))
+            w = b + b.T
+            op = _kron_operator(a, mode)
+            sv = svd(op, compute_uv=False)
+            rcond = sv[-1] / sv[0]
+            assert kind != "singular" or rcond <= 1e-14
+            monkeypatch.setattr(np.linalg, "svd", no_svd)
+            if rcond <= 1e-14:
+                with pytest.raises(SingularOperatorError):
+                    solver(a, w)
+                seen["singular"] += 1
+            elif rcond >= 1e-10:
+                h = solver(a, w)
+                old = np.linalg.solve(op, w.flatten(order="F")).reshape((n, n), order="F")
+                old = 0.5 * old + 0.5 * old.T
+                # the floor of one unit roundoff of W covers the inputs
+                # whose old residual rounds to exactly zero
+                floor = np.finfo(float).eps * np.linalg.norm(w)
+                assert (np.linalg.norm(residual(a, h) - w)
+                        <= 4 * max(np.linalg.norm(residual(a, old) - w), floor))
+                seen["solved"] += 1
+            monkeypatch.setattr(np.linalg, "svd", svd)
+    assert seen["singular"] >= 2 * 29 and seen["solved"] >= 2 * 29
+
+
 def test_hill_form_case_i_is_lyapunov_form():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((3, 3))
