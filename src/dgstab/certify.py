@@ -20,15 +20,20 @@ many principal submatrices of one order the same way, with the same
 check run on their stack.  ``exhaust`` is the one enumeration of a
 finite class: the engine's enumeration stage and verdict transfer turn
 its result into a verdict, and an ``EXHAUSTIVE`` certificate verifies
-by running it again.  The searches
-maximize the smallest eigenvalue of the form by projected subgradient
-ascent over the witness parametrization with trace normalization and
-multi-starts.  One positive block-scalar diagonal search serves the
-diagonal, block-scalar and Stein forms (a plain diagonal is the
-all-singleton partition); the block-diagonal SPD witness has its own
-Cholesky parametrization.  This is a self-contained heuristic,
-deliberately chosen over an external semidefinite solver: ``NotFound``
-is always inconclusive.
+by running it again.
+
+One search serves every searched kind: the diagonal, block-scalar and
+Stein forms over positive (block-scalar) diagonals, a plain diagonal
+being the all-singleton partition, and the continuous form over
+block-diagonal SPD witnesses.  Each form is a linear matrix inequality
+in the witness parameters (Boyd, El Ghaoui, Feron and Balakrishnan,
+*Linear Matrix Inequalities in System and Control Theory*, SIAM 1994),
+so the search tries ``P = I`` and otherwise runs a deterministic
+phase-I barrier Newton method that maximizes the smallest eigenvalue of
+the form at trace n (``_barrier_search``).  It is self-contained,
+deliberately chosen over an external semidefinite solver, and stops at
+a fixed budget or duality gap: a not-found report is always
+inconclusive.
 
 Before it searches, ``search_for_triple`` runs the kind's screen, the
 ``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
@@ -38,16 +43,6 @@ screen rejects only when its condition fails beyond rounding, and its
 rejection is a not-found report with 0 iterations whose ``reason``
 names the failed condition.  It proves only that no certificate of that
 kind exists, never a verdict.  The ``find_*`` functions never screen.
-
-The multi-starts of a search advance together as one stack of
-parameter rows, one batched ``eigh`` per iteration; the sequential
-stopping rule (budget, stall count, ``FOUND_TOL``, start order) is
-replayed on the recorded values, so a search reports what running its
-starts one after another would.  The generator is left in a different
-state, though: every start's parameters are drawn before the first
-iterate, reached by the replay or not, so a caller's generator advances
-even when start 0 certifies at once.  Run several searches concurrently
-by passing split generator streams.
 """
 
 from __future__ import annotations
@@ -89,10 +84,8 @@ __all__ = [
 #: eigenvalue clears this threshold (guards boundary false positives).
 FOUND_TOL = 1e-8
 
-#: Search stops early after this many iterations without improvement.
-STALL_LIMIT = 800
-
-_MULTI_STARTS = 8
+#: A failed search stops once the barrier's duality gap is below this.
+_GAP_TOL = 1e-7
 
 
 class CertKind(enum.Enum):
@@ -135,297 +128,155 @@ class CertReport:
     found: bool
     certificate: Certificate | None
     best_min_eig: float
+    #: Newton steps taken, 0 when ``P = I`` certifies or a screen rejects
+    #: (the identity kind's one definiteness test counts 1)
     iterations: int
     #: why no search ran, when a screen ruled the certificate out
     reason: str | None = None
 
 
-def _min_eig_vecs(vals: np.ndarray, vecs: np.ndarray, rng: np.random.Generator):
-    """From a stack's ``eigh`` output, a unit vector in each matrix's
-    smallest-eigenvalue eigenspace; degenerate eigenspaces get a random
-    direction, drawn in row order."""
-    v = vecs[:, :, 0]
-    if vals.shape[1] == 1:
-        return v
-    lam = vals[:, 0]
-    tol = lam + 1e-10 * np.maximum(vals[:, -1] - lam, 1.0)
-    odd = np.flatnonzero(vals[:, 1] <= tol)
-    if odd.size:
-        v = v.copy()
-        for i in odd:
-            cols = np.flatnonzero(vals[i] <= tol[i])
-            vi = vecs[i][:, cols] @ rng.standard_normal(cols.size)
-            v[i] = vi / np.linalg.norm(vi)
-    return v
+def _entries(kind: CertKind, n: int, partition: Partition | None) -> np.ndarray:
+    """The linear parametrization of ``kind``'s witnesses as rows
+    ``(i, j, owner)``, ``i <= j``: ``P_ij = P_ji = x[owner]``.  A block
+    SPD witness owns each entry of its blocks' upper triangles; the
+    diagonal kinds own one value per block of ``partition``
+    (singletons when None)."""
+    if kind is CertKind.BLOCK_LYAPUNOV:
+        pairs = [ij for block in partition.blocks
+                 for ij in itertools.combinations_with_replacement(block, 2)]
+        return np.array([(i, j, k) for k, (i, j) in enumerate(pairs)])
+    blocks = partition.blocks if partition is not None else [(i,) for i in range(n)]
+    owner = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
+    return np.column_stack((np.arange(n), np.arange(n), owner))
 
 
-def _ascend(init_params, decode, grad, project, budget: int,
-            rng: np.random.Generator):
-    """Shared projected subgradient ascent over witness parameters.
+def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float,
+                    budget: int):
+    """Phase-I barrier Newton search for a witness ``P(x)`` parametrized
+    by ``entries`` that makes ``form`` positive definite at ``a``.
 
-    The multi-starts advance together as one ``(starts, p)`` stack of
-    parameter rows: ``init_params(start)`` draws one start's parameters,
-    and ``decode`` (rows to the stack of forms), ``grad`` (subgradient
-    of each form's smallest eigenvalue at the rows and their
-    eigenvectors) and ``project`` (re-normalization) act on the stack.
-    Every start's parameters are drawn, in start order, before the first
-    iterate, so the generator advances even when start 0 certifies at
-    once.  Each lockstep iteration ``t`` is one batched ``eigh`` and a
-    step of ``0.5/sqrt(t)`` for every live row.
+    It maximizes ``t`` subject to ``F(x) - t I > 0``, ``P(x) > 0`` and
+    ``tr P = n`` by damped Newton steps (length ``1/(1 + decrement)``,
+    the equality held by the KKT system) on ``-s t - log det(F - t I) -
+    log det P``, from ``P = I`` and the given ``t``, which must lie below
+    the smallest eigenvalue of the form there.  ``s`` grows 8x whenever
+    the decrement is at most 1/2.  With ``R = (F - t I)^-1``, ``B = A R``,
+    ``C = A R A^T`` and ``Q = P^-1``, the Hessian at the directed entries
+    ``(j, k)`` and ``(l, i)`` of ``P`` is a sum of products ``X_ij Y_kl``,
+    over ``(X, Y)`` in ``(B, B), (R, C), (C, R), (B^T, B^T)`` for ``P A +
+    A^T P`` and ``(R, R), (-B, B^T), (-B^T, B), (C, C)`` for ``P - A^T P
+    A``, plus ``(Q, Q)`` for the witness barrier: a step costs O(n^3 +
+    d^2) for d directed entries.
 
-    A row leaves the stack when it certifies, reaches its per-start
-    share of the budget, has a vanishing subgradient, or stalls against
-    the better of its own best and the replayed best of the finished
-    starts; that stall count is never larger than the sequential one.
-    The live rows leave once the finished starts certify.  The
-    sequential stopping rule (per-start budget share, stall count
-    against the running best, ``FOUND_TOL``, start order) is then
-    replayed on the recorded values, so the result equals that of
-    running the starts one after another, unless a degenerate eigenspace
-    drew a random direction.  Returns the best (params, min_eig,
-    iterations used).
-    """
-    if budget <= 0:
-        return None, -np.inf, 0
-    per_start = max(budget // _MULTI_STARTS, 1)
-    n_starts = min(_MULTI_STARTS, budget)
-    # lams[t - 1, s] is start s's min_eig at iteration t (the replay reads
-    # only what was written); it doubles as the iterations run need it.
-    # kept[t - 1] holds the starts that improved on their best at
-    # iteration t, with their params.
-    lams = np.empty((min(per_start, 1024), n_starts))
-    kept = {}
-    steps = np.zeros(n_starts, dtype=int)  # iterates evaluated per start
-    rows = np.arange(n_starts)  # the start of each live row, ascending
-    p = project(np.stack([init_params(s) for s in rows]))
-    # prior is the replayed best of the finished starts, a lower bound
-    # of the running best each live start's sequential stall count is
-    # taken against; best and last_up are taken against it too
-    prior = -np.inf
-    best = np.full(n_starts, -np.inf)
-    last_up = np.zeros(n_starts, dtype=int)
-    for t in itertools.count(1):
-        vals, vecs = np.linalg.eigh(decode(p))
-        lam, v = vals[:, 0], _min_eig_vecs(vals, vecs, rng)
-        if t > len(lams):
-            lams = np.concatenate([lams, np.empty_like(lams)])
-        lams[t - 1, rows] = lam
-        up = lam > best
-        best = np.where(up, lam, best)
-        last_up = np.where(up, t, last_up)
-        if up.any():
-            kept[t - 1] = rows[up], p[up]
-        g = grad(p, v)
-        norm = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
-        go = ((t < per_start) & (t - last_up <= STALL_LIMIT)
-              & (lam <= FOUND_TOL) & ~(norm < 1e-15))
-        if not go.all():
-            steps[rows[~go]] = t
-            first_live = rows[0]
-            rows, p, g, norm = rows[go], p[go], g[go], norm[go]
-            if rows.size == 0:
-                break
-            if rows[0] > first_live:
-                prior = _replay(lams, steps, rows[0])[0]
-                if prior > FOUND_TOL:
-                    break  # the sequential run never reaches the live starts
-            # recount the live rows' best and last_up from their records
-            x = lams[:t, rows]
-            best = np.maximum(prior, x.max(axis=0))
-            last_up = (_ups(x, prior) * np.arange(1, t + 1)[:, None]).max(axis=0)
-        p = project(p + (0.5 / np.sqrt(t)) * g / norm[:, None])
-    best_val, best_at, used = _replay(lams, steps, n_starts)
-    if best_at is None:
-        return None, best_val, used
-    s, j = best_at
-    starts, params = kept[j]
-    return params[np.flatnonzero(starts == s)[0]], best_val, used
-
-
-def _ups(x, prior):
-    """Where each of the values ``x`` beats the running best from
-    ``prior`` along the first axis."""
-    before = np.concatenate((np.full_like(x[:1], prior), x[:-1]))
-    return x > np.maximum.accumulate(before)
-
-
-def _replay(lams, steps, n):
-    """Run the sequential stopping rule over the recorded ``min_eig``
-    values of starts ``0..n-1`` in start order: (best value, start and
-    iteration index of the best or None, iterations used).  The starts'
-    shares never sum past the budget."""
-    best_val, best_at, used = -np.inf, None, 0
-    for s in range(n):
-        x = lams[:steps[s], s]
-        up = _ups(x, best_val)
-        idx = np.arange(x.size)
-        stall = idx - np.maximum.accumulate(np.where(up, idx, -1))
-        stop = np.flatnonzero((x > FOUND_TOL) | (stall > STALL_LIMIT))
-        end = int(stop[0]) + 1 if stop.size else x.size
-        used += end
-        ups = np.flatnonzero(up[:end])
-        if ups.size:
-            best_val, best_at = float(x[ups[-1]]), (s, ups[-1])
-        if best_val > FOUND_TOL:
-            break
-    return best_val, best_at, used
-
-
-def _block_scalar_search(a: np.ndarray, part: Partition, form: str, budget: int,
-                         rng: np.random.Generator):
-    """Search a positive block-scalar diagonal ``D`` (one value per block
-    of ``part``, trace n) maximizing the smallest eigenvalue of the
-    continuous ('lyap', ``D A + A^T D``) or discrete ('stein',
-    ``D - A^T D A``) form.  Plain diagonals are the all-singleton
-    partition.  Returns the ascent result and its witness map."""
+    Returns ``(P, t, steps)`` at the first ``t > FOUND_TOL``, else
+    ``(None, best t, steps)`` once the duality gap ``2n/s`` is below
+    ``_GAP_TOL``, after ``budget`` steps, or at an iterate that is not
+    finite or not positive definite."""
     n = a.shape[0]
-    block_of = np.repeat(np.arange(len(part.blocks)), [len(b) for b in part.blocks])
-    sizes = np.bincount(block_of).astype(float)
-    p_dim = sizes.size
+    off = entries[:, 0] != entries[:, 1]
+    jj = np.concatenate((entries[:, 0], entries[off, 1]))
+    kk = np.concatenate((entries[:, 1], entries[off, 0]))
+    own = np.concatenate((entries[:, 2], entries[off, 2]))
+    m = int(own.max()) + 1
+    incidence = np.zeros((own.size, m))  # directed entries to parameters
+    incidence[np.arange(own.size), own] = 1.0
+    trace_row = np.bincount(own[jj == kk], minlength=m).astype(float)
+    pair_index = kk[:, None] * n + jj  # flat index of (k_s, j_t)
 
-    def init_params(start: int) -> np.ndarray:
-        if start == 0:
-            return np.ones(p_dim)
-        return 10.0 ** rng.uniform(-1.5, 1.5, p_dim)
+    def gather(mat):
+        return mat.take(pair_index)
 
-    def project(cvals: np.ndarray) -> np.ndarray:
-        cvals = np.maximum(cvals, 1e-10)
-        return cvals * (n / (cvals * sizes).sum(axis=1))[:, None]
+    def adjoint(mat):  # the gradient of tr(mat F(P)) in P, for symmetric mat
+        if form == "lyap":
+            am = a @ mat
+            return am + am.T
+        return mat - a @ mat @ a.T
 
-    # per-block sums of each row: one bincount, each row in its own bins
-    bins = block_of + p_dim * np.arange(_MULTI_STARTS)[:, None]
-
-    def block_sums(w):
-        rows = w.shape[0]
-        return np.bincount(bins[:rows].ravel(), w.ravel(), rows * p_dim).reshape(rows, p_dim)
-
-    def av_of(v):
-        return np.matmul(a, v[:, :, None])[..., 0]
-
-    if form == "lyap":
-        def decode(cvals):
-            da = cvals[:, block_of, None] * a
-            return da + da.transpose(0, 2, 1)
-
-        def grad(cvals, v):
-            return block_sums(2.0 * v * av_of(v))
-    else:
-        eye = np.eye(n)
-
-        def decode(cvals):
-            d = cvals[:, block_of]
-            return d[:, None, :] * eye - np.matmul(a.T, d[:, :, None] * a)
-
-        def grad(cvals, v):
-            av = av_of(v)
-            return block_sums(v * v - av * av)
-
-    result = _ascend(init_params, decode, grad, project, budget, rng)
-    return result, lambda cvals: np.diag(project(cvals[None])[0, block_of])
-
-
-def _block_spd_search(a: np.ndarray, part: Partition, budget: int,
-                      rng: np.random.Generator):
-    """Search over per-block Cholesky factors of a block-diagonal SPD
-    witness; the blocks are visited in turn, the rows together."""
-    n = a.shape[0]
-    slots = []  # (block index array, local lower-triangular indices)
-    offsets = [0]
-    for block in part.blocks:
-        nb = len(block)
-        tril = np.tril_indices(nb)
-        slots.append((np.asarray(block), tril))
-        offsets.append(offsets[-1] + tril[0].size)
-    p_dim = offsets[-1]
-
-    def factors(p: np.ndarray):
-        """(block indices, lower-triangular indices, parameter slice,
-        stack of Cholesky factors) per block."""
-        for (sel, tril), lo, hi in zip(slots, offsets, offsets[1:]):
-            ell = np.zeros((p.shape[0], sel.size, sel.size))
-            ell[:, tril[0], tril[1]] = p[:, lo:hi]
-            yield sel, tril, slice(lo, hi), ell
-
-    def decode_h(p: np.ndarray) -> np.ndarray:
-        h = np.zeros((p.shape[0], n, n))
-        for sel, _, _, ell in factors(p):
-            h[:, sel[:, None], sel] = (ell @ ell.transpose(0, 2, 1)
-                                       + 1e-12 * np.eye(sel.size))
-        return h
-
-    def init_params(start: int) -> np.ndarray:
-        p = np.zeros(p_dim)
-        for (sel, tril), lo, hi in zip(slots, offsets, offsets[1:]):
-            nb = sel.size
-            ell = np.eye(nb) if start == 0 else np.tril(
-                rng.standard_normal((nb, nb))
-            ) + nb * np.eye(nb)
-            p[lo:hi] = ell[tril]
-        return p
-
-    def project(p: np.ndarray) -> np.ndarray:
-        # the trace is positive: each block adds 1e-12 to its diagonal
-        tr = np.trace(decode_h(p), axis1=1, axis2=2)
-        return p * np.sqrt(n / tr)[:, None]
-
-    def decode(p):
-        ha = np.matmul(decode_h(p), a)
-        return ha + ha.transpose(0, 2, 1)
-
-    def grad(p, v):
-        # dlambda/dH = v (A v)^T + (A v) v^T; chain through H = L L^T.
-        av = np.matmul(a, v[:, :, None])[..., 0]
-        gh = v[:, :, None] * av[:, None, :] + av[:, :, None] * v[:, None, :]
-        g = np.zeros_like(p)
-        for sel, tril, span, ell in factors(p):
-            gl = 2.0 * np.ascontiguousarray(gh[:, sel[:, None], sel]) @ ell
-            g[:, span] = gl[:, tril[0], tril[1]]
-        return g
-
-    def witness_of(p):
-        h = decode_h(p[None])[0]
-        return h * (n / np.trace(h))
-
-    return _ascend(init_params, decode, grad, project, budget, rng), witness_of
+    kkt = np.zeros((m + 2, m + 2))
+    kkt[:m, m + 1] = kkt[m + 1, :m] = trace_row
+    rhs = np.zeros(m + 2)
+    x = (trace_row > 0).astype(float)  # P = I
+    eye, s, best = np.eye(n), None, t
+    # a non-finite or indefinite iterate ends the search, so its warnings
+    # say nothing
+    with np.errstate(all="ignore"):
+        try:
+            for steps in itertools.count():
+                p = np.zeros((n, n))
+                p[jj, kk] = x[own]
+                shifted = (p @ a + a.T @ p if form == "lyap" else p - a.T @ p @ a) - t * eye
+                np.linalg.cholesky(shifted)
+                np.linalg.cholesky(p)
+                best = max(best, t)
+                if t > FOUND_TOL:
+                    return p, t, steps
+                if steps >= budget:
+                    break
+                r, q = np.linalg.inv(shifted), np.linalg.inv(p)
+                b, c = a @ r, a @ r @ a.T
+                pairs = (((b, b), (r, c), (c, r), (b.T, b.T)) if form == "lyap" else
+                         ((r, r), (-b, b.T), (-b.T, b), (c, c))) + ((q, q),)
+                h = sum(gather(u).T * gather(v) for u, v in pairs)
+                kkt[:m, :m] = incidence.T @ h @ incidence
+                kkt[:m, m] = kkt[m, :m] = -incidence.T @ adjoint(r @ r)[jj, kk]
+                kkt[m, m] = np.sum(r * r)
+                rhs[:m] = incidence.T @ (adjoint(r) + q)[jj, kk]
+                s = np.trace(r) if s is None else s  # the start is centred in t
+                while True:
+                    rhs[m] = s - np.trace(r)
+                    step = np.linalg.solve(kkt, rhs)[:m + 1]
+                    decrement = math.sqrt(max(step @ rhs[:m + 1], 0.0))
+                    if not math.isfinite(decrement):
+                        return None, best, steps
+                    if decrement > 0.5:
+                        break
+                    if 2.0 * n / s < _GAP_TOL:
+                        return None, best, steps
+                    s *= 8.0
+                x = x + step[:m] / (1.0 + decrement)
+                t = t + step[m] / (1.0 + decrement)
+        except np.linalg.LinAlgError:
+            pass
+    return None, best, steps
 
 
-def _form_search(a, kind: CertKind, partition: Partition | None, budget: int,
-                 rng: np.random.Generator | None) -> CertReport:
-    """Search ``kind``'s form over block-diagonal SPD witnesses for
-    ``BLOCK_LYAPUNOV``, else over positive block-scalar diagonals on the
-    blocks of ``partition`` (singletons, not recorded, when None).  The
+def _form_search(a, kind: CertKind, partition: Partition | None,
+                 budget: int) -> CertReport:
+    """Search ``kind``'s form over its witnesses: block-diagonal SPD
+    for ``BLOCK_LYAPUNOV``, else positive block-scalar diagonals on the
+    blocks of ``partition`` (singletons, not recorded, when None).
+    ``P = I`` is tried first and returned, measured, when its form
+    clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs.  The
     continuous form is searched on ``A`` scaled to unit Frobenius norm,
     so that found/not-found is invariant under positive scaling."""
     a = as_square_matrix(a)
-    rng = np.random.default_rng(0) if rng is None else rng
     form = _PAIRINGS[kind].form
     norm = float(np.linalg.norm(a)) if form == "lyap" else 1.0
     if norm == 0.0:
         return CertReport(False, None, 0.0, 0)
-    part = partition or Partition.from_sizes([1] * a.shape[0])
-    if kind is CertKind.BLOCK_LYAPUNOV:
-        result, witness_of = _block_spd_search(a / norm, part, budget, rng)
-    else:
-        result, witness_of = _block_scalar_search(a / norm, part, form, budget, rng)
-    params, val, used = result
-    if params is None or val <= FOUND_TOL:
-        return CertReport(False, None, val * norm if params is not None else -np.inf, used)
-    cert = _measured(Certificate(kind, witness_of(params), np.nan, partition=partition), a)
-    return CertReport(True, cert, cert.min_eig, used)
+    n = a.shape[0]
+    start = _measured(Certificate(kind, np.eye(n), np.nan, partition=partition), a)
+    if start.min_eig > FOUND_TOL * norm:
+        return CertReport(True, start, start.min_eig, 0)
+    t0 = start.min_eig / norm
+    p, t, steps = _barrier_search(a / norm, form, _entries(kind, n, partition),
+                                  t0 - 1.0, budget)
+    if p is None:
+        return CertReport(False, None, max(t, t0) * norm, steps)
+    cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)
+    return CertReport(True, cert, cert.min_eig, steps)
 
 
-def find_diagonal_lyapunov(a, budget: int = 5000,
-                           rng: np.random.Generator | None = None) -> CertReport:
+def find_diagonal_lyapunov(a, budget: int = 5000) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D A + A^T D``
     positive definite: the block-scalar search over singleton blocks."""
-    return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None, budget, rng)
+    return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None, budget)
 
 
-def find_stein_diagonal(a, budget: int = 5000,
-                        rng: np.random.Generator | None = None) -> CertReport:
+def find_stein_diagonal(a, budget: int = 5000) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D - A^T D A``
     positive definite."""
-    return _form_search(a, CertKind.STEIN_DIAGONAL, None, budget, rng)
+    return _form_search(a, CertKind.STEIN_DIAGONAL, None, budget)
 
 
 def identity_witness_class(n: int) -> MatrixClass:
@@ -433,8 +284,7 @@ def identity_witness_class(n: int) -> MatrixClass:
     return classes.explicit_list([np.eye(n)])
 
 
-def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
-                             rng: np.random.Generator | None = None) -> CertReport:
+def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000) -> CertReport:
     """Search the continuous form over a structured witness class.
 
     Supported parametrizations: positive block-scalar diagonals,
@@ -454,7 +304,7 @@ def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000,
         lam, found = float(np.linalg.eigvalsh(s)[0]), is_positive_definite(s)
         cert = Certificate(kind, np.eye(a.shape[0]), lam) if found else None
         return CertReport(found, cert, lam, 1)
-    return _form_search(a, kind, p_class.partition, budget, rng)
+    return _form_search(a, kind, p_class.partition, budget)
 
 
 _EPS = np.finfo(float).eps
@@ -536,7 +386,7 @@ def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
 class _Pairing(NamedTuple):
     form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
-    search: Callable | None = None  # (a, witness class, budget, rng) -> CertReport
+    search: Callable | None = None  # (a, witness class, budget) -> CertReport
     screen: Callable | None = None  # (a, partition) -> failed condition | None
 
 
@@ -545,8 +395,8 @@ def _rhp(cls):
     return tuple((regions.right_half_plane(), cls, op) for op in (MUL, ADD))
 
 
-def _structured(a, witness, budget, rng):
-    return find_structured_lyapunov(a, witness, budget, rng)
+def _structured(a, witness, budget):
+    return find_structured_lyapunov(a, witness, budget)
 
 
 #: Each kind's form, witness class, proven triples, search (None:
@@ -557,7 +407,7 @@ def _structured(a, witness, budget, rng):
 _PAIRINGS = {
     CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         classes.pos_diag(n), _rhp(classes.pos_diag(n))),
-        lambda a, w, budget, rng: find_diagonal_lyapunov(a, budget, rng),
+        lambda a, w, budget: find_diagonal_lyapunov(a, budget),
         _diagonal_screen),
     CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured,
@@ -570,7 +420,7 @@ _PAIRINGS = {
     CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
         classes.pos_diag(n), tuple((regions.unit_disk(), c, MUL) for c in (
             classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n)))),
-        lambda a, w, budget, rng: find_stein_diagonal(a, budget, rng)),
+        lambda a, w, budget: find_stein_diagonal(a, budget)),
     CertKind.SYMMETRIC_INDEFINITE: _Pairing("lyap", lambda n, p: (classes.symmetric(n), ())),
     CertKind.HILL: _Pairing("hill", lambda n, p: (classes.spd(n), ())),
 }
@@ -606,15 +456,13 @@ def _triple_covered(region, cls, op, implied) -> bool:
                and _class_subset(cls, c) for r, c, o in implied)
 
 
-def _search(kind: CertKind, a, partition: Partition | None, budget: int,
-            rng: np.random.Generator | None) -> CertReport:
+def _search(kind: CertKind, a, partition: Partition | None, budget: int) -> CertReport:
     """Run ``kind``'s search; block kinds take the blocks of ``partition``."""
-    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0], budget, rng)
+    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0], budget)
 
 
 def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
-                      budget: int = 5000,
-                      rng: np.random.Generator | None = None) -> CertReport | None:
+                      budget: int = 5000) -> CertReport | None:
     """Search for a certificate of the kind whose proven triples cover
     (region, cls, op), with the witness blocks of ``cls``; None when no
     searched kind proves the triple.  The kind's screen runs first: when
@@ -628,7 +476,7 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
     if failed:
         return CertReport(False, None, -np.inf, 0,
                           f"no {kind.value} certificate exists: {failed}")
-    return _search(kind, a, cls.partition, budget, rng)
+    return _search(kind, a, cls.partition, budget)
 
 
 def _forms(kind: CertKind, coeffs, p: np.ndarray, a: np.ndarray) -> np.ndarray:

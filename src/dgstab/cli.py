@@ -119,13 +119,12 @@ def _cmd_certify(args) -> int:
     if args.budget < 1:
         raise UsageError("budget must be >= 1")
     a = _load_matrix(args.matrix)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
     part = None
     if args.kind in ("alpha_scalar", "block"):
         if not args.partition:
             raise UsageError(f"--kind {args.kind} requires --partition")
         part = serialize._partition_from_wire(json.loads(args.partition))
-    report = certify._search(_CERT_KINDS[args.kind], a, part, args.budget, rng)
+    report = certify._search(_CERT_KINDS[args.kind], a, part, args.budget)
     payload: dict = {"found": report.found,
                      "best_min_eig": float(report.best_min_eig),
                      "iterations": report.iterations}
@@ -300,7 +299,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--partition", default=None,
                    help="JSON blocks, 1-based, e.g. [[1,2],[3]]")
     p.add_argument("--budget", type=int, default=5000)
-    p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_certify)
 

@@ -134,6 +134,24 @@ def test_decide_is_deterministic():
     assert v1.provenance == v2.provenance
 
 
+def test_a_searched_certificate_does_not_depend_on_the_seed():
+    # D = I is no certificate (A + A^T is indefinite): the certificate
+    # comes from Newton steps, and neither it nor the verdict may depend
+    # on the query's seed
+    a = np.array([[33.837, 0.21, 50.785, 31.15, 6.971],
+                  [1.776, 1.781, 0.649, -1.516, -0.107],
+                  [-4.322, 18.328, 15.532, 5.284, -11.623],
+                  [-3.641, 18.37, 8.783, 12.208, 11.683],
+                  [0.126, 0.231, 0.258, -0.078, 0.148]])
+    assert np.linalg.eigvalsh(a + a.T)[0] < 0.0
+    outputs = set()
+    for seed in range(5):
+        v = decide(Query(a, RHP, classes.pos_diag(5), MUL, seed=seed))
+        assert v.status is VerdictStatus.CERTIFIED, seed
+        outputs.add(serialize.dumps(serialize.verdict_to_json(v)))
+    assert len(outputs) == 1
+
+
 def test_falsify_examples():
     q = Query(NOT_D_STABLE, RHP, classes.pos_diag(2), MUL, budget=100_000, seed=2)
     v = falsify(q)
@@ -266,8 +284,8 @@ def test_total_stability_decides_what_an_exhaustive_certificate_cannot_restrict(
 
 
 def test_decide_draws_each_stage_from_its_spawned_stream(monkeypatch):
-    # the escape, the certificate search and the falsifier's first chunk
-    # start from children 0, 1 and 2 of SeedSequence(seed)
+    # the escape and the falsifier's first chunk start from children 0
+    # and 2 of SeedSequence(seed); the certificate search draws nothing
     seed = 11
     kids = np.random.SeedSequence(seed).spawn(3)
     states = []
@@ -282,8 +300,6 @@ def test_decide_draws_each_stage_from_its_spawned_stream(monkeypatch):
     cases = [
         # the escape scales a sample of the unbounded class
         (classes, "sample", np.eye(2), dg.unit_disk(), kids[0]),
-        # D = I is no certificate, so the search draws its other starts
-        (certify, "search_for_triple", np.array([[1.0, 3.0], [0.0, 1.0]]), RHP, kids[1]),
         # the screen rejects a_11 = 0, so only the falsifier draws
         (classes, "sample_batch", D_STABLE_NO_CERT, RHP, kids[2].spawn(2)[0]),
     ]
@@ -933,9 +949,9 @@ def _block_instance(block):
 
 def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
     # a zero (2, 2) entry rules out a diagonal certificate but refutes no
-    # D-stability: the screen skips the ascent, and the falsifier, which
+    # D-stability: the screen skips the search, and the falsifier, which
     # draws from its own seed stream, returns what it returned after the
-    # failed ascent.  P0_NOT_D_STABLE has nonnegative principal minors of
+    # failed search.  P0_NOT_D_STABLE has nonnegative principal minors of
     # order 1 and 2, yet a positive diagonal destabilises it.
     from dgstab import certify
 
@@ -972,7 +988,7 @@ def test_screened_queries_keep_the_falsifier_verdict(monkeypatch):
         assert [p for p in got.provenance if p != note] == \
             [p for p in want.provenance if not p.startswith("certificate search inconclusive")]
     # a negative diagonal entry is refuted by the principal-minor stage,
-    # before the screen and the ascent
+    # before the screen and the search
     calls.clear()
     for block in (NOT_D_STABLE, np.array([[-1e-9, 1.0], [-1.0, 1.0]])):
         q = Query(_block_instance(block), RHP, classes.pos_diag(4), MUL,
