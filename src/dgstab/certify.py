@@ -31,9 +31,9 @@ in the witness parameters (Boyd, El Ghaoui, Feron and Balakrishnan,
 so the search tries ``P = I`` and otherwise runs a deterministic
 phase-I barrier Newton method that maximizes the smallest eigenvalue of
 the form at trace n (``_barrier_search``).  It is self-contained,
-deliberately chosen over an external semidefinite solver, and stops at
-a fixed budget or duality gap: a not-found report is always
-inconclusive.
+deliberately chosen over an external semidefinite solver, and stops by
+its own rule, at a certificate or a closed duality gap (``_MAX_STEPS``
+is a guard only): a not-found report is always inconclusive.
 
 Before it searches, ``search_for_triple`` runs the kind's screen, the
 ``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
@@ -86,6 +86,8 @@ FOUND_TOL = 1e-8
 
 #: A failed search stops once the barrier's duality gap is below this.
 _GAP_TOL = 1e-7
+#: A guard only: a search stops by its own rule long before (39 steps in the tests).
+_MAX_STEPS = 5000
 
 
 class CertKind(enum.Enum):
@@ -150,8 +152,7 @@ def _entries(kind: CertKind, n: int, partition: Partition | None) -> np.ndarray:
     return np.column_stack((np.arange(n), np.arange(n), owner))
 
 
-def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float,
-                    budget: int):
+def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float):
     """Phase-I barrier Newton search for a witness ``P(x)`` parametrized
     by ``entries`` that makes ``form`` positive definite at ``a``.
 
@@ -170,8 +171,8 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float,
 
     Returns ``(P, t, steps)`` at the first ``t > FOUND_TOL``, else
     ``(None, best t, steps)`` once the duality gap ``2n/s`` is below
-    ``_GAP_TOL``, after ``budget`` steps, or at an iterate that is not
-    finite or not positive definite."""
+    ``_GAP_TOL``, at an iterate that is not finite or not positive
+    definite, or, as a guard only, after ``_MAX_STEPS`` steps."""
     n = a.shape[0]
     off = entries[:, 0] != entries[:, 1]
     jj = np.concatenate((entries[:, 0], entries[off, 1]))
@@ -210,7 +211,7 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float,
                 best = max(best, t)
                 if t > FOUND_TOL:
                     return p, t, steps
-                if steps >= budget:
+                if steps >= _MAX_STEPS:
                     break
                 r, q = np.linalg.inv(shifted), np.linalg.inv(p)
                 b, c = a @ r, a @ r @ a.T
@@ -240,43 +241,45 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float,
     return None, best, steps
 
 
-def _form_search(a, kind: CertKind, partition: Partition | None,
-                 budget: int) -> CertReport:
+def _form_search(a, kind: CertKind, partition: Partition | None) -> CertReport:
     """Search ``kind``'s form over its witnesses: block-diagonal SPD
     for ``BLOCK_LYAPUNOV``, else positive block-scalar diagonals on the
     blocks of ``partition`` (singletons, not recorded, when None).
     ``P = I`` is tried first and returned, measured, when its form
-    clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs.  The
-    continuous form is searched on ``A`` scaled to unit Frobenius norm,
-    so that found/not-found is invariant under positive scaling."""
+    clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs, unless
+    that form is not finite (best -inf).  The continuous form is
+    searched on ``A`` at unit Frobenius norm, found/not-found being
+    invariant under positive scaling, and compared at the scale of
+    ``2^-e A`` (no entry above 1), whose norm no square overflows."""
     a = as_square_matrix(a)
+    start = _measured(Certificate(kind, np.eye(len(a)), np.nan, partition=partition), a)
     form = _PAIRINGS[kind].form
-    norm = float(np.linalg.norm(a)) if form == "lyap" else 1.0
-    if norm == 0.0:
-        return CertReport(False, None, 0.0, 0)
-    n = a.shape[0]
-    start = _measured(Certificate(kind, np.eye(n), np.nan, partition=partition), a)
-    if start.min_eig > FOUND_TOL * norm:
+    e = math.frexp(np.abs(a).max())[1] if form == "lyap" else 0
+    unit = np.ldexp(a, -e)
+    norm = float(np.linalg.norm(unit)) if form == "lyap" else 1.0
+    if norm == 0.0 or start.min_eig == -np.inf:  # A = 0: its form is 0
+        return CertReport(False, None, start.min_eig, 0)
+    if math.ldexp(start.min_eig, -e) > FOUND_TOL * norm:
         return CertReport(True, start, start.min_eig, 0)
-    t0 = start.min_eig / norm
-    p, t, steps = _barrier_search(a / norm, form, _entries(kind, n, partition),
-                                  t0 - 1.0, budget)
+    t0 = math.ldexp(start.min_eig, -e) / norm
+    p, t, steps = _barrier_search(unit / norm, form, _entries(kind, len(a), partition),
+                                  t0 - 1.0)
     if p is None:
-        return CertReport(False, None, max(t, t0) * norm, steps)
+        return CertReport(False, None, math.ldexp(max(t, t0) * norm, e), steps)
     cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)
     return CertReport(True, cert, cert.min_eig, steps)
 
 
-def find_diagonal_lyapunov(a, budget: int = 5000) -> CertReport:
+def find_diagonal_lyapunov(a) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D A + A^T D``
     positive definite: the block-scalar search over singleton blocks."""
-    return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None, budget)
+    return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None)
 
 
-def find_stein_diagonal(a, budget: int = 5000) -> CertReport:
+def find_stein_diagonal(a) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D - A^T D A``
     positive definite."""
-    return _form_search(a, CertKind.STEIN_DIAGONAL, None, budget)
+    return _form_search(a, CertKind.STEIN_DIAGONAL, None)
 
 
 def identity_witness_class(n: int) -> MatrixClass:
@@ -284,7 +287,7 @@ def identity_witness_class(n: int) -> MatrixClass:
     return classes.explicit_list([np.eye(n)])
 
 
-def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000) -> CertReport:
+def find_structured_lyapunov(a, p_class: MatrixClass) -> CertReport:
     """Search the continuous form over a structured witness class.
 
     Supported parametrizations: positive block-scalar diagonals,
@@ -300,11 +303,10 @@ def find_structured_lyapunov(a, p_class: MatrixClass, budget: int = 5000) -> Cer
         raise UnsupportedClassError(
             f"no search parametrization for witness class {p_class.kind.value}")
     if kind is CertKind.IDENTITY_LYAPUNOV:
-        s = a + a.T
-        lam, found = float(np.linalg.eigvalsh(s)[0]), is_positive_definite(s)
-        cert = Certificate(kind, np.eye(a.shape[0]), lam) if found else None
-        return CertReport(found, cert, lam, 1)
-    return _form_search(a, kind, p_class.partition, budget)
+        cert = _measured(Certificate(kind, np.eye(len(a)), np.nan), a)
+        found = cert.min_eig > -np.inf and is_positive_definite(a + a.T)
+        return CertReport(found, cert if found else None, cert.min_eig, 1)
+    return _form_search(a, kind, p_class.partition)
 
 
 _EPS = np.finfo(float).eps
@@ -386,7 +388,7 @@ def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
 class _Pairing(NamedTuple):
     form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
-    search: Callable | None = None  # (a, witness class, budget) -> CertReport
+    search: Callable | None = None  # (a, witness class) -> CertReport
     screen: Callable | None = None  # (a, partition) -> failed condition | None
 
 
@@ -395,8 +397,8 @@ def _rhp(cls):
     return tuple((regions.right_half_plane(), cls, op) for op in (MUL, ADD))
 
 
-def _structured(a, witness, budget):
-    return find_structured_lyapunov(a, witness, budget)
+def _structured(a, witness):
+    return find_structured_lyapunov(a, witness)
 
 
 #: Each kind's form, witness class, proven triples, search (None:
@@ -407,7 +409,7 @@ def _structured(a, witness, budget):
 _PAIRINGS = {
     CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         classes.pos_diag(n), _rhp(classes.pos_diag(n))),
-        lambda a, w, budget: find_diagonal_lyapunov(a, budget),
+        lambda a, w: find_diagonal_lyapunov(a),
         _diagonal_screen),
     CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
         classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured,
@@ -420,7 +422,7 @@ _PAIRINGS = {
     CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
         classes.pos_diag(n), tuple((regions.unit_disk(), c, MUL) for c in (
             classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n)))),
-        lambda a, w, budget: find_stein_diagonal(a, budget)),
+        lambda a, w: find_stein_diagonal(a)),
     CertKind.SYMMETRIC_INDEFINITE: _Pairing("lyap", lambda n, p: (classes.symmetric(n), ())),
     CertKind.HILL: _Pairing("hill", lambda n, p: (classes.spd(n), ())),
 }
@@ -456,13 +458,13 @@ def _triple_covered(region, cls, op, implied) -> bool:
                and _class_subset(cls, c) for r, c, o in implied)
 
 
-def _search(kind: CertKind, a, partition: Partition | None, budget: int) -> CertReport:
+def _search(kind: CertKind, a, partition: Partition | None) -> CertReport:
     """Run ``kind``'s search; block kinds take the blocks of ``partition``."""
-    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0], budget)
+    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0])
 
 
-def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
-                      budget: int = 5000) -> CertReport | None:
+def search_for_triple(a, region: regions.Region, cls: MatrixClass,
+                      op) -> CertReport | None:
     """Search for a certificate of the kind whose proven triples cover
     (region, cls, op), with the witness blocks of ``cls``; None when no
     searched kind proves the triple.  The kind's screen runs first: when
@@ -476,7 +478,7 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
     if failed:
         return CertReport(False, None, -np.inf, 0,
                           f"no {kind.value} certificate exists: {failed}")
-    return _search(kind, a, cls.partition, budget)
+    return _search(kind, a, cls.partition)
 
 
 def _forms(kind: CertKind, coeffs, p: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -505,8 +507,11 @@ def certified_form(cert: Certificate, a) -> np.ndarray:
 
 def _measured(cert: Certificate, a) -> Certificate:
     """``cert`` with ``min_eig`` the smallest eigenvalue of its form at
-    ``a``."""
-    return replace(cert, min_eig=float(np.linalg.eigvalsh(certified_form(cert, a))[0]))
+    ``a``, or -inf when the form is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        form = certified_form(cert, a)
+    lam = float(np.linalg.eigvalsh(form)[0]) if np.isfinite(form).all() else -np.inf
+    return replace(cert, min_eig=lam)
 
 
 def _paired(cert: Certificate):

@@ -13,6 +13,7 @@ Exit codes: 0 certified / found, 1 refuted, 2 unknown / not found,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -99,8 +100,7 @@ def _build_query(args) -> engine.Query:
 
 
 def _cmd_check(args) -> int:
-    q = _build_query(args)
-    v = engine.decide(q, use_certificates=not args.no_certificates)
+    v = engine.decide(_build_query(args), use_certificates=not args.no_certificates)
     _emit(args, serialize.verdict_to_json(v))
     return _STATUS_EXIT[v.status]
 
@@ -116,15 +116,15 @@ _CERT_KINDS = {
 
 
 def _cmd_certify(args) -> int:
-    if args.budget < 1:
-        raise UsageError("budget must be >= 1")
     a = _load_matrix(args.matrix)
     part = None
     if args.kind in ("alpha_scalar", "block"):
         if not args.partition:
             raise UsageError(f"--kind {args.kind} requires --partition")
         part = serialize._partition_from_wire(json.loads(args.partition))
-    report = certify._search(_CERT_KINDS[args.kind], a, part, args.budget)
+    report = certify._search(_CERT_KINDS[args.kind], a, part)
+    if not math.isfinite(report.best_min_eig):  # JSON has no infinity
+        raise UsageError("the certified form overflowed; rescale the inputs")
     payload: dict = {"found": report.found,
                      "best_min_eig": float(report.best_min_eig),
                      "iterations": report.iterations}
@@ -141,15 +141,12 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_falsify(args) -> int:
-    q = _build_query(args)
-    v = engine.falsify(q)
+    v = engine.falsify(_build_query(args))
     _emit(args, serialize.verdict_to_json(v))
     return _STATUS_EXIT[v.status]
 
 
 def _cmd_stabilize(args) -> int:
-    if args.budget < 1:
-        raise UsageError("budget must be >= 1")
     report = engine.stabilize(*_query_parts(args), budget=args.budget, seed=args.seed)
     payload: dict = {"found": report.found, "evaluations": report.evaluations}
     if report.found:
@@ -283,7 +280,9 @@ def _cmd_plot(args) -> int:
     return EXIT_CERTIFIED
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of every call: it keeps no state between parses."""
     parser = _Parser(prog="dgstab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -298,7 +297,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kind", required=True, choices=list(_CERT_KINDS))
     p.add_argument("--partition", default=None,
                    help="JSON blocks, 1-based, e.g. [[1,2],[3]]")
-    p.add_argument("--budget", type=int, default=5000)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_certify)
 
@@ -336,14 +334,10 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (UsageError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

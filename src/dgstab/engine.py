@@ -95,7 +95,6 @@ __all__ = [
 ]
 
 _CHUNK = 512
-_CERT_BUDGET = 5000
 
 
 class VerdictStatus(enum.Enum):
@@ -362,7 +361,7 @@ def _certificate_stage(q: Query) -> Verdict | str:
     """Search the certificate form whose proven triples cover the query
     and certify with a found certificate only if ``certify.proves`` the
     query's triple with it."""
-    report = certify.search_for_triple(q.a, q.region, q.cls, q.op, _CERT_BUDGET)
+    report = certify.search_for_triple(q.a, q.region, q.cls, q.op)
     if report is None:
         return "no certificate form matches the query triple"
     if report.reason is not None:

@@ -306,8 +306,8 @@ def test_diagonal_search_is_the_singleton_block_scalar_search():
         singletons = classes.pos_alpha_scalar(Partition.from_sizes([1] * n))
         for s in range(3):
             a = r.standard_normal((n, n)) + 2.0 * s * np.eye(n)
-            rep_d = find_diagonal_lyapunov(a, 2000)
-            rep_s = find_structured_lyapunov(a, singletons, 2000)
+            rep_d = find_diagonal_lyapunov(a)
+            rep_s = find_structured_lyapunov(a, singletons)
             assert rep_d.found == rep_s.found
             assert rep_d.iterations == rep_s.iterations
             assert rep_d.best_min_eig == rep_s.best_min_eig
@@ -376,7 +376,7 @@ def _discrete_stable(seed, n, spread, norm):
 
 
 def _search_cases():
-    """(name, A, search(budget)) triples for every searched form:
+    """(name, A, search()) triples for every searched form:
     certificates at ``P = I``, certificates that take Newton steps, and
     failed searches."""
     cases = []
@@ -389,13 +389,13 @@ def _search_cases():
         ("n=8", _continuous_stable(3, _spread_diag(3, [1] * 8, 1.0), 1e-2)),
     ):
         cases.append((f"diagonal {name}", a,
-                      lambda b, a=a: find_diagonal_lyapunov(a, b)))
+                      lambda a=a: find_diagonal_lyapunov(a)))
     for n in (1, 2, 3, 5, 8):
         a = _discrete_stable(n, n, 1.0, 0.98)
-        cases.append((f"stein n={n}", a, lambda b, a=a: find_stein_diagonal(a, b)))
+        cases.append((f"stein n={n}", a, lambda a=a: find_stein_diagonal(a)))
     g = rng(5).standard_normal((5, 5))
     a = 0.95 * g / max(np.abs(np.linalg.eigvals(g)))
-    cases.append(("stein n=5 gaussian", a, lambda b, a=a: find_stein_diagonal(a, b)))
+    cases.append(("stein n=5 gaussian", a, lambda a=a: find_stein_diagonal(a)))
     sizes = [2, 1, 2]
     m = rng(4).standard_normal((5, 5))
     block_spd = np.zeros((5, 5))
@@ -410,34 +410,45 @@ def _search_cases():
         witnesses = classes.pos_alpha_scalar if cls == "alpha_scalar" \
             else classes.alpha_block_spd
         cases.append((f"{cls} {len(cases)}", a,
-                      lambda b, a=a, c=witnesses(Partition.from_sizes(sizes)):
-                      find_structured_lyapunov(a, c, b)))
+                      lambda a=a, c=witnesses(Partition.from_sizes(sizes)):
+                      find_structured_lyapunov(a, c)))
     return cases
+
+
+#: The certificate kind of each ``_search_cases`` name's first word.
+_CASE_KINDS = {"diagonal": CertKind.DIAGONAL_LYAPUNOV, "stein": CertKind.STEIN_DIAGONAL,
+               "alpha_scalar": CertKind.ALPHA_SCALAR_LYAPUNOV,
+               "block_spd": CertKind.BLOCK_LYAPUNOV}
 
 
 def test_found_certificates_of_every_form_verify():
     outcomes = set()
     for name, a, search in _search_cases():
-        start = search(0)  # P = I alone
-        for budget in (0, 1, 3, 50, 5000):
-            rep = search(budget)
-            case = (name, budget)
-            assert type(rep.iterations) is int and 0 <= rep.iterations <= budget, case
-            if rep.found:
-                assert verify_certificate(rep.certificate, a), case
-                assert rep.best_min_eig == rep.certificate.min_eig > 0.0, case
-                assert np.trace(rep.certificate.witness) == pytest.approx(len(a)), case
-            else:
-                assert rep.certificate is None and rep.best_min_eig <= 0.0, case
-                assert rep.best_min_eig >= start.best_min_eig, case
-                if budget == 5000:  # the steps improve on P = I
-                    assert rep.best_min_eig > start.best_min_eig, case
-            outcomes.add((name.split()[0], rep.found, rep.iterations > 0))
-    kinds = ("diagonal", "stein", "alpha_scalar", "block_spd")
+        kind = _CASE_KINDS[name.split()[0]]
+        start = np.linalg.eigvalsh(certified_form(Certificate(kind, np.eye(len(a)), 1.0), a))[0]
+        rep = search()
+        assert type(rep.iterations) is int and rep.iterations >= 0, name
+        if rep.found:
+            assert verify_certificate(rep.certificate, a), name
+            assert rep.best_min_eig == rep.certificate.min_eig > 0.0, name
+            assert np.trace(rep.certificate.witness) == pytest.approx(len(a)), name
+        else:
+            assert rep.certificate is None and rep.best_min_eig <= 0.0, name
+            assert rep.best_min_eig > start, name  # the steps improve on P = I
+        outcomes.add((name.split()[0], rep.found, rep.iterations > 0))
+    kinds = tuple(_CASE_KINDS)
     # every form certifies after Newton steps and fails after them
     assert outcomes >= {(kind, found, True) for kind in kinds for found in (True, False)}
     # certificates at P = I take no step
     assert outcomes >= {(kind, True, False) for kind in ("diagonal", "stein")}
+
+
+def test_every_search_stops_by_its_own_rule_within_100_steps():
+    # at a certificate or a closed duality gap, far below the _MAX_STEPS
+    # guard: the largest count here is 39
+    assert certify._MAX_STEPS > 100
+    for name, _, search in _search_cases():
+        assert search().iterations <= 100, name
 
 
 def test_the_search_certifies_constructed_matrices_at_n32():
@@ -481,6 +492,17 @@ def test_the_search_takes_edge_inputs_without_a_warning():
             for rep in reports:
                 assert isinstance(rep, certify.CertReport)
                 assert not rep.found or verify_certificate(rep.certificate, a)
+        # near the float limit: ||A||_F once overflowed while squaring,
+        # and the Stein form at P = I overflows
+        huge = np.diag([1e200, 1e200])
+        rep = find_diagonal_lyapunov(huge)
+        assert rep.found and rep.iterations == 0 and verify_certificate(rep.certificate, huge)
+        assert rep.best_min_eig == 2e200
+        # a form that overflows at P = I: not found, with no finite best
+        top = np.diag([1e308, 1e308])
+        for rep in (find_stein_diagonal(huge), find_diagonal_lyapunov(top),
+                    find_structured_lyapunov(top, identity_witness_class(2))):
+            assert (rep.found, rep.certificate, rep.best_min_eig) == (False, None, -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +515,6 @@ def _reference_certificate_search(q):
     any sufficiency theorem applies."""
     import dgstab.certify as certify
     from dgstab.algebra import ADD, MUL, OpKind
-    from dgstab.engine import _CERT_BUDGET
 
     def _box_within_unit(cls):
         return all(l >= -1.0 for l in cls.lo) and all(h <= 1.0 for h in cls.hi)
@@ -505,18 +526,18 @@ def _reference_certificate_search(q):
         OpKind.MUL,
     ):
         if ck is ClassKind.POS_DIAG:
-            return certify.find_diagonal_lyapunov(q.a, _CERT_BUDGET)
+            return certify.find_diagonal_lyapunov(q.a)
         if ck is ClassKind.ALPHA_BLOCK_SPD:
             return certify.find_structured_lyapunov(
-                q.a, classes.pos_alpha_scalar(q.cls.partition), _CERT_BUDGET
+                q.a, classes.pos_alpha_scalar(q.cls.partition)
             )
         if ck is ClassKind.POS_ALPHA_SCALAR:
             return certify.find_structured_lyapunov(
-                q.a, classes.alpha_block_spd(q.cls.partition), _CERT_BUDGET
+                q.a, classes.alpha_block_spd(q.cls.partition)
             )
         if ck is ClassKind.SPD:
             return certify.find_structured_lyapunov(
-                q.a, certify.identity_witness_class(n), _CERT_BUDGET
+                q.a, certify.identity_witness_class(n)
             )
     if (
         rk is regions.RegionKind.UNIT_DISK
@@ -526,7 +547,7 @@ def _reference_certificate_search(q):
             or (ck is ClassKind.BOX_DIAG and _box_within_unit(q.cls))
         )
     ):
-        return certify.find_stein_diagonal(q.a, _CERT_BUDGET)
+        return certify.find_stein_diagonal(q.a)
     return None
 
 
@@ -651,7 +672,7 @@ def test_search_for_triple_picks_what_the_dispatch_picked(monkeypatch):
                     want = _reference_certificate_search(q)
                     want_calls = list(calls)
                     calls.clear()
-                    got = search_for_triple(a, region, cls, q.op, 5000)
+                    got = search_for_triple(a, region, cls, q.op)
                     assert got == want and calls == want_calls, (cls, region, q.op)
                     searched += want is not None
     assert searched == 24
@@ -855,7 +876,7 @@ def test_screens_are_necessary():
             if _screen(kind)(a, blocks) is None or rejected[kind] == 8:
                 continue
             rejected[kind] += 1
-            rep = _search(kind, a, blocks, 600)
+            rep = _search(kind, a, blocks)
             assert not (rep.found and verify_certificate(rep.certificate, a)), (kind, a)
     assert min(rejected[k] for k in (CertKind.DIAGONAL_LYAPUNOV,
                                      CertKind.ALPHA_SCALAR_LYAPUNOV,
@@ -909,14 +930,14 @@ def test_search_for_triple_reports_the_failed_condition(monkeypatch):
     for name in ("find_diagonal_lyapunov", "find_structured_lyapunov"):
         monkeypatch.setattr(certify, name, refuse)
     for a, cls, reason in cases:
-        got = search_for_triple(a, rhp, cls, MUL, 5000)
+        got = search_for_triple(a, rhp, cls, MUL)
         assert isinstance(got, CertReport)
         assert (got.found, got.certificate, got.iterations, got.reason) == \
             (False, None, 0, reason)
     monkeypatch.undo()
     # the finders never screen
     a = np.array([[0.0, 1.0], [-1.0, 1.0]])
-    rep = find_diagonal_lyapunov(a, 400)
+    rep = find_diagonal_lyapunov(a)
     assert rep.iterations > 0 and rep.reason is None
 
 

@@ -26,9 +26,17 @@ def files(tmp_path):
     return paths
 
 
+def _not_json(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(capsys, *argv):
+    """(exit code, stdout) of one call; JSON output must parse strictly,
+    without NaN or Infinity."""
     code = main(list(argv))
     out = capsys.readouterr().out
+    if out.startswith(("{", "[")):
+        json.loads(out, parse_constant=_not_json)
     return code, out
 
 
@@ -93,15 +101,56 @@ def test_invalid_tol_and_empty_partition_block_exit_64(capsys):
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
 def test_certify_rejects_a_budget_below_one(capsys, budget):
-    # certify once ran no search and printed "best_min_eig":-Infinity,
-    # which is not JSON, with exit 2, and stabilize printed
-    # {"evaluations":0,"found":false} with exit 2; check and falsify
-    # already exit 64
+    # stabilize once printed {"evaluations":0,"found":false} with exit 2;
+    # every query command rejects the budget where the engine checks it
     query = ("--region", "rhp", "--class", "pos_diag", "--op", "mul")
-    for cmd in (("certify", "--kind", "diagonal"), ("check", *query),
-                ("falsify", *query), ("stabilize", *query)):
+    for cmd in (("check", *query), ("falsify", *query), ("stabilize", *query)):
         code, out = run(capsys, *cmd, "--matrix", "[[1,0],[0,1]]", "--budget", budget)
         assert (code, out) == (64, ""), cmd
+    # the certificate search stops by its own rule and takes no budget
+    for value in (budget, "5"):
+        code, out = run(capsys, "certify", "--kind", "diagonal", "--matrix",
+                        "[[1,0],[0,1]]", "--budget", value)
+        assert (code, out) == (64, "")
+
+
+def test_inputs_near_the_float_limit_give_strict_json_or_exit_64(capsys):
+    # ||A||_F once overflowed in the diagonal search, which printed
+    # "best_min_eig":NaN and left check UNKNOWN after its whole budget
+    huge = "[[1e200,0],[0,1e200]]"
+    code, out = run(capsys, "certify", "--matrix", huge, "--kind", "diagonal")
+    assert code == 0 and json.loads(out)["best_min_eig"] == 2e200
+    code, out = run(capsys, "check", "--matrix", huge, "--region", "rhp",
+                    "--class", "pos_diag", "--op", "mul")
+    assert code == 0 and json.loads(out)["status"] == "certified"
+    # the Stein form overflows at P = I: no finite value to report
+    code = main(["certify", "--matrix", huge, "--kind", "stein"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (64, "")
+    assert captured.err == "error: the certified form overflowed; rescale the inputs\n"
+
+
+def test_one_parser_serves_interleaved_calls(files, capsys):
+    # the parser is built once; a call, even a failed one, leaves nothing
+    # behind that changes the next
+    from dgstab import cli
+
+    calls = [("check", "--matrix", files["bad2"], "--region", "rhp", "--class",
+              "pos_diag", "--op", "mul", "--seed", "7"),
+             ("check", "--matrix", files["id2"], "--region", "rhp", "--class",
+              "pos_diag"),
+             ("certify", "--matrix", files["hard2"], "--kind", "diagonal"),
+             ("check", "--matrix", files["hard2"], "--region", "rhp", "--class",
+              "pos_diag", "--op", "mul", "--budget", "200")]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append((main(list(argv)), capsys.readouterr()))
+    assert [code for code, _ in alone] == [1, 64, 2, 2]
+    parser = cli._build_parser()
+    together = [(main(list(argv)), capsys.readouterr()) for argv in calls]
+    assert together == alone
+    assert cli._build_parser() is parser
 
 
 def test_csv_matrix_and_inertia(files, capsys):
