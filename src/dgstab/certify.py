@@ -560,12 +560,13 @@ def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
     """The one check of non-exhaustive certificates: for the stacked
     witnesses ``p`` of ``cert``'s kind (with ``partitions``, one per
     witness) at the stacked matrices ``a``, the mask of those in their
-    witness class whose form is positive definite, and the forms.  A
-    witness fails alone: a form that is not finite or not symmetric
+    witness class whose form is positive definite, and the forms.  The
+    witness membership is one ``classes.are_members`` test on the stack,
+    its rows grouped by equal witness class.  A witness fails alone: a
+    witness or form that is not finite, or a form that is not symmetric,
     rejects only its own matrix."""
     k = a.shape[1]
-    ok = np.array([classes.contains(_at(cert.kind, k, part)[0], w)
-                   for w, part in zip(p, partitions)], dtype=bool)
+    ok = classes.are_members([_at(cert.kind, k, part)[0] for part in partitions], p)
     # a form that overflows is rejected as non-finite, silently
     with np.errstate(over="ignore", invalid="ignore"):
         try:
@@ -629,10 +630,10 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
     scaled to trace k as the searches normalize, with the partition
     restricted as the class is and ``min_eig`` measured at ``a[i]``; it
     is None unless it proves the triple (region, ``sub_classes[i]``, op) at
-    ``a[i]``, as ``proves`` would decide it alone.  The witness
-    membership and the triple coverage are checked row by row; the
-    forms, their definiteness test and their smallest eigenvalues are
-    computed on the stack, each row bit for bit as alone.
+    ``a[i]``, as ``proves`` would decide it alone.  The triple coverage
+    is checked row by row; the witness membership, the forms, their
+    definiteness test and their smallest eigenvalues are computed on the
+    stack, each row bit for bit as alone.
 
     A certificate of the full matrix's triple restricts to one of the
     restricted class's for the diagonal, block-scalar, identity and

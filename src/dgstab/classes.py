@@ -3,10 +3,12 @@ and group-structure probes.
 
 A class descriptor is an immutable value carrying the structural
 parameters (partition, permutation, sign pattern, bounds, rank, ...).
-Membership is a structural predicate with tolerance; samplers draw
-members from an explicit generator stream, so parallel callers split
-streams deterministically; only the two finite kinds (vertex
-diagonals and explicit lists) can be enumerated exactly.
+Membership is a structural predicate with tolerance, one rule per
+kind, tested on a stack of matrices (``are_members``; ``contains`` is
+its stack of one); samplers draw members from an explicit generator
+stream, so parallel callers split streams deterministically; only the
+two finite kinds (vertex diagonals and explicit lists) can be
+enumerated exactly.
 
 Every per-kind closure fact lives in one table, ``_FACTS``, with the
 columns ``diagonal``, ``finite``, ``bounded``, ``scalable``,
@@ -38,7 +40,7 @@ from .errors import (
     InfiniteClassError,
     NotThetaOrderedError,
 )
-from .linalg import as_square_matrix, is_positive_definite
+from .linalg import are_positive_definite, as_square_matrix
 
 __all__ = [
     "ClassKind",
@@ -60,6 +62,7 @@ __all__ = [
     "parametric_rank_one",
     "explicit_list",
     "contains",
+    "are_members",
     "sample",
     "sample_batch",
     "enumerate_members",
@@ -337,107 +340,135 @@ def _member_arrays(c: MatrixClass) -> list[np.ndarray]:
     return [np.array(m, dtype=float) for m in c.members]
 
 
-def _offdiag_small(m: np.ndarray, thr: float) -> bool:
-    off = m - np.diag(np.diag(m))
-    return float(np.max(np.abs(off), initial=0.0)) <= thr
+def _offdiag_within(absm: np.ndarray, thr: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack of magnitudes ``absm`` (overwritten):
+    whether every off-diagonal entry is at most its row's ``thr``."""
+    diag_idx = np.arange(absm.shape[-1])
+    absm[:, diag_idx, diag_idx] = 0.0
+    return absm.max(axis=(1, 2)) <= thr
 
 
-def _rank_at_most(m: np.ndarray, k: int) -> bool:
-    sv = np.linalg.svd(m, compute_uv=False)
-    return bool(np.all(sv[k:] <= RANK_TOL * sv[0])) if sv[0] > 0 else True
-
-
-def contains(c: MatrixClass, m, tol: float = 1e-9) -> bool:
-    """Structural membership with tolerance ``tol``.
-
-    Zero patterns, symmetry, sign constraints and ordering are tested
-    against ``tol * max(1, max|entry|)``; rank against singular values
-    below ``RANK_TOL`` times the largest.
-    """
-    m = as_square_matrix(m, "m")
-    if m.shape[0] != c.order:
-        raise DimensionMismatchError(
-            f"matrix order {m.shape[0]} does not match class order {c.order}"
-        )
-    scale = max(1.0, float(np.max(np.abs(m))))
-    thr = tol * scale
-    d = np.diag(m)
+def _member_rows(c: MatrixClass, m: np.ndarray, tol: float) -> np.ndarray:
+    """The membership rules, one per kind: the mask of the matrices of
+    the finite ``(r, n, n)`` stack ``m`` that are in ``c`` at ``tol``,
+    each decided as it would be alone."""
+    absm = np.abs(m)
+    top = absm.max(axis=(1, 2))
+    thr = tol * np.maximum(1.0, top)
+    d = m.diagonal(axis1=1, axis2=2)
     k = c.kind
 
     if k is ClassKind.SYMMETRIC:
-        return float(np.max(np.abs(m - m.T))) <= thr
+        return np.abs(m - m.swapaxes(1, 2)).max(axis=(1, 2)) <= thr
     if k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
         # SPD is the one-block case; halves first, so that nothing
         # overflows near the float limit
-        mask = np.zeros_like(m, dtype=bool)
+        mask = np.zeros((c.order, c.order), dtype=bool)
         for block in c.partition.blocks if c.partition else (range(c.order),):
             sel = np.asarray(block)
             mask[np.ix_(sel, sel)] = True
         half = 0.5 * m
-        if float(np.max(np.abs(m[~mask]), initial=0.0)) > thr:
-            return False
-        if float(np.max(np.abs(half - half.T))) > 0.5 * thr:
-            return False
-        return is_positive_definite(half + half.T, tol)
+        ok = ((absm[:, ~mask].max(axis=1, initial=0.0) <= thr)
+              & (np.abs(half - half.swapaxes(1, 2)).max(axis=(1, 2)) <= 0.5 * thr))
+        rows = np.flatnonzero(ok)
+        if rows.size:
+            ok[rows] = are_positive_definite(half[rows] + half[rows].swapaxes(1, 2), tol)
+        return ok
     if k is ClassKind.DIAG:
-        return _offdiag_small(m, thr)
+        return _offdiag_within(absm, thr)
     if k is ClassKind.POS_DIAG:
         # sign constraints are strict; scaled tolerances would reject
         # legitimately small entries of wide-range products
-        return _offdiag_small(m, thr) and bool(np.all(d > 0.0))
+        return _offdiag_within(absm, thr) & (d > 0.0).all(axis=1)
     if k is ClassKind.SIGN_DIAG:
-        if not _offdiag_small(m, thr):
-            return False
-        for di, si in zip(d, c.signs):
-            if si > 0 and not di > 0.0:
-                return False
-            if si < 0 and not di < 0.0:
-                return False
-            if si == 0 and not abs(di) <= thr:
-                return False
-        return True
+        signs = np.asarray(c.signs)
+        fits = np.where(signs > 0, d > 0.0,
+                        np.where(signs < 0, d < 0.0, np.abs(d) <= thr[:, None]))
+        return _offdiag_within(absm, thr) & fits.all(axis=1)
     if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR):
-        if not _offdiag_small(m, thr):
-            return False
+        ok = _offdiag_within(absm, thr)
         for block in c.partition.blocks:
-            vals = d[np.asarray(block)]
-            spread = float(np.max(vals) - np.min(vals))
-            if spread > tol * max(1.0, float(np.max(np.abs(vals)))):
-                return False
-        if k is ClassKind.POS_ALPHA_SCALAR and not np.all(d > 0.0):
-            return False
-        return True
+            vals = d[:, np.asarray(block)]
+            spread = vals.max(axis=1) - vals.min(axis=1)
+            ok &= spread <= tol * np.maximum(1.0, np.abs(vals).max(axis=1))
+        return ok & (d > 0.0).all(axis=1) if k is ClassKind.POS_ALPHA_SCALAR else ok
     if k is ClassKind.THETA_ORDERED:
-        if not (_offdiag_small(m, thr) and np.all(d > 0.0)):
-            return False
-        ordered = d[np.asarray(c.theta)]
-        slack = tol * np.maximum(1.0, np.abs(ordered[:-1]))
-        return bool(np.all(ordered[:-1] >= ordered[1:] - slack))
+        ordered = d[:, np.asarray(c.theta)]
+        slack = tol * np.maximum(1.0, np.abs(ordered[:, :-1]))
+        return (_offdiag_within(absm, thr) & (d > 0.0).all(axis=1)
+                & (ordered[:, :-1] >= ordered[:, 1:] - slack).all(axis=1))
     if k is ClassKind.BOX_DIAG:
-        if not _offdiag_small(m, thr):
-            return False
-        return bool(np.all(d > np.asarray(c.lo)) and np.all(d < np.asarray(c.hi)))
+        return (_offdiag_within(absm, thr) & (d > np.asarray(c.lo)).all(axis=1)
+                & (d < np.asarray(c.hi)).all(axis=1))
     if k is ClassKind.VERTEX_DIAG:
-        return _offdiag_small(m, thr) and bool(np.all(np.abs(np.abs(d) - 1.0) <= thr))
+        return _offdiag_within(absm, thr) & (np.abs(np.abs(d) - 1.0) <= thr[:, None]).all(axis=1)
     if k in (ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-        # Entrywise positive with rank at most k.  For sums of positive
-        # rank-one terms this over-approximates the class; exact
+        # Entrywise positive with rank at most k, with singular values
+        # below RANK_TOL times the largest counting as zero.  For sums of
+        # positive rank-one terms this over-approximates the class; exact
         # membership is not decidable structurally.
-        return bool(np.all(m > 0.0)) and _rank_at_most(m, c.rank)
+        ok = (m > 0.0).all(axis=(1, 2))
+        rows = np.flatnonzero(ok)
+        if rows.size:
+            sv = np.linalg.svd(m[rows], compute_uv=False)
+            ok[rows] = (sv[:, c.rank:] <= RANK_TOL * sv[:, :1]).all(axis=1)
+        return ok
     if k is ClassKind.PARAMETRIC_RANK_ONE:
         outer = np.outer(c.x, c.y)
         denom = float(np.sum(outer * outer))
         if denom == 0.0:
-            return float(np.max(np.abs(m))) <= thr
-        t_hat = float(np.sum(m * outer)) / denom
-        if float(np.max(np.abs(m - t_hat * outer))) > thr:
-            return False
-        return c.tau[0] - tol <= t_hat <= c.tau[1] + tol
+            return top <= thr
+        t_hat = (m * outer).reshape(len(m), -1).sum(axis=1) / denom
+        fits = np.abs(m - t_hat[:, None, None] * outer).max(axis=(1, 2)) <= thr
+        return fits & (c.tau[0] - tol <= t_hat) & (t_hat <= c.tau[1] + tol)
     if k is ClassKind.EXPLICIT_LIST:
-        return any(
-            float(np.max(np.abs(m - ref))) <= thr for ref in _member_arrays(c)
-        )
+        refs = np.stack(_member_arrays(c))
+        near = np.abs(m[:, None] - refs[None]).max(axis=(2, 3)) <= thr[:, None]
+        return near.any(axis=1)
     raise AssertionError(k)
+
+
+def are_members(cs, m, tol: float = 1e-9) -> np.ndarray:
+    """Structural membership of each matrix of the ``(r, n, n)`` stack
+    ``m`` in its own class ``cs[i]``, with tolerance ``tol``, as a
+    boolean mask.  Rows of equal classes are tested together, by the one
+    rule of their kind.
+
+    Zero patterns, symmetry, sign constraints and ordering are tested
+    against ``tol * max(1, max|entry|)``; rank against singular values
+    below ``RANK_TOL`` times the largest.  A matrix with a non-finite
+    entry is in no class; a class whose order is not the stack's raises
+    ``DimensionMismatchError``.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2] or len(cs) != len(m):
+        raise ValueError(f"need one class per matrix of a square stack, got "
+                         f"{len(cs)} classes and shape {m.shape}")
+    ok = np.isfinite(m).all(axis=(1, 2))
+    groups: dict[MatrixClass, list[int]] = {}
+    for i, c in enumerate(cs):
+        groups.setdefault(c, []).append(i)
+    for c, rows in groups.items():
+        _check_order(c, m.shape[1])
+        rows = np.asarray(rows)[ok[rows]]
+        if rows.size:
+            ok[rows] = _member_rows(c, m[rows], tol)
+    return ok
+
+
+def _check_order(c: MatrixClass, n: int) -> None:
+    if n != c.order:
+        raise DimensionMismatchError(f"matrix order {n} does not match class order {c.order}")
+
+
+def contains(c: MatrixClass, m, tol: float = 1e-9) -> bool:
+    """Structural membership of the matrix ``m`` with tolerance ``tol``,
+    by the rule that ``are_members`` applies to a stack, on a stack of
+    one.  Raises ``ValueError`` for a matrix that is not square or not
+    finite."""
+    m = as_square_matrix(m, "m")
+    _check_order(c, m.shape[0])
+    return bool(_member_rows(c, m[None], tol)[0])
 
 
 def _log_uniform(rng: np.random.Generator, shape) -> np.ndarray:

@@ -14,8 +14,8 @@ engine returns a three-valued verdict:
 
 ``decide`` runs one sequence of stages, cheapest necessary conditions
 first.  Each stage takes the ``Query`` and returns a ``Verdict``, which
-ends the run, or the provenance note it adds (a ``str``); ``decide``
-alone orders the stages and joins their notes:
+ends the run, or the provenance note it adds (a ``str``); one loop,
+``_decide_stack``, orders the stages and joins their notes:
 
 1. unbounded-class escape for bounded regions;
 2. the identity-element necessary check;
@@ -35,6 +35,14 @@ alone orders the stages and joins their notes:
    (``certify.search_for_triple``), then re-verify the certificate
    independently;
 6. randomized falsification, for infinite classes.
+
+``_decide_stack`` decides a stack of queries of one order at once, each
+as it would be decided alone, and ``decide`` is its stack of one:
+``total_stability`` passes it the subsets of one order that no
+restricted certificate proves.  The escape runs row by row; the
+identity check (``_identity_checks``) runs once on the stack, one
+composition and one ``eigvals`` for all rows; only the rows it leaves
+open go through the later stages, one query each.
 
 Every REFUTED verdict, from whichever stage or from a verdict
 transfer, is built by one constructor, ``_refuted``.  Every CERTIFIED
@@ -174,21 +182,36 @@ def _thread_count() -> int:
         return 1
 
 
+def _finite_spectra(op: BinaryOp, gs: np.ndarray, a: np.ndarray):
+    """The rows of the member stack ``gs`` whose composition with ``a``
+    is finite, and their spectra: a composition that overflows has no
+    spectrum to test, so it is never a witness."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are dropped here
+        comps = algebra.apply(op, gs, a)
+    finite = np.isfinite(comps).all(axis=(1, 2))
+    rows = np.flatnonzero(finite)
+    if rows.size < len(gs):
+        comps = comps[rows]
+    return rows, np.linalg.eigvals(comps) if rows.size else None
+
+
 def falsify(q: Query) -> Verdict:
     """Randomized counterexample search over the class.
 
     Trials run in chunks of ``_CHUNK``, each drawn from its own spawned
     generator stream, so the first witness in chunk order is the same
     for every thread count.  Returns ``REFUTED`` with that witness or
-    ``UNKNOWN`` with the number of trials spent.  A worker skips every
-    chunk after one known to hold a witness: the pool starts chunks in
-    order, so each chunk before that one has started, and the first
-    witness is among them.
+    ``UNKNOWN`` with the number of trials spent and, if any, the number
+    whose composition overflowed, which are never witnesses.  A worker
+    skips every chunk after one known to hold a witness: the pool starts
+    chunks in order, so each chunk before that one has started, and the
+    first witness is among them.
     """
     a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
     n_chunks = math.ceil(budget / _CHUNK)
     children = _stream(q.seed, 2).spawn(n_chunks)
     first_hit = [n_chunks]  # the lowest chunk known to hold a witness
+    overflowed = [0] * n_chunks  # per chunk, the trials whose composition overflowed
     lock = threading.Lock()
 
     def eval_chunk(i: int):
@@ -197,12 +220,15 @@ def falsify(q: Query) -> Verdict:
         count = min(_CHUNK, budget - i * _CHUNK)
         rng = np.random.default_rng(children[i])
         gs = classes.sample_batch(cls, rng, count)
-        hit = regions.first_exit(region, np.linalg.eigvals(algebra.apply(op, gs, a)), tol)
+        rows, w = _finite_spectra(op, gs, a)
+        overflowed[i] = count - rows.size
+        hit = regions.first_exit(region, w, tol) if rows.size else None
         if hit is None:
             return None
         with lock:
             first_hit[0] = min(first_hit[0], i)
-        return (gs[hit[0]],) + hit
+        j = int(rows[hit[0]])
+        return (gs[j], j) + hit[1:]
 
     threads = _thread_count()
     window = threads * 4
@@ -217,11 +243,10 @@ def falsify(q: Query) -> Verdict:
                     return _refuted(g, lam, margin,
                                     f"falsification found witness after {used} trials",
                                     trials_used=used)
-    return Verdict(
-        VerdictStatus.UNKNOWN,
-        trials_used=budget,
-        provenance=(f"falsification exhausted {budget} trials",),
-    )
+    note = f"falsification exhausted {budget} trials"
+    if sum(overflowed):
+        note += f" ({sum(overflowed)} compositions overflowed and were skipped)"
+    return Verdict(VerdictStatus.UNKNOWN, trials_used=budget, provenance=(note,))
 
 
 # ---------------------------------------------------------------------------
@@ -253,17 +278,36 @@ def _unboundedness_escape(q: Query) -> Verdict | str:
     return no_escape
 
 
-def _identity_check(q: Query) -> Verdict | str:
-    ident = classes.identity_element(q.cls, q.op)
-    if ident is None:
-        return "class has no identity element for the operation"
-    w = np.linalg.eigvals(algebra.apply(q.op, ident, q.a))
-    hit = regions.first_exit(q.region, w[None], q.tol)
-    if hit is not None:
-        return _refuted(ident, *hit[1:], "identity-element necessary check refutes")
-    if not regions.spectrum_in_region(q.region, w):
-        return "identity element leaves a boundary eigenvalue (inconclusive)"
-    return "identity-element check passed"
+def _identity_checks(qs: list[Query], a: np.ndarray) -> list[Verdict | str]:
+    """The identity-element necessary check of each query of a stack
+    that share region, operation and tol, with ``a`` the stack of their
+    matrices: the operation has one identity element, each distinct
+    class is asked once whether it holds it, and one composition and one
+    ``eigvals`` run on the rows whose class does.  A row whose spectrum
+    is not interior is refuted by its exit, chosen by
+    ``regions.first_exit``'s rule (``regions.row_exits``), or else left
+    inconclusive."""
+    region, op, tol = qs[0].region, qs[0].op, qs[0].tol
+    held: dict[MatrixClass, np.ndarray | None] = {}
+    for q in qs:
+        if q.cls not in held:
+            held[q.cls] = classes.identity_element(q.cls, op)
+    out: list[Verdict | str] = ["class has no identity element for the operation"] * len(qs)
+    rows = [i for i, q in enumerate(qs) if held[q.cls] is not None]
+    if not rows:
+        return out
+    ident = held[qs[rows[0]].cls]  # one matrix, whichever class holds it
+    w = np.linalg.eigvals(algebra.apply(op, ident, a if len(rows) == len(qs) else a[rows]))
+    for i in rows:
+        out[i] = "identity-element check passed"
+    # only a row with an eigenvalue off the interior can exit
+    left = np.flatnonzero(~regions.interior_rows(region, w))
+    if left.size:
+        for k, hit in zip(left.tolist(), regions.row_exits(region, w[left], tol)):
+            out[rows[k]] = (
+                "identity element leaves a boundary eigenvalue (inconclusive)" if hit is None
+                else _refuted(ident.copy(), *hit, "identity-element necessary check refutes"))
+    return out
 
 
 def _dyadic(x: np.ndarray) -> np.ndarray:
@@ -375,22 +419,10 @@ def _certificate_stage(q: Query) -> Verdict | str:
                       f"min_eig={cert.min_eig:.3e}) and re-verified")
 
 
-def decide(q: Query, use_certificates: bool = True) -> Verdict:
-    """Layered decision: unboundedness escape, identity-element check,
-    the exact principal-minor refutation on the right half-plane where
-    the class holds every positive row scaling under the query's
-    operation, then exact enumeration for finite classes, or
-    certificate search and randomized falsification for infinite ones.
-    A stage that does not apply to the query does not run and adds no
-    note.  Each stage returns a
-    verdict, which ends the run, or its note; the verdict's provenance
-    begins with the notes before it.  The last stage always returns one.
-
-    ``use_certificates=False`` replaces the certificate stage by the
-    note "certificate search disabled" (the other stages are
-    unaffected); useful for honesty testing and benchmarks.
-    """
-    stages = (_unboundedness_escape, _identity_check)
+def _later_stages(q: Query, use_certificates: bool) -> tuple:
+    """The stages after the identity check that apply to ``q``, in order;
+    the last one always returns a verdict."""
+    stages = ()
     if (q.region.kind is regions.RegionKind.RIGHT_HALF_PLANE
             and q.cls.fact("row_scaling") is q.op.kind):
         stages += (_minor_refutation,)
@@ -402,14 +434,51 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
         stages += (_certificate_stage, falsify)
     else:
         stages += (lambda _: "certificate search disabled", falsify)
-    notes: list[str] = []
-    for stage in stages:
-        v = stage(q)
-        if isinstance(v, Verdict):
-            v.provenance = tuple(notes) + v.provenance
-            return v
-        notes.append(v)
-    raise AssertionError("the last stage returns a verdict")
+    return stages
+
+
+def _decide_stack(qs: list[Query], a: np.ndarray,
+                  use_certificates: bool = True) -> list[Verdict]:
+    """``decide`` of each query of a stack that share region, operation
+    and tol, with ``a`` the stack of their matrices, each verdict as it
+    would be alone: the escape runs row by row, the identity check once
+    on the rows it leaves open, and each row still open goes through the
+    later stages as its own query, its notes kept."""
+    # each row's stage results in order: notes, then its verdict
+    runs: list[list[Verdict | str]] = [[_unboundedness_escape(q)] for q in qs]
+    rows = [i for i, run in enumerate(runs) if isinstance(run[-1], str)]
+    if rows:
+        sub = a if len(rows) == len(qs) else a[rows]
+        for i, v in zip(rows, _identity_checks([qs[i] for i in rows], sub)):
+            runs[i].append(v)
+    for q, run in zip(qs, runs):
+        if isinstance(run[-1], str):
+            for stage in _later_stages(q, use_certificates):
+                run.append(stage(q))
+                if isinstance(run[-1], Verdict):
+                    break
+    for run in runs:
+        run[-1].provenance = tuple(run[:-1]) + run[-1].provenance
+    return [run[-1] for run in runs]
+
+
+def decide(q: Query, use_certificates: bool = True) -> Verdict:
+    """Layered decision: unboundedness escape, identity-element check,
+    the exact principal-minor refutation on the right half-plane where
+    the class holds every positive row scaling under the query's
+    operation, then exact enumeration for finite classes, or
+    certificate search and randomized falsification for infinite ones.
+    A stage that does not apply to the query does not run and adds no
+    note.  Each stage returns a verdict, which ends the run, or its
+    note; the verdict's provenance begins with the notes before it.  The
+    last stage always returns one.  This is ``_decide_stack`` on a stack
+    of one.
+
+    ``use_certificates=False`` replaces the certificate stage by the
+    note "certificate search disabled" (the other stages are
+    unaffected); useful for honesty testing and benchmarks.
+    """
+    return _decide_stack([q], q.a[None], use_certificates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -650,9 +719,11 @@ def total_stability(q: Query) -> TotalStabilityReport:
     When a certificate certifies the full set, one call of
     ``certify.restrict_certificate`` per group checks its restrictions,
     and each subset whose triple its restriction proves is certified by
-    it; every other subset is decided as its own query.  Overall
-    verdict: certified only if every subset is, refuted if any subset
-    is."""
+    it.  The other subsets of the group are decided together
+    (``_decide_stack``): the escape row by row, one stacked identity
+    check, and only the rows still open as their own queries, each
+    verdict as ``decide`` would reach it alone.  Overall verdict:
+    certified only if every subset is, refuted if any subset is."""
     n = q.a.shape[0]
     if n > 16:
         raise OrderTooLargeError("total stability supported for order <= 16")
@@ -666,13 +737,16 @@ def total_stability(q: Query) -> TotalStabilityReport:
         sub_classes = [restrict_class(q.cls, s) for s in subsets]
         proofs = [None] * len(subsets) if cert is None else certify.restrict_certificate(
             cert, idx, subs, q.region, sub_classes, q.op)
-        for s, a, cls, rc in zip(subsets, subs, sub_classes, proofs):
-            if rc is None:
-                decided[s] = decide(replace(q, a=a, cls=cls))
-            else:
+        for s, rc in zip(subsets, proofs):
+            if rc is not None:
                 decided[s] = _certified(rc, "restricted from the full matrix's certificate "
                                         f"({rc.kind.value}, min_eig={rc.min_eig:.3e}) "
                                         "and re-verified")
+        open_rows = [i for i, rc in enumerate(proofs) if rc is None]
+        if open_rows:
+            sub_queries = [replace(q, a=subs[i], cls=sub_classes[i]) for i in open_rows]
+            decided.update(zip([subsets[i] for i in open_rows],
+                               _decide_stack(sub_queries, subs[open_rows])))
     results = {s: decided[s] for s in (tuple(i for i in range(n) if mask >> i & 1)
                                        for mask in range(1, 2 ** n - 1))}
     results[tuple(range(n))] = full
@@ -697,6 +771,7 @@ class InertiaPreservationReport:
     witness: np.ndarray | None = None
     witness_inertia: tuple[int, int, int] | None = None
     product_inertia: tuple[int, int, int] | None = None
+    overflowed: int = 0  # trials whose composition overflowed: never witnesses
 
 
 def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
@@ -704,26 +779,29 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
                        seed: int = 42) -> InertiaPreservationReport:
     """Sampled check that composing with class members preserves their
     eigenvalue counts relative to the region; any mismatch is returned
-    as a witness."""
+    as a witness.  A member whose composition overflows is skipped and
+    counted in ``overflowed``."""
     a = as_square_matrix(a)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    done = 0
+    done = overflowed = 0
     while done < budget:
         count = min(_CHUNK, budget - done)
         gs = classes.sample_batch(cls, rng, count)
-        w_g = np.linalg.eigvals(gs)
-        w_m = np.linalg.eigvals(algebra.apply(op, gs, a))
-        for j in range(count):
-            ig = regions.inertia_of(region, w_g[j]).as_tuple()
-            im = regions.inertia_of(region, w_m[j]).as_tuple()
-            if ig != im:
-                return InertiaPreservationReport(
-                    False, done + j + 1, gs[j], ig, im
-                )
+        rows, w_m = _finite_spectra(op, gs, a)
+        overflowed += count - rows.size
+        if rows.size:
+            w_g = np.linalg.eigvals(gs[rows])
+            for j, wg, wm in zip(rows.tolist(), w_g, w_m):
+                ig = regions.inertia_of(region, wg).as_tuple()
+                im = regions.inertia_of(region, wm).as_tuple()
+                if ig != im:
+                    return InertiaPreservationReport(
+                        False, done + j + 1, gs[j], ig, im, overflowed
+                    )
         done += count
-    return InertiaPreservationReport(True, done)
+    return InertiaPreservationReport(True, done, overflowed=overflowed)
 
 
 # ---------------------------------------------------------------------------

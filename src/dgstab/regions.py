@@ -45,8 +45,10 @@ __all__ = [
     "classify_point",
     "exterior_margins",
     "first_exit",
+    "row_exits",
     "interior_scores",
     "spectrum_in_region",
+    "interior_rows",
     "inertia_of",
     "transform_region",
     "is_scale_invariant",
@@ -270,19 +272,44 @@ def exterior_margins(region: Region, lams) -> np.ndarray:
     return _classify_arrays(region, lams)[1]
 
 
+def _exits(region: Region, spectra: np.ndarray, tol: float):
+    """The exit rule, once for a ``(count, n)`` stack of spectra: the
+    margins, and per row whether it has an exterior margin beyond
+    ``tol``."""
+    margins = exterior_margins(region, spectra.ravel()).reshape(spectra.shape)
+    return margins, margins.max(axis=1) > tol
+
+
+def _exit_of(spectra: np.ndarray, margins: np.ndarray, j: int) -> tuple[complex, float]:
+    """Row ``j``'s eigenvalue of largest margin (the first such on a
+    tie), and that margin."""
+    i = int(margins[j].argmax())
+    return complex(spectra[j, i]), float(margins[j, i])
+
+
 def first_exit(region: Region, spectra, tol: float) -> tuple[int, complex, float] | None:
     """The rule that says which member refutes: for a ``(count, n)``
     stack of spectra, (row, eigenvalue, margin) of the first row with an
     exterior margin beyond ``tol``, its eigenvalue of largest margin
     (the first such on a tie), or None when no row exits."""
     spectra = np.asarray(spectra)
-    margins = exterior_margins(region, spectra.ravel()).reshape(spectra.shape)
-    exits = margins.max(axis=1) > tol
+    margins, exits = _exits(region, spectra, tol)
     j = int(exits.argmax())
     if not exits[j]:
         return None
-    i = int(margins[j].argmax())
-    return j, complex(spectra[j, i]), float(margins[j, i])
+    return (j,) + _exit_of(spectra, margins, j)
+
+
+def row_exits(region: Region, spectra, tol: float) -> list[tuple[complex, float] | None]:
+    """``first_exit``'s rule applied to each row of a ``(count, n)``
+    stack of spectra on its own: per row, (eigenvalue, margin) of its
+    exit, or None when it does not exit."""
+    spectra = np.asarray(spectra)
+    margins, exits = _exits(region, spectra, tol)
+    out: list[tuple[complex, float] | None] = [None] * len(spectra)
+    for j in np.flatnonzero(exits).tolist():
+        out[j] = _exit_of(spectra, margins, j)
+    return out
 
 
 def interior_scores(region: Region, lams) -> np.ndarray:
@@ -295,10 +322,20 @@ def interior_scores(region: Region, lams) -> np.ndarray:
     return _classify_arrays(region, lams)[2]
 
 
+def interior_rows(region: Region, spectra) -> np.ndarray:
+    """Per row of a ``(count, n)`` stack of spectra, whether every
+    eigenvalue classifies as interior, as a boolean mask.  A row whose
+    every eigenvalue is interior has no exterior margin, so it never
+    exits."""
+    spectra = np.asarray(spectra)
+    codes = _classify_arrays(region, spectra.ravel())[0].reshape(spectra.shape)
+    return (codes == 1).all(axis=1)
+
+
 def spectrum_in_region(region: Region, spectrum) -> bool:
-    """True iff every eigenvalue classifies as interior."""
-    codes = _classify_arrays(region, spectrum)[0]
-    return bool(np.all(codes == 1))
+    """True iff every eigenvalue classifies as interior: ``interior_rows``
+    of the spectrum as a stack of one."""
+    return bool(interior_rows(region, np.ravel(spectrum)[None])[0])
 
 
 def inertia_of(region: Region, spectrum) -> Inertia:

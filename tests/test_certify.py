@@ -211,6 +211,13 @@ def test_verify_rejects_wrong_witness_structure():
     assert not verify_certificate(cert, np.eye(2))
 
 
+def test_verify_rejects_a_non_finite_witness():
+    # it used to raise ValueError from the membership test
+    for w in (np.diag([1.0, np.nan]), np.diag([np.inf, 1.0])):
+        assert not verify_certificate(Certificate(CertKind.DIAGONAL_LYAPUNOV, w, 1.0),
+                                      np.eye(2))
+
+
 def test_implied_stabilities_contents():
     cert = Certificate(CertKind.DIAGONAL_LYAPUNOV, np.eye(2), 2.0)
     triples = implied_stabilities(cert)

@@ -3,12 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
+import reference_2d
 from dgstab import algebra
 from dgstab.algebra import MUL
 from dgstab.classes import (
     ClassKind,
     Partition,
     alpha_block_spd,
+    are_members,
     alpha_scalar,
     box_diag,
     chain_memberships,
@@ -393,3 +395,102 @@ def test_closure_facts_hold_on_sampled_members(n):
             assert images, (cls.kind, name)
             for m in images:
                 assert contains(target, m, 1e-7), (cls.kind, name, m)
+
+
+# --- the stacked membership test ---------------------------------------------
+
+
+_EDGE = 2.0 ** -20
+
+
+def _membership_probes(c, rng):
+    """Matrices at the edges of the class's rule: sampled members, each
+    with one entry moved by ``tol * max(1, max|m|)`` at tol 1e-9 and by
+    the floats just beside it, its negation and transpose, identities
+    with one entry exactly on the threshold at tol 2^-20, the kind's own
+    boundaries (box ends, tau ends), fixed matrices, and all of them
+    scaled by 2^1000 and 2^-1000."""
+    n = c.order
+    out = [np.zeros((n, n)), np.eye(n), -np.eye(n), np.ones((n, n))]
+    for g in sample_batch(c, rng, 2):
+        out += [g, -g, g.T]
+        thr = 1e-9 * max(1.0, float(np.max(np.abs(g))))
+        for e in (thr, np.nextafter(thr, 0.0), np.nextafter(thr, np.inf), -thr):
+            for i, j in {(0, n - 1), (n - 1, 0), (0, 0), (n - 1, n - 1)}:
+                h = g.copy()
+                h[i, j] += e
+                out.append(h)
+    # at tol 2^-20 the threshold of a matrix with max|m| = 1 is exact:
+    # these entries sit on it
+    for i, j in {(0, n - 1), (n - 1, 0), (0, 0)}:
+        for e in (_EDGE, -_EDGE):
+            h = np.eye(n)
+            h[i, j] = 1.0 - abs(e) if i == j else e
+            out.append(h)
+    if c.kind is ClassKind.BOX_DIAG:
+        out += [np.diag(c.lo), np.diag(c.hi),
+                np.diag(np.nextafter(np.asarray(c.hi), np.inf)),
+                np.diag(np.nextafter(np.asarray(c.hi), -np.inf))]
+    if c.kind is ClassKind.PARAMETRIC_RANK_ONE:
+        outer = np.outer(c.x, c.y)
+        for t in c.tau:
+            for edge in (t - 1e-9, t + 1e-9):
+                out += [v * outer for v in (edge, np.nextafter(edge, -np.inf),
+                                            np.nextafter(edge, np.inf))]
+    return out + [m * 2.0 ** 1000 for m in out] + [m * 2.0 ** -1000 for m in out]
+
+
+def _membership_classes():
+    return all_kinds(4) + factory_classes(3) + [
+        f(1) for f in (symmetric, spd, diag, pos_diag, vertex_diag)] + [
+        theta_ordered([0]), box_diag([0.5], [2.0]), rank_k_positive(1, 1),
+        parametric_rank_one([2.0], [0.5], (0.0, 1.0)), explicit_list([[[3.0]]])]
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_membership_equals_a_loop_of_contains():
+    # the one-matrix rules of the former contains are the oracle
+    rng = np.random.default_rng(17)
+    accepted, rejected = set(), set()
+    for c in _membership_classes():
+        ms = np.stack(_membership_probes(c, rng))
+        want = [contains(c, m) for m in ms]
+        assert want == [reference_2d.contains(c, m) for m in ms], c
+        accepted |= {c.kind} if any(want) else set()
+        rejected |= {c.kind} if not all(want) else set()
+        assert are_members([c] * len(ms), ms).tolist() == want, c
+        for tol in (1e-7, _EDGE):
+            want = [contains(c, m, tol) for m in ms]
+            assert want == [reference_2d.contains(c, m, tol) for m in ms], (c, tol)
+            assert are_members([c] * len(ms), ms, tol).tolist() == want, (c, tol)
+    assert accepted == rejected == set(ClassKind)
+
+
+def test_stacked_membership_groups_rows_by_class():
+    # rows of several classes of one order, interleaved
+    rng = np.random.default_rng(18)
+    pairs = [(c, m) for c in factory_classes(3) for m in _membership_probes(c, rng)[:12]]
+    order = rng.permutation(len(pairs))
+    cs = [pairs[i][0] for i in order]
+    ms = np.stack([pairs[i][1] for i in order])
+    assert are_members(cs, ms).tolist() == [contains(c, m) for c, m in zip(cs, ms)]
+
+
+def test_stacked_membership_rejects_a_non_finite_row_alone():
+    ms = np.stack([np.eye(2), np.diag([1.0, np.nan]), np.diag([np.inf, 1.0]), 2 * np.eye(2)])
+    for c in (pos_diag(2), spd(2), symmetric(2), explicit_list([np.eye(2)])):
+        want = [contains(c, ms[0]), False, False, contains(c, ms[3])]
+        assert are_members([c] * 4, ms).tolist() == want, c.kind
+        # the one-matrix test refuses a non-finite matrix outright
+        for m in ms[1:3]:
+            with pytest.raises(ValueError, match="non-finite"):
+                contains(c, m)
+
+
+def test_stacked_membership_rejects_a_wrong_order():
+    with pytest.raises(DimensionMismatchError):
+        are_members([pos_diag(3)], np.eye(2)[None])
+    with pytest.raises(DimensionMismatchError):
+        are_members([pos_diag(2), pos_diag(3)], np.stack([np.eye(2)] * 2))
+    with pytest.raises(ValueError):
+        are_members([pos_diag(2)], np.stack([np.eye(2)] * 2))

@@ -209,6 +209,17 @@ def test_falsify_subcommand(files, capsys):
     assert json.loads(out)["status"] == "refuted"
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_near_the_float_limit_ends_unknown(capsys):
+    # the falsifier once passed overflowed compositions to eigvals
+    code, out = run(capsys, "check", "--matrix", "[[1e308,0],[0,1e308]]", "--region",
+                    "rhp", "--class", "spd", "--op", "mul", "--budget", "50")
+    assert code == 2
+    v = json.loads(out)
+    assert v["status"] == "unknown"
+    assert v["provenance"][-1].endswith("compositions overflowed and were skipped)")
+
+
 def test_stabilize_subcommand(files, capsys):
     circ = files["tmp"] / "circ3.json"
     circ.write_text(json.dumps(serialize.matrix_to_json(

@@ -185,6 +185,44 @@ def test_falsify_witness_reproduces():
         assert abs(np.max(margins) - v.margin) < 1e-9
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_falsify_skips_compositions_that_overflow(monkeypatch, threads):
+    # S diag(1e308, 1e308) overflows for the SPD members with an entry
+    # above about 1.8; the others are finite and never leave the half-plane
+    monkeypatch.setenv("DGSTAB_THREADS", threads)
+    v = falsify(Query(np.diag([1e308, 1e308]), RHP, classes.spd(2), MUL, budget=50))
+    assert (v.status, v.trials_used) == (VerdictStatus.UNKNOWN, 50)
+    note = v.provenance[-1]
+    assert note.startswith("falsification exhausted 50 trials (")
+    assert note.endswith(" compositions overflowed and were skipped)")
+    assert 0 < int(note.split("(")[1].split()[0]) < 50
+    # a finite member with a negative eigenvalue is still found, and it
+    # is the same one for every thread count
+    a = np.diag([-1e308, 1e308])
+    v = falsify(Query(a, RHP, classes.spd(2), MUL, budget=1200, seed=3))
+    assert v.status is VerdictStatus.REFUTED
+    m = v.witness @ a
+    assert np.isfinite(m).all() and classes.contains(classes.spd(2), v.witness, 1e-7)
+    assert regions.first_exit(RHP, np.linalg.eigvals(m)[None], 1e-7)[1:] == (
+        v.offending_eigenvalue, v.margin)
+    monkeypatch.setenv("DGSTAB_THREADS", "1")
+    ref = falsify(Query(a, RHP, classes.spd(2), MUL, budget=1200, seed=3))
+    assert (ref.trials_used, ref.margin) == (v.trials_used, v.margin)
+    np.testing.assert_array_equal(ref.witness, v.witness)
+
+
+@pytest.mark.filterwarnings("error")
+def test_inertia_preserving_skips_compositions_that_overflow():
+    rep = inertia_preserving(np.diag([1e308, 1e308]), classes.spd(2), MUL, RHP, budget=50)
+    assert rep.plausible and rep.trials == 50 and 0 < rep.overflowed < 50
+    # -A flips the inertia of every finite composition
+    rep = inertia_preserving(np.diag([-1e308, -1e308]), classes.spd(2), MUL, RHP, budget=50)
+    assert not rep.plausible and np.isfinite(rep.witness @ np.diag([-1e308, -1e308])).all()
+    assert (rep.witness_inertia, rep.product_inertia) == ((2, 0, 0), (0, 0, 2))
+    assert inertia_preserving(np.eye(2), classes.spd(2), MUL, RHP, budget=50).overflowed == 0
+
+
 def test_stabilize_examples():
     rep = stabilize(-np.eye(2), RHP, classes.diag(2), MUL, budget=3000, seed=4)
     assert rep.found
@@ -930,7 +968,7 @@ def test_identity_check_solves_one_spectrum(monkeypatch):
                      "identity element leaves a boundary eigenvalue (inconclusive)")):
         calls.clear()
         q = Query(a, RHP, classes.pos_diag(2), MUL)
-        assert engine._identity_check(q) == note
+        assert engine._identity_checks([q], q.a[None]) == [note]
         assert len(calls) == 1
 
 

@@ -15,7 +15,7 @@ byte for byte.
 import numpy as np
 
 from dgstab import certify, classes, engine, regions, serialize
-from dgstab.algebra import MUL
+from dgstab.algebra import HADAMARD, MUL
 from dgstab.classes import Partition
 from dgstab.engine import (Query, TotalStabilityReport, VerdictStatus, decide,
                            restrict_class, total_stability)
@@ -171,3 +171,65 @@ def test_restrictions_that_fail_to_prove_fall_back_to_decide(monkeypatch):
     for q in _queries():
         assert _text(total_stability(q)) == _text(_old_total_stability(q))
     assert rejected
+
+
+# --- the stacked identity check, branch by branch ----------------------------
+
+
+def _branch_queries():
+    """(query, the provenance notes its subsets must show between them):
+    one query per branch of the stacked identity check and the stages
+    around it."""
+    r = np.random.default_rng(93)
+    out = []
+    # negated matrices with a positive definite symmetric part, as the
+    # total benchmark builds them: the identity refutes every subset
+    for n in (1, 2, 5):
+        a = -_certified(r, Partition.from_sizes([n]), "identity")
+        out.append((Query(a, RHP, classes.pos_diag(n), MUL, budget=64, seed=n),
+                    ["identity-element necessary check refutes"]))
+    # one stack with real and complex spectra, every subset refuted
+    a = -np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 2.0], [0.0, -2.0, 1.0]])
+    out.append((Query(a, RHP, classes.pos_diag(3), MUL, budget=64, seed=3),
+                ["identity-element necessary check refutes"]))
+    # the unit disk under positive diagonals: the escape refutes first,
+    # except on the singular subsets, which reach the identity check
+    a = np.array([[0.0, 0.3, 0.0], [0.2, 0.5, 0.1], [0.0, 0.4, 3.0]])
+    out.append((Query(a, regions.unit_disk(), classes.pos_diag(3), MUL, budget=64, seed=4),
+                ["bounded region with unbounded class", "identity-element check passed",
+                 "identity-element necessary check refutes"]))
+    # a box that holds the identity on the first and last index only
+    a = np.array([[1.0, 0.2, 0.0, 0.1], [0.3, -1.0, 0.1, 0.0],
+                  [0.0, 0.2, 2.0, -0.4], [0.1, 0.0, 0.3, -0.5]])
+    box = classes.box_diag([0.5, 2.0, 2.0, 0.5], [1.5, 3.0, 3.0, 1.5])
+    out.append((Query(a, RHP, box, MUL, budget=64, seed=5),
+                ["class has no identity element for the operation",
+                 "identity-element check passed",
+                 "identity-element necessary check refutes"]))
+    # rank-one positive members under the entrywise product: the all-ones
+    # identity, then the principal-minor stage on the rows it passes
+    a = np.array([[-1e-3, 1.0, 0.0], [-1.0, 1.0, 0.5], [0.3, 0.0, -1.0]])
+    out.append((Query(a, RHP, classes.rank_k_positive(3, 1), HADAMARD, budget=64, seed=6),
+                ["identity-element necessary check refutes", "identity-element check passed",
+                 "principal minor"]))
+    # positive stable 2x2 blocks with a negative diagonal entry: the
+    # identity passes and the principal-minor stage refutes; a zero
+    # diagonal entry leaves a boundary eigenvalue
+    a = np.array([[-1e-3, 1.0, 0.0, 0.2], [-1.0, 1.0, 0.1, 0.0],
+                  [0.0, 0.0, 2.0, 0.3], [0.1, 0.0, -0.3, 0.0]])
+    out.append((Query(a, RHP, classes.pos_diag(4), MUL, budget=64, seed=7),
+                ["identity-element check passed", "principal minor",
+                 "identity element leaves a boundary eigenvalue (inconclusive)",
+                 "identity-element necessary check refutes"]))
+    return out
+
+
+def test_stacked_identity_check_equals_the_old_loop_on_every_branch(monkeypatch):
+    monkeypatch.setattr(certify, "restrict_certificate",
+                        lambda cert, idx, *args: [None] * len(idx))
+    for q, notes in _branch_queries():
+        new = total_stability(q)
+        assert _text(new) == _text(_old_total_stability(q)), q.a
+        seen = [p for v in new.results.values() for p in v.provenance]
+        for note in notes:
+            assert any(p.startswith(note) for p in seen), (note, q.a)
