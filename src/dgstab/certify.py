@@ -579,6 +579,15 @@ def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
     return ok, forms
 
 
+def _verified_form(cert: Certificate, a: np.ndarray) -> np.ndarray | None:
+    """The form of the non-exhaustive ``cert`` at the valid matrix ``a``
+    when it verifies there (``_verified`` on a stack of one), else None."""
+    if cert.witness is None or cert.witness.shape != a.shape or _paired(cert) is None:
+        return None
+    ok, forms = _verified(cert, cert.witness[None], [cert.partition], a[None])
+    return forms[0] if ok[0] else None
+
+
 def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
     search path: witness class membership plus positive definiteness,
@@ -594,9 +603,7 @@ def verify_certificate(cert: Certificate, a) -> bool:
         r = exhaust(a, *cert.triple, 0.0)
         return r.hit is None and not r.boundary and (
             cert.members_checked is None or r.checked == cert.members_checked)
-    if cert.witness is None or cert.witness.shape != a.shape or _paired(cert) is None:
-        return False
-    return bool(_verified(cert, cert.witness[None], [cert.partition], a[None])[0][0])
+    return _verified_form(cert, a) is not None
 
 
 def implied_stabilities(cert: Certificate) -> list[tuple]:
@@ -613,11 +620,19 @@ def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass,
     """``cert``, with ``min_eig`` measured at ``a`` unless it is
     exhaustive, when it proves the triple (region, cls, op) at ``a``: it
     re-verifies at ``a`` and its implied triples cover the query's.
-    Else None."""
-    if not (verify_certificate(cert, a) and _triple_covered(
-            region, cls, op, implied_stabilities(cert))):
+    Else None.  ``min_eig`` is the smallest eigenvalue of the form that
+    the verification computed."""
+    if cert.kind is CertKind.EXHAUSTIVE:
+        form = None
+        if not verify_certificate(cert, a):
+            return None
+    else:
+        form = _verified_form(cert, as_square_matrix(a))
+        if form is None:
+            return None
+    if not _triple_covered(region, cls, op, implied_stabilities(cert)):
         return None
-    return cert if cert.kind is CertKind.EXHAUSTIVE else _measured(cert, a)
+    return cert if form is None else replace(cert, min_eig=float(np.linalg.eigvalsh(form)[0]))
 
 
 def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
@@ -631,9 +646,10 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
     restricted as the class is and ``min_eig`` measured at ``a[i]``; it
     is None unless it proves the triple (region, ``sub_classes[i]``, op) at
     ``a[i]``, as ``proves`` would decide it alone.  The triple coverage
-    is checked row by row; the witness membership, the forms, their
-    definiteness test and their smallest eigenvalues are computed on the
-    stack, each row bit for bit as alone.
+    is checked once per distinct class object and restricted partition;
+    the witness membership, the forms, their definiteness test and their
+    smallest eigenvalues are computed on the stack, each row bit for bit
+    as alone.
 
     A certificate of the full matrix's triple restricts to one of the
     restricted class's for the diagonal, block-scalar, identity and
@@ -648,15 +664,23 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
     k = idx.shape[1]
     p = cert.witness[idx[:, :, None], idx[:, None, :]]
     trace = np.trace(p, axis1=1, axis2=2)
-    parts = [None if cert.partition is None else cert.partition.restrict(i)
-             for i in idx.tolist()]
-    rows = np.array([i for i in range(len(idx)) if trace[i] > 0.0 and _triple_covered(
-        region, sub_classes[i], op, _at(cert.kind, k, parts[i])[1])], dtype=int)
+    parts = [None] * len(idx) if cert.partition is None else [
+        cert.partition.restrict(i) for i in idx.tolist()]
+    covered: dict[tuple[int, Partition | None], bool] = {}  # by class object and partition
+    rows = []
+    for i, (c, part, positive) in enumerate(zip(sub_classes, parts, (trace > 0.0).tolist())):
+        if (id(c), part) not in covered:
+            covered[id(c), part] = _triple_covered(region, c, op, _at(cert.kind, k, part)[1])
+        if positive and covered[id(c), part]:
+            rows.append(i)
+    rows = np.array(rows, dtype=int)
     if not rows.size:
         return out
     w = p[rows] * (k / trace[rows])[:, None, None]
     ok, forms = _verified(cert, w, [parts[i] for i in rows], a[rows])
     if ok.any():
-        for i, wi, lam in zip(rows[ok], w[ok], np.linalg.eigvalsh(forms[ok])[:, 0]):
-            out[i] = replace(cert, witness=wi, partition=parts[i], min_eig=float(lam))
+        lams = np.linalg.eigvalsh(forms[ok])[:, 0].tolist()
+        for i, wi, lam in zip(rows[ok].tolist(), w[ok], lams):
+            out[i] = Certificate(cert.kind, wi, lam, parts[i], cert.coeffs, cert.triple,
+                                 cert.members_checked)
     return out

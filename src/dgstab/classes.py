@@ -63,6 +63,7 @@ __all__ = [
     "explicit_list",
     "contains",
     "are_members",
+    "class_groups",
     "sample",
     "sample_batch",
     "enumerate_members",
@@ -431,8 +432,8 @@ def _member_rows(c: MatrixClass, m: np.ndarray, tol: float) -> np.ndarray:
 def are_members(cs, m, tol: float = 1e-9) -> np.ndarray:
     """Structural membership of each matrix of the ``(r, n, n)`` stack
     ``m`` in its own class ``cs[i]``, with tolerance ``tol``, as a
-    boolean mask.  Rows of equal classes are tested together, by the one
-    rule of their kind.
+    boolean mask.  Rows that hold one class object are tested together
+    (``class_groups``), by the one rule of their kind.
 
     Zero patterns, symmetry, sign constraints and ordering are tested
     against ``tol * max(1, max|entry|)``; rank against singular values
@@ -445,15 +446,26 @@ def are_members(cs, m, tol: float = 1e-9) -> np.ndarray:
         raise ValueError(f"need one class per matrix of a square stack, got "
                          f"{len(cs)} classes and shape {m.shape}")
     ok = np.isfinite(m).all(axis=(1, 2))
-    groups: dict[MatrixClass, list[int]] = {}
-    for i, c in enumerate(cs):
-        groups.setdefault(c, []).append(i)
-    for c, rows in groups.items():
+    for c, rows in class_groups(cs):
         _check_order(c, m.shape[1])
         rows = np.asarray(rows)[ok[rows]]
         if rows.size:
             ok[rows] = _member_rows(c, m[rows], tol)
     return ok
+
+
+def class_groups(cs) -> list[tuple[MatrixClass, list[int]]]:
+    """The distinct class objects of the sequence ``cs``, each with the
+    rows that hold it, in first-seen order.  Rows are grouped by object
+    identity, so no class is hashed: ``engine.restrict_classes`` gives
+    the rows of a stack of subsets one object per distinct class, and
+    equal classes held as separate objects only split a group."""
+    if len(cs) and all(c is cs[0] for c in cs):
+        return [(cs[0], list(range(len(cs))))]
+    groups: dict[int, tuple[MatrixClass, list[int]]] = {}
+    for i, c in enumerate(cs):
+        groups.setdefault(id(c), (c, []))[1].append(i)
+    return list(groups.values())
 
 
 def _check_order(c: MatrixClass, n: int) -> None:

@@ -36,13 +36,15 @@ ends the run, or the provenance note it adds (a ``str``); one loop,
    independently;
 6. randomized falsification, for infinite classes.
 
-``_decide_stack`` decides a stack of queries of one order at once, each
-as it would be decided alone, and ``decide`` is its stack of one:
-``total_stability`` passes it the subsets of one order that no
-restricted certificate proves.  The escape runs row by row; the
-identity check (``_identity_checks``) runs once on the stack, one
-composition and one ``eigvals`` for all rows; only the rows it leaves
-open go through the later stages, one query each.
+``_decide_stack`` decides a stack of matrices of one order at once,
+each under its own class and the settings of one query, each as it
+would be decided alone, and ``decide`` is its stack of one:
+``total_stability`` passes it the submatrices of one order that no
+restricted certificate proves, already validated, with their restricted
+classes.  The escape asks each distinct class object once whether it
+applies; the identity check (``_identity_checks``) runs once on the
+stack, one composition and one ``eigvals`` for all rows; only a row it
+leaves open becomes a ``Query`` and goes through the later stages.
 
 Every REFUTED verdict, from whichever stage or from a verdict
 transfer, is built by one constructor, ``_refuted``.  Every CERTIFIED
@@ -253,51 +255,62 @@ def falsify(q: Query) -> Verdict:
 # decide pipeline
 
 
-def _unboundedness_escape(q: Query) -> Verdict | str:
-    """For a bounded region and an unbounded class, scale a sampled
-    member upward until an eigenvalue exits; produces a concrete
-    witness rather than a bare impossibility claim."""
-    no_escape = "unboundedness precheck: not applicable or no escape found"
-    if not (q.region.is_bounded and q.cls.is_unbounded
-            and q.cls.closed_under_positive_scaling
-            and q.op.kind is not OpKind.HADAMARD
-            and algebra.is_invertible(q.op, q.a)):
-        return no_escape
+_NO_ESCAPE = "unboundedness precheck: not applicable or no escape found"
+
+
+def _escape_applies(q: Query, cls: MatrixClass) -> bool:
+    """Whether the unboundedness escape can run on a row of class ``cls``
+    under ``q``'s region and operation: a bounded region, an unbounded
+    class closed under positive scaling, and an operation other than the
+    entrywise product."""
+    return (q.region.is_bounded and cls.is_unbounded and cls.closed_under_positive_scaling
+            and q.op.kind is not OpKind.HADAMARD)
+
+
+def _unboundedness_escape(q: Query, a: np.ndarray, cls: MatrixClass) -> Verdict | str:
+    """For a row ``a`` of class ``cls`` where the escape applies
+    (``_escape_applies``) and ``a`` is invertible under ``q``'s operation,
+    scale a sampled member upward until an eigenvalue exits; produces a
+    concrete witness rather than a bare impossibility claim."""
+    if not algebra.is_invertible(q.op, a):
+        return _NO_ESCAPE
     rng = np.random.default_rng(_stream(q.seed, 0))
     for _ in range(8):
-        g0 = classes.sample(q.cls, rng)
+        g0 = classes.sample(cls, rng)
         for k in range(61):
             g = (2.0 ** k) * g0
-            if not classes.contains(q.cls, g, 1e-7):
+            if not classes.contains(cls, g, 1e-7):
                 break
-            w = np.linalg.eigvals(algebra.apply(q.op, g, q.a))
+            w = np.linalg.eigvals(algebra.apply(q.op, g, a))
             hit = regions.first_exit(q.region, w[None], q.tol)
             if hit is not None:
                 return _refuted(g, *hit[1:], "bounded region with unbounded class: "
                                 f"scaled sample 2^{k} escapes")
-    return no_escape
+    return _NO_ESCAPE
 
 
-def _identity_checks(qs: list[Query], a: np.ndarray) -> list[Verdict | str]:
-    """The identity-element necessary check of each query of a stack
-    that share region, operation and tol, with ``a`` the stack of their
-    matrices: the operation has one identity element, each distinct
-    class is asked once whether it holds it, and one composition and one
-    ``eigvals`` run on the rows whose class does.  A row whose spectrum
-    is not interior is refuted by its exit, chosen by
-    ``regions.first_exit``'s rule (``regions.row_exits``), or else left
-    inconclusive."""
-    region, op, tol = qs[0].region, qs[0].op, qs[0].tol
-    held: dict[MatrixClass, np.ndarray | None] = {}
-    for q in qs:
-        if q.cls not in held:
-            held[q.cls] = classes.identity_element(q.cls, op)
-    out: list[Verdict | str] = ["class has no identity element for the operation"] * len(qs)
-    rows = [i for i, q in enumerate(qs) if held[q.cls] is not None]
+def _identity_checks(q: Query, a: np.ndarray, sub_classes) -> list[Verdict | str]:
+    """The identity-element necessary check of each matrix of the stack
+    ``a`` under its class ``sub_classes[i]`` and ``q``'s region,
+    operation and tol: the operation has one identity element, each
+    distinct class object is asked once whether it holds it
+    (``classes.class_groups``), and one composition and one ``eigvals``
+    run on the rows whose class does.  A row whose spectrum is not
+    interior is refuted by its exit, chosen by ``regions.first_exit``'s
+    rule (``regions.row_exits``), or else left inconclusive."""
+    region, op, tol = q.region, q.op, q.tol
+    rows: list[int] = []  # ascending, as the stack ``a[rows]`` takes them
+    ident = None  # one matrix, whichever class holds it
+    for cls, group in classes.class_groups(sub_classes):
+        elem = classes.identity_element(cls, op)
+        if elem is not None:
+            ident = elem
+            rows += group
+    rows.sort()
+    out: list[Verdict | str] = ["class has no identity element for the operation"] * len(a)
     if not rows:
         return out
-    ident = held[qs[rows[0]].cls]  # one matrix, whichever class holds it
-    w = np.linalg.eigvals(algebra.apply(op, ident, a if len(rows) == len(qs) else a[rows]))
+    w = np.linalg.eigvals(algebra.apply(op, ident, a if len(rows) == len(a) else a[rows]))
     for i in rows:
         out[i] = "identity-element check passed"
     # only a row with an eigenvalue off the interior can exit
@@ -437,24 +450,36 @@ def _later_stages(q: Query, use_certificates: bool) -> tuple:
     return stages
 
 
-def _decide_stack(qs: list[Query], a: np.ndarray,
+def _decide_stack(q: Query, a: np.ndarray | None = None, sub_classes=None,
                   use_certificates: bool = True) -> list[Verdict]:
-    """``decide`` of each query of a stack that share region, operation
-    and tol, with ``a`` the stack of their matrices, each verdict as it
-    would be alone: the escape runs row by row, the identity check once
-    on the rows it leaves open, and each row still open goes through the
-    later stages as its own query, its notes kept."""
+    """``decide`` of each matrix of the stack ``a`` under its class
+    ``sub_classes[i]``, with ``q``'s region, operation, budget, seed and
+    tol, each verdict as ``replace(q, a=a[i], cls=sub_classes[i])`` would
+    reach it alone; without ``a``, of ``q`` itself.  The rows of ``a`` are
+    already valid, principal submatrices of ``q.a``.  The escape asks
+    each distinct class object once whether it applies and then runs row
+    by row, the identity check runs once on the rows it leaves open, and
+    only a row still open becomes a ``Query``, which goes through the
+    later stages, its notes kept."""
+    alone = a is None
+    if alone:
+        a, sub_classes = q.a[None], (q.cls,)
     # each row's stage results in order: notes, then its verdict
-    runs: list[list[Verdict | str]] = [[_unboundedness_escape(q)] for q in qs]
+    runs: list[list[Verdict | str]] = [[_NO_ESCAPE] for _ in range(len(a))]
+    for cls, rows in classes.class_groups(sub_classes):
+        if _escape_applies(q, cls):
+            for i in rows:
+                runs[i][0] = _unboundedness_escape(q, a[i], cls)
     rows = [i for i, run in enumerate(runs) if isinstance(run[-1], str)]
     if rows:
-        sub = a if len(rows) == len(qs) else a[rows]
-        for i, v in zip(rows, _identity_checks([qs[i] for i in rows], sub)):
+        sub = a if len(rows) == len(a) else a[rows]
+        for i, v in zip(rows, _identity_checks(q, sub, [sub_classes[i] for i in rows])):
             runs[i].append(v)
-    for q, run in zip(qs, runs):
+    for i, run in enumerate(runs):
         if isinstance(run[-1], str):
-            for stage in _later_stages(q, use_certificates):
-                run.append(stage(q))
+            row = q if alone else replace(q, a=a[i], cls=sub_classes[i])
+            for stage in _later_stages(row, use_certificates):
+                run.append(stage(row))
                 if isinstance(run[-1], Verdict):
                     break
     for run in runs:
@@ -478,7 +503,7 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     note "certificate search disabled" (the other stages are
     unaffected); useful for honesty testing and benchmarks.
     """
-    return _decide_stack([q], q.a[None], use_certificates)[0]
+    return _decide_stack(q, use_certificates=use_certificates)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -688,13 +713,13 @@ class TotalStabilityReport:
     results: dict[tuple[int, ...], Verdict]
 
 
-def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
-    """Induce the class on the indices ``idx``, in that order: per-index
-    fields select, the partition (blocks sorted) and the permutation
-    renumber, the rank bound caps at the new order, and explicit members
-    take their principal submatrices.  A reordering of all indices gives
-    the class conjugated by that permutation; ``Partition.restrict`` raises
-    ValueError when the reordered blocks are not contiguous."""
+#: The class fields that hold data per index; a class with none of them
+#: set restricts to the same class on every subset of one order.
+_PER_INDEX = ("partition", "theta", "signs", "lo", "hi", "x", "y", "members")
+
+
+def _restricted(cls: MatrixClass, idx) -> MatrixClass:
+    """``restrict_class`` on one sequence of indices."""
     m = len(idx)
     pos = {orig: new for new, orig in enumerate(idx)}
 
@@ -711,17 +736,43 @@ def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
                        x=pick(cls.x), y=pick(cls.y), tau=cls.tau, members=members)
 
 
+def restrict_classes(cls: MatrixClass, idx) -> list[MatrixClass]:
+    """The class induced on each row of the ``(m, k)`` index array
+    ``idx``, as ``restrict_class`` induces it, rows with equal classes
+    holding one object.  A class with no per-index data (``_PER_INDEX``)
+    restricts to the same class on every row, so it is built once;
+    otherwise each row's class is built and equal ones are merged."""
+    rows = np.asarray(idx).tolist()
+    if all(getattr(cls, name) is None for name in _PER_INDEX):
+        return [_restricted(cls, rows[0])] * len(rows)
+    merged: dict[MatrixClass, MatrixClass] = {}
+    return [merged.setdefault(c, c) for c in (_restricted(cls, row) for row in rows)]
+
+
+def restrict_class(cls: MatrixClass, idx: tuple[int, ...]) -> MatrixClass:
+    """Induce the class on the indices ``idx``, in that order: per-index
+    fields select, the partition (blocks sorted) and the permutation
+    renumber, the rank bound caps at the new order, and explicit members
+    take their principal submatrices.  A reordering of all indices gives
+    the class conjugated by that permutation; ``Partition.restrict`` raises
+    ValueError when the reordered blocks are not contiguous.  This is
+    ``restrict_classes`` on a stack of one."""
+    return restrict_classes(cls, [idx])[0]
+
+
 def total_stability(q: Query) -> TotalStabilityReport:
     """Decide the query on every nonempty principal submatrix (class
     induced on the index subset), keyed in index-mask order.  The full
-    index set is decided first.  The proper subsets follow in groups of
-    one order k, each gathered as one stack of submatrices from ``q.a``.
-    When a certificate certifies the full set, one call of
-    ``certify.restrict_certificate`` per group checks its restrictions,
-    and each subset whose triple its restriction proves is certified by
-    it.  The other subsets of the group are decided together
-    (``_decide_stack``): the escape row by row, one stacked identity
-    check, and only the rows still open as their own queries, each
+    index set is decided first, and ``q.a`` is validated there only.  The
+    proper subsets follow in groups of one order k: one stack of
+    submatrices gathered from ``q.a`` and their classes from one
+    ``restrict_classes``, which shares one object among the rows of a
+    class without per-index data.  When a certificate certifies the full
+    set, one call of ``certify.restrict_certificate`` per group checks its
+    restrictions, and each subset whose triple its restriction proves is
+    certified by it.  The other subsets of the group are decided together
+    (``_decide_stack``): the escape, one stacked identity check, and only
+    the rows still open become queries for the later stages, each
     verdict as ``decide`` would reach it alone.  Overall verdict:
     certified only if every subset is, refuted if any subset is."""
     n = q.a.shape[0]
@@ -729,28 +780,32 @@ def total_stability(q: Query) -> TotalStabilityReport:
         raise OrderTooLargeError("total stability supported for order <= 16")
     full = decide(q)
     cert = full.certificate if full.status is VerdictStatus.CERTIFIED else None
-    decided: dict[tuple[int, ...], Verdict] = {}
+    kind = None if cert is None else cert.kind.value  # every restriction's kind
+    subsets: list[tuple[int, ...]] = []
+    masks, verdicts = [], []
     for k in range(1, n):
-        subsets = list(itertools.combinations(range(n), k))
-        idx = np.array(subsets)
+        order = list(itertools.combinations(range(n), k))
+        idx = np.array(order)
         subs = q.a[idx[:, :, None], idx[:, None, :]]
-        sub_classes = [restrict_class(q.cls, s) for s in subsets]
-        proofs = [None] * len(subsets) if cert is None else certify.restrict_certificate(
+        sub_classes = restrict_classes(q.cls, idx)
+        proofs = [None] * len(order) if cert is None else certify.restrict_certificate(
             cert, idx, subs, q.region, sub_classes, q.op)
-        for s, rc in zip(subsets, proofs):
-            if rc is not None:
-                decided[s] = _certified(rc, "restricted from the full matrix's certificate "
-                                        f"({rc.kind.value}, min_eig={rc.min_eig:.3e}) "
-                                        "and re-verified")
+        decided = [None if rc is None else _certified(
+            rc, f"restricted from the full matrix's certificate ({kind}, "
+            f"min_eig={rc.min_eig:.3e}) and re-verified") for rc in proofs]
         open_rows = [i for i, rc in enumerate(proofs) if rc is None]
         if open_rows:
-            sub_queries = [replace(q, a=subs[i], cls=sub_classes[i]) for i in open_rows]
-            decided.update(zip([subsets[i] for i in open_rows],
-                               _decide_stack(sub_queries, subs[open_rows])))
-    results = {s: decided[s] for s in (tuple(i for i in range(n) if mask >> i & 1)
-                                       for mask in range(1, 2 ** n - 1))}
-    results[tuple(range(n))] = full
-    statuses = [v.status for v in results.values()]
+            for i, v in zip(open_rows, _decide_stack(
+                    q, subs[open_rows], [sub_classes[i] for i in open_rows])):
+                decided[i] = v
+        subsets += order
+        masks.append((1 << idx).sum(axis=1))
+        verdicts += decided
+    subsets.append(tuple(range(n)))
+    masks.append([2 ** n - 1])
+    verdicts.append(full)
+    results = {subsets[j]: verdicts[j] for j in np.argsort(np.concatenate(masks)).tolist()}
+    statuses = [v.status for v in verdicts]
     if any(s is VerdictStatus.REFUTED for s in statuses):
         overall = VerdictStatus.REFUTED
     elif all(s is VerdictStatus.CERTIFIED for s in statuses):

@@ -45,8 +45,10 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _listify(m: np.ndarray):
-    return [[float(v) for v in row] for row in np.asarray(m, dtype=float)]
+def _listify(m) -> list:
+    """The matrix as nested lists of Python floats, which ``dumps``
+    writes by their shortest round-tripping repr."""
+    return np.asarray(m, dtype=float).tolist()
 
 
 def matrix_to_json(m) -> dict:

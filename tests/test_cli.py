@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dgstab import classes as dg_classes
 from dgstab import serialize
 from dgstab.cli import main
 from test_classes import factory_classes
@@ -355,6 +356,19 @@ def test_roundtrip_serialization():
         assert serialize.class_from_json(
             serialize.class_to_json(cls), cls.order
         ) == cls
+
+
+def test_matrices_serialize_to_the_bytes_of_a_float_per_entry():
+    # the former per-entry conversion, the reference for the canonical text
+    values = [-0.0, 5e-324, 1e308, 1 / 3, 1.0000000000000002]
+    m = np.array([np.roll(values, i) for i in range(len(values))])
+    old = {"n": len(values), "data": [[float(v) for v in row] for row in m]}
+    text = serialize.dumps(serialize.matrix_to_json(m))
+    assert text == serialize.dumps(old)
+    assert "-0.0" in text and "5e-324" in text and "1e+308" in text
+    members = serialize.class_to_json(dg_classes.explicit_list([m, -m]))
+    assert serialize.dumps(members) == serialize.dumps({"kind": {"explicit_list": [
+        old["data"], [[float(v) for v in row] for row in -m]]}})
 
 
 def test_every_class_round_trips_through_canonical_json():

@@ -968,7 +968,7 @@ def test_identity_check_solves_one_spectrum(monkeypatch):
                      "identity element leaves a boundary eigenvalue (inconclusive)")):
         calls.clear()
         q = Query(a, RHP, classes.pos_diag(2), MUL)
-        assert engine._identity_checks([q], q.a[None]) == [note]
+        assert engine._identity_checks(q, q.a[None], [q.cls]) == [note]
         assert len(calls) == 1
 
 

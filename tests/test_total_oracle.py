@@ -4,7 +4,10 @@ deciding every principal submatrix.
 ``_old_total_stability`` below is the former per-subset loop, kept
 verbatim.  The queries are seeded matrices with a certificate by
 construction, under positive diagonal, positive block-scalar, SPD and
-unit-disk box classes, and their negations or doublings.  On every
+unit-disk box classes, and their negations or doublings, plus classes
+with data per index (a box with its own bounds at each index, a
+permutation order, an explicit list), which restrict row by row where
+the others share one class per order.  On every
 subset ``engine.total_stability`` must reach the old loop's status,
 except that a subset the old loop left unknown may be certified by a
 restricted certificate that proves the subset's triple.  When no
@@ -12,15 +15,18 @@ restriction proves its triple, the output must equal the old loop's
 byte for byte.
 """
 
+import itertools
+
 import numpy as np
 
-from dgstab import certify, classes, engine, regions, serialize
+from dgstab import algebra, certify, classes, engine, linalg, regions, serialize
 from dgstab.algebra import HADAMARD, MUL
 from dgstab.classes import Partition
 from dgstab.engine import (Query, TotalStabilityReport, VerdictStatus, decide,
-                           restrict_class, total_stability)
+                           restrict_class, restrict_classes, total_stability)
 from dgstab.errors import OrderTooLargeError
 from dgstab.linalg import principal_submatrix
+from test_classes import factory_classes
 
 RHP = regions.right_half_plane()
 
@@ -110,6 +116,20 @@ def _queries():
         for m in (a, 2.0 * a):
             out.append(Query(m, regions.unit_disk(), classes.box_diag([-1.0] * n, [1.0] * n),
                              MUL, budget=256, seed=9))
+        # its own bounds at each index, inside [-1, 1]: the Stein
+        # certificate still covers every restriction
+        box = classes.box_diag(-r.uniform(0.5, 1.0, n), r.uniform(0.5, 1.0, n))
+        for m in (a, 2.0 * a):
+            out.append(Query(m, regions.unit_disk(), box, MUL, budget=256, seed=10))
+    # no certificate kind covers a permutation order or an explicit list
+    a = _certified(r, Partition.from_sizes([1] * 4), "diag")
+    for m in (a, -a):
+        out.append(Query(m, RHP, classes.theta_ordered((2, 0, 3, 1)), MUL, budget=256,
+                         seed=11))
+    a = _certified(r, Partition.from_sizes([1] * 3), "diag")
+    members = [np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1e-3, 2.0])]
+    for m in (a, -a):
+        out.append(Query(m, RHP, classes.explicit_list(members), MUL, budget=256, seed=12))
     return out
 
 
@@ -233,3 +253,65 @@ def test_stacked_identity_check_equals_the_old_loop_on_every_branch(monkeypatch)
         seen = [p for v in new.results.values() for p in v.provenance]
         for note in notes:
             assert any(p.startswith(note) for p in seen), (note, q.a)
+
+
+# --- one restricted class per order, queries only for open rows -------------
+
+
+def test_stacked_restriction_equals_restricting_each_subset():
+    n = 4
+    for cls in factory_classes(n):
+        shared = all(getattr(cls, name) is None for name in engine._PER_INDEX)
+        for k in range(1, n + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            stacked = restrict_classes(cls, np.array(subsets))
+            one_by_one = [restrict_class(cls, s) for s in subsets]
+            assert stacked == one_by_one, cls
+            assert [repr(c) for c in stacked] == [repr(c) for c in one_by_one], cls
+            # one object per distinct class: one per order without per-index data
+            assert len({id(c) for c in stacked}) == len(set(one_by_one)), cls
+            assert len(set(one_by_one)) == 1 or not shared, cls
+    assert {cls.kind for cls in factory_classes(n)} == set(classes.ClassKind)
+
+
+def _counting(monkeypatch):
+    """Counters, from now on, of the ``Query``s built, the calls of
+    ``as_square_matrix`` from every module that validates a matrix, and
+    the classes ``engine`` builds."""
+    counts = {"Query": 0, "as_square_matrix": 0, "MatrixClass": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    post_init = Query.__post_init__
+    monkeypatch.setattr(Query, "__post_init__", counted("Query", post_init))
+    validate = counted("as_square_matrix", linalg.as_square_matrix)
+    for module in (algebra, certify, classes, engine, linalg):
+        monkeypatch.setattr(module, "as_square_matrix", validate)
+    monkeypatch.setattr(engine, "MatrixClass", counted("MatrixClass", engine.MatrixClass))
+    return counts
+
+
+def test_total_stability_builds_nothing_per_subset(monkeypatch):
+    r = np.random.default_rng(95)
+    n = 8
+    a = _certified(r, Partition.from_sizes([n]), "identity")
+    stable = Query(a, RHP, classes.pos_diag(n), MUL, budget=64, seed=1)
+    negated = Query(-a, RHP, classes.pos_diag(n), MUL, budget=64, seed=1)
+    counts = _counting(monkeypatch)
+    # every subset of the negation is refuted by the stacked identity check
+    rep = total_stability(negated)
+    assert rep.overall is VerdictStatus.REFUTED and len(rep.results) == 2 ** n - 1
+    assert counts["Query"] == 0
+    # one membership test of the identity per order, the full set's included
+    assert counts["as_square_matrix"] == n
+    for key in counts:
+        counts[key] = 0
+    # every subset of the stable matrix is proved by a restriction
+    rep = total_stability(stable)
+    assert rep.overall is VerdictStatus.CERTIFIED
+    assert counts["Query"] == 0
+    assert counts["MatrixClass"] == n - 1  # one restricted class per order
