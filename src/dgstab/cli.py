@@ -58,8 +58,8 @@ def _spec(spec: str):
 
 
 def _emit(args, payload) -> None:
-    """Write a payload as canonical JSON, or text as given, to ``--out``
-    or stdout."""
+    """Write a payload, verdict or report as canonical JSON
+    (``serialize.dumps``), or text as given, to ``--out`` or stdout."""
     text = payload if isinstance(payload, str) else serialize.dumps(payload)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -101,7 +101,7 @@ def _build_query(args) -> engine.Query:
 
 def _cmd_check(args) -> int:
     v = engine.decide(_build_query(args), use_certificates=not args.no_certificates)
-    _emit(args, serialize.verdict_to_json(v))
+    _emit(args, v)
     return _STATUS_EXIT[v.status]
 
 
@@ -142,7 +142,7 @@ def _cmd_certify(args) -> int:
 
 def _cmd_falsify(args) -> int:
     v = engine.falsify(_build_query(args))
-    _emit(args, serialize.verdict_to_json(v))
+    _emit(args, v)
     return _STATUS_EXIT[v.status]
 
 
@@ -165,13 +165,8 @@ def _cmd_inertia(args) -> int:
 
 
 def _cmd_total(args) -> int:
-    q = _build_query(args)
-    report = engine.total_stability(q)
-    subsets = {
-        ",".join(str(i + 1) for i in idx): serialize.verdict_to_json(v)
-        for idx, v in report.results.items()
-    }
-    _emit(args, {"overall": report.overall.value, "subsets": subsets})
+    report = engine.total_stability(_build_query(args))
+    _emit(args, report)
     return _STATUS_EXIT[report.overall]
 
 

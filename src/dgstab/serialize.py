@@ -4,12 +4,15 @@ Matrices travel as ``{"n": int, "data": [[row-major reals]]}`` (plain
 CSV, one row per line, is also accepted on input).  Partitions and
 permutations use 1-based indices on the wire; everything is 0-based
 inside the library.  Serialization is deterministic: fixed key order,
-no timestamps.
+no timestamps.  ``dumps`` writes all wire text.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import math
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -41,8 +44,119 @@ _REGION_ALIASES = {
 
 
 def dumps(obj) -> str:
-    """Canonical JSON text: sorted keys, fixed separators, newline."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """Canonical JSON text: sorted keys, fixed separators, newline.
+
+    A ``TotalStabilityReport`` is written as ``{"overall", "subsets"}``,
+    each subset keyed by its 1-based index list (``"1,3"``) and valued by
+    ``verdict_to_json``; a ``Verdict`` as ``verdict_to_json``.  Both are
+    written directly, to the bytes ``dumps`` gives their dict view."""
+    if isinstance(obj, engine.TotalStabilityReport):
+        return _report_text(obj) + "\n"
+    if isinstance(obj, engine.Verdict):
+        return _Writer().verdict(obj) + "\n"
+    return _json(obj) + "\n"
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _float(x) -> str:
+    """A float as json writes it: its repr, or NaN, Infinity, -Infinity."""
+    x = float(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+class _Writer:
+    """Writes verdicts as canonical text, each field in json's sorted-key
+    order.  Within one writer, each matrix's text is cached by its shape
+    and bytes, and each provenance's text by the tuple: the subsets of a
+    total-stability report repeat both row after row."""
+
+    def __init__(self):
+        self._matrices: dict = {}
+        self._provenance: dict = {}
+
+    def matrix(self, m) -> str:
+        m = np.asarray(m, dtype=float)
+        key = (m.shape, m.tobytes())
+        text = self._matrices.get(key)
+        if text is None:
+            text = self._matrices[key] = (
+                f'{{"data":{_json(m.tolist())},"n":{m.shape[0]}}}')
+        return text
+
+    def provenance(self, notes) -> str:
+        notes = tuple(notes)
+        text = self._provenance.get(notes)
+        if text is None:
+            text = self._provenance[notes] = "[" + ",".join(map(_string, notes)) + "]"
+        return text
+
+    def certificate(self, cert: certify.Certificate) -> str:
+        out = []
+        if cert.coeffs is not None:
+            out.append('"coefficients":' + _json([list(row) for row in cert.coeffs]))
+        out.append('"kind":' + _string(cert.kind.value))
+        if cert.members_checked is not None:
+            out.append('"members_checked":' + _json(cert.members_checked))
+        out.append('"min_eig":' + _float(cert.min_eig))
+        if cert.partition is not None:
+            out.append('"partition":' + _json(_partition_to_wire(cert.partition)))
+        if cert.triple is not None:
+            out.append('"triple":' + _json(_triple_to_json(cert.triple)))
+        if cert.witness is not None:
+            out.append('"witness":' + self.matrix(cert.witness))
+        return "{" + ",".join(out) + "}"
+
+    def verdict(self, v: engine.Verdict) -> str:
+        out = []
+        if v.certificate is not None:
+            out.append('"certificate":' + self.certificate(v.certificate))
+        if v.margin is not None:
+            out.append('"margin":' + _float(v.margin))
+        if v.offending_eigenvalue is not None:
+            lam = complex(v.offending_eigenvalue)
+            out.append(f'"offending_eigenvalue":[{_float(lam.real)},{_float(lam.imag)}]')
+        out.append('"provenance":' + self.provenance(v.provenance))
+        out.append('"status":' + _string(v.status.value))
+        out.append(f'"trials_used":{int(v.trials_used)}')
+        if v.witness is not None:
+            out.append('"witness":' + self.matrix(v.witness))
+        return "{" + ",".join(out) + "}"
+
+
+def _subset_key(idx) -> str:
+    """The 1-based wire key of a subset: ``"1,3"`` for ``(0, 2)``."""
+    return ",".join(str(i + 1) for i in idx)
+
+
+@functools.cache
+def _subset_keys(n: int) -> tuple:
+    """(key as JSON text, index tuple) for every nonempty subset of
+    ``range(n)``, in json's order of the keys: string order, so that
+    ``"1,10"`` precedes ``"1,2"``."""
+    subsets = (tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n))
+    return tuple((_string(key), idx) for key, idx in sorted(
+        (_subset_key(idx), idx) for idx in subsets))
+
+
+def _subsets(results: dict) -> list:
+    """(key as JSON text, verdict) of each subset, in json's key order."""
+    n = max(map(len, results), default=0)
+    if len(results) == 2 ** n - 1:  # every subset of range(n), as total_stability gives
+        rows = [(key, results.get(idx)) for key, idx in _subset_keys(n)]
+        if all(v is not None for _, v in rows):
+            return rows
+    return sorted({_string(_subset_key(idx)): v for idx, v in results.items()}.items())
+
+
+def _report_text(rep: engine.TotalStabilityReport) -> str:
+    w = _Writer()
+    subsets = ",".join(key + ":" + w.verdict(v) for key, v in _subsets(rep.results))
+    return f'{{"overall":{_string(rep.overall.value)},"subsets":{{{subsets}}}}}'
 
 
 def _listify(m) -> list:
@@ -213,13 +327,14 @@ def certificate_to_json(cert: certify.Certificate) -> dict:
     if cert.members_checked is not None:
         out["members_checked"] = cert.members_checked
     if cert.triple is not None:
-        region, cls, op = cert.triple
-        out["triple"] = {
-            "region": region_to_json(region),
-            "class": class_to_json(cls),
-            "op": op_to_json(op),
-        }
+        out["triple"] = _triple_to_json(cert.triple)
     return out
+
+
+def _triple_to_json(triple) -> dict:
+    region, cls, op = triple
+    return {"region": region_to_json(region), "class": class_to_json(cls),
+            "op": op_to_json(op)}
 
 
 def verdict_to_json(v: engine.Verdict) -> dict:

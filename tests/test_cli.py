@@ -1,12 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dgstab import algebra, engine, regions, serialize
 from dgstab import classes as dg_classes
-from dgstab import serialize
 from dgstab.cli import main
 from test_classes import factory_classes
+from test_total_oracle import _first_difference, _text
 
 
 @pytest.fixture
@@ -240,6 +242,51 @@ def test_total_subcommand(files, capsys):
     payload = json.loads(out)
     assert payload["overall"] == "certified"
     assert set(payload["subsets"]) == {"1", "2", "1,2"}
+
+
+def test_total_keys_follow_json_string_order_at_n_10(files, capsys):
+    # at n = 10 the string order of the 1-based keys puts "1,10" before
+    # "1,2"; at n <= 9 it agrees with the index order
+    r = np.random.default_rng(5)
+    k = r.standard_normal((10, 10))
+    a = np.diag(r.uniform(1.0, 2.0, 10)) + 0.1 * (k - k.T)
+    matrix = json.dumps(serialize.matrix_to_json(a))
+    argv = ("total", "--matrix", matrix, "--region", "rhp", "--class", "pos_diag",
+            "--op", "mul")
+    code, out = run(capsys, *argv)
+    assert code == 0
+    keys = list(json.loads(out)["subsets"])
+    assert len(keys) == 2 ** 10 - 1 and keys == sorted(keys)
+    assert keys.index("1,10") < keys.index("1,2")
+    report = engine.total_stability(engine.Query(a, regions.right_half_plane(),
+                                                 dg_classes.pos_diag(10), algebra.MUL))
+    assert _first_difference(out, _text(report)) is None
+    path = files["tmp"] / "total.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "")
+    assert _first_difference(path.read_text(encoding="utf-8"), out) is None
+
+
+def test_verdicts_serialize_to_the_bytes_of_their_dict_view(files, capsys):
+    verdicts = []
+    for name, budget, status in (("id2", 100, "certified"), ("bad2", 100_000, "refuted"),
+                                 ("hard2", 200, "unknown")):
+        argv = ("--matrix", files[name], "--region", "rhp", "--class", "pos_diag",
+                "--op", "mul", "--budget", str(budget))
+        a = serialize.load_matrix_text(Path(files[name]).read_text(encoding="utf-8"))
+        q = engine.Query(a, regions.right_half_plane(), dg_classes.pos_diag(2),
+                         algebra.MUL, budget=budget)
+        for command, fn in (("check", engine.decide), ("falsify", engine.falsify)):
+            v = fn(q)
+            _, out = run(capsys, command, *argv)
+            assert out == serialize.dumps(serialize.verdict_to_json(v))
+            verdicts.append(v)
+        assert verdicts[-2].status.value == status
+    # json's ASCII escapes of a quote, a backslash, a newline and sigma
+    verdicts.append(engine.Verdict(engine.VerdictStatus.UNKNOWN,
+                                   provenance=('say "x"', "a\\b", "two\nlines", "σ(G∘A)")))
+    for v in verdicts:
+        assert serialize.dumps(v) == serialize.dumps(serialize.verdict_to_json(v))
+    assert "\\u03c3" in serialize.dumps(verdicts[-1])
 
 
 def test_laws_subcommand(capsys):

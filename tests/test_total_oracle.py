@@ -138,7 +138,8 @@ def _restricted(v) -> bool:
 
 
 def _text(rep: TotalStabilityReport) -> str:
-    """The report as ``dgstab total`` prints it."""
+    """The report's dict view as canonical JSON: the reference for the
+    text ``serialize.dumps`` writes for it, which ``dgstab total`` prints."""
     return serialize.dumps({
         "overall": rep.overall.value,
         "subsets": {",".join(str(i + 1) for i in idx): serialize.verdict_to_json(v)
@@ -147,6 +148,16 @@ def _text(rep: TotalStabilityReport) -> str:
 
 def _json(v) -> str:
     return serialize.dumps(serialize.verdict_to_json(v))
+
+
+def _first_difference(text: str, ref: str):
+    """None for equal texts, else the offset of the first difference and
+    both texts around it; pytest's own diff of texts of megabytes takes
+    minutes."""
+    if text == ref:
+        return None
+    i = next((i for i, (x, y) in enumerate(zip(text, ref)) if x != y), min(len(text), len(ref)))
+    return i, text[i - 60:i + 60], ref[i - 60:i + 60]
 
 
 # --- the comparisons ---------------------------------------------------------
@@ -315,3 +326,64 @@ def test_total_stability_builds_nothing_per_subset(monkeypatch):
     assert rep.overall is VerdictStatus.CERTIFIED
     assert counts["Query"] == 0
     assert counts["MatrixClass"] == n - 1  # one restricted class per order
+
+
+# --- the report's canonical text ---------------------------------------------
+
+
+def _hand_built_verdicts():
+    """Verdicts built by hand: a Hill certificate (the ``coefficients``
+    field, which no search finds) and floats at json's edges, -0.0, a
+    subnormal, a huge value, NaN and the infinities."""
+    m = np.array([[-0.0, 1e-320], [2e300, 1.0]])
+    hill = certify.Certificate(certify.CertKind.HILL, m, -0.0,
+                               coeffs=((0.0, 1.0), (1.0, 0.0)))
+    diagonal = certify.Certificate(certify.CertKind.DIAGONAL_LYAPUNOV, -m, np.nan)
+    return [
+        engine.Verdict(VerdictStatus.CERTIFIED, certificate=hill, provenance=("by hand",)),
+        engine.Verdict(VerdictStatus.CERTIFIED, certificate=diagonal),
+        engine.Verdict(VerdictStatus.REFUTED, witness=m, margin=1e-320, trials_used=3,
+                       offending_eigenvalue=complex(2e300, -0.0), provenance=("a", "b")),
+        engine.Verdict(VerdictStatus.UNKNOWN, margin=np.float64(np.inf),
+                       offending_eigenvalue=np.complex128(complex(-np.inf, np.nan))),
+    ]
+
+
+def _every_subset(n, verdicts):
+    """A report with the verdicts, in turn, on every subset of ``range(n)``."""
+    subsets = [s for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+    return TotalStabilityReport(VerdictStatus.UNKNOWN, {
+        s: verdicts[i % len(verdicts)] for i, s in enumerate(subsets)})
+
+
+def test_report_text_is_its_dict_views_bytes():
+    decided = [total_stability(q) for q in _queries()]
+    decided += [total_stability(q) for q, _ in _branch_queries()]
+    # finite classes: exhaustive certificates carry the triple and the
+    # members checked, and a Hill region its coefficients
+    a = np.array([[0.3, 0.1, 0.0], [0.2, -0.4, 0.1], [0.0, 0.1, 0.2]])
+    decided.append(total_stability(
+        Query(a, regions.unit_disk(), classes.vertex_diag(3), MUL, budget=64, seed=2)))
+    members = [np.eye(3), np.diag([1.0, 2.0, 3.0]), np.diag([3.0, 1e-3, 2.0])]
+    b = _certified(np.random.default_rng(97), Partition.from_sizes([1] * 3), "diag")
+    decided.append(total_stability(Query(
+        b, regions.hill_region([[0.0, 1.0], [1.0, 0.0]]), classes.explicit_list(members),
+        MUL, budget=64, seed=3)))
+    for m in (np.array([[2.0]]), np.array([[-2.0]])):  # n = 1
+        decided.append(total_stability(Query(m, RHP, classes.pos_diag(1), MUL, budget=64)))
+    assert any(v.offending_eigenvalue is not None and v.offending_eigenvalue.imag != 0
+               for rep in decided for v in rep.results.values())
+    verdicts = _hand_built_verdicts()
+    hand_built = [_every_subset(2, verdicts), _every_subset(3, verdicts)]
+    # reports without every subset, keyed out of order, one of them with
+    # as many subsets as range(2) has
+    hand_built += [TotalStabilityReport(VerdictStatus.REFUTED, dict(zip(keys, verdicts)))
+                   for keys in ([(2,), (0, 2)], [(2,), (0, 2), (1,)])]
+    texts = []
+    for rep in decided + hand_built:
+        text = serialize.dumps(rep)
+        assert _first_difference(text, _text(rep)) is None
+        texts.append(text)
+    for field in ('"partition":', '"triple":', '"members_checked":', '"hill":',
+                  '"coefficients":', "-0.0", "1e-320", "2e+300", "NaN", "-Infinity"):
+        assert any(field in text for text in texts), field
