@@ -9,7 +9,6 @@ no timestamps.  ``dumps`` writes all wire text.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from json.encoder import encode_basestring_ascii as _string
@@ -130,32 +129,14 @@ class _Writer:
 
 def _subset_key(idx) -> str:
     """The 1-based wire key of a subset: ``"1,3"`` for ``(0, 2)``."""
-    return ",".join(str(i + 1) for i in idx)
-
-
-@functools.cache
-def _subset_keys(n: int) -> tuple:
-    """(key as JSON text, index tuple) for every nonempty subset of
-    ``range(n)``, in json's order of the keys: string order, so that
-    ``"1,10"`` precedes ``"1,2"``."""
-    subsets = (tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 2 ** n))
-    return tuple((_string(key), idx) for key, idx in sorted(
-        (_subset_key(idx), idx) for idx in subsets))
-
-
-def _subsets(results: dict) -> list:
-    """(key as JSON text, verdict) of each subset, in json's key order."""
-    n = max(map(len, results), default=0)
-    if len(results) == 2 ** n - 1:  # every subset of range(n), as total_stability gives
-        rows = [(key, results.get(idx)) for key, idx in _subset_keys(n)]
-        if all(v is not None for _, v in rows):
-            return rows
-    return sorted({_string(_subset_key(idx)): v for idx, v in results.items()}.items())
+    return ",".join([str(i + 1) for i in idx])
 
 
 def _report_text(rep: engine.TotalStabilityReport) -> str:
     w = _Writer()
-    subsets = ",".join(key + ":" + w.verdict(v) for key, v in _subsets(rep.results))
+    verdicts = {_subset_key(idx): v for idx, v in rep.results.items()}
+    # json's key order is string order: "1,10" precedes "1,2"
+    subsets = ",".join(_string(key) + ":" + w.verdict(verdicts[key]) for key in sorted(verdicts))
     return f'{{"overall":{_string(rep.overall.value)},"subsets":{{{subsets}}}}}'
 
 

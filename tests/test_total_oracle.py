@@ -15,6 +15,7 @@ restriction proves its triple, the output must equal the old loop's
 byte for byte.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -356,6 +357,20 @@ def _every_subset(n, verdicts):
         s: verdicts[i % len(verdicts)] for i, s in enumerate(subsets)})
 
 
+def _unset_fields(verdicts) -> list:
+    """The fields of Verdict and Certificate that none of the verdicts
+    sets to something other than None and the field's default."""
+    certificates = [v.certificate for v in verdicts if v.certificate is not None]
+    unset = []
+    for cls, objs in ((engine.Verdict, verdicts), (certify.Certificate, certificates)):
+        for f in dataclasses.fields(cls):
+            default = None if f.default is dataclasses.MISSING else f.default
+            if not any(getattr(o, f.name) is not None
+                       and (default is None or getattr(o, f.name) != default) for o in objs):
+                unset.append(f"{cls.__name__}.{f.name}")
+    return unset
+
+
 def test_report_text_is_its_dict_views_bytes():
     decided = [total_stability(q) for q in _queries()]
     decided += [total_stability(q) for q, _ in _branch_queries()]
@@ -375,10 +390,12 @@ def test_report_text_is_its_dict_views_bytes():
                for rep in decided for v in rep.results.values())
     verdicts = _hand_built_verdicts()
     hand_built = [_every_subset(2, verdicts), _every_subset(3, verdicts)]
-    # reports without every subset, keyed out of order, one of them with
-    # as many subsets as range(2) has
+    # reports without every subset, keyed out of order
     hand_built += [TotalStabilityReport(VerdictStatus.REFUTED, dict(zip(keys, verdicts)))
                    for keys in ([(2,), (0, 2)], [(2,), (0, 2), (1,)])]
+    # a field added to Verdict or Certificate fails here until some
+    # verdict sets it, so that both encoders are compared on it
+    assert _unset_fields([v for rep in decided + hand_built for v in rep.results.values()]) == []
     texts = []
     for rep in decided + hand_built:
         text = serialize.dumps(rep)
