@@ -29,6 +29,7 @@ __all__ = [
     "MUL",
     "HADAMARD",
     "apply",
+    "finite_spectra",
     "identity_matrix_for",
     "multiset_distance",
     "LawReport",
@@ -78,6 +79,19 @@ def apply(op: BinaryOp, g, a) -> np.ndarray:
     if op.side is Side.LEFT:
         return g @ a
     return a @ g
+
+
+def finite_spectra(op: BinaryOp, gs: np.ndarray, a: np.ndarray):
+    """The rows of the member stack ``gs`` whose composition with ``a``
+    is finite, and their spectra (None when no row is): a composition
+    that overflows has no spectrum to test, so it is never a witness."""
+    with np.errstate(over="ignore", invalid="ignore"):  # such rows are dropped here
+        comps = apply(op, gs, a)
+    finite = np.isfinite(comps).all(axis=(1, 2))
+    rows = np.flatnonzero(finite)
+    if rows.size < len(gs):
+        comps = comps[rows]
+    return rows, np.linalg.eigvals(comps) if rows.size else None
 
 
 def identity_matrix_for(op: BinaryOp, n: int) -> np.ndarray:

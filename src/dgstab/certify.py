@@ -14,13 +14,14 @@ kind's form, witness class and proven (region, class, op) triples; a
 failed search proves nothing.  ``proves`` is the one check that turns a
 candidate certificate into a proof of a query's own triple at its
 matrix: it returns the certificate, with ``min_eig`` measured there,
-when it re-verifies and its kind's triples cover the query's.
-``restrict_certificate`` decides the restrictions of one certificate to
-many principal submatrices of one order the same way, with the same
-check run on their stack.  ``exhaust`` is the one enumeration of a
-finite class: the engine's enumeration stage and verdict transfer turn
-its result into a verdict, and an ``EXHAUSTIVE`` certificate verifies
-by running it again.
+when it re-verifies and its kind's triples cover the query's.  It is
+the stack of one of ``restrict_certificate``, which decides the
+restrictions of one certificate to many principal submatrices of one
+order: both run ``_proofs``, and every witness is verified by
+``_verified``.  ``exhaust`` is the one enumeration of a finite class:
+the engine's enumeration stage and verdict transfer turn its result
+into a verdict, and an ``EXHAUSTIVE`` certificate verifies by running
+it again.
 
 One search serves every searched kind: the diagonal, block-scalar and
 Stein forms over positive (block-scalar) diagonals, a plain diagonal
@@ -61,7 +62,7 @@ from . import algebra, classes, regions
 from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
 from .errors import NonSymmetricError, UnsupportedClassError
-from .linalg import as_square_matrix, are_positive_definite, hill_form, is_positive_definite
+from .linalg import as_square_matrix, are_positive_definite, hill_form
 
 __all__ = [
     "CertKind",
@@ -304,7 +305,7 @@ def find_structured_lyapunov(a, p_class: MatrixClass) -> CertReport:
             f"no search parametrization for witness class {p_class.kind.value}")
     if kind is CertKind.IDENTITY_LYAPUNOV:
         cert = _measured(Certificate(kind, np.eye(len(a)), np.nan), a)
-        found = cert.min_eig > -np.inf and is_positive_definite(a + a.T)
+        found = bool(_verified(cert, cert.witness[None], [None], a[None])[0][0])
         return CertReport(found, cert if found else None, cert.min_eig, 1)
     return _form_search(a, kind, p_class.partition)
 
@@ -388,7 +389,6 @@ def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
 class _Pairing(NamedTuple):
     form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
-    search: Callable | None = None  # (a, witness class) -> CertReport
     screen: Callable | None = None  # (a, partition) -> failed condition | None
 
 
@@ -397,32 +397,23 @@ def _rhp(cls):
     return tuple((regions.right_half_plane(), cls, op) for op in (MUL, ADD))
 
 
-def _structured(a, witness):
-    return find_structured_lyapunov(a, witness)
-
-
-#: Each kind's form, witness class, proven triples, search (None:
-#: verified when supplied, never searched) and screen (None: no cheap
-#: necessary condition known); the polynomial form pairs with no class
-#: beyond the half-plane cases.  The searches look the finders up when
-#: called, so that a replaced module attribute is called.
+#: Each kind's form, witness class, proven triples and screen (None: no
+#: cheap necessary condition known).  A kind is searched exactly when it
+#: proves a triple (``_search``); the others are verified when supplied,
+#: and the polynomial form pairs with no class beyond the half-plane
+#: cases.
 _PAIRINGS = {
     CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        classes.pos_diag(n), _rhp(classes.pos_diag(n))),
-        lambda a, w: find_diagonal_lyapunov(a),
-        _diagonal_screen),
+        classes.pos_diag(n), _rhp(classes.pos_diag(n))), _diagonal_screen),
     CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _structured,
-        _block_scalar_screen),
+        classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _block_scalar_screen),
     CertKind.BLOCK_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _structured,
-        _block_spd_screen),
+        classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _block_spd_screen),
     CertKind.IDENTITY_LYAPUNOV: _Pairing("lyap", lambda n, p: (
-        identity_witness_class(n), _rhp(classes.spd(n))), _structured),
+        identity_witness_class(n), _rhp(classes.spd(n)))),
     CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
         classes.pos_diag(n), tuple((regions.unit_disk(), c, MUL) for c in (
-            classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n)))),
-        lambda a, w: find_stein_diagonal(a)),
+            classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n))))),
     CertKind.SYMMETRIC_INDEFINITE: _Pairing("lyap", lambda n, p: (classes.symmetric(n), ())),
     CertKind.HILL: _Pairing("hill", lambda n, p: (classes.spd(n), ())),
 }
@@ -435,11 +426,12 @@ def _at(kind: CertKind, n: int, partition: Partition | None):
     return _PAIRINGS[kind].at(n, partition)
 
 
-#: The structured searches' kinds by witness class kind, and the searched
-#: kinds by the (region, class, op) kinds of each triple (no two share one).
-_BY_WITNESS = {_at(k, 1, Partition(((0,),)))[0].kind: k
-               for k, pair in _PAIRINGS.items() if pair.search is _structured}
-_BY_TRIPLE = {(r.kind, c.kind, o.kind): k for k, pair in _PAIRINGS.items() if pair.search
+#: The kinds ``find_structured_lyapunov`` searches by witness class kind,
+#: and the searched kinds by the (region, class, op) kinds of each of
+#: their triples (no two share one).
+_BY_WITNESS = {_at(k, 1, Partition(((0,),)))[0].kind: k for k in (
+    CertKind.ALPHA_SCALAR_LYAPUNOV, CertKind.BLOCK_LYAPUNOV, CertKind.IDENTITY_LYAPUNOV)}
+_BY_TRIPLE = {(r.kind, c.kind, o.kind): k for k in _PAIRINGS
               for r, c, o in _at(k, 1, Partition(((0,),)))[1]}
 
 
@@ -459,8 +451,13 @@ def _triple_covered(region, cls, op, implied) -> bool:
 
 
 def _search(kind: CertKind, a, partition: Partition | None) -> CertReport:
-    """Run ``kind``'s search; block kinds take the blocks of ``partition``."""
-    return _PAIRINGS[kind].search(a, _at(kind, len(a), partition)[0])
+    """Run ``kind``'s search by its finder's module name, so that a
+    replaced finder is called; block kinds take ``partition``'s blocks."""
+    if kind is CertKind.DIAGONAL_LYAPUNOV:
+        return find_diagonal_lyapunov(a)
+    if kind is CertKind.STEIN_DIAGONAL:
+        return find_stein_diagonal(a)
+    return find_structured_lyapunov(a, _at(kind, len(a), partition)[0])
 
 
 def search_for_triple(a, region: regions.Region, cls: MatrixClass,
@@ -529,31 +526,37 @@ class Exhaustion(NamedTuple):
     checked: int
     boundary: bool
     min_score: float
+    overflowed: int
 
 
 def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exhaustion:
     """Check ``G o A`` against the region for the members ``G`` of the
     finite class ``cls`` in enumeration order, 256 to a stack, up to the
-    first that exits by more than ``tol`` (``regions.first_exit``).  The
-    ``hit`` is that exit as (member index, member, eigenvalue, margin), or
-    None; without one, ``checked`` counts the members, ``boundary`` says
-    whether one of them left an eigenvalue off the interior, and
-    ``min_score`` is their eigenvalues' smallest interior score."""
+    first that exits by more than ``tol`` (``regions.first_exit``).  A
+    member whose composition overflows is skipped
+    (``algebra.finite_spectra``) and counted in ``overflowed``.  The
+    ``hit`` is that exit as (member index, member, eigenvalue, margin),
+    or None; without one, ``checked`` counts the members, ``boundary``
+    says whether one of the others left an eigenvalue off the interior,
+    and ``min_score`` is their eigenvalues' smallest interior score."""
     members = classes.enumerate_members(cls)
-    checked, boundary, min_score = 0, False, np.inf
+    checked = overflowed = 0
+    boundary, min_score = False, np.inf
     while chunk := list(itertools.islice(members, 256)):
         stack = np.stack(chunk)
-        ws = np.linalg.eigvals(algebra.apply(op, stack, a))
-        hit = regions.first_exit(region, ws, tol)
-        if hit is not None:
-            j, lam, margin = hit
-            return Exhaustion((checked + j, stack[j], lam, margin), checked, boundary,
-                              min_score)
-        flat = ws.ravel()
-        boundary = boundary or not regions.spectrum_in_region(region, flat)
-        min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
+        rows, ws = algebra.finite_spectra(op, stack, a)
+        overflowed += len(stack) - rows.size
+        if rows.size:
+            hit = regions.first_exit(region, ws, tol)
+            if hit is not None:
+                j, lam, margin = int(rows[hit[0]]), hit[1], hit[2]
+                return Exhaustion((checked + j, stack[j], lam, margin), checked, boundary,
+                                  min_score, overflowed)
+            flat = ws.ravel()
+            boundary = boundary or not regions.spectrum_in_region(region, flat)
+            min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
         checked += len(stack)
-    return Exhaustion(None, checked, boundary, min_score)
+    return Exhaustion(None, checked, boundary, min_score, overflowed)
 
 
 def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
@@ -579,21 +582,38 @@ def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
     return ok, forms
 
 
-def _verified_form(cert: Certificate, a: np.ndarray) -> np.ndarray | None:
-    """The form of the non-exhaustive ``cert`` at the valid matrix ``a``
-    when it verifies there (``_verified`` on a stack of one), else None."""
-    if cert.witness is None or cert.witness.shape != a.shape or _paired(cert) is None:
-        return None
-    ok, forms = _verified(cert, cert.witness[None], [cert.partition], a[None])
-    return forms[0] if ok[0] else None
+def _proofs(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray,
+            region: regions.Region, sub_classes, op) -> list[Certificate | None]:
+    """Row i's proof of (region, ``sub_classes[i]``, op) at ``a[i]`` by
+    the stacked witness ``p[i]`` of the non-exhaustive ``cert``'s kind
+    with ``partitions[i]``: ``cert`` with that witness and partition and
+    ``min_eig`` the smallest eigenvalue of its form, or None unless the
+    kind's triples at that partition cover the triple and the witness
+    passes ``_verified``.  The coverage is checked once per distinct
+    class object and partition; the check and the eigenvalues run on the
+    stack of the covered rows, each row bit for bit as alone."""
+    k = a.shape[1]
+    covered: dict[tuple[int, Partition | None], bool] = {}  # by class object and partition
+    for c, part in zip(sub_classes, partitions):
+        if (id(c), part) not in covered:
+            covered[id(c), part] = _triple_covered(region, c, op, _at(cert.kind, k, part)[1])
+    rows = np.flatnonzero([covered[id(c), part] for c, part in zip(sub_classes, partitions)])
+    out: list[Certificate | None] = [None] * len(p)
+    if rows.size:
+        ok, forms = _verified(cert, p[rows], [partitions[i] for i in rows.tolist()], a[rows])
+        lams = np.linalg.eigvalsh(forms[ok])[:, 0].tolist()
+        for i, lam in zip(rows[ok].tolist(), lams):
+            out[i] = Certificate(cert.kind, p[i], lam, partitions[i], cert.coeffs, cert.triple,
+                                 cert.members_checked)
+    return out
 
 
 def verify_certificate(cert: Certificate, a) -> bool:
     """Recompute the certified form and check it independently of the
     search path: witness class membership plus positive definiteness,
-    the stack of one of the check that ``restrict_certificate`` runs.
-    An exhaustive certificate verifies when ``exhaust`` finds every
-    eigenvalue interior, over the same number of members; it verifies
+    ``_verified`` on a stack of one.  An exhaustive certificate verifies
+    when ``exhaust`` finds every eigenvalue interior, over the same
+    number of members and with no composition overflowed; it verifies
     only over a finite class."""
     a = as_square_matrix(a)
     if cert.kind is CertKind.EXHAUSTIVE:
@@ -601,9 +621,11 @@ def verify_certificate(cert: Certificate, a) -> bool:
             return False
         # an exit beyond tol 0 also puts an eigenvalue off the interior
         r = exhaust(a, *cert.triple, 0.0)
-        return r.hit is None and not r.boundary and (
+        return r.hit is None and not r.boundary and not r.overflowed and (
             cert.members_checked is None or r.checked == cert.members_checked)
-    return _verified_form(cert, a) is not None
+    if _paired(cert) is None or cert.witness.shape != a.shape:
+        return False
+    return bool(_verified(cert, cert.witness[None], [cert.partition], a[None])[0][0])
 
 
 def implied_stabilities(cert: Certificate) -> list[tuple]:
@@ -620,19 +642,16 @@ def proves(cert: Certificate, a, region: regions.Region, cls: MatrixClass,
     """``cert``, with ``min_eig`` measured at ``a`` unless it is
     exhaustive, when it proves the triple (region, cls, op) at ``a``: it
     re-verifies at ``a`` and its implied triples cover the query's.
-    Else None.  ``min_eig`` is the smallest eigenvalue of the form that
-    the verification computed."""
+    Else None.  A non-exhaustive certificate is decided by the check
+    that ``restrict_certificate`` runs, ``_proofs``, on a stack of one."""
+    a = as_square_matrix(a)
     if cert.kind is CertKind.EXHAUSTIVE:
-        form = None
-        if not verify_certificate(cert, a):
-            return None
-    else:
-        form = _verified_form(cert, as_square_matrix(a))
-        if form is None:
-            return None
-    if not _triple_covered(region, cls, op, implied_stabilities(cert)):
+        ok = verify_certificate(cert, a) and _triple_covered(
+            region, cls, op, implied_stabilities(cert))
+        return cert if ok else None
+    if _paired(cert) is None or cert.witness.shape != a.shape:
         return None
-    return cert if form is None else replace(cert, min_eig=float(np.linalg.eigvalsh(form)[0]))
+    return _proofs(cert, cert.witness[None], [cert.partition], a[None], region, [cls], op)[0]
 
 
 def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
@@ -641,15 +660,10 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
     submatrices of one order k: ``idx`` holds one row of k ascending
     indices per submatrix, ``a`` the ``(m, k, k)`` stack of those
     submatrices and ``sub_classes`` their m restricted classes.  Row i's
-    certificate is the witness's principal submatrix on ``idx[i]``,
+    witness is the principal submatrix of ``cert``'s on ``idx[i]``,
     scaled to trace k as the searches normalize, with the partition
-    restricted as the class is and ``min_eig`` measured at ``a[i]``; it
-    is None unless it proves the triple (region, ``sub_classes[i]``, op) at
-    ``a[i]``, as ``proves`` would decide it alone.  The triple coverage
-    is checked once per distinct class object and restricted partition;
-    the witness membership, the forms, their definiteness test and their
-    smallest eigenvalues are computed on the stack, each row bit for bit
-    as alone.
+    restricted as the class is, and ``_proofs`` decides it on the stack
+    as ``proves`` would alone.
 
     A certificate of the full matrix's triple restricts to one of the
     restricted class's for the diagonal, block-scalar, identity and
@@ -658,29 +672,12 @@ def restrict_certificate(cert: Certificate, idx, a, region: regions.Region,
     a positive diagonal ``P`` gives ``P[idx] - A[idx]^T P[idx] A[idx] >=
     (P - A^T P A)[idx]``."""
     idx = np.asarray(idx)
-    out: list[Certificate | None] = [None] * len(idx)
     if _paired(cert) is None:
-        return out
-    k = idx.shape[1]
+        return [None] * len(idx)
     p = cert.witness[idx[:, :, None], idx[:, None, :]]
     trace = np.trace(p, axis1=1, axis2=2)
+    # a trace that is not positive scales to a NaN witness, in no class
+    w = p * (idx.shape[1] / np.where(trace > 0.0, trace, np.nan))[:, None, None]
     parts = [None] * len(idx) if cert.partition is None else [
         cert.partition.restrict(i) for i in idx.tolist()]
-    covered: dict[tuple[int, Partition | None], bool] = {}  # by class object and partition
-    rows = []
-    for i, (c, part, positive) in enumerate(zip(sub_classes, parts, (trace > 0.0).tolist())):
-        if (id(c), part) not in covered:
-            covered[id(c), part] = _triple_covered(region, c, op, _at(cert.kind, k, part)[1])
-        if positive and covered[id(c), part]:
-            rows.append(i)
-    rows = np.array(rows, dtype=int)
-    if not rows.size:
-        return out
-    w = p[rows] * (k / trace[rows])[:, None, None]
-    ok, forms = _verified(cert, w, [parts[i] for i in rows], a[rows])
-    if ok.any():
-        lams = np.linalg.eigvalsh(forms[ok])[:, 0].tolist()
-        for i, wi, lam in zip(rows[ok].tolist(), w[ok], lams):
-            out[i] = Certificate(cert.kind, wi, lam, parts[i], cert.coeffs, cert.triple,
-                                 cert.members_checked)
-    return out
+    return _proofs(cert, w, parts, a, region, sub_classes, op)

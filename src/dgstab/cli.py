@@ -130,12 +130,8 @@ def _cmd_certify(args) -> int:
                      "iterations": report.iterations}
     if report.found:
         payload["certificate"] = serialize.certificate_to_json(report.certificate)
-        payload["implied_triples"] = [
-            {"region": serialize.region_to_json(r),
-             "class": serialize.class_to_json(c),
-             "op": serialize.op_to_json(o)}
-            for r, c, o in certify.implied_stabilities(report.certificate)
-        ]
+        payload["implied_triples"] = [serialize._triple_to_json(t) for t in
+                                      certify.implied_stabilities(report.certificate)]
     _emit(args, payload)
     return EXIT_CERTIFIED if report.found else EXIT_UNKNOWN
 
@@ -238,7 +234,9 @@ def _cmd_plot(args) -> int:
     pts = np.zeros(0, dtype=complex)
     if args.samples > 0:
         gs = classes.sample_batch(cls, rng, args.samples)
-        pts = np.linalg.eigvals(algebra.apply(op, gs, a)).ravel()
+        rows, w = algebra.finite_spectra(op, gs, a)  # an overflowed composition has none
+        if rows.size:
+            pts = w.ravel()
 
     size = 480.0
     pad = 40.0

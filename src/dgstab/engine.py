@@ -28,8 +28,8 @@ ends the run, or the provenance note it adds (a ``str``); one loop,
    whose sum of principal minors of that order is negative in exact
    arithmetic;
 4. exact enumeration, for finite classes only, whose verdict is final
-   (an inconclusive one means boundary eigenvalues, which block every
-   verdict);
+   (an inconclusive one means boundary eigenvalues or compositions that
+   overflowed, which block every verdict);
 5. the certificate stage, for infinite classes: screen and search the
    form whose proven triples cover the query
    (``certify.search_for_triple``), then re-verify the certificate
@@ -49,8 +49,10 @@ leaves open becomes a ``Query`` and goes through the later stages.
 Every REFUTED verdict, from whichever stage or from a verdict
 transfer, is built by one constructor, ``_refuted``.  Every CERTIFIED
 verdict is built by ``_certified``, from a certificate that
-``certify.proves`` returned (a searched, restricted or transferred one)
-or from exhaustion of a finite class.  Every stage that tests members
+``certify.proves`` returned (a searched or transferred one), a
+restricted one from ``certify.restrict_certificate``, which runs the
+same check on a stack (``proves`` is its stack of one), or from
+exhaustion of a finite class.  Every stage that tests members
 picks the refuting member and eigenvalue by one rule,
 ``regions.first_exit``, and a finite class is scanned only by
 ``certify.exhaust``, whose result the enumeration stage and verdict
@@ -184,19 +186,6 @@ def _thread_count() -> int:
         return 1
 
 
-def _finite_spectra(op: BinaryOp, gs: np.ndarray, a: np.ndarray):
-    """The rows of the member stack ``gs`` whose composition with ``a``
-    is finite, and their spectra: a composition that overflows has no
-    spectrum to test, so it is never a witness."""
-    with np.errstate(over="ignore", invalid="ignore"):  # such rows are dropped here
-        comps = algebra.apply(op, gs, a)
-    finite = np.isfinite(comps).all(axis=(1, 2))
-    rows = np.flatnonzero(finite)
-    if rows.size < len(gs):
-        comps = comps[rows]
-    return rows, np.linalg.eigvals(comps) if rows.size else None
-
-
 def falsify(q: Query) -> Verdict:
     """Randomized counterexample search over the class.
 
@@ -222,7 +211,7 @@ def falsify(q: Query) -> Verdict:
         count = min(_CHUNK, budget - i * _CHUNK)
         rng = np.random.default_rng(children[i])
         gs = classes.sample_batch(cls, rng, count)
-        rows, w = _finite_spectra(op, gs, a)
+        rows, w = algebra.finite_spectra(op, gs, a)
         overflowed[i] = count - rows.size
         hit = regions.first_exit(region, w, tol) if rows.size else None
         if hit is None:
@@ -396,6 +385,10 @@ def _exhaustive_check(q: Query) -> Verdict:
         i, g, lam, margin = r.hit
         return _refuted(g, lam, margin, f"exhaustive enumeration refutes at member {i} "
                         f"of {q.cls.finite_size}")
+    if r.overflowed:
+        return Verdict(VerdictStatus.UNKNOWN, provenance=(
+            f"exhaustive enumeration inconclusive: {r.overflowed} of {r.checked} "
+            "compositions overflowed and were skipped",))
     if r.boundary:
         return Verdict(
             VerdictStatus.UNKNOWN,
@@ -493,10 +486,13 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     the class holds every positive row scaling under the query's
     operation, then exact enumeration for finite classes, or
     certificate search and randomized falsification for infinite ones.
-    A stage that does not apply to the query does not run and adds no
-    note.  Each stage returns a verdict, which ends the run, or its
-    note; the verdict's provenance begins with the notes before it.  The
-    last stage always returns one.  This is ``_decide_stack`` on a stack
+    The escape and the identity check always run and leave a note, also
+    where they do not apply ("unboundedness precheck: not applicable or
+    no escape found", "class has no identity element for the
+    operation"); a later stage that does not apply does not run and
+    adds no note.  Each stage returns a verdict, which ends the run, or
+    its note; the verdict's provenance begins with the notes before it.
+    The last stage always returns one.  This is ``_decide_stack`` on a stack
     of one.
 
     ``use_certificates=False`` replaces the certificate stage by the
@@ -844,7 +840,7 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
     while done < budget:
         count = min(_CHUNK, budget - done)
         gs = classes.sample_batch(cls, rng, count)
-        rows, w_m = _finite_spectra(op, gs, a)
+        rows, w_m = algebra.finite_spectra(op, gs, a)
         overflowed += count - rows.size
         if rows.size:
             w_g = np.linalg.eigvals(gs[rows])
@@ -1028,9 +1024,11 @@ def _transfer_certificate(cert: Certificate, tf: Transform) -> Certificate:
     elif tf.kind in (TransformKind.OP_INVERSE, TransformKind.SCALAR):
         new_w = w
     elif tf.kind is TransformKind.SIMILARITY:
-        # S^-T P S^-1 certifies S A S^-1: the two forms are congruent
+        # S^-T P S^-1 certifies S A S^-1: the two forms are congruent; a
+        # witness that overflows fails its verification
         s_inv = np.linalg.inv(np.asarray(tf.s, dtype=float))
-        new_w = s_inv.T @ w @ s_inv
+        with np.errstate(over="ignore", invalid="ignore"):
+            new_w = s_inv.T @ w @ s_inv
     else:
         raise AssertionError(tf.kind)
     return Certificate(cert.kind, new_w, min_eig=np.nan,
@@ -1049,7 +1047,9 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     triple at the transformed matrix (``certify.proves``), whatever
     triple the verdict came from, and carries the ``min_eig`` measured
     there.  A finite class is enumerated again.
-    Anything else comes back unknown with the reason in the provenance.
+    Anything else comes back unknown with the reason in the provenance,
+    without a warning where a transformed matrix, witness or certificate
+    overflows.
     """
     label = f"transfer ({tf.kind.value})"
 
@@ -1060,9 +1060,13 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     reason = _transfer_applicable(q, tf)
     if reason is None:
         try:
-            qt = transform_query(q, tf)
+            # a transformed matrix that overflows is rejected by the query
+            with np.errstate(over="ignore", invalid="ignore"):
+                qt = transform_query(q, tf)
         except SingularOperatorError as exc:
             reason = str(exc)
+        except ValueError as exc:
+            reason = f"transformed {exc}"
     if reason is not None:
         return unknown(f"theorem inapplicable: {reason}")
 
@@ -1070,11 +1074,12 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
         return unknown("unknown stays unknown", v.provenance, v.trials_used)
 
     if v.status is VerdictStatus.REFUTED:
-        g = _transfer_witness(v.witness, q, tf)
+        with np.errstate(over="ignore", invalid="ignore"):  # such a witness leaves the class
+            g = _transfer_witness(v.witness, q, tf)
         note = "witness left the class numerically"
-        if g is not None and classes.contains(q.cls, g, 1e-7):
-            w = np.linalg.eigvals(algebra.apply(q.op, g, qt.a))
-            hit = regions.first_exit(q.region, w[None], q.tol)
+        if g is not None and np.isfinite(g).all() and classes.contains(q.cls, g, 1e-7):
+            rows, w = algebra.finite_spectra(q.op, g[None], qt.a)
+            hit = regions.first_exit(q.region, w, q.tol) if rows.size else None
             if hit is not None:
                 return _refuted(g, *hit[1:], f"{label}: witness transformed", v.provenance)
             note = "transformed witness lost its exterior margin"

@@ -720,11 +720,11 @@ def test_pairing_table_agrees_with_the_hand_written_functions():
                     np.testing.assert_array_equal(certified_form(cert, a),
                                                   _reference_certified_form(cert, a))
                     assert implied_stabilities(cert) == _reference_implied_stabilities(cert)
-    # the selection index loses no kind: no two searched kinds prove a
-    # triple of the same (region, class, op) kinds
+    # the selection index loses no kind: no two kinds prove a triple of
+    # the same (region, class, op) kinds, and only searched kinds prove one
     from dgstab.certify import _BY_TRIPLE
 
-    proven = [t for pair in _PAIRINGS.values() if pair.search
+    proven = [t for pair in _PAIRINGS.values()
               for t in pair.at(1, Partition.from_sizes([1]))[1]]
     assert len(_BY_TRIPLE) == len(proven)
     exhaustive = Certificate(CertKind.EXHAUSTIVE, None, 1.0,
@@ -755,7 +755,7 @@ def test_unsearched_kinds_verify_and_prove_nothing():
                     (hill, 0.5 * np.eye(2))):
         assert verify_certificate(cert, a)
         assert implied_stabilities(cert) == []
-        assert _PAIRINGS[cert.kind].search is None
+        assert _PAIRINGS[cert.kind].at(2, None)[1] == ()
         assert cert.kind not in {*_BY_TRIPLE.values(), *_BY_WITNESS.values()}
     for n in (1, 2, 3, 4):
         with pytest.raises(UnsupportedClassError):

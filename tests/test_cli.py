@@ -336,6 +336,29 @@ def test_plot_subcommand(files, capsys, tmp_path):
     assert text.startswith("<svg") and "</svg>" in text
 
 
+@pytest.mark.filterwarnings("error")
+def test_check_and_plot_skip_compositions_that_overflow(capsys, tmp_path):
+    # both once exited 64 with "Array must not contain infs or NaNs"
+    code, out = run(capsys, "check", "--matrix", "[[1e10]]", "--region", "rhp", "--class",
+                    '{"kind":{"explicit_list":[[[1e300]]]},"n":1}', "--op", "mul")
+    assert code == 2 and json.loads(out)["status"] == "unknown"
+    assert json.loads(out)["provenance"][-1] == (
+        "exhaustive enumeration inconclusive: 1 of 1 compositions overflowed and were skipped")
+    a = np.diag([1e306, 1.0])
+    out_file = tmp_path / "cloud.svg"
+    code, _ = run(capsys, "plot", "--matrix", "[[1e306,0],[0,1]]", "--region", "rhp",
+                  "--class", "pos_diag", "--op", "mul", "--samples", "20",
+                  "--out", str(out_file))
+    assert code == 0
+    # one circle per eigenvalue of each finite composition
+    gs = dg_classes.sample_batch(dg_classes.pos_diag(2),
+                                 np.random.default_rng(np.random.SeedSequence(42)), 20)
+    with np.errstate(over="ignore"):
+        finite = int(np.isfinite(gs @ a).all(axis=(1, 2)).sum())
+    assert 0 < finite < 20
+    assert out_file.read_text().count("<circle") == 2 * finite
+
+
 def test_plot_deterministic(files, capsys, tmp_path):
     f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
     for f in (f1, f2):

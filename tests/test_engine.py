@@ -101,6 +101,30 @@ def test_decide_exhaustion_refutes():
     assert classes.contains(classes.vertex_diag(2), v.witness)
 
 
+@pytest.mark.filterwarnings("error")
+def test_an_enumeration_that_skips_an_overflowed_member_never_certifies():
+    # 1e300 * 1e10 overflows: the enumeration once raised LinAlgError
+    v = decide(Query([[1e10]], RHP, classes.explicit_list([[[1e300]]]), MUL))
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.provenance[-1] == ("exhaustive enumeration inconclusive: 1 of 1 "
+                                "compositions overflowed and were skipped")
+    # interior members beside an overflowed one leave the verdict unknown
+    v = decide(Query([[1e10]], RHP, classes.explicit_list([[[1.0]], [[1e300]], [[2.0]]]),
+                     MUL))
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.provenance[-1].startswith("exhaustive enumeration inconclusive: 1 of 3 ")
+    # a refuting member after an overflowed one is found, at its own index
+    v = decide(Query([[1e10]], RHP, classes.explicit_list([[[1e300]], [[1.0]], [[-1.0]]]),
+                     MUL))
+    assert v.status is VerdictStatus.REFUTED and v.witness.tolist() == [[-1.0]]
+    assert v.provenance[-1] == "exhaustive enumeration refutes at member 2 of 3"
+    # an exhaustive certificate does not verify where a member overflows
+    cert = Certificate(CertKind.EXHAUSTIVE, None, 1.0,
+                       triple=(RHP, classes.explicit_list([[[1.0]], [[1e300]]]), MUL))
+    assert not dg.verify_certificate(cert, [[1e10]])
+    assert dg.verify_certificate(cert, [[1.0]])
+
+
 def test_decide_identity_precheck_refutes():
     q = Query(-np.eye(2), RHP, classes.pos_diag(2), MUL, budget=10, seed=1)
     v = decide(q)
@@ -1305,6 +1329,28 @@ def test_a_certificate_that_fails_after_the_transform_does_not_transfer():
     assert vt.status is VerdictStatus.UNKNOWN
     assert vt.provenance == (
         "transfer (transpose): transformed certificate failed verification",)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_transfer_that_overflows_is_unknown_without_a_warning():
+    # alpha A once raised Query's ValueError, and S^-T P S^-1 warned
+    q = Query([[2.0, 1.0], [0.0, 3.0]], RHP, classes.pos_diag(2), MUL, budget=200, seed=1)
+    v = decide(q)
+    assert v.status is VerdictStatus.CERTIFIED
+    vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=1e308))
+    assert (vt.status, vt.provenance) == (VerdictStatus.UNKNOWN, (
+        "transfer (scalar): theorem inapplicable: transformed matrix contains "
+        "non-finite entries",))
+    vt = transfer_verdict(v, q, Transform(TransformKind.SIMILARITY,
+                                          s=np.diag([1e-300, 1e300])))
+    assert (vt.status, vt.provenance) == (VerdictStatus.UNKNOWN, (
+        "transfer (similarity): transformed certificate failed verification",))
+    # an additive witness that overflows leaves the class
+    q = Query(np.diag([1e-300, -1e-300]), RHP, classes.symmetric(2), algebra.ADD, budget=64)
+    v = engine.Verdict(VerdictStatus.REFUTED, witness=np.diag([2.0, -2.0]))
+    vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=1e308))
+    assert (vt.status, vt.provenance) == (VerdictStatus.UNKNOWN, (
+        "transfer (scalar): witness left the class numerically",))
 
 
 def test_transfer_of_a_singular_matrix_by_op_inverse_is_unknown():
