@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""The three matrix-equation solvers behind the certificates.
+"""The two matrix-equation solvers behind the certificates, and the
+evaluator of the generalized form that both forms are cases of.
 
-Continuous form   H A + A^T H = W      (half-plane stability)
-Discrete form     H - A^T H A = W      (unit-disk stability)
+Continuous form   H A + A^T H = W      (half-plane stability, solved)
+Discrete form     H - A^T H A = W      (unit-disk stability, solved)
 Generalized form  sum c[i,j] (A^T)^i H A^j
-                  (any region cut out by such a scalar polynomial)
+                  (evaluated; any region cut out by such a scalar polynomial)
 """
 
 import numpy as np

@@ -8,6 +8,11 @@ quadratic form built from the target matrix positive definite:
 * positive diagonal witnesses for the discrete form ``D - A^T D A``
   (unit-disk region).
 
+Both are ``sum_ij c_ij (A^T)^i P A^j`` at fixed ``c``, and the
+polynomial kind carries its own ``c``: every check evaluates its kind's
+form with ``linalg.polynomial_forms``, the barrier search alone writes
+its two forms out.
+
 A found certificate proves stability for every class member of the
 triples its kind is paired with in ``_PAIRINGS``, the one table of each
 kind's form, witness class and proven (region, class, op) triples; a
@@ -61,8 +66,9 @@ import numpy as np
 from . import algebra, classes, regions
 from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
-from .errors import NonSymmetricError, UnsupportedClassError
-from .linalg import as_square_matrix, are_positive_definite, hill_form
+from .errors import UnsupportedClassError
+from .linalg import (are_positive_definite, as_square_matrix, case_i_coefficients,
+                     case_iii_coefficients, hill_coefficients, polynomial_forms)
 
 __all__ = [
     "CertKind",
@@ -387,7 +393,7 @@ def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
 
 
 class _Pairing(NamedTuple):
-    form: str  # "lyap": P A + A^T P, "stein": P - A^T P A, "hill": polynomial
+    form: str  # "lyap": P A + A^T P, "stein": P - A^T P A (_COEFFICIENTS), or "hill"
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
     screen: Callable | None = None  # (a, partition) -> failed condition | None
 
@@ -478,28 +484,24 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass,
     return _search(kind, a, cls.partition)
 
 
-def _forms(kind: CertKind, coeffs, p: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """The quadratic forms of ``kind`` for the stacked witnesses ``p`` at
-    the stacked matrices ``a``; each matrix of the stack is computed as it
-    would be alone."""
-    form = getattr(_PAIRINGS.get(kind), "form", None)
-    if form == "lyap":
-        return p @ a + a.swapaxes(1, 2) @ p
-    if form == "stein":
-        return p - a.swapaxes(1, 2) @ p @ a
-    if form == "hill":
-        # the polynomial form proves no triple, so only verify_certificate
-        # checks it, for one witness
-        assert len(p) == 1, "the polynomial form is checked one witness at a time"
-        return hill_form(np.array(coeffs, dtype=float), p[0], a[0])[None]
-    raise ValueError(f"no closed form for certificate kind {kind.value}")
+#: The fixed forms: cases I and III of root clustering (Gutman and Jury, IEEE TAC 26, 1981).
+_COEFFICIENTS = {"lyap": case_i_coefficients(), "stein": case_iii_coefficients()}
+
+
+def _coefficients(cert: Certificate) -> np.ndarray:
+    """``cert``'s form's coefficients, the polynomial kind's own validated:
+    ``ValueError`` when they are malformed or the kind has no form."""
+    pair = _PAIRINGS.get(cert.kind)
+    if pair is None:
+        raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
+    return hill_coefficients(cert.coeffs) if pair.form == "hill" else _COEFFICIENTS[pair.form]
 
 
 def certified_form(cert: Certificate, a) -> np.ndarray:
     """Recompute the quadratic form the certificate claims to be
     positive definite."""
-    p = np.asarray(cert.witness)[None]
-    return _forms(cert.kind, cert.coeffs, p, as_square_matrix(a)[None])[0]
+    p, a = np.asarray(cert.witness)[None], as_square_matrix(a)[None]
+    return polynomial_forms(_coefficients(cert), p, a)[0]
 
 
 def _measured(cert: Certificate, a) -> Certificate:
@@ -513,10 +515,14 @@ def _measured(cert: Certificate, a) -> Certificate:
 
 def _paired(cert: Certificate):
     """The witness class and proven triples of a non-exhaustive
-    certificate, or None when it lacks its witness or, for a block
-    kind, its partition."""
+    certificate, or None when it lacks its witness, a block kind's
+    partition or well-formed coefficients (``_coefficients``)."""
     if cert.witness is None or (cert.partition is None and cert.kind in (
             CertKind.ALPHA_SCALAR_LYAPUNOV, CertKind.BLOCK_LYAPUNOV)):
+        return None
+    try:
+        _coefficients(cert)
+    except (TypeError, ValueError):
         return None
     return _at(cert.kind, cert.witness.shape[0], cert.partition)
 
@@ -565,19 +571,15 @@ def _verified(cert: Certificate, p: np.ndarray, partitions, a: np.ndarray):
     witness) at the stacked matrices ``a``, the mask of those in their
     witness class whose form is positive definite, and the forms.  The
     witness membership is one ``classes.are_members`` test on the stack,
-    its rows grouped by equal witness class.  A witness fails alone: a
-    witness or form that is not finite, or a form that is not symmetric,
-    rejects only its own matrix."""
+    its rows grouped by equal witness class, and the forms are one
+    ``polynomial_forms`` on the stack (``cert`` passes ``_paired``).  A
+    witness fails alone: a witness or form that is not finite, or a form
+    that is not symmetric, rejects only its own matrix."""
     k = a.shape[1]
     ok = classes.are_members([_at(cert.kind, k, part)[0] for part in partitions], p)
     # a form that overflows is rejected as non-finite, silently
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            forms = _forms(cert.kind, cert.coeffs, p, a)
-        except (NonSymmetricError, ValueError, OverflowError):
-            # only the polynomial form raises, and it comes one witness
-            # at a time
-            return np.zeros(len(p), dtype=bool), np.full_like(p, np.nan)
+        forms = polynomial_forms(_coefficients(cert), p, a)
         ok &= are_positive_definite(forms)
     return ok, forms
 

@@ -68,17 +68,15 @@ def _emit(args, payload) -> None:
         sys.stdout.write(text)
 
 
-def _add_query_flags(p: _Parser, need_class: bool = True) -> None:
+def _add_query_flags(p: _Parser) -> None:
     p.add_argument("--matrix", required=True,
                    help="matrix file (JSON or CSV) or inline JSON")
     p.add_argument("--region", required=True,
                    help="region name or JSON spec")
-    if need_class:
-        p.add_argument("--class", dest="cls", required=True,
-                       help="class name or JSON spec")
-        p.add_argument("--op", choices=["add", "mul", "hadamard"],
-                       required=True)
-        p.add_argument("--side", choices=["left", "right"], default="left")
+    p.add_argument("--class", dest="cls", required=True,
+                   help="class name or JSON spec")
+    p.add_argument("--op", choices=["add", "mul", "hadamard"], required=True)
+    p.add_argument("--side", choices=["left", "right"], default="left")
     p.add_argument("--budget", type=int, default=10_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--tol", type=float, default=1e-7)

@@ -647,22 +647,30 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
     region-stable: random multi-start plus coordinate descent on the
     summed exterior margin, or a scan of an explicit list's first
     ``budget`` members.  A found witness is re-verified before it is
-    returned."""
+    returned.  A member whose composition overflows has infinite loss
+    and never verifies."""
     a = as_square_matrix(a)
     if budget < 1:
         raise ValueError("budget must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     req = 2.0 * region.boundary_tol
 
+    def spectrum(g):  # None when the composition overflows
+        w = algebra.finite_spectra(op, g[None], a)[1]
+        return None if w is None else w[0]
+
     def loss_of(g) -> float:
-        w = np.linalg.eigvals(algebra.apply(op, g, a))
+        w = spectrum(g)
+        if w is None:
+            return np.inf
         scores = regions.interior_scores(region, w)
         return float(np.sum(np.maximum(0.0, req - scores)))
 
     def verified(g) -> bool:
-        return classes.contains(cls, g, 1e-7) and regions.spectrum_in_region(
-            region, np.linalg.eigvals(algebra.apply(op, g, a))
-        )
+        if not classes.contains(cls, g, 1e-7):
+            return False
+        w = spectrum(g)
+        return w is not None and regions.spectrum_in_region(region, w)
 
     if cls.kind is ClassKind.EXPLICIT_LIST:
         evals = 0
@@ -926,31 +934,35 @@ def _similarity_invariant(cls: MatrixClass, s: np.ndarray) -> bool:
 
 
 def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
-    """The transformed target matrix."""
+    """The transformed target matrix; ``ValueError`` when it overflows."""
     a = as_square_matrix(a)
-    if tf.kind is TransformKind.TRANSPOSE:
-        return a.T
-    if tf.kind is TransformKind.OP_INVERSE:
-        if op.kind is OpKind.HADAMARD:
-            raise ValueError("operation inverse transfer needs addition or "
-                             "multiplication")
-        inv = algebra.op_inverse(op, a)
-        if inv is None:
-            raise SingularOperatorError("matrix is singular; no multiplicative inverse")
-        return inv
-    if tf.kind is TransformKind.SCALAR:
-        alpha = float(tf.alpha)
-        if not math.isfinite(alpha):
-            raise ValueError("scalar is not finite")
-        return alpha * a
-    if tf.kind is TransformKind.SIMILARITY:
-        s = as_square_matrix(tf.s, "s")
-        if s.shape != a.shape:
-            raise DimensionMismatchError(
-                f"similarity matrix order {s.shape[0]} does not match "
-                f"matrix order {a.shape[0]}")
-        return s @ a @ np.linalg.inv(s)
-    raise AssertionError(tf.kind)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
+        if tf.kind is TransformKind.TRANSPOSE:
+            out = a.T
+        elif tf.kind is TransformKind.OP_INVERSE:
+            if op.kind is OpKind.HADAMARD:
+                raise ValueError("operation inverse transfer needs addition or "
+                                 "multiplication")
+            out = algebra.op_inverse(op, a)
+            if out is None:
+                raise SingularOperatorError("matrix is singular; no multiplicative inverse")
+        elif tf.kind is TransformKind.SCALAR:
+            alpha = float(tf.alpha)
+            if not math.isfinite(alpha):
+                raise ValueError("scalar is not finite")
+            out = alpha * a
+        elif tf.kind is TransformKind.SIMILARITY:
+            s = as_square_matrix(tf.s, "s")
+            if s.shape != a.shape:
+                raise DimensionMismatchError(
+                    f"similarity matrix order {s.shape[0]} does not match "
+                    f"matrix order {a.shape[0]}")
+            out = s @ a @ np.linalg.inv(s)
+        else:
+            raise AssertionError(tf.kind)
+    if not np.isfinite(out).all():
+        raise ValueError("matrix contains non-finite entries")
+    return out
 
 
 def transform_query(q: Query, tf: Transform) -> Query:
@@ -1007,12 +1019,13 @@ def _transfer_applicable(q: Query, tf: Transform) -> str | None:
 
 def _transfer_witness(g: np.ndarray, q: Query, tf: Transform) -> np.ndarray | None:
     """The witness mapped like the matrix, except that under a scalar
-    only an additive witness moves; None for a singular op-inverse."""
+    only an additive witness moves; None for a singular op-inverse or a
+    witness that overflows."""
     if tf.kind is TransformKind.SCALAR and q.op.kind is not OpKind.ADD:
         return g
     try:
         return transform_matrix(g, tf, q.op)
-    except SingularOperatorError:
+    except (SingularOperatorError, ValueError):
         return None
 
 
@@ -1060,9 +1073,7 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     reason = _transfer_applicable(q, tf)
     if reason is None:
         try:
-            # a transformed matrix that overflows is rejected by the query
-            with np.errstate(over="ignore", invalid="ignore"):
-                qt = transform_query(q, tf)
+            qt = transform_query(q, tf)
         except SingularOperatorError as exc:
             reason = str(exc)
         except ValueError as exc:
@@ -1074,10 +1085,9 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
         return unknown("unknown stays unknown", v.provenance, v.trials_used)
 
     if v.status is VerdictStatus.REFUTED:
-        with np.errstate(over="ignore", invalid="ignore"):  # such a witness leaves the class
-            g = _transfer_witness(v.witness, q, tf)
+        g = _transfer_witness(v.witness, q, tf)
         note = "witness left the class numerically"
-        if g is not None and np.isfinite(g).all() and classes.contains(q.cls, g, 1e-7):
+        if g is not None and classes.contains(q.cls, g, 1e-7):
             rows, w = algebra.finite_spectra(q.op, g[None], qt.a)
             hit = regions.first_exit(q.region, w, q.tol) if rows.size else None
             if hit is not None:

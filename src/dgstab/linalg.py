@@ -1,8 +1,8 @@
 """Dense real matrix primitives.
 
-Spectra, definiteness tests, and the three matrix-equation solvers
-(continuous Lyapunov, discrete Stein, and the generalized polynomial
-form) that the rest of the package builds on.
+Spectra, definiteness tests, the two matrix-equation solvers
+(continuous Lyapunov and discrete Stein) and the evaluator of the
+generalized polynomial form that the rest of the package builds on.
 
 Everything here is a pure function of immutable inputs: arrays are
 validated, never mutated, and no module state exists, so all operations
@@ -34,6 +34,7 @@ __all__ = [
     "hill_coefficients",
     "case_i_coefficients",
     "case_iii_coefficients",
+    "polynomial_forms",
     "hill_form",
     "principal_submatrix",
 ]
@@ -289,52 +290,47 @@ def hill_coefficients(c) -> np.ndarray:
     return c
 
 
-def case_i_coefficients(m: int = 2) -> np.ndarray:
-    """Coefficients reproducing the continuous Lyapunov form
-    ``H A + A^T H`` (right-half-plane region)."""
-    if m < 2:
-        raise ValueError("need order >= 2")
-    c = np.zeros((m, m))
-    c[0, 1] = c[1, 0] = 1.0
-    return c
+def case_i_coefficients() -> np.ndarray:
+    """Coefficients of the Lyapunov form ``H A + A^T H`` (right half-plane)."""
+    return np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
-def case_iii_coefficients(m: int = 2) -> np.ndarray:
-    """Coefficients reproducing the Stein form ``H - A^T H A``
-    (unit-disk region)."""
-    if m < 2:
-        raise ValueError("need order >= 2")
-    c = np.zeros((m, m))
-    c[0, 0] = 1.0
-    c[1, 1] = -1.0
-    return c
+def case_iii_coefficients() -> np.ndarray:
+    """Coefficients of the Stein form ``H - A^T H A`` (unit disk)."""
+    return np.array([[1.0, 0.0], [0.0, -1.0]])
+
+
+def polynomial_forms(c: np.ndarray, h: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``sum_ij c[i,j] (A^T)^i H A^j`` for the stacks ``h`` and ``a``,
+    unvalidated: no value makes it raise, and an overflow stays in it.
+    Terms add in ``(i, j)`` order from the first nonzero one, with no
+    product by the identity or by 1 (``[[1]]`` returns ``h`` itself), so
+    cases I and III give ``H @ A + A^T @ H`` and ``H - A^T @ H @ A`` bit for bit."""
+    powers = [None, a]  # A^j for j >= 1
+    for _ in range(2, len(c)):
+        powers.append(powers[-1] @ a)
+    w = None
+    for i, row in enumerate(c.tolist()):
+        for j, coef in enumerate(row):
+            if coef:
+                term = h if i == 0 else powers[i].swapaxes(-1, -2) @ h
+                term = term @ powers[j] if j else term
+                term = term if coef == 1.0 else coef * term
+                w = term if w is None else w + term
+    return np.zeros_like(h) if w is None else w
 
 
 def hill_form(c, h, a) -> np.ndarray:
-    """Evaluate ``W = sum_ij c[i,j] (A^T)^i H A^j``.
-
-    ``h`` must be symmetric.  ``c`` may have any order ``m >= 1``;
-    indices beyond ``m - 1`` are treated as zero coefficients.  Zero
-    coefficients are skipped, so the two classical special cases
-    reproduce ``H A + A^T H`` and ``H - A^T H A`` bit for bit.
-    """
+    """``polynomial_forms`` of one symmetric ``h``, at exactly symmetric
+    coefficients ``c`` of any order; ``OverflowError`` when it overflows."""
     c = hill_coefficients(c)
     h = _require_symmetric(h, "h")
     a = as_square_matrix(a, "a")
     if h.shape != a.shape:
         raise ValueError("h and a must have equal orders")
-    n = a.shape[0]
-    m = c.shape[0]
-    powers = [np.eye(n)]
-    for _ in range(1, m):
-        powers.append(powers[-1] @ a)
-    powers_t = [p.T for p in powers]
-    w = np.zeros((n, n))
-    for i in range(m):
-        for j in range(m):
-            if c[i, j] != 0.0:
-                w = w + c[i, j] * (powers_t[i] @ h @ powers[j])
-    if not np.all(np.isfinite(w)):
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught below
+        w = polynomial_forms(c, h[None], a[None])[0]
+    if not np.isfinite(w).all():
         raise OverflowError("generalized form overflowed; rescale the inputs")
     return w
 

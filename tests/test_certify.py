@@ -1020,6 +1020,47 @@ def test_other_kinds_and_malformed_certificates_give_no_restriction():
                                 [classes.pos_diag(2)], MUL) == [None]
 
 
+def test_polynomial_kind_is_verified_on_a_stack_as_alone():
+    # the polynomial form was once checked one witness at a time, behind
+    # an assertion
+    from dgstab.certify import _verified
+
+    coeffs = ((0.0, 1.0, 0.0), (1.0, 0.0, -0.25), (0.0, -0.25, 0.0))
+    for n in (1, 3):
+        r = rng(40 + n)
+        b = r.standard_normal((12, n, n))
+        p = b @ b.swapaxes(1, 2) + np.eye(n)
+        p[3] = -p[3]  # not in the witness class
+        # near +I the form is about 1.5 P, near -I about -1.5 P
+        a = np.eye(n) + 0.2 * r.standard_normal((12, n, n))
+        a[::2] *= -1.0
+        cert = Certificate(CertKind.HILL, p[0], 1.0, coeffs=coeffs)
+        ok, forms = _verified(cert, p, [None] * 12, a)
+        assert ok.any() and not ok.all()
+        for i in range(12):
+            alone, form = _verified(cert, p[i:i + 1], [None], a[i:i + 1])
+            assert ok[i] == alone[0] == verify_certificate(replace(cert, witness=p[i]), a[i])
+            assert np.array_equal(forms[i], form[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_malformed_polynomial_coefficients_are_rejected_without_a_warning():
+    a, rhp, spd = 0.5 * np.eye(2), regions.right_half_plane(), classes.spd(2)
+    cert = Certificate(CertKind.HILL, np.eye(2), 1.0,
+                       coeffs=tuple(map(tuple, case_iii_coefficients())))
+    assert verify_certificate(cert, a)
+    for coeffs in (None, ((1.0, 0.0), (0.0,)), ((1.0, 0.0),),
+                   ((0.0, 1.0), (1.0 + 2.0 ** -52, 0.0)), ((1.0, 0.0), (0.0, np.inf)),
+                   ((np.nan, 0.0), (0.0, -1.0))):
+        bad = replace(cert, coeffs=coeffs)
+        assert verify_certificate(bad, a) is False, coeffs
+        assert proves(bad, a, rhp, spd, MUL) is None
+        assert restrict_certificate(bad, [(0, 1)], a[None], rhp, [spd], MUL) == [None]
+        assert implied_stabilities(bad) == []
+        with pytest.raises(ValueError):
+            certified_form(bad, a)
+
+
 # restriction: one stack per order equals one subset at a time
 
 

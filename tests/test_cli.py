@@ -359,6 +359,14 @@ def test_check_and_plot_skip_compositions_that_overflow(capsys, tmp_path):
     assert out_file.read_text().count("<circle") == 2 * finite
 
 
+@pytest.mark.filterwarnings("error")
+def test_stabilize_skips_compositions_that_overflow(capsys):
+    # it once exited 64 with "Array must not contain infs or NaNs"
+    code, out = run(capsys, "stabilize", "--matrix", "[[1e308,0],[0,-1e308]]", "--region",
+                    "rhp", "--class", "pos_diag", "--op", "mul", "--budget", "50")
+    assert code == 2 and json.loads(out) == {"evaluations": 50, "found": False}
+
+
 def test_plot_deterministic(files, capsys, tmp_path):
     f1, f2 = tmp_path / "a.svg", tmp_path / "b.svg"
     for f in (f1, f2):

@@ -293,6 +293,20 @@ def test_stabilize_enumerates_at_most_budget_members_of_a_list():
     np.testing.assert_array_equal(rep.witness, -np.eye(2))
 
 
+@pytest.mark.filterwarnings("error")
+def test_stabilize_skips_compositions_that_overflow():
+    # its loss and its verification once raised LinAlgError ("Array must
+    # not contain infs or NaNs") on an overflowed composition
+    a = np.diag([1e300, -1e300])
+    rep = stabilize(a, RHP, classes.spd(2), MUL, budget=200)
+    assert (rep.found, rep.witness, rep.evaluations) == (False, None, 200)
+    # a list member that overflows is skipped, and a later one found
+    cls = classes.explicit_list([np.diag([1e10, 1.0]), np.diag([1.0, -1.0])])
+    rep = stabilize(a, RHP, cls, MUL, budget=10)
+    assert (rep.found, rep.evaluations) == (True, 2)
+    np.testing.assert_array_equal(rep.witness, np.diag([1.0, -1.0]))
+
+
 @pytest.mark.parametrize("op", [MUL, dg.ADD], ids=["mul", "add"])
 @pytest.mark.parametrize("cls", [
     classes.pos_diag(2), classes.theta_ordered((0, 1)), classes.symmetric(2),
@@ -1351,6 +1365,16 @@ def test_a_transfer_that_overflows_is_unknown_without_a_warning():
     vt = transfer_verdict(v, q, Transform(TransformKind.SCALAR, alpha=1e308))
     assert (vt.status, vt.provenance) == (VerdictStatus.UNKNOWN, (
         "transfer (scalar): witness left the class numerically",))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_transformed_matrix_that_overflows_raises_without_a_warning():
+    # it once warned and returned infinite entries
+    a = [[2.0, 1.0], [0.0, 3.0]]
+    for tf in (Transform(TransformKind.SCALAR, alpha=1e308),
+               Transform(TransformKind.SIMILARITY, s=np.diag([1e300, 1e-300]))):
+        with pytest.raises(ValueError, match="^matrix contains non-finite entries$"):
+            engine.transform_matrix(a, tf, MUL)
 
 
 def test_transfer_of_a_singular_matrix_by_op_inverse_is_unknown():

@@ -12,6 +12,7 @@ from dgstab.linalg import (
     hill_coefficients,
     hill_form,
     is_positive_definite,
+    polynomial_forms,
     principal_submatrix,
     solve_lyapunov,
     solve_stein,
@@ -338,6 +339,47 @@ def test_hill_form_case_iii_is_stein_form():
     h = h + h.T
     w = hill_form(case_iii_coefficients(), h, a)
     np.testing.assert_array_equal(w, h - a.T @ h @ a)
+
+
+def _signed_stacks(seed):
+    """Pairs of seeded (m, k, k) stacks with entries of magnitude
+    1e-3..1e3, a third of them +0.0 or -0.0."""
+    r = np.random.default_rng(seed)
+    for m, k in ((1, 1), (3, 2), (5, 4), (2, 7)):
+        pair = []
+        for _ in range(2):
+            x = r.choice([-1.0, 1.0], (m, k, k)) * 10.0 ** r.uniform(-3, 3, (m, k, k))
+            zero = r.random((m, k, k)) < 1 / 3
+            x[zero] = r.choice([0.0, -0.0], int(zero.sum()))
+            pair.append(x)
+        yield pair
+
+
+def test_polynomial_forms_are_the_lyapunov_and_stein_forms_bit_for_bit():
+    for seed in range(20):
+        for h, a in _signed_stacks(seed):
+            for p in (h, h + h.swapaxes(1, 2)):
+                for c, ref in ((case_i_coefficients(), p @ a + a.swapaxes(1, 2) @ p),
+                               (case_iii_coefficients(), p - a.swapaxes(1, 2) @ p @ a)):
+                    w = polynomial_forms(c, p, a)
+                    assert np.array_equal(w, ref)
+                    assert np.array_equal(np.signbit(w), np.signbit(ref))
+
+
+def test_hill_form_is_the_polynomial_form_on_a_stack_of_one():
+    # higher powers, a negative and a fractional coefficient, a skipped zero
+    c = np.array([[0.0, 1.0, -0.5], [1.0, 0.0, 0.0], [-0.5, 0.0, 2.0]])
+    r = np.random.default_rng(13)
+    a = r.standard_normal((3, 3))
+    h = r.standard_normal((3, 3))
+    h = h + h.T
+    w = hill_form(c, h, a)
+    assert np.array_equal(w, polynomial_forms(c, h[None], a[None])[0])
+    a2 = a @ a
+    ref = (h @ a + a.T @ h - 0.5 * (h @ a2) - 0.5 * (a2.T @ h) + 2.0 * (a2.T @ h @ a2))
+    np.testing.assert_allclose(w, ref, rtol=1e-12, atol=1e-12)
+    with pytest.raises(OverflowError):
+        hill_form(c, h, 1e200 * a)
 
 
 def test_hill_form_zero_coefficients():
