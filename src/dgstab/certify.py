@@ -8,10 +8,10 @@ quadratic form built from the target matrix positive definite:
 * positive diagonal witnesses for the discrete form ``D - A^T D A``
   (unit-disk region).
 
-Both are ``sum_ij c_ij (A^T)^i P A^j`` at fixed ``c``, and the
-polynomial kind carries its own ``c``: every check evaluates its kind's
-form with ``linalg.polynomial_forms``, the barrier search alone writes
-its two forms out.
+Both are ``sum_ij c_ij (A^T)^i P A^j`` at fixed ``c`` (cases I and III
+of root clustering, Gutman and Jury, IEEE TAC 26, 1981), and the
+polynomial kind carries its own ``c``: every check and search evaluates
+its kind's form with ``linalg.polynomial_forms``.
 
 A found certificate proves stability for every class member of the
 triples its kind is paired with in ``_PAIRINGS``, the one table of each
@@ -159,22 +159,21 @@ def _entries(kind: CertKind, n: int, partition: Partition | None) -> np.ndarray:
     return np.column_stack((np.arange(n), np.arange(n), owner))
 
 
-def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float):
+def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float):
     """Phase-I barrier Newton search for a witness ``P(x)`` parametrized
-    by ``entries`` that makes ``form`` positive definite at ``a``.
+    by ``entries`` that makes the form ``F(P) = sum_ij c_ij (A^T)^i P
+    A^j`` of degree-1 coefficients ``c`` positive definite at ``a``.
 
     It maximizes ``t`` subject to ``F(x) - t I > 0``, ``P(x) > 0`` and
     ``tr P = n`` by damped Newton steps (length ``1/(1 + decrement)``,
     the equality held by the KKT system) on ``-s t - log det(F - t I) -
     log det P``, from ``P = I`` and the given ``t``, which must lie below
     the smallest eigenvalue of the form there.  ``s`` grows 8x whenever
-    the decrement is at most 1/2.  With ``R = (F - t I)^-1``, ``B = A R``,
-    ``C = A R A^T`` and ``Q = P^-1``, the Hessian at the directed entries
-    ``(j, k)`` and ``(l, i)`` of ``P`` is a sum of products ``X_ij Y_kl``,
-    over ``(X, Y)`` in ``(B, B), (R, C), (C, R), (B^T, B^T)`` for ``P A +
-    A^T P`` and ``(R, R), (-B, B^T), (-B^T, B), (C, C)`` for ``P - A^T P
-    A``, plus ``(Q, Q)`` for the witness barrier: a step costs O(n^3 +
-    d^2) for d directed entries.
+    the decrement is at most 1/2.  With ``R = (F - t I)^-1``, the moments
+    ``X_bc = A^b R (A^T)^c`` and ``Q = P^-1``, the Hessian at the directed
+    entries ``(l, i)`` and ``(j, k)`` of ``P`` is ``sum c_ab c_cd (X_bc)_ij
+    (X_da)_kl + Q_ij Q_kl``, and the gradient of ``tr(M F)`` is ``sum c_ij
+    X_ji`` at ``M``'s moments: a step costs O(n^3 + d^2) for d entries.
 
     Returns ``(P, t, steps)`` at the first ``t > FOUND_TOL``, else
     ``(None, best t, steps)`` once the duality gap ``2n/s`` is below
@@ -190,15 +189,18 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float):
     incidence[np.arange(own.size), own] = 1.0
     trace_row = np.bincount(own[jj == kk], minlength=m).astype(float)
     pair_index = kk[:, None] * n + jj  # flat index of (k_s, j_t)
+    terms = [(i, j, v) for i, row in enumerate(c.tolist()) for j, v in enumerate(row) if v]
 
     def gather(mat):
         return mat.take(pair_index)
 
-    def adjoint(mat):  # the gradient of tr(mat F(P)) in P, for symmetric mat
-        if form == "lyap":
-            am = a @ mat
-            return am + am.T
-        return mat - a @ mat @ a.T
+    def moments(mat):  # X[b][c] = A^b mat (A^T)^c
+        am = a @ mat
+        return (mat, am.T), (am, am @ a.T)
+
+    def adjoint(xm):  # the gradient of tr(M F(P)) in P from M's moments, M symmetric
+        g = [xm[j][i] if v == 1.0 else v * xm[j][i] for i, j, v in terms]
+        return sum(g[1:], g[0])
 
     kkt = np.zeros((m + 2, m + 2))
     kkt[:m, m + 1] = kkt[m + 1, :m] = trace_row
@@ -212,7 +214,7 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float):
             for steps in itertools.count():
                 p = np.zeros((n, n))
                 p[jj, kk] = x[own]
-                shifted = (p @ a + a.T @ p if form == "lyap" else p - a.T @ p @ a) - t * eye
+                shifted = polynomial_forms(c, p, a) - t * eye
                 np.linalg.cholesky(shifted)
                 np.linalg.cholesky(p)
                 best = max(best, t)
@@ -221,14 +223,14 @@ def _barrier_search(a: np.ndarray, form: str, entries: np.ndarray, t: float):
                 if steps >= _MAX_STEPS:
                     break
                 r, q = np.linalg.inv(shifted), np.linalg.inv(p)
-                b, c = a @ r, a @ r @ a.T
-                pairs = (((b, b), (r, c), (c, r), (b.T, b.T)) if form == "lyap" else
-                         ((r, r), (-b, b.T), (-b.T, b), (c, c))) + ((q, q),)
-                h = sum(gather(u).T * gather(v) for u, v in pairs)
+                xr = moments(r)
+                h = sum(gather(xr[d][i1] if v * w == 1.0 else v * w * xr[d][i1]).T
+                        * gather(xr[j1][i2]) for i1, j1, v in terms for i2, d, w in terms
+                        ) + gather(q).T * gather(q)
                 kkt[:m, :m] = incidence.T @ h @ incidence
-                kkt[:m, m] = kkt[m, :m] = -incidence.T @ adjoint(r @ r)[jj, kk]
+                kkt[:m, m] = kkt[m, :m] = -incidence.T @ adjoint(moments(r @ r))[jj, kk]
                 kkt[m, m] = np.sum(r * r)
-                rhs[:m] = incidence.T @ (adjoint(r) + q)[jj, kk]
+                rhs[:m] = incidence.T @ (adjoint(xr) + q)[jj, kk]
                 s = np.trace(r) if s is None else s  # the start is centred in t
                 while True:
                     rhs[m] = s - np.trace(r)
@@ -254,23 +256,24 @@ def _form_search(a, kind: CertKind, partition: Partition | None) -> CertReport:
     blocks of ``partition`` (singletons, not recorded, when None).
     ``P = I`` is tried first and returned, measured, when its form
     clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs, unless
-    that form is not finite (best -inf).  The continuous form is
-    searched on ``A`` at unit Frobenius norm, found/not-found being
-    invariant under positive scaling, and compared at the scale of
-    ``2^-e A`` (no entry above 1), whose norm no square overflows."""
+    that form is not finite (best -inf).  A form homogeneous in ``A``
+    (``c_00 = c_11 = 0``: case I) is searched on ``A`` at unit Frobenius
+    norm, found/not-found being invariant under positive scaling, and
+    compared at the scale of ``2^-e A`` (no entry above 1), whose norm no
+    square overflows."""
     a = as_square_matrix(a)
     start = _measured(Certificate(kind, np.eye(len(a)), np.nan, partition=partition), a)
-    form = _PAIRINGS[kind].form
-    e = math.frexp(np.abs(a).max())[1] if form == "lyap" else 0
+    c = _PAIRINGS[kind].form
+    homogeneous = not (c[0, 0] or c[1, 1])
+    e = math.frexp(np.abs(a).max())[1] if homogeneous else 0
     unit = np.ldexp(a, -e)
-    norm = float(np.linalg.norm(unit)) if form == "lyap" else 1.0
+    norm = float(np.linalg.norm(unit)) if homogeneous else 1.0
     if norm == 0.0 or start.min_eig == -np.inf:  # A = 0: its form is 0
         return CertReport(False, None, start.min_eig, 0)
     if math.ldexp(start.min_eig, -e) > FOUND_TOL * norm:
         return CertReport(True, start, start.min_eig, 0)
     t0 = math.ldexp(start.min_eig, -e) / norm
-    p, t, steps = _barrier_search(unit / norm, form, _entries(kind, len(a), partition),
-                                  t0 - 1.0)
+    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition), t0 - 1.0)
     if p is None:
         return CertReport(False, None, math.ldexp(max(t, t0) * norm, e), steps)
     cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)
@@ -393,7 +396,7 @@ def _block_spd_screen(a: np.ndarray, partition: Partition) -> str | None:
 
 
 class _Pairing(NamedTuple):
-    form: str  # "lyap": P A + A^T P, "stein": P - A^T P A (_COEFFICIENTS), or "hill"
+    form: np.ndarray | None  # c of sum_ij c_ij (A^T)^i P A^j; None: the certificate's own
     at: Callable  # (n, partition) -> (witness class, proven (region, class, op)s)
     screen: Callable | None = None  # (a, partition) -> failed condition | None
 
@@ -409,19 +412,20 @@ def _rhp(cls):
 #: and the polynomial form pairs with no class beyond the half-plane
 #: cases.
 _PAIRINGS = {
-    CertKind.DIAGONAL_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+    CertKind.DIAGONAL_LYAPUNOV: _Pairing(case_i_coefficients(), lambda n, p: (
         classes.pos_diag(n), _rhp(classes.pos_diag(n))), _diagonal_screen),
-    CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+    CertKind.ALPHA_SCALAR_LYAPUNOV: _Pairing(case_i_coefficients(), lambda n, p: (
         classes.pos_alpha_scalar(p), _rhp(classes.alpha_block_spd(p))), _block_scalar_screen),
-    CertKind.BLOCK_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+    CertKind.BLOCK_LYAPUNOV: _Pairing(case_i_coefficients(), lambda n, p: (
         classes.alpha_block_spd(p), _rhp(classes.pos_alpha_scalar(p))), _block_spd_screen),
-    CertKind.IDENTITY_LYAPUNOV: _Pairing("lyap", lambda n, p: (
+    CertKind.IDENTITY_LYAPUNOV: _Pairing(case_i_coefficients(), lambda n, p: (
         identity_witness_class(n), _rhp(classes.spd(n)))),
-    CertKind.STEIN_DIAGONAL: _Pairing("stein", lambda n, p: (
+    CertKind.STEIN_DIAGONAL: _Pairing(case_iii_coefficients(), lambda n, p: (
         classes.pos_diag(n), tuple((regions.unit_disk(), c, MUL) for c in (
             classes.vertex_diag(n), classes.box_diag([-1.0] * n, [1.0] * n))))),
-    CertKind.SYMMETRIC_INDEFINITE: _Pairing("lyap", lambda n, p: (classes.symmetric(n), ())),
-    CertKind.HILL: _Pairing("hill", lambda n, p: (classes.spd(n), ())),
+    CertKind.SYMMETRIC_INDEFINITE: _Pairing(case_i_coefficients(), lambda n, p: (
+        classes.symmetric(n), ())),
+    CertKind.HILL: _Pairing(None, lambda n, p: (classes.spd(n), ())),
 }
 
 
@@ -484,17 +488,13 @@ def search_for_triple(a, region: regions.Region, cls: MatrixClass,
     return _search(kind, a, cls.partition)
 
 
-#: The fixed forms: cases I and III of root clustering (Gutman and Jury, IEEE TAC 26, 1981).
-_COEFFICIENTS = {"lyap": case_i_coefficients(), "stein": case_iii_coefficients()}
-
-
 def _coefficients(cert: Certificate) -> np.ndarray:
     """``cert``'s form's coefficients, the polynomial kind's own validated:
     ``ValueError`` when they are malformed or the kind has no form."""
     pair = _PAIRINGS.get(cert.kind)
     if pair is None:
         raise ValueError(f"no closed form for certificate kind {cert.kind.value}")
-    return hill_coefficients(cert.coeffs) if pair.form == "hill" else _COEFFICIENTS[pair.form]
+    return hill_coefficients(cert.coeffs) if pair.form is None else pair.form
 
 
 def certified_form(cert: Certificate, a) -> np.ndarray:

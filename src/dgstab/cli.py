@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import algebra, certify, classes, engine, regions, serialize
+from . import algebra, certify, classes, engine, linalg, regions, serialize
 
 __all__ = ["main"]
 
@@ -150,7 +150,7 @@ def _cmd_stabilize(args) -> int:
 
 
 def _cmd_inertia(args) -> int:
-    a = _load_matrix(args.matrix)
+    a = linalg.as_square_matrix(_load_matrix(args.matrix))
     region = serialize.region_from_json(_spec(args.region))
     inertia = regions.inertia_of(region, np.linalg.eigvals(a))
     _emit(args, {"i_plus": inertia.i_plus, "i_zero": inertia.i_zero,

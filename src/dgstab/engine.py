@@ -62,7 +62,8 @@ the query (including its seed).
 Falsification trials are evaluated in fixed-size chunks with generator
 streams spawned per chunk, and the first witness in chunk order wins;
 results are therefore reproducible regardless of how many worker
-threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool).
+threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool, and so
+do the CPUs the process may run on).
 """
 
 from __future__ import annotations
@@ -180,10 +181,15 @@ def _stream(seed: int, i: int) -> np.random.SeedSequence:
 
 
 def _thread_count() -> int:
+    """``DGSTAB_THREADS``, 1 when unset or not an integer, clamped to
+    between 1 and the CPUs this process may run on."""
     try:
-        return max(1, int(os.environ.get("DGSTAB_THREADS", "1")))
+        wanted = int(os.environ.get("DGSTAB_THREADS", "1"))
     except ValueError:
         return 1
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(wanted, cpus))
 
 
 def falsify(q: Query) -> Verdict:
@@ -1029,10 +1035,18 @@ def _transfer_witness(g: np.ndarray, q: Query, tf: Transform) -> np.ndarray | No
         return None
 
 
-def _transfer_certificate(cert: Certificate, tf: Transform) -> Certificate:
+def _transfer_certificate(cert: Certificate, tf: Transform, n: int) -> Certificate | None:
+    """``cert`` with its witness mapped for the transformed matrix of
+    order ``n``; None when the witness is missing, of another shape, or
+    singular under a transpose."""
     w = cert.witness
+    if w is None or np.shape(w) != (n, n):
+        return None
     if tf.kind is TransformKind.TRANSPOSE:
-        new_w = np.linalg.inv(w)
+        try:
+            new_w = np.linalg.inv(w)
+        except np.linalg.LinAlgError:
+            return None
         new_w = 0.5 * (new_w + new_w.T)
     elif tf.kind in (TransformKind.OP_INVERSE, TransformKind.SCALAR):
         new_w = w
@@ -1102,7 +1116,8 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
             f"{label}: finite class re-enumerated",
         ) + vt.provenance
         return vt
-    new_cert = certify.proves(_transfer_certificate(cert, tf), qt.a, q.region, q.cls, q.op)
+    moved = _transfer_certificate(cert, tf, len(qt.a))
+    new_cert = None if moved is None else certify.proves(moved, qt.a, q.region, q.cls, q.op)
     if new_cert is None:
         return unknown("transformed certificate failed verification")
     return _certified(new_cert, f"{label}: certificate transformed and re-verified",

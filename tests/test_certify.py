@@ -698,6 +698,58 @@ def _witness_candidates(n, part):
             b @ b.T + np.eye(n), b + b.T, b, np.eye(n) + 1e-13 * (b + b.T)]
 
 
+def _random_partition(r, n):
+    cuts = r.choice(np.arange(1, n), size=r.integers(0, n), replace=False) if n > 1 else []
+    return Partition.from_sizes(np.diff([0, *sorted(cuts), n]).tolist())
+
+
+def test_the_barrier_search_is_the_hand_written_one_bit_for_bit():
+    # the search reads each form from its coefficients; the hand-written
+    # Lyapunov and Stein searches it replaced must return the same
+    # (P, t, steps): n = 1..12, plain, graded and scaled matrices, the
+    # diagonal, block-scalar, block SPD and Stein parametrizations over
+    # random partitions, each started as _form_search starts it
+    import reference_barrier
+
+    from dgstab.certify import _barrier_search, _entries
+    from dgstab.linalg import case_i_coefficients, polynomial_forms
+
+    forms = {"lyap": case_i_coefficients(), "stein": case_iii_coefficients()}
+    r, outcomes = rng(24), set()
+    for n in range(1, 13):
+        for style in ("plain", "graded", "scaled"):
+            a = r.standard_normal((n, n))
+            if style == "graded":
+                d = 10.0 ** r.uniform(-3.0, 3.0, n)
+                a = d[:, None] * a / d
+            part = _random_partition(r, n)
+            for form, c in forms.items():
+                if form == "lyap":
+                    b = a + r.uniform(0.0, 2.0) * np.abs(a).max() * np.eye(n)
+                    b = b / np.linalg.norm(b)
+                    kinds = ((CertKind.DIAGONAL_LYAPUNOV, None),
+                             (CertKind.ALPHA_SCALAR_LYAPUNOV, part),
+                             (CertKind.BLOCK_LYAPUNOV, part))
+                else:
+                    b = a / (np.abs(np.linalg.eigvals(a)).max() * r.uniform(0.8, 1.3))
+                    kinds = ((CertKind.STEIN_DIAGONAL, None),
+                             (CertKind.ALPHA_SCALAR_LYAPUNOV, part))
+                if style == "scaled":
+                    b = b * 10.0 ** r.uniform(-3.0, 3.0)
+                t = np.linalg.eigvalsh(polynomial_forms(c, np.eye(n), b))[0] - 1.0
+                for kind, p in kinds:
+                    entries = _entries(kind, n, p)
+                    want = reference_barrier.barrier_search(b, form, entries, t)
+                    got = _barrier_search(b, c, entries, t)
+                    case = (n, style, form, kind, p)
+                    assert (got[0] is None) == (want[0] is None), case
+                    assert want[0] is None or np.array_equal(got[0], want[0]), case
+                    assert got[1:] == want[1:], case
+                    outcomes.add((form, want[0] is not None, want[2] > 0))
+    # both forms certify and fail after Newton steps
+    assert outcomes >= {(form, found, True) for form in forms for found in (True, False)}
+
+
 def test_pairing_table_agrees_with_the_hand_written_functions():
     # every kind, n = 1..4, singleton and mixed partitions: the same
     # witness verdicts, forms and proven triples as before the table

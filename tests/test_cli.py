@@ -170,6 +170,18 @@ def test_inline_matrix(capsys):
     assert json.loads(out) == {"i_plus": 1, "i_zero": 0, "i_minus": 1}
 
 
+def test_inertia_validates_its_matrix_as_check_does(capsys):
+    # numpy's "Array must not contain infs or NaNs" and "Last 2
+    # dimensions of the array must be square" once reached the user
+    for matrix, message in (("[[NaN]]", "matrix contains non-finite entries"),
+                            ("[[1,2,3]]", "matrix must be square, got shape (1, 3)")):
+        for argv in (["inertia", "--matrix", matrix, "--region", "rhp"],
+                     ["check", "--matrix", matrix, "--region", "rhp", "--class", "pos_diag",
+                      "--op", "mul"]):
+            assert main(argv) == 64
+            assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_certify_subcommand(files, capsys):
     code, out = run(capsys, "certify", "--matrix", files["id2"],
                     "--kind", "diagonal")

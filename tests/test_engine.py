@@ -236,6 +236,52 @@ def test_falsify_skips_compositions_that_overflow(monkeypatch, threads):
     np.testing.assert_array_equal(ref.witness, v.witness)
 
 
+class _RecordingPool:
+    """A stand-in for ``ThreadPoolExecutor`` that records ``max_workers``
+    and maps in the calling thread, starting none."""
+
+    made: list = []
+
+    def __init__(self, max_workers):
+        self.made.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("affinity", [True, False])
+def test_the_falsifier_pool_is_capped_at_the_available_cpus(monkeypatch, affinity):
+    # DGSTAB_THREADS has no upper bound of its own: the pool once started
+    # a thread per chunk up to it
+    monkeypatch.setattr(engine, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "made", [])
+    if affinity:
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    else:
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(engine.os, "cpu_count", lambda: 3)
+    q = Query(np.eye(2), RHP, classes.pos_diag(2), MUL, budget=20 * engine._CHUNK)
+    monkeypatch.setenv("DGSTAB_THREADS", "1000000")
+    v = falsify(q)
+    assert _RecordingPool.made == [3]
+    monkeypatch.setenv("DGSTAB_THREADS", "2")
+    assert falsify(q).trials_used == v.trials_used == q.budget
+    assert _RecordingPool.made == [3, 2]
+    # one available CPU, or one thread asked for: no pool at all
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    for threads in ("1000000", "1"):
+        monkeypatch.setenv("DGSTAB_THREADS", threads)
+        assert falsify(q).trials_used == q.budget
+    assert _RecordingPool.made == [3, 2]
+
+
 @pytest.mark.filterwarnings("error")
 def test_inertia_preserving_skips_compositions_that_overflow():
     rep = inertia_preserving(np.diag([1e308, 1e308]), classes.spd(2), MUL, RHP, budget=50)
@@ -1343,6 +1389,23 @@ def test_a_certificate_that_fails_after_the_transform_does_not_transfer():
     assert vt.status is VerdictStatus.UNKNOWN
     assert vt.provenance == (
         "transfer (transpose): transformed certificate failed verification",)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tf", [
+    Transform(TransformKind.TRANSPOSE), Transform(TransformKind.OP_INVERSE),
+    Transform(TransformKind.SCALAR, alpha=2.0),
+    Transform(TransformKind.SIMILARITY, s=np.diag([1.0, 2.0]))], ids=lambda tf: tf.kind.value)
+def test_a_certificate_that_cannot_be_transformed_does_not_transfer(tf):
+    # a zero, singular or missing witness, or one of another shape, once
+    # raised LinAlgError under a transpose and ValueError under a similarity
+    q = Query([[2.0, 1.0], [0.0, 3.0]], RHP, classes.pos_diag(2), MUL, budget=200, seed=1)
+    for w in (np.zeros((2, 2)), np.ones((2, 2)), None, np.eye(3), np.ones((2, 3))):
+        v = engine.Verdict(VerdictStatus.CERTIFIED, certificate=Certificate(
+            CertKind.DIAGONAL_LYAPUNOV, w, 1.0))
+        vt = transfer_verdict(v, q, tf)
+        assert (vt.status, vt.provenance) == (VerdictStatus.UNKNOWN, (
+            f"transfer ({tf.kind.value}): transformed certificate failed verification",))
 
 
 @pytest.mark.filterwarnings("error")
