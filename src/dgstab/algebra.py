@@ -182,33 +182,40 @@ def _random_pair(rng: np.random.Generator, n: int):
     return rng.standard_normal((n, n)), rng.standard_normal((n, n))
 
 
+def _norm(x) -> float:
+    return float(np.linalg.norm(x))
+
+
+def _worst(trials: int, draw, deviations) -> dict[str, LawReport]:
+    """The largest deviation of each law over ``trials`` draws, with the
+    draw that gave it: ``draw()`` returns a witness tuple, and
+    ``deviations[law](*witness)`` measures the law on it."""
+    worst = {law: LawReport(0.0) for law in deviations}
+    for _ in range(trials):
+        w = draw()
+        for law, deviation in deviations.items():
+            d = deviation(*w)
+            if d > worst[law].max_deviation:
+                worst[law] = LawReport(d, w)
+    return worst
+
+
 def check_spectrum_commutation(op: BinaryOp, trials: int, n: int,
                                rng: np.random.Generator) -> LawReport:
     """Largest matched-multiset distance between the spectra of
     ``A o B`` and ``B o A`` over random trials."""
-    worst = LawReport(0.0)
-    for _ in range(trials):
-        a, b = _random_pair(rng, n)
-        d = multiset_distance(
-            eigenvalues(apply(op, a, b)), eigenvalues(apply(op, b, a))
-        )
-        if d > worst.max_deviation:
-            worst = LawReport(d, (a, b))
-    return worst
+    return _worst(trials, lambda: _random_pair(rng, n), {
+        "spectrum_commutation": lambda a, b: multiset_distance(
+            eigenvalues(apply(op, a, b)), eigenvalues(apply(op, b, a))),
+    })["spectrum_commutation"]
 
 
 def check_transpose_law(op: BinaryOp, trials: int, n: int,
                         rng: np.random.Generator) -> LawReport:
     """Frobenius deviation of ``(G o A)^T`` from ``A^T o G^T``."""
-    worst = LawReport(0.0)
-    for _ in range(trials):
-        g, a = _random_pair(rng, n)
-        lhs = apply(op, g, a).T
-        rhs = apply(op, a.T, g.T)
-        d = float(np.linalg.norm(lhs - rhs))
-        if d > worst.max_deviation:
-            worst = LawReport(d, (g, a))
-    return worst
+    return _worst(trials, lambda: _random_pair(rng, n), {
+        "transpose": lambda g, a: _norm(apply(op, g, a).T - apply(op, a.T, g.T)),
+    })["transpose"]
 
 
 def check_scalar_laws(op: BinaryOp, trials: int, n: int,
@@ -220,22 +227,13 @@ def check_scalar_laws(op: BinaryOp, trials: int, n: int,
     ``scalar_distributivity``: alpha (A o B) = (alpha A) o (alpha B)
     (holds for addition).
     """
-    assoc = LawReport(0.0)
-    dist = LawReport(0.0)
-    for _ in range(trials):
-        a, b = _random_pair(rng, n)
-        alpha = float(rng.uniform(-2.0, 2.0))
-        base = alpha * apply(op, a, b)
-        d1 = max(
-            float(np.linalg.norm(base - apply(op, alpha * a, b))),
-            float(np.linalg.norm(base - apply(op, a, alpha * b))),
-        )
-        d2 = float(np.linalg.norm(base - apply(op, alpha * a, alpha * b)))
-        if d1 > assoc.max_deviation:
-            assoc = LawReport(d1, (a, b, alpha))
-        if d2 > dist.max_deviation:
-            dist = LawReport(d2, (a, b, alpha))
-    return {"scalar_associativity": assoc, "scalar_distributivity": dist}
+    return _worst(trials, lambda: (*_random_pair(rng, n), float(rng.uniform(-2.0, 2.0))), {
+        "scalar_associativity": lambda a, b, alpha: max(
+            _norm(alpha * apply(op, a, b) - apply(op, alpha * a, b)),
+            _norm(alpha * apply(op, a, b) - apply(op, a, alpha * b))),
+        "scalar_distributivity": lambda a, b, alpha: _norm(
+            alpha * apply(op, a, b) - apply(op, alpha * a, alpha * b)),
+    })
 
 
 def check_mul_distributivity(op: BinaryOp, trials: int, n: int,
@@ -247,18 +245,11 @@ def check_mul_distributivity(op: BinaryOp, trials: int, n: int,
     multiplication); ``mul_distributivity``: A (B o C) = (A B) o (A C)
     (holds when o is addition).
     """
-    assoc = LawReport(0.0)
-    dist = LawReport(0.0)
-    for _ in range(trials):
-        a, b = _random_pair(rng, n)
-        c = rng.standard_normal((n, n))
-        d1 = float(np.linalg.norm(apply(op, a, b @ c) - apply(op, a @ b, c)))
-        d2 = float(np.linalg.norm(a @ apply(op, b, c) - apply(op, a @ b, a @ c)))
-        if d1 > assoc.max_deviation:
-            assoc = LawReport(d1, (a, b, c))
-        if d2 > dist.max_deviation:
-            dist = LawReport(d2, (a, b, c))
-    return {"mul_associativity": assoc, "mul_distributivity": dist}
+    return _worst(trials, lambda: (*_random_pair(rng, n), rng.standard_normal((n, n))), {
+        "mul_associativity": lambda a, b, c: _norm(apply(op, a, b @ c) - apply(op, a @ b, c)),
+        "mul_distributivity": lambda a, b, c: _norm(
+            a @ apply(op, b, c) - apply(op, a @ b, a @ c)),
+    })
 
 
 #: Which (law, op) cells are expected to hold, and at which deviation

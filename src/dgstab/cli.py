@@ -83,17 +83,14 @@ def _add_query_flags(p: _Parser) -> None:
     p.add_argument("--out", default=None, help="write output to a file")
 
 
-def _query_parts(args):
-    """(matrix, region, class, op) from the query flags, unvalidated."""
+def _build_query(args) -> engine.Query:
+    """The query of the query flags; ``engine.Query`` validates it, for
+    every subcommand that takes them."""
     a = _load_matrix(args.matrix)
     region = serialize.region_from_json(_spec(args.region))
     cls = serialize.class_from_json(_spec(args.cls), a.shape[0])
     op = algebra.BinaryOp(algebra.OpKind(args.op), algebra.Side(args.side))
-    return a, region, cls, op
-
-
-def _build_query(args) -> engine.Query:
-    return engine.Query(*_query_parts(args),
+    return engine.Query(a, region, cls, op,
                         budget=args.budget, seed=args.seed, tol=args.tol)
 
 
@@ -141,7 +138,8 @@ def _cmd_falsify(args) -> int:
 
 
 def _cmd_stabilize(args) -> int:
-    report = engine.stabilize(*_query_parts(args), budget=args.budget, seed=args.seed)
+    q = _build_query(args)
+    report = engine.stabilize(q.a, q.region, q.cls, q.op, budget=q.budget, seed=q.seed)
     payload: dict = {"found": report.found, "evaluations": report.evaluations}
     if report.found:
         payload["witness"] = serialize.matrix_to_json(report.witness)
@@ -227,12 +225,12 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
 def _cmd_plot(args) -> int:
     if args.samples < 0:
         raise UsageError("samples must be >= 0")
-    a, region, cls, op = _query_parts(args)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
+    q = _build_query(args)
+    rng = np.random.default_rng(np.random.SeedSequence(q.seed))
     pts = np.zeros(0, dtype=complex)
     if args.samples > 0:
-        gs = classes.sample_batch(cls, rng, args.samples)
-        rows, w = algebra.finite_spectra(op, gs, a)  # an overflowed composition has none
+        gs = classes.sample_batch(q.cls, rng, args.samples)
+        rows, w = algebra.finite_spectra(q.op, gs, q.a)  # an overflowed composition has none
         if rows.size:
             pts = w.ravel()
 
@@ -262,7 +260,7 @@ def _cmd_plot(args) -> int:
     x0, y0 = to_px(0.0, lo)
     x1, y1 = to_px(0.0, hi)
     body.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" {ax}/>')
-    body.extend(_region_overlay(region, to_px, lo, hi))
+    body.extend(_region_overlay(q.region, to_px, lo, hi))
     for z in pts:
         px, py = to_px(z.real, z.imag)
         body.append(_svg_circle(px, py, 2.0, "#1a5fb4"))

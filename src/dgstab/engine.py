@@ -127,9 +127,13 @@ class Query:
     tol: float = 1e-7
 
     def __post_init__(self):
+        """The one check of a query's inputs, for every operation that
+        takes them."""
         object.__setattr__(self, "a", as_square_matrix(self.a))
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
+        if not isinstance(self.budget, (int, np.integer)) or self.budget < 1:
+            raise ValueError("budget must be an integer >= 1")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError("seed must be an integer >= 0")
         if not 0.0 <= self.tol < math.inf:
             raise ValueError("tol must be finite and >= 0")
         if self.a.shape[0] != self.cls.order:
@@ -655,9 +659,7 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
     ``budget`` members.  A found witness is re-verified before it is
     returned.  A member whose composition overflows has infinite loss
     and never verifies."""
-    a = as_square_matrix(a)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    a = Query(a, region, cls, op, budget, seed).a
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     req = 2.0 * region.boundary_tol
 
@@ -846,9 +848,7 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
     eigenvalue counts relative to the region; any mismatch is returned
     as a witness.  A member whose composition overflows is skipped and
     counted in ``overflowed``."""
-    a = as_square_matrix(a)
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    a = Query(a, region, cls, op, budget, seed).a
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     done = overflowed = 0
     while done < budget:
@@ -940,7 +940,9 @@ def _similarity_invariant(cls: MatrixClass, s: np.ndarray) -> bool:
 
 
 def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
-    """The transformed target matrix; ``ValueError`` when it overflows."""
+    """The transformed target matrix; ``SingularOperatorError`` when the
+    matrix to invert or the similarity is singular, ``ValueError`` when
+    the result overflows."""
     a = as_square_matrix(a)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result raises below
         if tf.kind is TransformKind.TRANSPOSE:
@@ -963,7 +965,10 @@ def transform_matrix(a, tf: Transform, op: BinaryOp) -> np.ndarray:
                 raise DimensionMismatchError(
                     f"similarity matrix order {s.shape[0]} does not match "
                     f"matrix order {a.shape[0]}")
-            out = s @ a @ np.linalg.inv(s)
+            try:
+                out = s @ a @ np.linalg.inv(s)
+            except np.linalg.LinAlgError:
+                raise SingularOperatorError("similarity matrix is singular") from None
         else:
             raise AssertionError(tf.kind)
     if not np.isfinite(out).all():

@@ -174,9 +174,12 @@ def hill_region(coeffs, sense: str = "positive",
                 boundary_tol: float = DEFAULT_BOUNDARY_TOL) -> Region:
     """Region cut out by the scalar form ``f(z) = sum c[i,j] conj(z)^i z^j``.
 
-    ``sense`` selects ``f > 0`` (participates in stability verdicts),
-    ``f >= 0``, or ``f = 0`` (the latter two exist for certificate
-    diagnostics only).
+    ``sense="positive"`` is the open region ``f > 0``.
+    ``"nonnegative"`` classifies every point exactly as ``"positive"``
+    does: regions are open, so a point with ``f = 0`` (within
+    ``boundary_tol``) is on the boundary under both.  ``"zero"`` is the
+    curve ``f = 0``: interior where ``|f| <= boundary_tol``, exterior
+    elsewhere.
     """
     c = hill_coefficients(np.asarray(coeffs, dtype=float))
     return Region(

@@ -21,6 +21,7 @@ from dgstab.algebra import (
     row_scaling,
 )
 from dgstab.errors import DimensionMismatchError
+from dgstab.linalg import eigenvalues
 
 
 def test_apply_examples():
@@ -163,6 +164,37 @@ def test_hadamard_distributivity_fails_even_at_2x2():
 def test_law_table_needs_a_trial(trials):
     with pytest.raises(ValueError, match="trials must be >= 1"):
         law_table(trials, 3, np.random.default_rng(0))
+
+
+#: Each law's deviation at a witness, written out from the law itself.
+_DEVIATION_AT = {
+    "spectrum_commutation": lambda op, a, b: multiset_distance(
+        eigenvalues(apply(op, a, b)), eigenvalues(apply(op, b, a))),
+    "transpose": lambda op, g, a: np.linalg.norm(apply(op, g, a).T - apply(op, a.T, g.T)),
+    "scalar_associativity": lambda op, a, b, alpha: max(
+        np.linalg.norm(alpha * apply(op, a, b) - apply(op, alpha * a, b)),
+        np.linalg.norm(alpha * apply(op, a, b) - apply(op, a, alpha * b))),
+    "scalar_distributivity": lambda op, a, b, alpha: np.linalg.norm(
+        alpha * apply(op, a, b) - apply(op, alpha * a, alpha * b)),
+    "mul_associativity": lambda op, a, b, c: np.linalg.norm(
+        apply(op, a, b @ c) - apply(op, a @ b, c)),
+    "mul_distributivity": lambda op, a, b, c: np.linalg.norm(
+        a @ apply(op, b, c) - apply(op, a @ b, a @ c)),
+}
+
+
+@pytest.mark.parametrize("kind", list(OpKind))
+def test_every_stored_witness_recomputes_its_deviation(kind):
+    # a law with no witness never deviated; every other witness is the
+    # draw whose deviation is the reported maximum, to the last bit
+    row = law_table(50, 4, np.random.default_rng(36))[kind]
+    assert set(row) == set(_DEVIATION_AT)
+    for law, rep in row.items():
+        if rep.witness is None:
+            assert rep.max_deviation == 0.0, law
+        else:
+            assert _DEVIATION_AT[law](BinaryOp(kind), *rep.witness) == rep.max_deviation, law
+    assert any(rep.witness is not None for rep in row.values())
 
 
 def test_law_table_shape():

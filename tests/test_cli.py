@@ -182,6 +182,25 @@ def test_inertia_validates_its_matrix_as_check_does(capsys):
             assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("matrix, cls, settings, message", [
+    ("[[NaN]]", "pos_diag", (), "matrix contains non-finite entries"),
+    ("[[1,2,3]]", "pos_diag", (), "matrix must be square, got shape (1, 3)"),
+    ("[[1,0],[0,1]]", '{"kind": "pos_diag", "n": 3}', (),
+     "matrix order does not match class order"),
+    ("[[1,0],[0,1]]", "pos_diag", ("--seed", "-1"), "seed must be an integer >= 0"),
+])
+def test_every_query_command_rejects_an_invalid_query_as_check_does(
+        capsys, matrix, cls, settings, message):
+    # plot once drew an empty cloud for [[NaN]] and exited 0; stabilize
+    # and plot reported numpy's "operand shapes ... are incompatible" for
+    # a class of another order; check and total accepted seed -1
+    for command in ("check", "falsify", "stabilize", "total", "plot"):
+        code = main([command, "--matrix", matrix, "--region", "rhp", "--class", cls,
+                     "--op", "mul", *settings])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (64, "", f"error: {message}\n"), command
+
+
 def test_certify_subcommand(files, capsys):
     code, out = run(capsys, "certify", "--matrix", files["id2"],
                     "--kind", "diagonal")

@@ -70,6 +70,37 @@ def test_query_rejects_a_negative_or_non_finite_tol(tol):
     assert decide(q).status is VerdictStatus.CERTIFIED
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", -1), ("seed", 2.5), ("seed", "7"), ("budget", 2.5), ("budget", "100"),
+])
+def test_query_rejects_a_seed_or_budget_that_is_not_an_integer_in_range(field, value):
+    # seed=-1 once failed partway through decide with numpy's "expected
+    # non-negative integer", and budget=2.5 in falsify with a TypeError
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= "):
+        Query(np.eye(2), RHP, classes.pos_diag(2), MUL, **{field: value})
+    q = Query(np.eye(2), RHP, classes.pos_diag(2), MUL, budget=np.int64(5), seed=np.int64(0))
+    assert decide(q).status is VerdictStatus.CERTIFIED
+
+
+@pytest.mark.parametrize("a, cls, settings, message", [
+    ([[np.nan]], classes.diag(1), {}, "matrix contains non-finite entries"),
+    ([[1.0, 2.0, 3.0]], classes.diag(1), {}, r"matrix must be square, got shape \(1, 3\)"),
+    (np.eye(2), classes.diag(3), {}, "matrix order does not match class order"),
+    (np.eye(2), classes.explicit_list([np.eye(3)]), {},
+     "matrix order does not match class order"),
+    (np.eye(2), classes.diag(2), {"seed": -1}, "seed must be an integer >= 0"),
+    (np.eye(2), classes.diag(2), {"budget": 2.5}, "budget must be an integer >= 1"),
+])
+def test_stabilize_and_inertia_preserving_validate_as_query_does(a, cls, settings, message):
+    # a class of another order once reached numpy's "operand shapes
+    # (1, 3, 3) and (2, 2) are incompatible"
+    for call in (lambda: Query(a, RHP, cls, MUL, **settings),
+                 lambda: stabilize(a, RHP, cls, MUL, **settings),
+                 lambda: inertia_preserving(a, cls, MUL, RHP, **settings)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
 def test_decide_refutes_non_d_stable():
     q = Query(NOT_D_STABLE, RHP, classes.pos_diag(2), MUL, budget=100_000, seed=1)
     v = decide(q)
@@ -543,6 +574,21 @@ def test_transfer_op_inverse_requires_nonsingular():
               budget=10, seed=1)
     with pytest.raises(SingularOperatorError):
         transform_query(q, Transform(TransformKind.OP_INVERSE))
+
+
+@pytest.mark.parametrize("s", [np.zeros((2, 2)), np.array([[1.0, 2.0], [2.0, 4.0]])])
+def test_a_singular_similarity_raises_singular_operator_error(s):
+    # numpy's LinAlgError once escaped, where the op-inverse branch
+    # raised SingularOperatorError
+    tf = Transform(TransformKind.SIMILARITY, s=s)
+    with pytest.raises(SingularOperatorError, match="^similarity matrix is singular$"):
+        engine.transform_matrix(np.eye(2), tf, MUL)
+    # the transfer rejects such an s before it inverts anything
+    q = Query(np.eye(2), RHP, classes.pos_diag(2), MUL, budget=100, seed=1)
+    vt = transfer_verdict(decide(q), q, tf)
+    assert vt.provenance == (
+        "transfer (similarity): theorem inapplicable: similarity matrix must be a "
+        "permutation or a nonsingular diagonal",)
 
 
 def test_similarity_of_another_order_is_inapplicable():
