@@ -26,7 +26,13 @@ order: both run ``_proofs``, and every witness is verified by
 ``_verified``.  ``exhaust`` is the one enumeration of a finite class:
 the engine's enumeration stage and verdict transfer turn its result
 into a verdict, and an ``EXHAUSTIVE`` certificate verifies by running
-it again.
+it again.  Where a member and its negation exit together (vertex
+diagonals under multiplication or the entrywise product, in a region
+symmetric about 0 such as the unit disk), it composes only the first
+member of each +/- pair: the negation of a member comes later in the
+enumeration order, so the first exit, the one that refutes, is the
+same, and only an exhaustive certificate's ``min_eig`` can move, by
+rounding, as ``eigvals(-M)`` is ``-eigvals(M)`` only up to rounding.
 
 One search serves every searched kind: the diagonal, block-scalar and
 Stein forms over positive (block-scalar) diagonals, a plain diagonal
@@ -537,31 +543,58 @@ class Exhaustion(NamedTuple):
 
 def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exhaustion:
     """Check ``G o A`` against the region for the members ``G`` of the
-    finite class ``cls`` in enumeration order, 256 to a stack, up to the
-    first that exits by more than ``tol`` (``regions.first_exit``).  A
-    member whose composition overflows is skipped
-    (``algebra.finite_spectra``) and counted in ``overflowed``.  The
-    ``hit`` is that exit as (member index, member, eigenvalue, margin),
-    or None; without one, ``checked`` counts the members, ``boundary``
-    says whether one of the others left an eigenvalue off the interior,
-    and ``min_score`` is their eigenvalues' smallest interior score."""
+    finite class ``cls`` in enumeration order, up to the first that
+    exits by more than ``tol`` (``regions.first_exit``), in stacks of 8
+    members that double up to 256, so that an early exit costs few
+    solves.  A member whose composition overflows is skipped
+    (``algebra.finite_spectra``) and counted in ``overflowed``.
+
+    Where a member and its negation exit together, only the first half
+    of the ``2^n`` members is composed.  That holds over vertex
+    diagonals, which ``G -> -G`` maps onto themselves, under
+    multiplication on either side or the entrywise product, where
+    ``(-G) o A = -(G o A)``, and in a region that -1 maps into itself
+    (``regions.scalar_preserves_region``: the unit disk, the real axis,
+    the nonzero-real-part region, the punctured plane and Hill regions
+    of one even degree).  Member ``j``'s negation is member
+    ``2^n - 1 - j``, so the first exit in order always lies in the
+    first half, with the same index, member, eigenvalue and margin.
+    The second half would repeat the first's boundary and scores up to
+    rounding, and its counts equal the first's.
+
+    The ``hit`` is that exit as (member index, member, eigenvalue,
+    margin), or None.  ``checked`` counts the members before the exit,
+    or all of them without one, and ``overflowed`` those of them
+    skipped; without an exit, ``boundary`` says whether a member left an
+    eigenvalue off the interior and ``min_score`` is the eigenvalues'
+    smallest interior score."""
     members = classes.enumerate_members(cls)
+    paired = (cls.kind is ClassKind.VERTEX_DIAG and op.kind is not ADD.kind
+              and regions.scalar_preserves_region(region, -1.0))
+    if paired:
+        members = itertools.islice(members, cls.finite_size // 2)
     checked = overflowed = 0
     boundary, min_score = False, np.inf
-    while chunk := list(itertools.islice(members, 256)):
+    size = 8
+    while chunk := list(itertools.islice(members, size)):
         stack = np.stack(chunk)
         rows, ws = algebra.finite_spectra(op, stack, a)
-        overflowed += len(stack) - rows.size
         if rows.size:
             hit = regions.first_exit(region, ws, tol)
             if hit is not None:
-                j, lam, margin = int(rows[hit[0]]), hit[1], hit[2]
-                return Exhaustion((checked + j, stack[j], lam, margin), checked, boundary,
-                                  min_score, overflowed)
+                k, lam, margin = hit
+                j = int(rows[k])
+                # the j members before the hit in its stack, k of them finite
+                return Exhaustion((checked + j, stack[j], lam, margin), checked + j, boundary,
+                                  min_score, overflowed + j - k)
             flat = ws.ravel()
             boundary = boundary or not regions.spectrum_in_region(region, flat)
             min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
+        overflowed += len(stack) - rows.size
         checked += len(stack)
+        size = min(2 * size, 256)
+    if paired:
+        checked, overflowed = 2 * checked, 2 * overflowed
     return Exhaustion(None, checked, boundary, min_score, overflowed)
 
 

@@ -454,7 +454,8 @@ def _scale_rule(region: Region, lo: float, hi: float) -> bool:
 
 def scalar_preserves_region(region: Region, alpha: float) -> bool:
     """Pointwise variant: does multiplication by this one scalar map the
-    region into itself?  Used by the verdict-transfer machinery."""
+    region into itself?  Used by the verdict-transfer machinery, and at
+    -1 by ``certify.exhaust`` to enumerate one member of each +/- pair."""
     if alpha == 0.0:
         # alpha * z == 0 for every z; 0 is interior only for the disk
         # and the real axis among supported kinds.

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import reference_2d
 
-from dgstab import certify, classes, regions
-from dgstab.algebra import ADD, MUL, OpKind
+from dgstab import algebra, certify, classes, regions
+from dgstab.algebra import ADD, HADAMARD, MUL, BinaryOp, OpKind, Side
 from dgstab.certify import (
     _paired,
     CertKind,
@@ -23,7 +23,7 @@ from dgstab.certify import (
     verify_certificate,
 )
 from dgstab.classes import ClassKind, Partition
-from dgstab.engine import restrict_class
+from dgstab.engine import Query, VerdictStatus, decide, restrict_class
 from dgstab.errors import NonSymmetricError, UnsupportedClassError
 from dgstab.linalg import case_iii_coefficients, principal_submatrix
 
@@ -1209,3 +1209,78 @@ def test_a_stacked_restriction_rejects_its_failing_rows_alone():
         for k, failing in ((1, [(2,)]), (2, [(0, 2), (1, 2)])):
             got = _restrict_order(cert, a, rhp, classes.pos_diag(3), MUL, k)
             assert [s for s, rc in got.items() if rc is None] == failing
+
+
+def _composed(monkeypatch):
+    """A list that ``algebra.finite_spectra`` appends each composed
+    stack's member count to, for as long as ``monkeypatch`` holds."""
+    counts = []
+    real = algebra.finite_spectra
+
+    def spy(op, gs, a):
+        counts.append(len(gs))
+        return real(op, gs, a)
+
+    monkeypatch.setattr(algebra, "finite_spectra", spy)
+    return counts
+
+
+def test_exhaust_composes_one_member_of_each_pair_where_negation_pairs_them(monkeypatch):
+    cls, a = classes.vertex_diag(8), np.zeros((8, 8))
+    counts = _composed(monkeypatch)
+    # the disk holds G o 0 = 0 and G + 0 = G has spectrum {-1, 1} on its
+    # circle: nothing exits, so every member of the pass is composed
+    disk = regions.unit_disk()
+    for op in (MUL, BinaryOp(OpKind.MUL, Side.RIGHT), HADAMARD):
+        counts.clear()
+        r = certify.exhaust(a, disk, cls, op, 1e-7)
+        assert (r.hit, r.checked, r.boundary, r.overflowed) == (None, 256, False, 0), op
+        assert sum(counts) == 128, op
+    # 0 sits on the boundary of these regions, so no member exits either
+    odd_hill = regions.hill_region([[0.0, 0.5], [0.5, 0.0]])  # Re z > 0
+    for region, op in ((regions.right_half_plane(), MUL), (regions.left_half_plane(), MUL),
+                       (regions.sector(1.0), HADAMARD), (odd_hill, MUL), (disk, ADD)):
+        counts.clear()
+        r = certify.exhaust(a, region, cls, op, 1e-7)
+        assert (r.hit, r.checked, r.boundary) == (None, 256, True), (region.kind, op)
+        assert sum(counts) == 256, (region.kind, op)
+
+
+def test_exhaust_composes_at_most_twice_the_members_before_the_exit_plus_8(monkeypatch):
+    # stacks of 8, 16, ... 256 members: the stack that holds exit k starts
+    # at s <= k and ends at 2 s + 8, so at most 2 k + 8 members are
+    # composed, reached when the exit opens its stack
+    counts = _composed(monkeypatch)
+    disk, r = regions.unit_disk(), rng(3)
+    exits = set()
+    for _ in range(40):
+        n = int(r.integers(6, 11))
+        b = r.standard_normal((n, n))
+        a = b / max(abs(np.linalg.eigvals(b))) * r.uniform(0.6, 0.99)
+        counts.clear()
+        hit = certify.exhaust(a, disk, classes.vertex_diag(n), MUL, 1e-7).hit
+        if hit is not None:
+            exits.add(hit[0])
+            assert sum(counts) <= 2 * hit[0] + 8, (hit[0], counts)
+            assert sum(counts) < 2 * hit[0] + 8 or hit[0] in (0, 8, 24, 56, 120, 248)
+    assert len(exits) >= 5 and max(exits) >= 8, exits
+
+
+def test_exhaust_counts_the_members_before_an_exit_alone():
+    # member 0 overflows, member 1 is inside the disk and member 2 exits:
+    # the counts stop at the exit, whatever the stack size
+    lst = classes.explicit_list([1e308 * np.eye(2), 0.05 * np.eye(2), 4.0 * np.eye(2),
+                                 np.eye(2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = certify.exhaust(10.0 * np.eye(2), regions.unit_disk(), lst, MUL, 1e-7)
+    assert r.hit[0] == 2 and (r.checked, r.overflowed) == (2, 1)
+    assert not r.boundary and r.min_score > 0
+
+
+def test_a_vertex_class_of_order_one_certifies_both_members():
+    v = decide(Query(np.array([[0.5]]), regions.unit_disk(), classes.vertex_diag(1), MUL))
+    assert v.status is VerdictStatus.CERTIFIED
+    assert v.certificate.members_checked == 2
+    assert v.provenance[-1] == "exhaustive enumeration certified 2 members"
+    assert verify_certificate(v.certificate, [[0.5]])

@@ -9,6 +9,11 @@ operations, the engine's enumeration stage must return the old verdict
 byte for byte, and ``verify_certificate`` the old answer, including for
 a tampered ``members_checked``.  The inputs certify, refute and are
 blocked by boundary eigenvalues.
+
+On unit-disk vertex inputs at n = 9..12, where the scan composes one
+member of each +/- pair, refutations must still match byte for byte;
+a certified verdict's ``min_eig`` may differ in its last bits, as
+``eigvals(-M)`` equals ``-eigvals(M)`` only up to rounding.
 """
 
 import itertools
@@ -157,3 +162,40 @@ def test_enumeration_stage_and_verification_agree_with_the_old_loops():
             verified += ok
     assert all(seen.values()), seen
     assert verified > 0
+
+
+def _disk_vertex_inputs():
+    """Twenty seeded (a, certifies) pairs at n = 9..12: a random matrix
+    scaled by its largest spectral radius over the sign diagonals, to
+    0.95 of it where every member stays inside the unit disk, and
+    otherwise to the middle of the gap between its own radius and that
+    largest one, so that some members leave the disk and others do
+    not."""
+    r = np.random.default_rng(29)
+    for i in range(20):
+        n = 9 + i % 4
+        b = r.standard_normal((n, n))
+        members = np.stack(list(classes.enumerate_members(classes.vertex_diag(n))))
+        worst = abs(np.linalg.eigvals(members @ b)).max()
+        own = abs(np.linalg.eigvals(b)).max()
+        yield (b * (0.95 / worst), True) if i % 2 else (b * (2.0 / (own + worst)), False)
+
+
+def test_paired_vertex_enumeration_agrees_with_the_old_loop():
+    disk = regions.unit_disk()
+    seen = set()
+    for a, certifies in _disk_vertex_inputs():
+        cls = classes.vertex_diag(a.shape[0])
+        old = _old_exhaustive_check(a, disk, cls, MUL, 1e-7)
+        new = engine._exhaustive_check(Query(a, disk, cls, MUL, tol=1e-7))
+        assert new.status is old.status
+        assert (old.status is VerdictStatus.CERTIFIED) is certifies, a.shape
+        seen.add(new.status)
+        if new.status is VerdictStatus.REFUTED:
+            assert _json(new) == _json(old)
+            continue
+        assert new.provenance == old.provenance
+        assert new.certificate.members_checked == old.certificate.members_checked
+        np.testing.assert_allclose(new.certificate.min_eig, old.certificate.min_eig,
+                                   rtol=1e-12, atol=0.0)
+    assert seen == {VerdictStatus.CERTIFIED, VerdictStatus.REFUTED}
