@@ -17,12 +17,29 @@ cell is a value (a bool; an operation kind or None for
 ``row_scaling``), or a predicate where the answer depends on the class's
 parameters.  Read it through ``MatrixClass.fact(name)``.
 
-Sampler distributions: diagonal magnitudes are log-uniform on
-[1e-3, 1e3] to stress scale separation; dense symmetric positive
-definite draws use ``B^T B + 1e-6 max_i (B^T B)_ii I`` with Gaussian ``B``
-(``B^T B`` block by block where the class fixes blocks); positive
-low-rank draws sum rank-one outer products of entrywise-positive
-vectors with entries uniform on (0.1, 10).
+Every kind is also reached through its parameters, in the table
+``_PARAMS``: ``draw`` gives a (count, dim) array of them, ``decode`` the
+(count, n, n) members, and the move rule the values that
+``coordinate_moves`` tries for one coordinate at step ``s``.
+``sample_batch`` decodes draws; ``engine.stabilize`` descends on the
+falsifier's own parameters.  L is log-uniform on [1e-3, 1e3], to stress
+scale separation; U is uniform, and B and g are Gaussian:
+
+  kind                   parameters          decode            moves
+  pos_diag               log10 of L          diag(10^p)        p +- s
+  theta_ordered          log10 of L          10^p sorted       p +- s
+  diag, sign_diag        +-L (sign_diag:     diag(p)           p (1+s), p/(1+s),
+                         the class's signs)                    then -p for diag
+  vertex_diag            +-1                 diag(p)           -p
+  (pos_)alpha_scalar     (+-)L per block     p on each block   as (sign_)diag
+  box_diag               U(lo, hi)           clipped inside    p +- s (hi - lo)
+  parametric_rank_one    tau, U(tau range)   tau x y^T         p +- s span, in range
+  symmetric              triu of g + g^T     symmetric fill    p +- s (|p| + 1)
+  spd, alpha_block_spd   B for each block    B^T B + 1e-6 I    as symmetric, on
+                                             max diag          B's upper triangle
+  rank_k_positive,       factors u, v,       sum u_k v_k^T     p 10^(+-s (|log10 p|
+  sum_rank_one_positive  U(0.1, 10)                            + 1))
+  explicit_list          member index        that member       none
 """
 
 from __future__ import annotations
@@ -64,6 +81,9 @@ __all__ = [
     "contains",
     "are_members",
     "class_groups",
+    "draw",
+    "decode",
+    "coordinate_moves",
     "sample",
     "sample_batch",
     "enumerate_members",
@@ -341,6 +361,10 @@ def _member_arrays(c: MatrixClass) -> list[np.ndarray]:
     return [np.array(m, dtype=float) for m in c.members]
 
 
+def _blocks(c: MatrixClass):  # an SPD kind's blocks; SPD is the one-block case
+    return c.partition.blocks if c.partition else (range(c.order),)
+
+
 def _offdiag_within(absm: np.ndarray, thr: np.ndarray) -> np.ndarray:
     """Per matrix of the stack of magnitudes ``absm`` (overwritten):
     whether every off-diagonal entry is at most its row's ``thr``."""
@@ -365,7 +389,7 @@ def _member_rows(c: MatrixClass, m: np.ndarray, tol: float) -> np.ndarray:
         # SPD is the one-block case; halves first, so that nothing
         # overflows near the float limit
         mask = np.zeros((c.order, c.order), dtype=bool)
-        for block in c.partition.blocks if c.partition else (range(c.order),):
+        for block in _blocks(c):
             sel = np.asarray(block)
             mask[np.ix_(sel, sel)] = True
         half = 0.5 * m
@@ -487,68 +511,162 @@ def _log_uniform(rng: np.random.Generator, shape) -> np.ndarray:
     return 10.0 ** rng.uniform(*_LOG_RANGE, size=shape)
 
 
+def _diagonals(c: MatrixClass, vals: np.ndarray) -> np.ndarray:
+    out = np.zeros((len(vals), c.order, c.order))
+    out.reshape(len(vals), c.order ** 2)[:, ::c.order + 1] = vals
+    return out
+
+
+def _sym_draw(c: MatrixClass, rng, count: int) -> np.ndarray:
+    g = rng.standard_normal((count, c.order, c.order))
+    return (g + np.swapaxes(g, 1, 2))[:, np.triu(np.ones((c.order, c.order), bool))]
+
+
+def _sym_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
+    at = np.zeros((c.order, c.order), dtype=int)  # the parameter at (i, j), i <= j
+    at[np.triu(np.ones(at.shape, bool))] = np.arange(p.shape[1])
+    return p[:, at + np.triu(at, 1).T]
+
+
+def _spd_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
+    # the shift puts every member's smallest eigenvalue above 1e-7 times
+    # its largest diagonal entry, which is what contains(c, g, 1e-7) asks
+    out, start = np.zeros((len(p), c.order, c.order)), 0
+    for sel in map(np.asarray, _blocks(c)):
+        b = p[:, start:start + sel.size ** 2].reshape(-1, sel.size, sel.size)
+        out[:, sel[:, None], sel] = np.swapaxes(b, 1, 2) @ b
+        start += sel.size ** 2
+    shift = 1e-6 * out.diagonal(axis1=1, axis2=2).max(axis=1)
+    return out + shift[:, None, None] * np.eye(c.order)
+
+
+def _theta_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
+    vals = np.zeros(p.shape)
+    vals[:, c.theta] = np.sort(10.0 ** p, axis=1)[:, ::-1]
+    return _diagonals(c, vals)
+
+
+def _block_values(c: MatrixClass, p: np.ndarray) -> np.ndarray:
+    return _diagonals(c, p[:, [j for j, b in enumerate(c.partition.blocks) for _ in b]])
+
+
+def _box_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
+    eps = 1e-9 * (np.asarray(c.hi) - c.lo)
+    return _diagonals(c, np.clip(p, c.lo + eps, c.hi - eps))
+
+
+def _steps(step):  # the moves to p[i] +- s step(c, p, i)
+    def moves(c: MatrixClass, p: np.ndarray, i: int, s: float):
+        delta = s * step(c, p, i)
+        return p[i] + delta, p[i] - delta
+    return moves
+
+
+def _scalings(flip: bool):  # the moves to p[i] (1 + s), p[i] / (1 + s), then -p[i] if flip
+    return lambda c, p, i, s: (p[i] * (1.0 + s), p[i] / (1.0 + s)) + ((-p[i],) if flip else ())
+
+
+_unit_steps = _steps(lambda c, p, i: 1.0)
+_dense_steps = _steps(lambda c, p, i: abs(p[i]) + 1.0)
+_tau_steps = _steps(lambda c, p, i: max(c.tau[1] - c.tau[0], 1e-12))
+
+
+def _spd_moves(c: MatrixClass, p: np.ndarray, i: int, s: float):
+    # B^T B = R^T R for the triangular R of B = QR, so B's upper
+    # triangle reaches every member; moving every entry lost finds
+    upper = [r <= q for b in _blocks(c) for r in range(len(b)) for q in range(len(b))]
+    return _dense_steps(c, p, i, s) if upper[i] else ()
+
+
+def _log_steps(c: MatrixClass, p: np.ndarray, i: int, s: float):
+    # the step +-s (|x| + 1) of the exponent x = log10 p[i], taken on p[i]
+    f = 10.0 ** (s * (abs(np.log10(p[i])) + 1.0))
+    return p[i] * f, p[i] / f
+
+
+class _Params(NamedTuple):
+    draw: Callable  # (c, rng, count) -> (count, dim) parameters
+    decode: Callable  # (c, params) -> (count, n, n) members
+    moves: Callable  # (c, p, i, s) -> the values p[i] moves to at step s, in order
+
+
+_SPD = _Params(
+    lambda c, rng, k: np.hstack([rng.standard_normal((k, len(b) ** 2)) for b in _blocks(c)]),
+    _spd_decode, _spd_moves)
+_RANK = _Params(  # the factors u, then v
+    lambda c, rng, k: np.hstack(rng.uniform(0.1, 10.0, (2, k, c.rank * c.order))),
+    lambda c, p: np.einsum("cki,ckj->cij",
+                           *p.reshape(len(p), 2, c.rank, c.order).swapaxes(0, 1)),
+    _log_steps)
+
+
+#: The parameters of each kind, as the module docstring lists them; read
+#: them through ``draw``, ``decode`` and ``coordinate_moves``.
+_PARAMS = {
+    ClassKind.SYMMETRIC: _Params(_sym_draw, _sym_decode, _dense_steps),
+    ClassKind.SPD: _SPD,
+    ClassKind.ALPHA_BLOCK_SPD: _SPD,
+    ClassKind.DIAG: _Params(
+        lambda c, rng, k: (rng.choice([-1.0, 1.0], (k, c.order))
+                           * _log_uniform(rng, (k, c.order))),
+        _diagonals, _scalings(True)),
+    ClassKind.POS_DIAG: _Params(lambda c, rng, k: rng.uniform(*_LOG_RANGE, (k, c.order)),
+                                lambda c, p: _diagonals(c, 10.0 ** p), _unit_steps),
+    ClassKind.SIGN_DIAG: _Params(
+        lambda c, rng, k: np.asarray(c.signs, dtype=float) * _log_uniform(rng, (k, c.order)),
+        _diagonals, _scalings(False)),
+    ClassKind.ALPHA_SCALAR: _Params(
+        lambda c, rng, k: (_log_uniform(rng, (k, len(c.partition.blocks)))
+                           * rng.choice([-1.0, 1.0], (k, len(c.partition.blocks)))),
+        _block_values, _scalings(True)),
+    ClassKind.POS_ALPHA_SCALAR: _Params(
+        lambda c, rng, k: _log_uniform(rng, (k, len(c.partition.blocks))),
+        _block_values, _scalings(False)),
+    ClassKind.THETA_ORDERED: _Params(lambda c, rng, k: rng.uniform(*_LOG_RANGE, (k, c.order)),
+                                     _theta_decode, _unit_steps),
+    ClassKind.BOX_DIAG: _Params(lambda c, rng, k: rng.uniform(c.lo, c.hi, (k, c.order)),
+                                _box_decode, _steps(lambda c, p, i: c.hi[i] - c.lo[i])),
+    ClassKind.VERTEX_DIAG: _Params(lambda c, rng, k: rng.choice([-1.0, 1.0], (k, c.order)),
+                                   _diagonals, lambda c, p, i, s: (-p[i],)),
+    ClassKind.RANK_K_POSITIVE: _RANK,
+    ClassKind.SUM_RANK_ONE_POSITIVE: _RANK,
+    ClassKind.PARAMETRIC_RANK_ONE: _Params(
+        lambda c, rng, k: rng.uniform(*c.tau, (k, 1)),
+        lambda c, p: np.clip(p[:, :1, None], *c.tau) * np.outer(c.x, c.y),
+        lambda c, p, i, s: np.clip(_tau_steps(c, p, i, s), *c.tau)),
+    ClassKind.EXPLICIT_LIST: _Params(
+        lambda c, rng, k: rng.integers(0, len(c.members), (k, 1)),
+        lambda c, p: np.stack(_member_arrays(c))[p[:, 0]], lambda c, p, i, s: ()),
+}
+
+
+def draw(c: MatrixClass, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws of the class's parameters, as a (count, dim) array."""
+    return _PARAMS[c.kind].draw(c, rng, count)
+
+
+def decode(c: MatrixClass, params: np.ndarray) -> np.ndarray:
+    """The members that the rows of ``params`` stand for, as a (count, n, n) stack."""
+    return _PARAMS[c.kind].decode(c, params)
+
+
+def coordinate_moves(c: MatrixClass, p: np.ndarray, i: int, scale: float):
+    """Yield copies of the parameters ``p`` with coordinate ``i`` replaced
+    by each value of the kind's move rule at step ``scale``, in order."""
+    for value in _PARAMS[c.kind].moves(c, p, i, scale):
+        cand = p.copy()
+        cand[i] = value
+        yield cand
+
+
 def sample_batch(c: MatrixClass, rng: np.random.Generator, count: int) -> np.ndarray:
-    """Draw ``count`` members as a (count, n, n) stack.
+    """Draw ``count`` members as a (count, n, n) stack: ``decode(draw)``.
 
     Deterministic given the generator state; every draw satisfies
     ``contains``, at tolerances up to 1e-7 (the engine re-checks
     witnesses at 1e-7).
     """
-    n = c.order
-    k = c.kind
-    out = np.zeros((count, n, n))
-
-    if k is ClassKind.SYMMETRIC:
-        g = rng.standard_normal((count, n, n))
-        return g + np.swapaxes(g, 1, 2)
-    if k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
-        # SPD is the one-block case; the shift puts every draw's smallest
-        # eigenvalue above 1e-7 times its largest diagonal entry, which
-        # is what contains(c, g, 1e-7) asks of it
-        for block in c.partition.blocks if c.partition else (range(n),):
-            sel = np.asarray(block)
-            b = rng.standard_normal((count, sel.size, sel.size))
-            out[np.ix_(range(count), sel, sel)] = np.swapaxes(b, 1, 2) @ b
-        shift = 1e-6 * out.diagonal(axis1=1, axis2=2).max(axis=1)
-        return out + shift[:, None, None] * np.eye(n)
-    if k is ClassKind.DIAG:
-        vals = rng.choice([-1.0, 1.0], size=(count, n)) * _log_uniform(rng, (count, n))
-    elif k is ClassKind.POS_DIAG:
-        vals = _log_uniform(rng, (count, n))
-    elif k is ClassKind.SIGN_DIAG:
-        vals = np.asarray(c.signs, dtype=float) * _log_uniform(rng, (count, n))
-    elif k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR):
-        p = len(c.partition.blocks)
-        bvals = _log_uniform(rng, (count, p))
-        if k is ClassKind.ALPHA_SCALAR:
-            bvals = bvals * rng.choice([-1.0, 1.0], size=(count, p))
-        vals = np.zeros((count, n))
-        for j, block in enumerate(c.partition.blocks):
-            vals[:, np.asarray(block)] = bvals[:, j : j + 1]
-    elif k is ClassKind.THETA_ORDERED:
-        raw = np.sort(_log_uniform(rng, (count, n)), axis=1)[:, ::-1]
-        vals = np.zeros((count, n))
-        vals[:, np.asarray(c.theta)] = raw
-    elif k is ClassKind.BOX_DIAG:
-        vals = rng.uniform(np.asarray(c.lo), np.asarray(c.hi), size=(count, n))
-    elif k is ClassKind.VERTEX_DIAG:
-        vals = rng.choice([-1.0, 1.0], size=(count, n))
-    elif k in (ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-        u = rng.uniform(0.1, 10.0, size=(count, c.rank, n))
-        v = rng.uniform(0.1, 10.0, size=(count, c.rank, n))
-        return np.einsum("cki,ckj->cij", u, v)
-    elif k is ClassKind.PARAMETRIC_RANK_ONE:
-        taus = rng.uniform(c.tau[0], c.tau[1], size=count)
-        return taus[:, None, None] * np.outer(c.x, c.y)[None, :, :]
-    elif k is ClassKind.EXPLICIT_LIST:
-        refs = np.stack(_member_arrays(c))
-        return refs[rng.integers(0, len(refs), size=count)]
-    else:
-        raise AssertionError(k)
-
-    idx = np.arange(n)
-    out[:, idx, idx] = vals
-    return out
+    return decode(c, draw(c, rng, count))
 
 
 def sample(c: MatrixClass, rng: np.random.Generator) -> np.ndarray:

@@ -523,142 +523,18 @@ class StabilizeReport:
     evaluations: int
 
 
-def _coordinate_moves(step=None, clip=None, multiplicative=False, flip=False):
-    """moves(p, i, scale): copies of ``p`` whose coordinate ``i`` is
-    replaced, in this order, by ``p[i] + scale*step(p, i)`` and
-    ``p[i] - scale*step(p, i)`` (both clipped to the interval ``clip``,
-    if given), then ``p[i]*(1 + scale)`` and ``p[i]/(1 + scale)``, then
-    ``-p[i]``; each group only when it is enabled."""
-
-    def moves(p, i, scale):
-        values = []
-        if step is not None:
-            delta = scale * step(p, i)
-            values += [p[i] + delta, p[i] - delta]
-            if clip is not None:
-                values = [np.clip(v, *clip) for v in values]
-        if multiplicative:
-            values += [p[i] * (1.0 + scale), p[i] / (1.0 + scale)]
-        if flip:
-            values.append(-p[i])
-        for value in values:
-            cand = p.copy()
-            cand[i] = value
-            yield cand
-
-    return moves
-
-
-def _stabilize_params(cls: MatrixClass, rng):
-    """(init, decode, moves, dim) for coordinate descent over the
-    class's natural parameters: log10 entries of positive diagonals,
-    entries of the other diagonals, one value per partition block, the
-    rank-one coefficient, and the free entries of a symmetric matrix,
-    Cholesky factor or pair of log10 rank-k factors.  Every kind except
-    the explicit list, which ``stabilize`` enumerates, has one."""
-    n, k = cls.order, cls.kind
-
-    def sampled_diag():
-        return np.diag(classes.sample(cls, rng))
-
-    if k in (ClassKind.POS_DIAG, ClassKind.THETA_ORDERED):
-        theta = None if cls.theta is None else np.asarray(cls.theta)
-
-        def decode(p):
-            if theta is None:
-                return np.diag(10.0 ** p)
-            d = np.zeros(n)
-            d[theta] = np.sort(10.0 ** p)[::-1]
-            return np.diag(d)
-
-        return (lambda: np.log10(sampled_diag()), decode,
-                _coordinate_moves(step=lambda p, i: 1.0), n)
-
-    if k in (ClassKind.DIAG, ClassKind.SIGN_DIAG, ClassKind.VERTEX_DIAG):
-        # sign flips are the only moves that keep vertex entries at +-1;
-        # for general diagonals they jump the search across orthants
-        moves = _coordinate_moves(multiplicative=k is not ClassKind.VERTEX_DIAG,
-                                  flip=k is not ClassKind.SIGN_DIAG)
-        return sampled_diag, np.diag, moves, n
-
-    if k in (ClassKind.ALPHA_SCALAR, ClassKind.POS_ALPHA_SCALAR):
-        blocks = cls.partition.blocks
-        block_of = np.repeat(np.arange(len(blocks)), [len(b) for b in blocks])
-        firsts = [b[0] for b in blocks]
-        moves = _coordinate_moves(multiplicative=True,
-                                  flip=k is ClassKind.ALPHA_SCALAR)
-        return (lambda: sampled_diag()[firsts], lambda p: np.diag(p[block_of]),
-                moves, len(blocks))
-
-    if k is ClassKind.BOX_DIAG:
-        lo, hi = np.asarray(cls.lo), np.asarray(cls.hi)
-        width = hi - lo
-        eps = 1e-9 * width
-        return (sampled_diag, lambda p: np.diag(np.clip(p, lo + eps, hi - eps)),
-                _coordinate_moves(step=lambda p, i: width[i]), n)
-
-    if k is ClassKind.PARAMETRIC_RANK_ONE:
-        outer = np.outer(cls.x, cls.y)
-        lo, hi = cls.tau
-        span = max(hi - lo, 1e-12)
-        return (lambda: np.array([rng.uniform(lo, hi)]),
-                lambda p: float(np.clip(p[0], lo, hi)) * outer,
-                _coordinate_moves(step=lambda p, i: span, clip=(lo, hi)), 1)
-
-    if k is ClassKind.SYMMETRIC:
-        iu = np.triu_indices(n)
-
-        def init():
-            return classes.sample(cls, rng)[iu]
-
-        def decode(p):
-            m = np.zeros((n, n))
-            m[iu] = p
-            return m + np.triu(m, 1).T
-
-    elif k in (ClassKind.SPD, ClassKind.ALPHA_BLOCK_SPD):
-        il = np.tril_indices(n)
-        mask = np.zeros((n, n), dtype=bool)
-        for b in cls.partition.blocks if cls.partition else (range(n),):
-            mask[np.ix_(b, b)] = True
-
-        def init():
-            g = classes.sample(cls, rng)
-            return np.linalg.cholesky(g + 1e-9 * np.eye(n))[il]
-
-        def decode(p):
-            ell = np.zeros((n, n))
-            ell[il] = p
-            ell = np.where(np.tril(mask), ell, 0.0)
-            return ell @ ell.T + 1e-10 * np.eye(n)
-
-    elif k in (ClassKind.RANK_K_POSITIVE, ClassKind.SUM_RANK_ONE_POSITIVE):
-        r = cls.rank
-
-        def init():
-            return np.log10(rng.uniform(0.1, 10.0, size=2 * r * n))
-
-        def decode(p):
-            u = (10.0 ** p[: r * n]).reshape(r, n)
-            v = (10.0 ** p[r * n :]).reshape(r, n)
-            return np.einsum("ki,kj->ij", u, v)
-
-    else:
-        raise AssertionError(k)
-    # the dimension probe len(init()) draws one start from rng and drops
-    # it; every later draw depends on it
-    moves = _coordinate_moves(step=lambda p, i: abs(p[i]) + 1.0)
-    return init, decode, moves, len(init())
-
-
 def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
               budget: int = 10_000, seed: int = 42) -> StabilizeReport:
     """Search the class for one member whose composition with ``a`` is
     region-stable: random multi-start plus coordinate descent on the
     summed exterior margin, or a scan of an explicit list's first
-    ``budget`` members.  A found witness is re-verified before it is
-    returned.  A member whose composition overflows has infinite loss
-    and never verifies."""
+    ``budget`` members.  The descent searches the parameters that the
+    falsifier's draws decode (``classes.draw``): each start is one
+    draw, each step tries ``classes.coordinate_moves`` one coordinate
+    at a time, and the step halves after a sweep that lowers nothing.
+    A found witness is re-verified before it is returned.  A member
+    whose composition overflows has infinite loss and never
+    verifies."""
     a = Query(a, region, cls, op, budget, seed).a
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     req = 2.0 * region.boundary_tol
@@ -688,10 +564,12 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
                 return StabilizeReport(True, g, evals)
         return StabilizeReport(False, None, evals)
 
-    init, decode, moves, dim = _stabilize_params(cls, rng)
+    def decode(p):
+        return classes.decode(cls, p[None])[0]
+
     evals = 0
     while evals < budget:
-        p = np.asarray(init(), dtype=float)
+        p = classes.draw(cls, rng, 1)[0]
         loss = loss_of(decode(p))
         evals += 1
         if loss == 0.0 and verified(decode(p)):
@@ -699,8 +577,8 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
         scale = 0.5
         while evals < budget and scale > 1e-3:
             improved = False
-            for i in range(dim):
-                for cand in moves(p, i, scale):
+            for i in range(p.size):
+                for cand in classes.coordinate_moves(cls, p, i, scale):
                     if evals >= budget:
                         break
                     cand_loss = loss_of(decode(cand))

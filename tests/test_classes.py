@@ -16,7 +16,10 @@ from dgstab.classes import (
     chain_memberships,
     closure_probe,
     contains,
+    coordinate_moves,
+    decode,
     diag,
+    draw,
     enumerate_members,
     explicit_list,
     identity_element,
@@ -155,6 +158,57 @@ def test_spd_draws_pass_membership_at_the_witness_tolerance(n):
     for cls in (spd(n), alpha_block_spd(part)):
         for g in sample_batch(cls, np.random.default_rng(n), 2000):
             assert contains(cls, g, 1e-7), cls.kind
+
+
+def _kinds_of_order(n):
+    """One class of every kind at any order n >= 1 (``all_kinds`` needs
+    n >= 3), with uneven parameters."""
+    part = Partition.from_sizes([s for s in (n // 2, n - n // 2) if s])
+    return [
+        symmetric(n), spd(n), alpha_block_spd(part), diag(n), pos_diag(n),
+        sign_diag([(1, -1, 0)[i % 3] for i in range(n)]), alpha_scalar(part),
+        pos_alpha_scalar(part), theta_ordered(np.random.default_rng(n).permutation(n)),
+        box_diag([-1.0 - i for i in range(n)], [0.5 + i for i in range(n)]),
+        vertex_diag(n), rank_k_positive(n, min(2, n)),
+        sum_rank_one_positive(n, max(1, n - 1)),
+        parametric_rank_one(np.arange(1.0, n + 1.0), [0.5] * n, (-2.0, 3.0)),
+        explicit_list([np.eye(n), -2.0 * np.eye(n), np.ones((n, n))]),
+    ]
+
+
+def test_the_sampler_is_the_case_analysis_bit_for_bit():
+    # sample_batch decodes the parameter table's draws; the per-kind
+    # sampler it replaced must return the same stack, bit for bit, and
+    # leave the generator in the same state
+    import reference_sampler
+
+    for n in (1, 2, 3, 5, 8):
+        cases = _kinds_of_order(n)
+        assert {c.kind for c in cases} == set(ClassKind)
+        for cls, seed, count in itertools.product(cases, range(5), (0, 1, 7, 512)):
+            mine, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = sample_batch(cls, mine, count)
+            want = reference_sampler.sample_batch(cls, ref, count)
+            case = (cls.kind, n, seed, count)
+            assert got.shape == want.shape == (count, n, n), case
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), case
+            assert mine.bit_generator.state == ref.bit_generator.state, case
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_decoded_draws_and_their_moves_are_members(n):
+    # stabilize searches the table's parameters: every draw it starts
+    # from and every candidate one move away must pass the test that
+    # it re-checks witnesses with
+    for cls in _kinds_of_order(n):
+        params = draw(cls, np.random.default_rng(n), 50)
+        assert params.ndim == 2 and len(params) == 50, cls.kind
+        cands = [c for p in params for i in range(p.size)
+                 for scale in (0.5, 1e-3) for c in coordinate_moves(cls, p, i, scale)]
+        members = [*decode(cls, params), *(decode(cls, np.stack(cands)) if cands else ())]
+        assert len(members) > 50 or cls.kind is ClassKind.EXPLICIT_LIST, cls.kind
+        for m in members:
+            assert contains(cls, m, 1e-7), (cls.kind, m)
 
 
 def test_sample_is_deterministic_given_stream():

@@ -387,7 +387,11 @@ def test_stabilize_skips_compositions_that_overflow():
 @pytest.mark.parametrize("op", [MUL, dg.ADD], ids=["mul", "add"])
 @pytest.mark.parametrize("cls", [
     classes.pos_diag(2), classes.theta_ordered((0, 1)), classes.symmetric(2),
-    classes.rank_k_positive(2, 2), classes.sum_rank_one_positive(2, 2)],
+    classes.rank_k_positive(2, 2), classes.sum_rank_one_positive(2, 2), classes.spd(2),
+    classes.alpha_block_spd(classes.Partition.from_sizes([1, 1])), classes.diag(2),
+    classes.sign_diag([1, 1]), classes.alpha_scalar(classes.Partition.from_sizes([1, 1])),
+    classes.pos_alpha_scalar(classes.Partition.from_sizes([1, 1])),
+    classes.box_diag([0.0, 0.0], [4.0, 4.0])],
     ids=lambda c: c.kind.value)
 def test_stabilize_decodes_the_parametrization_of_each_kind(cls, op):
     # every class has members near diag(3, 2), which stabilizes both:
@@ -805,6 +809,19 @@ def test_transfer_additive_inverse_on_disk():
     assert decide(transform_query(q_add, tf)).status is VerdictStatus.REFUTED
 
 
+def test_stabilize_reaches_a_member_of_spd_at_the_witness_tolerance():
+    # its descent once decoded SPD parameters as L L^T + 1e-10 I, which
+    # the class's membership test does not accept: here it reached zero
+    # loss at a matrix with lambda_min / lambda_max about 2e-9, which
+    # fails contains at 1e-7, and no move could lower a loss of 0, so it
+    # spent all 1000 evaluations there and found nothing
+    a = np.random.default_rng(4).standard_normal((3, 4, 4))[2]  # its third 4x4 draw
+    rep = stabilize(a, RHP, classes.spd(4), MUL, budget=1000, seed=0)
+    assert rep.found and rep.evaluations < 1000
+    assert classes.contains(classes.spd(4), rep.witness, 1e-7)
+    assert check_region_stability(rep.witness @ a, RHP)
+
+
 def test_stabilize_dense_classes():
     # SPD witness class: any SPD times -I cannot be half-plane stable,
     # but SPD plus a shifted matrix can
@@ -1044,11 +1061,13 @@ def test_restrict_class_equals_the_factory_on_restricted_parameters():
 
 
 def test_stabilize_moves_per_kind():
-    # the candidate values of coordinate i at scale 0.5, in search order:
-    # additive steps, then multiplicative ones, then the sign flip
+    # the candidate values of coordinate i at scale 0.5, in search order,
+    # as the class's parameter table gives them: additive steps, then
+    # multiplicative ones, then the sign flip
     part = classes.Partition.from_sizes([1, 2])
     p_i = 2.0
     up, down, flip = p_i * 1.5, p_i / 1.5, -p_i
+    log_step = 10.0 ** (0.5 * (np.log10(p_i) + 1.0))
     cases = [
         (classes.pos_diag(3), [2.5, 1.5]),
         (classes.theta_ordered((2, 0, 1)), [2.5, 1.5]),
@@ -1062,26 +1081,34 @@ def test_stabilize_moves_per_kind():
         # step 0.5 * span 4, clipped to tau
         (classes.parametric_rank_one([1.0, 0.0, 0.0], [1.0, 0.0, 0.0], (-1.0, 3.0)),
          [3.0, 0.0]),
-        # dense kinds: step 0.5 * (|p_i| + 1)
+        # dense kinds: step 0.5 * (|p_i| + 1); the last coordinate of an
+        # SPD kind is on the diagonal of its last block's factor
         (classes.symmetric(3), [3.5, 0.5]),
         (classes.spd(3), [3.5, 0.5]),
         (classes.alpha_block_spd(part), [3.5, 0.5]),
-        (classes.rank_k_positive(3, 2), [3.5, 0.5]),
-        (classes.sum_rank_one_positive(3, 1), [3.5, 0.5]),
+        # the linear factors move by the step 0.5 * (|log10 p_i| + 1) of
+        # their exponents
+        (classes.rank_k_positive(3, 2), [p_i * log_step, p_i / log_step]),
+        (classes.sum_rank_one_positive(3, 1), [p_i * log_step, p_i / log_step]),
+        # stabilize scans a list; its member index has no moves
+        (classes.explicit_list([np.eye(3)]), []),
     ]
-    assert {cls.kind for cls, _ in cases} == set(classes.ClassKind) - {
-        classes.ClassKind.EXPLICIT_LIST}
+    assert {cls.kind for cls, _ in cases} == set(classes.ClassKind)
     for cls, expected in cases:
-        _, _, moves, dim = engine._stabilize_params(cls, np.random.default_rng(0))
+        dim = classes.draw(cls, np.random.default_rng(0), 1).shape[1]
         i = dim - 1
         p = np.arange(1.0, dim + 1.0)
         p[i] = p_i
         before = p.copy()
-        cands = list(moves(p, i, 0.5))
+        cands = list(classes.coordinate_moves(cls, p, i, 0.5))
         np.testing.assert_array_equal(p, before)
         assert [c[i] for c in cands] == expected, cls.kind
         for c in cands:
             np.testing.assert_array_equal(np.delete(c, i), np.delete(p, i))
+    # only the upper triangle of each SPD block's factor B moves: spd(3)
+    # has B[1, 0] at 3, and the 2x2 block of alpha_block_spd at 1 + 2
+    for cls in (classes.spd(3), classes.alpha_block_spd(part)):
+        assert list(classes.coordinate_moves(cls, np.arange(1.0, 10.0), 3, 0.5)) == []
 
 
 def test_identity_check_solves_one_spectrum(monkeypatch):
