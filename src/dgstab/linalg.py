@@ -8,12 +8,11 @@ Everything here is a pure function of immutable inputs: arrays are
 validated, never mutated, and no module state exists, so all operations
 are safe to call concurrently.
 
-The equation solvers vectorize to a dense ``n^2 x n^2`` linear system,
-which keeps them simple and exact at the package's declared scope
-(``n <= 32``); they are not meant for large-scale use.  One LU
-factorization of that system both solves it and judges it singular: a
-probed 1-norm estimate of its reciprocal condition number, taken from
-the same solve, must reach ``RCOND_SINGULAR``.
+The equation solvers write the operator on symmetric matrices as a dense
+system in the ``n(n+1)/2`` unknowns ``h_kl``, ``k <= l``: simple and exact
+at the declared scope (``n <= 32``).  One LU factorization both solves it
+and judges it singular: a probed 1-norm rcond estimate of that restricted
+operator, taken from the same solve, must reach ``RCOND_SINGULAR``.
 """
 
 from __future__ import annotations
@@ -181,32 +180,49 @@ def _require_symmetric(w, name: str) -> np.ndarray:
     return 0.5 * w + 0.5 * w.T
 
 
-def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int, e: int = 0) -> np.ndarray:
-    """Solve ``op @ vec(H) = vec(W)`` and return symmetrized ``H / 2^e``.
+def _symmetric_operator(n_, m_, k, l) -> np.ndarray:
+    """The matrix of ``X -> N X M^T + M X N^T`` on symmetric ``X``, in the
+    coordinates ``x_kl`` of ``k, l = np.triu_indices(n)``: its entry at
+    row ``(i, j)`` and column ``(k, l)`` is ``N_ik M_jl + N_il M_jk +
+    M_ik N_jl + M_il N_jk``, halved where ``k = l`` by leaving out the
+    second and fourth products, which there repeat the first and third;
+    so no product is doubled.  An overflow yields inf or nan."""
+    n = len(n_)
+    # z[s] is column s of [N | M | 0]; f[:, c] indexes the factors N_.k, N_.l,
+    # M_.k (0 where k = l), M_.l of column c = (k, l), f[::-1, c] their
+    # partners; p[c] is the image of e_k e_l^T + e_l e_k^T (of e_k e_k^T)
+    z = np.concatenate((n_.T, m_.T, np.zeros((1, n))))
+    f = np.array([k, l, np.where(k < l, n + k, 2 * n), n + l])
+    p = np.matmul(z[f.T].transpose(0, 2, 1), z[f[::-1].T])
+    return p.reshape(len(k), n * n)[:, k * n + l].T
 
-    ``op`` acts on column-stacked matrices.  Raises
-    ``SingularOperatorError`` when the reciprocal condition estimate of
-    ``op`` falls below ``RCOND_SINGULAR``, and ``OverflowError`` when
-    the 1-norm of ``op`` or an entry of ``H / 2^e`` overflows.
 
-    One LU factorization solves for ``vec(W)`` and for two Gaussian
-    probe columns drawn from a fixed seed.  Each column ``b`` with
-    solution ``x`` bounds ``||op^-1||_1 >= ||x||_1 / ||b||_1`` from
-    below (the probing estimators of Dixon, 1983, and Higham and
-    Tisseur, 2000), so ``1 / (||op||_1 * max ||x||_1 / ||b||_1)``
-    estimates rcond from above.  An exactly singular pivot or a
-    non-finite solution reads as rcond 0.  Each column is scaled by a
-    power of two to entries below 1 in magnitude, so that no 1-norm
-    of it overflows and ``H`` is recovered exactly.
-    """
-    # an overflow below yields inf, which a finiteness test then catches
-    with np.errstate(over="ignore"):
+def _solve_symmetric(w, n_, m_, shift: float = 0.0, e: int = 0) -> np.ndarray:
+    """Solve ``shift * H + N H M^T + M H N^T = W`` in the ``n(n+1)/2``
+    unknowns ``h_kl``, ``k <= l``, of a symmetric ``H``; return ``H / 2^e``
+    with both triangles written from the ``h_kl``.  Raises
+    ``SingularOperatorError`` when the rcond estimate of the operator on
+    symmetric matrices, ``op``, is below ``RCOND_SINGULAR``: one LU solves
+    for the ``w_kl`` and two fixed-seed Gaussian probes, and each column
+    ``b`` with solution ``x`` bounds ``||op^-1||_1 >= ||x||_1 / ||b||_1``
+    (Dixon, 1983; Higham and Tisseur, 2000); a singular pivot or a
+    non-finite ``x`` reads as rcond 0.  Raises ``OverflowError`` when
+    ``||op||_1`` or ``H / 2^e`` overflows; each column is scaled by a
+    power of two below 1, so no 1-norm of it overflows and ``H`` is exact."""
+    if w.shape != n_.shape:
+        raise ValueError("a and w must have equal orders")
+    r = np.arange(len(w))
+    k, l = np.nonzero(r[:, None] <= r)  # np.triu_indices(n), built faster
+    # an overflow below yields inf or nan, which a finiteness test catches
+    with np.errstate(over="ignore", invalid="ignore"):
+        op = _symmetric_operator(n_, m_, k, l)
+        op.flat[:: len(k) + 1] += shift
         op_norm = np.abs(op).sum(axis=0).max()
         if not np.isfinite(op_norm):
             raise OverflowError("equation operator overflowed; rescale the inputs")
-        b = np.empty((n * n, 3))
-        b[:, 0] = w.flatten(order="F")
-        b[:, 1:] = np.random.default_rng(0).standard_normal((n * n, 2))
+        b = np.empty((len(k), 3))
+        b[:, 0] = w[k, l]
+        b[:, 1:] = np.random.default_rng(0).standard_normal((len(k), 2))
         s = np.frexp(np.abs(b).max(axis=0))[1]
         b = np.ldexp(b, -s)
         try:
@@ -216,17 +232,17 @@ def _solve_vectorized(op: np.ndarray, w: np.ndarray, n: int, e: int = 0) -> np.n
         rcond = 0.0
         if x is not None and np.isfinite(x).all():
             b_norm = np.abs(b).sum(axis=0)
-            live = b_norm > 0.0  # vec(W) may be zero; a probe never is
+            live = b_norm > 0.0  # W may be zero; a probe never is
             ratio = np.max(np.abs(x).sum(axis=0)[live] / b_norm[live])
             rcond = 1.0 / (op_norm * ratio)
         if rcond < RCOND_SINGULAR:
-            raise SingularOperatorError(
-                f"equation operator is numerically singular (rcond ~ {rcond:.2e})"
-            )
-        h = np.ldexp(x[:, 0], s[0] - e).reshape((n, n), order="F")
+            raise SingularOperatorError("equation operator is numerically "
+                                        f"singular (rcond ~ {rcond:.2e})")
+        h = np.empty_like(w)
+        h[k, l] = h[l, k] = np.ldexp(x[:, 0], s[0] - e)
     if not np.isfinite(h).all():
         raise OverflowError("solution overflowed; rescale the inputs")
-    return 0.5 * h + 0.5 * h.T
+    return h
 
 
 def solve_lyapunov(a, w) -> np.ndarray:
@@ -234,24 +250,14 @@ def solve_lyapunov(a, w) -> np.ndarray:
 
     ``W`` must be symmetric.  Solvable when no two eigenvalues of ``A``
     sum to zero; otherwise ``SingularOperatorError`` is raised.  An
-    ``H`` beyond the float range raises ``OverflowError``.
+    ``H`` beyond the float range raises ``OverflowError``.  It is solved
+    in the ``n(n+1)/2`` unknowns ``h_kl``, ``k <= l``, and rcond is
+    estimated on the operator restricted to symmetric matrices.
     """
-    a = as_square_matrix(a, "a")
-    w = _require_symmetric(w, "w")
-    if w.shape != a.shape:
-        raise ValueError("a and w must have equal orders")
-    n = a.shape[0]
-    # the equation is homogeneous in A: solve it for A / 2^e, whose
-    # entries lie below 1 in magnitude, and divide that H by 2^e
+    a, w = as_square_matrix(a, "a"), _require_symmetric(w, "w")
+    # homogeneous in A: solve for A / 2^e, entries below 1, and divide by 2^e
     e = int(np.frexp(np.abs(a).max())[1])
-    at = np.ldexp(a.T, -e)
-    # op = kron(A^T, I) + kron(I, A^T), written block by block
-    op = np.zeros((n * n, n * n))
-    blocks = op.reshape(n, n, n, n)
-    idx = np.arange(n)
-    blocks[idx, :, idx, :] = at
-    blocks[:, idx, :, idx] += at
-    return _solve_vectorized(op, w, n, e)
+    return _solve_symmetric(w, np.ldexp(a.T, -e), np.eye(len(a)), e=e)
 
 
 def solve_stein(a, w) -> np.ndarray:
@@ -261,20 +267,14 @@ def solve_stein(a, w) -> np.ndarray:
     eigenvalues of ``A`` equals one; otherwise ``SingularOperatorError``
     is raised.  The equation is not homogeneous in ``A``, so an ``A``
     whose operator overflows raises ``OverflowError``, as does an ``H``
-    beyond the float range.
+    beyond the float range.  It is solved in the ``n(n+1)/2`` unknowns
+    ``h_kl``, ``k <= l``, and rcond is estimated on the operator
+    restricted to symmetric matrices.
     """
-    a = as_square_matrix(a, "a")
-    w = _require_symmetric(w, "w")
-    if w.shape != a.shape:
-        raise ValueError("a and w must have equal orders")
-    n = a.shape[0]
-    # op = I - kron(A^T, A^T), with no n^4 temporary
-    op = np.empty((n * n, n * n))
-    with np.errstate(over="ignore"):
-        np.multiply(a.T[:, None, :, None], -a.T[None, :, None, :],
-                    out=op.reshape(n, n, n, n))
-    op.reshape(-1)[:: n * n + 1] += 1.0
-    return _solve_vectorized(op, w, n)
+    a, w = as_square_matrix(a, "a"), _require_symmetric(w, "w")
+    # the halved operator X/2 - (A^T/4) X A - A^T X (A/4) has the solution 2 H;
+    # no entry or 1-norm of it exceeds that of the n^2 x n^2 operator
+    return _solve_symmetric(w, 0.25 * a.T, -a.T, shift=0.5, e=1)
 
 
 def hill_coefficients(c) -> np.ndarray:

@@ -5,6 +5,7 @@ import reference_2d
 from dgstab.algebra import multiset_distance
 from dgstab.errors import NonSymmetricError, SingularOperatorError
 from dgstab.linalg import (
+    _symmetric_operator,
     are_positive_definite,
     case_i_coefficients,
     case_iii_coefficients,
@@ -321,6 +322,110 @@ def test_solvers_agree_with_the_svd_oracle(monkeypatch, solver, mode, residual):
                 seen["solved"] += 1
             monkeypatch.setattr(np.linalg, "svd", svd)
     assert seen["singular"] >= 2 * 29 and seen["solved"] >= 2 * 29
+
+
+def _restricted_operator(a, mode):
+    """The solvers' operator on symmetric matrices in the coordinates of
+    ``np.triu_indices``; Stein's is twice the halved one the solver
+    builds."""
+    n = len(a)
+    k, l = np.triu_indices(n)
+    if mode == "lyap":
+        return _symmetric_operator(a.T, np.eye(n), k, l)
+    return np.eye(len(k)) + 2.0 * _symmetric_operator(0.25 * a.T, -a.T, k, l)
+
+
+def test_symmetric_operator_maps_x_to_n_x_mt_plus_m_x_nt():
+    rng = np.random.default_rng(29)
+    for n in range(1, 7):
+        k, l = np.triu_indices(n)
+        for _ in range(5):
+            nm, mm, x = rng.standard_normal((3, n, n))
+            x = x + x.T
+            y = nm @ x @ mm.T + mm @ x @ nm.T
+            z = _symmetric_operator(nm, mm, k, l) @ x[k, l]
+            assert np.linalg.norm(z - y[k, l]) <= 1e-13 * np.linalg.norm(y[k, l])
+
+
+@pytest.mark.parametrize("mode", ["lyap", "stein"])
+def test_restricted_operator_is_the_kronecker_operator_on_symmetric_matrices(mode):
+    rng = np.random.default_rng(28)
+    for n in range(1, 7):
+        k, l = np.triu_indices(n)
+        for _ in range(5):
+            a, x = rng.standard_normal((2, n, n))
+            x = x + x.T
+            full = (_kron_operator(a, mode) @ x.flatten(order="F")).reshape((n, n), order="F")
+            sym = _restricted_operator(a, mode) @ x[k, l]
+            assert np.linalg.norm(sym - full[k, l]) <= 1e-13 * np.linalg.norm(full[k, l])
+
+
+@pytest.mark.filterwarnings("error")
+def test_symmetric_operator_never_doubles_a_product():
+    # a diagonal column holds N_ik M_jk + M_ik N_jk; four products halved
+    # would pass through 4 c^2, beyond the float range
+    c = np.sqrt(0.6e308)
+    op = _symmetric_operator(np.array([[c]]), np.array([[c]]), *np.triu_indices(1))
+    np.testing.assert_allclose(op, [[2 * c * c]], rtol=1e-15)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_stein_overflows_no_sooner_than_the_kronecker_system():
+    # I - kron(A^T, A^T) has entries and column sums below 1.6e308, while
+    # the entry 2 a_00 a_10 of I - (X -> A^T X A) at row (0, 0) and
+    # column (0, 1) is 2.2e308: the halved operator keeps it in range
+    a = np.sqrt(1.1e308) * np.array([[1.0, 0.2], [1.0, -0.2]])
+    assert np.isfinite(np.abs(_kron_operator(a, "stein")).sum(axis=0).max())
+    h = solve_stein(a, np.eye(2))
+    np.testing.assert_array_equal(h, h.T)
+    assert np.linalg.norm(h - a.T @ h @ a - np.eye(2)) <= 1e-8 * np.sqrt(2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_solvers_find_a_singularity_in_a_diagonal_coordinate_alone(n):
+    # lambda_0 + lambda_0 = 0 (Lyapunov) or lambda_0^2 = 1 (Stein) is the
+    # only singular pair: the null space is spanned by the x_00 direction
+    # of the eigenbasis, hidden by the similarity
+    rng = np.random.default_rng(30 + n)
+    lam = rng.uniform(0.5, 2.0, n)
+    lam[0] = 0.0
+    with pytest.raises(SingularOperatorError):
+        solve_lyapunov(_hidden(rng, np.diag(lam)), np.eye(n))
+    for mu in (1.0, -1.0):
+        lam = rng.uniform(0.2, 0.8, n) * rng.choice([-1.0, 1.0], n)
+        lam[0] = mu
+        with pytest.raises(SingularOperatorError):
+            solve_stein(_hidden(rng, np.diag(lam)), np.eye(n))
+
+
+def test_solvers_find_a_singular_pair_at_order_24():
+    rng = np.random.default_rng(24)
+    for solver, mode in ((solve_lyapunov, "lyap"), (solve_stein, "stein")):
+        lam = rng.uniform(0.5, 2.0, 24) * rng.choice([-1.0, 1.0], 24)
+        lam[1] = -lam[0] if mode == "lyap" else 1.0 / lam[0]
+        with pytest.raises(SingularOperatorError):
+            solver(_hidden(rng, np.diag(lam)), np.eye(24))
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("solver,mode,residual", [
+    (solve_lyapunov, "lyap", lambda a, h: h @ a + a.T @ h),
+    (solve_stein, "stein", lambda a, h: h - a.T @ h @ a),
+])
+def test_solver_residuals_at_large_orders(n, solver, mode, residual):
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        while True:
+            a = rng.standard_normal((n, n))
+            ev = np.linalg.eigvals(a)
+            gaps = np.abs(ev[:, None] + ev) if mode == "lyap" else np.abs(ev[:, None] * ev - 1.0)
+            if gaps.min() > 0.05:
+                break
+        b = rng.standard_normal((n, n))
+        w = b + b.T
+        h = solver(a, w)
+        np.testing.assert_array_equal(h, h.T)
+        assert np.linalg.norm(residual(a, h) - w) <= 1e-8 * np.linalg.norm(w)
 
 
 def test_hill_form_case_i_is_lyapunov_form():
