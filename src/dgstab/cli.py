@@ -184,6 +184,12 @@ def _svg_circle(x: float, y: float, r: float, fill: str) -> str:
     return f'<circle cx="{x:.3f}" cy="{y:.3f}" r="{r}" fill="{fill}"/>'
 
 
+def _svg_line(start: tuple[float, float], end: tuple[float, float], style: str) -> str:
+    """A line between two pixel points, drawn in ``style``."""
+    (x0, y0), (x1, y1) = start, end
+    return f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" {style}/>'
+
+
 def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
     """Boundary overlay for the plot; best effort per kind."""
     parts = []
@@ -192,10 +198,7 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
     if k in (regions.RegionKind.RIGHT_HALF_PLANE,
              regions.RegionKind.LEFT_HALF_PLANE,
              regions.RegionKind.NONZERO_REAL_PART):
-        x0, y0 = to_px(0.0, lo)
-        x1, y1 = to_px(0.0, hi)
-        parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
-                     f'y2="{y1:.2f}" {stroke}/>')
+        parts.append(_svg_line(to_px(0.0, lo), to_px(0.0, hi), stroke))
     elif k is regions.RegionKind.UNIT_DISK:
         cx, cy = to_px(0.0, 0.0)
         rx, _ = to_px(1.0, 0.0)
@@ -203,10 +206,7 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
                      f'{stroke}/>')
     elif k in (regions.RegionKind.REAL_AXIS, regions.RegionKind.POSITIVE_RAY):
         start = 0.0 if k is regions.RegionKind.POSITIVE_RAY else lo
-        x0, y0 = to_px(start, 0.0)
-        x1, y1 = to_px(hi, 0.0)
-        parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
-                     f'y2="{y1:.2f}" {stroke}/>')
+        parts.append(_svg_line(to_px(start, 0.0), to_px(hi, 0.0), stroke))
     elif k is regions.RegionKind.PUNCTURED_PLANE:
         cx, cy = to_px(0.0, 0.0)
         parts.append(f'<circle cx="{cx:.2f}" cy="{cy:.2f}" r="3" {stroke}/>')
@@ -215,10 +215,7 @@ def _region_overlay(region: regions.Region, to_px, lo, hi) -> list[str]:
         for sign in (1.0, -1.0):
             ex = span * math.cos(sign * region.half_angle)
             ey = span * math.sin(sign * region.half_angle)
-            x0, y0 = to_px(0.0, 0.0)
-            x1, y1 = to_px(ex, ey)
-            parts.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" '
-                         f'y2="{y1:.2f}" {stroke}/>')
+            parts.append(_svg_line(to_px(0.0, 0.0), to_px(ex, ey), stroke))
     return parts
 
 
@@ -254,12 +251,8 @@ def _cmd_plot(args) -> int:
         f'<rect width="{size:.0f}" height="{size:.0f}" fill="white"/>',
     ]
     ax = 'stroke="#999" stroke-width="0.5"'
-    x0, y0 = to_px(lo, 0.0)
-    x1, y1 = to_px(hi, 0.0)
-    body.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" {ax}/>')
-    x0, y0 = to_px(0.0, lo)
-    x1, y1 = to_px(0.0, hi)
-    body.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x1:.2f}" y2="{y1:.2f}" {ax}/>')
+    body.append(_svg_line(to_px(lo, 0.0), to_px(hi, 0.0), ax))
+    body.append(_svg_line(to_px(0.0, lo), to_px(0.0, hi), ax))
     body.extend(_region_overlay(q.region, to_px, lo, hi))
     for z in pts:
         px, py = to_px(z.real, z.imag)

@@ -52,15 +52,16 @@ verdict is built by ``_certified``, from a certificate that
 ``certify.proves`` returned (a searched or transferred one), a
 restricted one from ``certify.restrict_certificate``, which runs the
 same check on a stack (``proves`` is its stack of one), or from
-exhaustion of a finite class.  Every stage that tests members
-picks the refuting member and eigenvalue by one rule,
-``regions.first_exit``, and a finite class is scanned only by
-``certify.exhaust``, whose result the enumeration stage and verdict
-transfer turn into a verdict.  Verdicts are deterministic functions of
-the query (including its seed).
+exhaustion of a finite class.  Every stage that tests members composes
+them with the matrix by one rule, ``algebra.finite_spectra``, which
+drops an overflowed composition, and picks the refuting member and
+eigenvalue by another, ``regions.first_exit``; a finite class is
+scanned only by ``certify.exhaust``, whose result the enumeration stage
+and verdict transfer turn into a verdict.  Verdicts are deterministic
+functions of the query (including its seed).
 
-Falsification trials are evaluated in fixed-size chunks with generator
-streams spawned per chunk, and the first witness in chunk order wins;
+Falsification trials are evaluated in fixed-size chunks, chunk i drawn
+from ``_stream(seed, 2, i)``, and the first witness in chunk order wins;
 results are therefore reproducible regardless of how many worker
 threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool, and so
 do the CPUs the process may run on).
@@ -176,12 +177,13 @@ def _certified(cert: Certificate, note: str, provenance=()) -> Verdict:
                    provenance=tuple(provenance) + (note,))
 
 
-def _stream(seed: int, i: int) -> np.random.SeedSequence:
-    """Child ``i`` of ``SeedSequence(seed)``, without spawning its
-    siblings: 0 seeds the unboundedness escape and 2 the falsifier's
-    chunks.  Key 1 stays unused: the certificate search is
-    deterministic, and renumbering would change the other streams."""
-    return np.random.SeedSequence(seed, spawn_key=(i,))
+def _stream(seed: int, *key: int) -> np.random.SeedSequence:
+    """The engine's one way to derive a generator stream: the descendant
+    of ``SeedSequence(seed)`` at spawn path ``key``, its siblings unbuilt.
+    ``()`` seeds ``stabilize`` and ``inertia_preserving``, ``(0,)`` the
+    unboundedness escape and ``(2, i)`` the falsifier's chunk ``i``; key
+    1 stays unused (the certificate search draws nothing)."""
+    return np.random.SeedSequence(seed, spawn_key=key)
 
 
 def _thread_count() -> int:
@@ -199,18 +201,17 @@ def _thread_count() -> int:
 def falsify(q: Query) -> Verdict:
     """Randomized counterexample search over the class.
 
-    Trials run in chunks of ``_CHUNK``, each drawn from its own spawned
-    generator stream, so the first witness in chunk order is the same
-    for every thread count.  Returns ``REFUTED`` with that witness or
-    ``UNKNOWN`` with the number of trials spent and, if any, the number
-    whose composition overflowed, which are never witnesses.  A worker
-    skips every chunk after one known to hold a witness: the pool starts
-    chunks in order, so each chunk before that one has started, and the
-    first witness is among them.
+    Trials run in chunks of ``_CHUNK``, chunk ``i`` drawn from its own
+    stream ``_stream(seed, 2, i)``, so the first witness in chunk order
+    is the same for every thread count.  Returns ``REFUTED`` with that
+    witness or ``UNKNOWN`` with the number of trials spent and, if any,
+    the number whose composition overflowed, which are never witnesses.
+    A worker skips every chunk after one known to hold a witness: the
+    pool starts chunks in order, so each chunk before that one has
+    started, and the first witness is among them.
     """
     a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
     n_chunks = math.ceil(budget / _CHUNK)
-    children = _stream(q.seed, 2).spawn(n_chunks)
     first_hit = [n_chunks]  # the lowest chunk known to hold a witness
     overflowed = [0] * n_chunks  # per chunk, the trials whose composition overflowed
     lock = threading.Lock()
@@ -219,7 +220,7 @@ def falsify(q: Query) -> Verdict:
         if i > first_hit[0]:
             return None
         count = min(_CHUNK, budget - i * _CHUNK)
-        rng = np.random.default_rng(children[i])
+        rng = np.random.default_rng(_stream(q.seed, 2, i))
         gs = classes.sample_batch(cls, rng, count)
         rows, w = algebra.finite_spectra(op, gs, a)
         overflowed[i] = count - rows.size
@@ -269,8 +270,9 @@ def _escape_applies(q: Query, cls: MatrixClass) -> bool:
 def _unboundedness_escape(q: Query, a: np.ndarray, cls: MatrixClass) -> Verdict | str:
     """For a row ``a`` of class ``cls`` where the escape applies
     (``_escape_applies``) and ``a`` is invertible under ``q``'s operation,
-    scale a sampled member upward until an eigenvalue exits; produces a
-    concrete witness rather than a bare impossibility claim."""
+    scale each of 8 sampled members up until an eigenvalue exits, the
+    member leaves the class or its composition overflows: a concrete
+    witness rather than a bare impossibility claim."""
     if not algebra.is_invertible(q.op, a):
         return _NO_ESCAPE
     rng = np.random.default_rng(_stream(q.seed, 0))
@@ -280,8 +282,10 @@ def _unboundedness_escape(q: Query, a: np.ndarray, cls: MatrixClass) -> Verdict 
             g = (2.0 ** k) * g0
             if not classes.contains(cls, g, 1e-7):
                 break
-            w = np.linalg.eigvals(algebra.apply(q.op, g, a))
-            hit = regions.first_exit(q.region, w[None], q.tol)
+            rows, w = algebra.finite_spectra(q.op, g[None], a)
+            if not rows.size:
+                break
+            hit = regions.first_exit(q.region, w, q.tol)
             if hit is not None:
                 return _refuted(g, *hit[1:], "bounded region with unbounded class: "
                                 f"scaled sample 2^{k} escapes")
@@ -358,29 +362,24 @@ def _minor_refutation(q: Query) -> Verdict | str:
     minors of the minor's order is negative in exact arithmetic, which
     proves an eigenvalue with negative real part, and ``regions.first_exit``
     sees it beyond ``tol``.  The class holds the member with composition
-    ``D_t A`` (its ``row_scaling`` fact).  The search stops before an
-    entry of that composition overflows."""
+    ``D_t A`` (its ``row_scaling`` fact).  The search stops at the first
+    such composition that overflows: a larger t overflows too."""
     found = certify.minor_violation(q.a, strict=True)
     if found is None:
         return "principal-minor check passed"
     s, failed = found
     idx = list(s)
     coeffs = _minor_sum_coeffs(q.a, s)
-    mask = np.zeros(q.a.shape[0])
-    mask[idx] = 1.0
-    # the largest entry of the composition that t multiplies
-    top = float(algebra.apply(q.op, algebra.row_scaling(q.op, mask), np.abs(q.a)).max())
     u = np.ones(q.a.shape[0])
     for e in range(1, 1024):
-        t = math.ldexp(1.0, e)
-        if not math.isfinite(top * t):
-            break
         if sum(c << (e * m) for m, c in enumerate(coeffs)) >= 0:
             continue
-        u[idx] = t
+        u[idx] = math.ldexp(1.0, e)
         g = algebra.row_scaling(q.op, u)
-        w = np.linalg.eigvals(algebra.apply(q.op, g, q.a))
-        hit = regions.first_exit(q.region, w[None], q.tol)
+        rows, w = algebra.finite_spectra(q.op, g[None], q.a)
+        if not rows.size:
+            break
+        hit = regions.first_exit(q.region, w, q.tol)
         if hit is not None:
             at = ", ".join(str(i + 1) for i in s)
             return _refuted(g, *hit[1:], f"principal minor {failed} refutes: t = 2^{e} "
@@ -536,7 +535,7 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
     whose composition overflows has infinite loss and never
     verifies."""
     a = Query(a, region, cls, op, budget, seed).a
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_stream(seed))
     req = 2.0 * region.boundary_tol
 
     def spectrum(g):  # None when the composition overflows
@@ -727,7 +726,7 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
     as a witness.  A member whose composition overflows is skipped and
     counted in ``overflowed``."""
     a = Query(a, region, cls, op, budget, seed).a
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = np.random.default_rng(_stream(seed))
     done = overflowed = 0
     while done < budget:
         count = min(_CHUNK, budget - done)

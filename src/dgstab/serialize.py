@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from contextlib import contextmanager
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -189,21 +191,32 @@ def region_to_json(region: Region) -> dict:
     return {"kind": spec, "boundary_tol": region.boundary_tol}
 
 
+@contextmanager
+def _malformed(what: str, obj):
+    """Turn the TypeError or IndexError that decoding a payload of the
+    wrong shape raises into a ValueError that names the spec."""
+    try:
+        yield
+    except (TypeError, IndexError) as exc:
+        raise ValueError(f"malformed {what} spec {obj!r}: {exc}") from None
+
+
 def region_from_json(obj) -> Region:
     if isinstance(obj, str):
         obj = {"kind": obj}
-    tol = float(obj.get("boundary_tol", regions.DEFAULT_BOUNDARY_TOL))
-    spec = obj["kind"]
-    if isinstance(spec, str):
-        name = _REGION_ALIASES.get(spec, spec)
-        return Region(RegionKind(name), tol)
-    if "sector" in spec:
-        return regions.sector(float(spec["sector"]), tol)
-    if "hill" in spec:
-        payload = spec["hill"]
-        return regions.hill_region(
-            payload["c"], payload.get("sense", "positive"), tol
-        )
+    with _malformed("region", obj):
+        tol = float(obj.get("boundary_tol", regions.DEFAULT_BOUNDARY_TOL))
+        spec = obj["kind"]
+        if isinstance(spec, str):
+            name = _REGION_ALIASES.get(spec, spec)
+            return Region(RegionKind(name), tol)
+        if "sector" in spec:
+            return regions.sector(float(spec["sector"]), tol)
+        if "hill" in spec:
+            payload = spec["hill"]
+            return regions.hill_region(
+                payload["c"], payload.get("sense", "positive"), tol
+            )
     raise ValueError(f"unrecognized region spec {obj!r}")
 
 
@@ -212,7 +225,9 @@ def _partition_to_wire(p: Partition):
 
 
 def _partition_from_wire(blocks) -> Partition:
-    return Partition(tuple(tuple(i - 1 for i in block) for block in blocks))
+    with _malformed("partition", blocks):  # an index must be an integer, not 2.0
+        return Partition(tuple(tuple(operator.index(i) - 1 for i in block)
+                               for block in blocks))
 
 
 def _partitioned(factory):
@@ -271,17 +286,18 @@ def class_from_json(obj, n: int | None = None) -> MatrixClass:
     from the query matrix)."""
     if isinstance(obj, str):
         obj = {"kind": obj}
-    spec = obj["kind"]
-    n = obj.get("n", n)
-    if isinstance(spec, str):
-        if n is None:
-            raise ValueError("class spec needs a matrix order")
-        if spec not in _NAMED:
-            raise ValueError(f"unrecognized class name {spec!r}")
-        return _NAMED[spec](int(n))
-    for name, (_, decode) in _PAYLOADS.items():
-        if name in spec:
-            return decode(spec[name], n)
+    with _malformed("class", obj):
+        spec = obj["kind"]
+        n = obj.get("n", n)
+        if isinstance(spec, str):
+            if n is None:
+                raise ValueError("class spec needs a matrix order")
+            if spec not in _NAMED:
+                raise ValueError(f"unrecognized class name {spec!r}")
+            return _NAMED[spec](int(n))
+        for name, (_, decode) in _PAYLOADS.items():
+            if name in spec:
+                return decode(spec[name], n)
     raise ValueError(f"unrecognized class spec {obj!r}")
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,37 @@ def test_invalid_tol_and_empty_partition_block_exit_64(capsys):
     code, out = run(capsys, "certify", "--matrix", "[[1,0],[0,1]]", "--kind",
                     "alpha_scalar", "--partition", "[[1,2],[]]")
     assert (code, out) == (64, "")
+
+
+_QUERY_2X2 = ("--matrix", "[[1,0],[0,1]]", "--op", "mul")
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"sign_diag":5}}'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"sign_diag":"ab"}}'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class",
+     '{"kind":{"parametric_rank_one":{"x":[1,2],"y":[1,2],"tau":[1]}}}'),
+    ("check", *_QUERY_2X2, "--region", '{"kind":5}', "--class", "pos_diag"),
+    ("certify", "--matrix", "[[1,0],[0,1]]", "--kind", "block", "--partition", "5"),
+    ("certify", "--matrix", "[[1,0],[0,1]]", "--kind", "block",
+     "--partition", '[[1],["a"]]'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"alpha_scalar":[[1.0,2.0]]}}'),
+])
+def test_a_malformed_wire_spec_exits_64_with_one_error_line(capsys, argv):
+    # each once raised TypeError or IndexError out of main, the last from
+    # the identity check, which indexed with the float block (0.0, 1.0)
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (64, "")
+    assert captured.err.startswith("error: malformed ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_check_refutes_a_huge_scalar_over_the_disk(capsys):
+    # the escape's first sample overflows at seed 42: it once exited 64
+    code, out = run(capsys, "check", "--matrix", "[[1e306]]", "--region", "disk",
+                    "--class", "pos_diag", "--op", "mul")
+    assert code == 1 and json.loads(out)["status"] == "refuted"
 
 
 @pytest.mark.parametrize("budget", ["0", "-3"])
@@ -365,6 +397,22 @@ def test_plot_subcommand(files, capsys, tmp_path):
     assert code == 0
     text = out_file.read_text()
     assert text.startswith("<svg") and "</svg>" in text
+
+
+@pytest.mark.parametrize("region, overlay", [
+    ("real_axis", ["line"]),
+    ("ray", ["line"]),
+    ("punctured_plane", ["circle"]),
+    ('{"kind":{"sector":0.8}}', ["line", "line"]),
+])
+def test_plot_draws_each_region_overlay(capsys, region, overlay):
+    code, out = run(capsys, "plot", "--matrix", "[[1,2],[-3,1]]", "--region", region,
+                    "--class", "pos_diag", "--op", "mul", "--samples", "10")
+    assert code == 0 and out.rstrip().endswith("</svg>")
+    assert re.findall(r'<(\w+) [^>]*stroke="#c33"', out) == overlay
+    if region == "ray":  # the ray starts where the vertical axis runs, at the origin
+        _, vertical_x1, ray_x1 = re.findall(r'<line x1="([-0-9.]+)"', out)
+        assert ray_x1 == vertical_x1
 
 
 @pytest.mark.filterwarnings("error")

@@ -468,6 +468,57 @@ def test_decide_draws_each_stage_from_its_spawned_stream(monkeypatch):
         assert states and states[0] == np.random.default_rng(stream).bit_generator.state, attr
 
 
+def test_every_chunk_stabilize_and_inertia_draw_from_their_streams(monkeypatch):
+    # falsifier chunk i draws from child i of child 2 of SeedSequence(seed),
+    # as if all chunks had been spawned at once; stabilize and
+    # inertia_preserving draw from SeedSequence(seed) itself
+    seed = 11
+    first_draws = []
+
+    def recording(fn):
+        def wrapped(c, rng, *args):
+            first_draws.append(rng.bit_generator.state)
+            return fn(c, rng, *args)
+        return wrapped
+
+    def state(seq):
+        return np.random.default_rng(seq).bit_generator.state
+
+    monkeypatch.setenv("DGSTAB_THREADS", "1")  # chunks draw in order
+    monkeypatch.setattr(classes, "sample_batch", recording(classes.sample_batch))
+    falsify(Query(D_STABLE_NO_CERT, RHP, classes.pos_diag(2), MUL,
+                  budget=4 * engine._CHUNK, seed=seed))
+    assert first_draws[3] == state(np.random.SeedSequence(seed).spawn(3)[2].spawn(4)[3])
+    first_draws.clear()
+    inertia_preserving(np.eye(2), classes.pos_diag(2), MUL, RHP, budget=10, seed=seed)
+    assert first_draws[0] == state(np.random.SeedSequence(seed))
+    monkeypatch.setattr(classes, "draw", recording(classes.draw))
+    first_draws.clear()
+    stabilize(-np.eye(2), RHP, classes.pos_diag(2), MUL, budget=5, seed=seed)
+    assert first_draws[0] == state(np.random.SeedSequence(seed))
+
+
+def test_the_escape_reports_no_escape_after_eight_samples():
+    # every scaled sample's spectrum stays deep inside the disk
+    v = decide(Query(1e-30 * np.eye(2), dg.unit_disk(), classes.pos_diag(2), MUL,
+                     budget=600, seed=1))
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.provenance == ("unboundedness precheck: not applicable or no escape found",
+                            "identity-element check passed",
+                            "no certificate form matches the query triple",
+                            "falsification exhausted 600 trials")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [0, 1, 2, 42])
+def test_the_escape_skips_a_sample_whose_composition_overflows(seed):
+    # it once raised numpy's LinAlgError, "Array must not contain infs or NaNs"
+    v = decide(Query([[1e306]], dg.unit_disk(), classes.pos_diag(1), MUL, seed=seed))
+    assert v.status is VerdictStatus.REFUTED
+    assert v.provenance[0].startswith("bounded region with unbounded class")
+    assert np.isfinite(v.witness * 1e306).all() and abs(v.offending_eigenvalue) > 1.0
+
+
 def test_total_stability_negative_entry_refutes_at_singleton():
     a = np.array([[1.0, 0.0], [0.0, -0.5]])
     q = Query(a, RHP, classes.pos_diag(2), MUL, budget=100, seed=1)
