@@ -74,7 +74,8 @@ from .algebra import ADD, MUL
 from .classes import ClassKind, MatrixClass, Partition
 from .errors import UnsupportedClassError
 from .linalg import (are_positive_definite, as_square_matrix, case_i_coefficients,
-                     case_iii_coefficients, hill_coefficients, polynomial_forms)
+                     case_iii_coefficients, hill_coefficients, polynomial_forms,
+                     spectral_radius_bounds)
 
 __all__ = [
     "CertKind",
@@ -547,7 +548,7 @@ def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exha
     exits by more than ``tol`` (``regions.first_exit``), in stacks of 8
     members that double up to 256, so that an early exit costs few
     solves.  A member whose composition overflows is skipped
-    (``algebra.finite_spectra``) and counted in ``overflowed``.
+    (``algebra.finite_compositions``) and counted in ``overflowed``.
 
     Where a member and its negation exit together, only the first half
     of the ``2^n`` members is composed.  That holds over vertex
@@ -562,12 +563,24 @@ def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exha
     The second half would repeat the first's boundary and scores up to
     rounding, and its counts equal the first's.
 
+    On the unit disk, a composition is solved only when its spectral
+    radius bound (``linalg.spectral_radius_bounds``) reaches
+    ``min(r, 1 - boundary_tol) (1 - 1e-9)``, where ``r`` is the largest
+    eigenvalue modulus solved in the stacks before.  A composition
+    below that has every eigenvalue interior and of modulus below
+    ``r``: it can neither exit, nor sit in the boundary band, nor lower
+    ``min_score``, so skipping it gives the result solving it would,
+    wherever the eigensolver's error in a modulus stays below that
+    relative 1e-9.  Every member is still composed and counted.
+    Elsewhere every finite composition is solved.
+
     The ``hit`` is that exit as (member index, member, eigenvalue,
     margin), or None.  ``checked`` counts the members before the exit,
     or all of them without one, and ``overflowed`` those of them
     skipped; without an exit, ``boundary`` says whether a member left an
-    eigenvalue off the interior and ``min_score`` is the eigenvalues'
-    smallest interior score."""
+    eigenvalue off the interior and ``min_score`` is the smallest
+    interior score of the eigenvalues solved, which on the disk is that
+    of the largest modulus over all members composed."""
     members = classes.enumerate_members(cls)
     paired = (cls.kind is ClassKind.VERTEX_DIAG and op.kind is not ADD.kind
               and regions.scalar_preserves_region(region, -1.0))
@@ -575,21 +588,34 @@ def exhaust(a, region: regions.Region, cls: MatrixClass, op, tol: float) -> Exha
         members = itertools.islice(members, cls.finite_size // 2)
     checked = overflowed = 0
     boundary, min_score = False, np.inf
+    radius = 0.0  # the largest eigenvalue modulus solved so far
+    disk = region.kind is regions.RegionKind.UNIT_DISK
     size = 8
     while chunk := list(itertools.islice(members, size)):
         stack = np.stack(chunk)
-        rows, ws = algebra.finite_spectra(op, stack, a)
-        if rows.size:
+        rows, comps = algebra.finite_compositions(op, stack, a)
+        if disk:
+            # below the floor, a row's eigenvalues are interior and inside the
+            # largest radius solved, with room for the solver's rounding
+            floor = min(radius, 1.0 - region.boundary_tol) * (1.0 - 1e-9)
+            solved = np.flatnonzero(spectral_radius_bounds(comps) >= floor)
+            comps = comps[solved]
+        else:
+            solved = np.arange(rows.size)
+        if solved.size:
+            ws = np.linalg.eigvals(comps)
             hit = regions.first_exit(region, ws, tol)
             if hit is not None:
                 k, lam, margin = hit
-                j = int(rows[k])
-                # the j members before the hit in its stack, k of them finite
+                i = int(solved[k])
+                j = int(rows[i])
+                # the j members before the hit in its stack, i of them finite
                 return Exhaustion((checked + j, stack[j], lam, margin), checked + j, boundary,
-                                  min_score, overflowed + j - k)
+                                  min_score, overflowed + j - i)
             flat = ws.ravel()
             boundary = boundary or not regions.spectrum_in_region(region, flat)
             min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
+            radius = max(radius, float(np.abs(flat).max()))
         overflowed += len(stack) - rows.size
         checked += len(stack)
         size = min(2 * size, 256)

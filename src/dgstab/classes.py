@@ -45,6 +45,7 @@ scale separation; U is uniform, and B and g are Gaussian:
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -258,7 +259,7 @@ _FACTS = {
 
 
 def _check_perm(theta, n: int) -> tuple[int, ...]:
-    t = tuple(int(i) for i in theta)
+    t = tuple(operator.index(i) for i in theta)  # 1.5 raises, never truncates
     if sorted(t) != list(range(n)):
         raise ValueError(f"{theta} is not a permutation of 0..{n - 1}")
     return t

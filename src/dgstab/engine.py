@@ -29,7 +29,12 @@ ends the run, or the provenance note it adds (a ``str``); one loop,
    arithmetic;
 4. exact enumeration, for finite classes only, whose verdict is final
    (an inconclusive one means boundary eigenvalues or compositions that
-   overflowed, which block every verdict);
+   overflowed, which block every verdict).  Every member is composed;
+   on the unit disk, a composition is solved only when its spectral
+   radius bound (``linalg.spectral_radius_bounds``) reaches the largest
+   radius solved so far, capped at ``1 - boundary_tol``, less a
+   relative 1e-9, since one below it can neither exit, sit in the
+   boundary band nor lower the certificate's ``min_eig``;
 5. the certificate stage, for infinite classes: screen and search the
    form whose proven triples cover the query
    (``certify.search_for_triple``), then re-verify the certificate
@@ -53,8 +58,9 @@ verdict is built by ``_certified``, from a certificate that
 restricted one from ``certify.restrict_certificate``, which runs the
 same check on a stack (``proves`` is its stack of one), or from
 exhaustion of a finite class.  Every stage that tests members composes
-them with the matrix by one rule, ``algebra.finite_spectra``, which
-drops an overflowed composition, and picks the refuting member and
+them with the matrix by one rule, ``algebra.finite_compositions``,
+which drops an overflowed composition (``algebra.finite_spectra`` adds
+the spectra of the rest), and picks the refuting member and
 eigenvalue by another, ``regions.first_exit``; a finite class is
 scanned only by ``certify.exhaust``, whose result the enumeration stage
 and verdict transfer turn into a verdict.  Verdicts are deterministic

@@ -25,6 +25,7 @@ __all__ = [
     "as_square_matrix",
     "eigenvalues",
     "spectral_radius",
+    "spectral_radius_bounds",
     "is_positive_definite",
     "are_positive_definite",
     "symmetric_part",
@@ -44,6 +45,13 @@ RCOND_SINGULAR = 1e-12
 
 #: Default tolerance for positive-definiteness pivots.
 PD_TOL = 1e-9
+
+#: ``spectral_radius_bounds`` takes ``||X^k||_F^(1/k)`` at ``k = 2^3``.
+GELFAND_SQUARINGS = 3
+
+# twice the unit roundoff, and the smallest subnormal
+_U = 2.0 ** -52
+_ETA = 2.0 ** -1074
 
 
 def as_square_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -77,6 +85,57 @@ def eigenvalues(a) -> np.ndarray:
 def spectral_radius(a) -> float:
     """Largest eigenvalue modulus of ``a``."""
     return float(np.max(np.abs(eigenvalues(a))))
+
+
+def _frobenius_above(y: np.ndarray) -> np.ndarray:
+    """An upper bound on the Frobenius norm of each matrix of the finite
+    stack ``y``, of order n: the computed ``s = sum y_ij^2`` has
+    ``||y||_F^2 <= (s + n^2 eta) / (1 - gamma_(n^2))`` with the squares'
+    underflow counted in ``eta``, and the factor ``1 + (n^2 + 8) 2u``
+    covers that and the three roundings taken here."""
+    m = y.shape[-1] ** 2
+    return np.sqrt((y * y).sum(axis=(1, 2)) + m * _ETA) * (1.0 + (m + 8) * _U)
+
+
+def spectral_radius_bounds(m: np.ndarray) -> np.ndarray:
+    """A rigorous upper bound on the spectral radius of each matrix of
+    the finite ``(count, n, n)`` stack ``m``, from Gelfand's
+    ``rho(M) <= ||M^k||_F^(1/k)`` at ``k = 2^GELFAND_SQUARINGS``, taken
+    as ``2^e (||fl(X^k)||_F + d)^(1/k)``.  ``X = M / 2^e`` has entries
+    below 1 in magnitude, so no power of it overflows; ``fl(X^k)`` is
+    the computed result of repeated squaring and ``d`` bounds its
+    Frobenius distance from ``X^k``.
+
+    Rounding is counted as in Higham, *Accuracy and Stability of
+    Numerical Algorithms* (2002), section 3.5, with ``u = 2^-53`` and
+    ``eta = 2^-1074`` for gradual underflow: a computed product has
+    ``|fl(Y Y) - Y Y| <= gamma_n |Y| |Y| + n eta`` entrywise, so a
+    squaring raises the bound ``d`` on the error of ``Y`` to
+    ``(2 ||Y||_F + d) d + gamma_n ||Y||_F^2 + n^2 eta``, each norm
+    bounded from above (``_frobenius_above``); scaling by ``2^-e`` errs
+    only where an entry underflows, by ``n eta`` in all.  Every
+    ``gamma`` is taken with ``2u``, and every step is widened by a few
+    units of ``2u``, which covers the rounding of the bookkeeping
+    itself.  The bound is +inf where the bound on ``||M||_F`` is not
+    finite, or where ``2^e`` times the root overflows, and is rounded
+    up to the next float, so an underflow never lowers it below rho."""
+    n = m.shape[-1]
+    e = np.frexp(np.abs(m).max(axis=(1, 2)))[1]
+    y = np.ldexp(m, -e[:, None, None])
+    norm = _frobenius_above(y)
+    with np.errstate(over="ignore"):  # an overflow reads +inf, a bound
+        finite_norm = np.isfinite(np.ldexp(norm, e))
+    d = n * _ETA
+    for _ in range(GELFAND_SQUARINGS):
+        d = ((2.0 * norm + d) * d + n * _U * norm * norm + n * n * _ETA) * (1.0 + 8 * _U)
+        y = y @ y
+        norm = _frobenius_above(y)
+    r = norm + d
+    for _ in range(GELFAND_SQUARINGS):
+        r = np.sqrt(r)
+    with np.errstate(over="ignore"):
+        r = np.nextafter(np.ldexp(r * (1.0 + 8 * _U), e), np.inf)
+    return np.where(finite_norm, r, np.inf)
 
 
 def symmetric_part(a) -> np.ndarray:

@@ -224,9 +224,18 @@ def _partition_to_wire(p: Partition):
     return [[i + 1 for i in block] for block in p.blocks]
 
 
+def _integer(x) -> int:
+    """``x`` as an int: a number that is not an integer, 2.0 or 1.5,
+    raises ``TypeError`` rather than truncating, and so does a JSON
+    ``true``, which Python would read as 1."""
+    if isinstance(x, bool):
+        raise TypeError(f"{x!r} is not an integer")
+    return operator.index(x)
+
+
 def _partition_from_wire(blocks) -> Partition:
-    with _malformed("partition", blocks):  # an index must be an integer, not 2.0
-        return Partition(tuple(tuple(operator.index(i) - 1 for i in block)
+    with _malformed("partition", blocks):
+        return Partition(tuple(tuple(_integer(i) - 1 for i in block)
                                for block in blocks))
 
 
@@ -239,7 +248,7 @@ def _ranked(factory):
     def decode(rank, n):
         if n is None:
             raise ValueError(f"{factory.__name__} needs a matrix order")
-        return factory(int(n), int(rank))
+        return factory(_integer(n), _integer(rank))
 
     return lambda c: c.rank, decode
 
@@ -257,7 +266,7 @@ _PAYLOADS = {
     "pos_alpha_scalar": _partitioned(classes.pos_alpha_scalar),
     "alpha_block_spd": _partitioned(classes.alpha_block_spd),
     "theta_ordered": (lambda c: [t + 1 for t in c.theta],
-                      lambda p, n: classes.theta_ordered([t - 1 for t in p])),
+                      lambda p, n: classes.theta_ordered([_integer(t) - 1 for t in p])),
     "box_diag": (lambda c: {"lo": list(c.lo), "hi": list(c.hi)},
                  lambda p, n: classes.box_diag(p["lo"], p["hi"])),
     "rank_k_positive": _ranked(classes.rank_k_positive),
@@ -294,7 +303,7 @@ def class_from_json(obj, n: int | None = None) -> MatrixClass:
                 raise ValueError("class spec needs a matrix order")
             if spec not in _NAMED:
                 raise ValueError(f"unrecognized class name {spec!r}")
-            return _NAMED[spec](int(n))
+            return _NAMED[spec](_integer(n))
         for name, (_, decode) in _PAYLOADS.items():
             if name in spec:
                 return decode(spec[name], n)

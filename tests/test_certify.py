@@ -1212,16 +1212,16 @@ def test_a_stacked_restriction_rejects_its_failing_rows_alone():
 
 
 def _composed(monkeypatch):
-    """A list that ``algebra.finite_spectra`` appends each composed
+    """A list that ``algebra.finite_compositions`` appends each composed
     stack's member count to, for as long as ``monkeypatch`` holds."""
     counts = []
-    real = algebra.finite_spectra
+    real = algebra.finite_compositions
 
     def spy(op, gs, a):
         counts.append(len(gs))
         return real(op, gs, a)
 
-    monkeypatch.setattr(algebra, "finite_spectra", spy)
+    monkeypatch.setattr(algebra, "finite_compositions", spy)
     return counts
 
 
@@ -1244,6 +1244,26 @@ def test_exhaust_composes_one_member_of_each_pair_where_negation_pairs_them(monk
         r = certify.exhaust(a, region, cls, op, 1e-7)
         assert (r.hit, r.checked, r.boundary) == (None, 256, True), (region.kind, op)
         assert sum(counts) == 256, (region.kind, op)
+
+
+def test_exhaust_solves_few_members_of_a_stable_vertex_input_on_the_disk(monkeypatch):
+    # drawn as the benchmark's stable unit-disk vertex instances: the
+    # spectral radius bound of most members is below the largest radius
+    # solved, so few compositions reach eigvals
+    r = rng(12)
+    a = r.standard_normal((12, 12)) * r.uniform(0.15, 0.6) / np.sqrt(12)
+    composed, solved = _composed(monkeypatch), []
+    eigvals = np.linalg.eigvals
+
+    def spy(m):
+        solved.append(len(m))
+        return eigvals(m)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    got = certify.exhaust(a, regions.unit_disk(), classes.vertex_diag(12), MUL, 1e-7)
+    assert (got.hit, got.checked, got.boundary, got.overflowed) == (None, 4096, False, 0)
+    assert sum(composed) == 2048
+    assert sum(solved) <= 204, sum(solved)
 
 
 def test_exhaust_composes_at_most_twice_the_members_before_the_exit_plus_8(monkeypatch):

@@ -116,6 +116,12 @@ _QUERY_2X2 = ("--matrix", "[[1,0],[0,1]]", "--op", "mul")
     ("certify", "--matrix", "[[1,0],[0,1]]", "--kind", "block",
      "--partition", '[[1],["a"]]'),
     ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"alpha_scalar":[[1.0,2.0]]}}'),
+    # each was once truncated to an integer: theta (0, 1), rank 1, order 2, order 1
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"theta_ordered":[1.5,2]}}'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class",
+     '{"kind":{"rank_k_positive":1.5},"n":2}'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":"pos_diag","n":2.7}'),
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":"pos_diag","n":true}'),
 ])
 def test_a_malformed_wire_spec_exits_64_with_one_error_line(capsys, argv):
     # each once raised TypeError or IndexError out of main, the last from

@@ -14,6 +14,11 @@ On unit-disk vertex inputs at n = 9..12, where the scan composes one
 member of each +/- pair, refutations must still match byte for byte;
 a certified verdict's ``min_eig`` may differ in its last bits, as
 ``eigvals(-M)`` equals ``-eigvals(M)`` only up to rounding.
+
+On the unit disk ``exhaust`` solves only the compositions whose
+spectral radius bound reaches the largest radius solved so far; its
+result must equal, bit for bit, that of ``_solve_every_member``, the
+former scan kept verbatim, which solves every finite composition.
 """
 
 import itertools
@@ -21,9 +26,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from dgstab import algebra, classes, engine, regions, serialize
-from dgstab.algebra import ADD, HADAMARD, MUL
-from dgstab.certify import CertKind, Certificate, verify_certificate
+from dgstab import algebra, certify, classes, engine, regions, serialize
+from dgstab.algebra import ADD, HADAMARD, MUL, BinaryOp, OpKind, Side
+from dgstab.certify import CertKind, Certificate, Exhaustion, verify_certificate
 from dgstab.engine import Query, Verdict, VerdictStatus, _refuted
 from dgstab.linalg import as_square_matrix
 
@@ -101,6 +106,39 @@ def _old_verify_exhaustive(cert: Certificate, a) -> bool:
             count += len(stack)
         return cert.members_checked is None or count == cert.members_checked
     raise AssertionError(cert.kind)
+
+
+def _solve_every_member(a, region, cls, op, tol) -> Exhaustion:
+    """``certify.exhaust`` as it was before it bounded spectral radii:
+    every finite composition of a stack is solved."""
+    members = classes.enumerate_members(cls)
+    paired = (cls.kind is classes.ClassKind.VERTEX_DIAG and op.kind is not ADD.kind
+              and regions.scalar_preserves_region(region, -1.0))
+    if paired:
+        members = itertools.islice(members, cls.finite_size // 2)
+    checked = overflowed = 0
+    boundary, min_score = False, np.inf
+    size = 8
+    while chunk := list(itertools.islice(members, size)):
+        stack = np.stack(chunk)
+        rows, ws = algebra.finite_spectra(op, stack, a)
+        if rows.size:
+            hit = regions.first_exit(region, ws, tol)
+            if hit is not None:
+                k, lam, margin = hit
+                j = int(rows[k])
+                # the j members before the hit in its stack, k of them finite
+                return Exhaustion((checked + j, stack[j], lam, margin), checked + j, boundary,
+                                  min_score, overflowed + j - k)
+            flat = ws.ravel()
+            boundary = boundary or not regions.spectrum_in_region(region, flat)
+            min_score = min(min_score, float(regions.interior_scores(region, flat).min()))
+        overflowed += len(stack) - rows.size
+        checked += len(stack)
+        size = min(2 * size, 256)
+    if paired:
+        checked, overflowed = 2 * checked, 2 * overflowed
+    return Exhaustion(None, checked, boundary, min_score, overflowed)
 
 
 # --- inputs ----------------------------------------------------------------------
@@ -199,3 +237,65 @@ def test_paired_vertex_enumeration_agrees_with_the_old_loop():
         np.testing.assert_allclose(new.certificate.min_eig, old.certificate.min_eig,
                                    rtol=1e-12, atol=0.0)
     assert seen == {VerdictStatus.CERTIFIED, VerdictStatus.REFUTED}
+
+
+def _disk_scans():
+    """(a, class, op, tol) inputs for a unit-disk scan: vertex inputs at
+    n = 9..12 drawn as ``bench/workloads.py``'s ``vertex_instance`` draws
+    them, stable and unstable, explicit lists under each operation,
+    lists with overflowing members and vertex inputs with eigenvalues
+    on the circle."""
+    for seed in range(20):
+        r = np.random.default_rng(seed)
+        for n in range(9, 13):
+            lo, hi = (0.15, 0.6) if (seed + n) % 2 else (0.6, 1.0)
+            a = r.standard_normal((n, n)) * r.uniform(lo, hi) / np.sqrt(n)
+            yield a, classes.vertex_diag(n), MUL, 0.0 if seed % 2 else 1e-7
+    r = np.random.default_rng(31)
+    for op in (MUL, BinaryOp(OpKind.MUL, Side.RIGHT), HADAMARD, ADD):
+        for scale in (0.02, 0.1, 0.5):
+            a = 0.3 * r.standard_normal((5, 5))
+            yield a, classes.explicit_list(list(scale * r.standard_normal((60, 5, 5)))), op, 1e-7
+    # G o A overflows at the members of 1.5e308, each skipped and counted
+    a = 2.0 * np.eye(4) + 0.05 * r.standard_normal((4, 4))
+    members = list(0.1 * r.standard_normal((30, 4, 4)))
+    members[0] = members[17] = np.full((4, 4), 1.5e308)
+    for op in (MUL, HADAMARD):
+        yield a, classes.explicit_list(members), op, 1e-7
+    # G + A is finite and upper triangular with rho 0.5, but its norm is
+    # not finite, so its bound is +inf and it is solved
+    a = 0.5 * np.eye(4) + np.triu(0.3 * r.standard_normal((4, 4)), 1)
+    members = list(0.1 * r.standard_normal((30, 4, 4)))
+    members[12] = np.triu(np.full((4, 4), 1.3e308), 1)
+    yield a, classes.explicit_list(members), ADD, 1e-7
+    # eigenvalues on the circle in every member: a boundary input
+    a = np.diag([1.0, 0.5, 0.25]) + np.triu(r.standard_normal((3, 3)), 1)
+    yield a, classes.vertex_diag(3), MUL, 1e-7
+    # G A = I on the circle first, then members far inside it, with and
+    # without a last one that exits
+    a = 0.3 * r.standard_normal((5, 5))
+    members = [np.linalg.inv(a)] + list(0.1 * r.standard_normal((40, 5, 5)))
+    yield a, classes.explicit_list(members), MUL, 1e-7
+    yield a, classes.explicit_list(members + [3.0 * np.linalg.inv(a)]), MUL, 1e-7
+
+
+def test_exhaust_on_the_disk_equals_the_scan_that_solves_every_member():
+    disk = regions.unit_disk()
+    seen = {"hit": 0, "certified": 0, "boundary": 0, "overflowed": 0}
+    for a, cls, op, tol in _disk_scans():
+        got = certify.exhaust(a, disk, cls, op, tol)
+        want = _solve_every_member(a, disk, cls, op, tol)
+        where = (a.shape, cls.kind, op, tol)
+        assert (got.checked, got.boundary, got.overflowed) == (
+            want.checked, want.boundary, want.overflowed), where
+        assert np.float64(got.min_score).tobytes() == np.float64(want.min_score).tobytes(), where
+        assert (got.hit is None) is (want.hit is None), where
+        if got.hit is not None:
+            (i, g, lam, margin), (i0, g0, lam0, margin0) = got.hit, want.hit
+            assert (i, lam, margin) == (i0, lam0, margin0), where
+            np.testing.assert_array_equal(g, g0)
+        seen["hit"] += got.hit is not None
+        seen["certified"] += got.hit is None and not got.boundary and not got.overflowed
+        seen["boundary"] += got.boundary
+        seen["overflowed"] += got.overflowed > 0
+    assert all(seen.values()), seen

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import reference_2d
@@ -18,6 +20,7 @@ from dgstab.linalg import (
     solve_lyapunov,
     solve_stein,
     spectral_radius,
+    spectral_radius_bounds,
     symmetric_part,
 )
 
@@ -46,6 +49,67 @@ def test_spectral_radius_examples():
     assert spectral_radius(np.diag([0.5, -0.25])) == pytest.approx(0.5)
     assert spectral_radius([[0, 1], [-1, 0]]) == pytest.approx(1.0)
     assert spectral_radius([[0, 2], [0, 0]]) == pytest.approx(0.0, abs=1e-12)
+
+
+def _with_known_radius(rng):
+    """(matrix, exact rho^2 as a Fraction) pairs whose radius follows
+    from the construction: Jordan blocks, nilpotent shifts hidden by an
+    integer similarity, unshifted and shifted, permuted blocks
+    ``[[a, -b], [b, a]]``, whose eigenvalues ``a +- ib`` share their
+    modulus, a matrix whose powers underflow, the zero matrix and order
+    one."""
+    for n in range(2, 13):
+        for lam in (0.75, -1.0, 3.0, 2.0 ** -30):
+            yield lam * np.eye(n) + np.eye(n, k=1), Fraction(lam) ** 2
+    for n in (3, 6, 9):
+        # s = L U with unit triangular integer factors has an integer inverse
+        low = np.tril(rng.integers(-2, 3, (n, n)), -1) + np.eye(n, dtype=int)
+        up = np.triu(rng.integers(-2, 3, (n, n)), 1) + np.eye(n, dtype=int)
+        s = low @ up
+        s_inv = np.rint(np.linalg.inv(s)).astype(int)
+        assert (s @ s_inv == np.eye(n, dtype=int)).all()
+        hidden = s @ np.eye(n, k=1, dtype=int) @ s_inv
+        assert np.abs(hidden).max() < 2 ** 40  # exact as floats, and after the shift
+        yield hidden.astype(float), Fraction(0)
+        yield 0.5 * (hidden + np.eye(n, dtype=int)).astype(float), Fraction(1, 4)
+    for k in (1, 2, 5):
+        m, rho2 = np.zeros((2 * k, 2 * k)), Fraction(0)
+        for i, (a, b) in enumerate(rng.standard_normal((k, 2)) * rng.uniform(0.1, 3.0, (k, 1))):
+            m[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[a, -b], [b, a]]
+            rho2 = max(rho2, Fraction(a) ** 2 + Fraction(b) ** 2)
+        p = rng.permutation(2 * k)
+        yield m[np.ix_(p, p)], rho2
+    # eigenvalues +-2^-150, whose eighth power 2^-1200 underflows to 0
+    yield np.array([[0.0, 1.0], [2.0 ** -300, 0.0]]), Fraction(2) ** -300
+    yield np.zeros((4, 4)), Fraction(0)
+    for x in (0.3, -7.0):
+        yield np.array([[x]]), Fraction(x) ** 2
+
+
+def test_spectral_radius_bounds_hold_on_inputs_of_known_radius():
+    cases = list(_with_known_radius(np.random.default_rng(30)))
+    for scale in (1.0, 2.0 ** 1000, 2.0 ** -1000):
+        for m, rho2 in cases:
+            bound = spectral_radius_bounds((m * scale)[None])[0]
+            assert np.isfinite(bound) and Fraction(bound) ** 2 >= rho2 * Fraction(scale) ** 2, (
+                m, scale, bound)
+    # the range's ends: subnormal entries, whose bound is scaled back
+    # into the subnormals, and a bound next to the float limit
+    for x in (5e-324, -3e-320, 1.7e308):
+        bound = spectral_radius_bounds(np.array([[[x]]]))[0]
+        assert np.isfinite(bound) and bound >= abs(x)
+    # each row of a stack is bounded alone
+    stack = np.stack([m for m, _ in cases if m.shape == (4, 4)])
+    alone = [spectral_radius_bounds(m[None])[0] for m in stack]
+    assert spectral_radius_bounds(stack).tolist() == alone
+
+
+def test_spectral_radius_bounds_are_inf_where_the_norm_overflows():
+    # nilpotent, rho 0, but its Frobenius norm is beyond the float range
+    huge = np.array([[1e308, 1e308], [-1e308, -1e308]])
+    bounds = spectral_radius_bounds(np.stack([np.eye(2), huge, 0.5 * np.eye(2)]))
+    assert bounds[1] == np.inf
+    assert 1.0 <= bounds[0] < np.inf and 0.5 <= bounds[2] < np.inf
 
 
 def test_is_positive_definite_examples():
