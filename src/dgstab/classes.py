@@ -21,7 +21,7 @@ Every kind is also reached through its parameters, in the table
 ``_PARAMS``: ``draw`` gives a (count, dim) array of them, ``decode`` the
 (count, n, n) members, and the move rule the values that
 ``coordinate_moves`` tries for one coordinate at step ``s``.
-``sample_batch`` decodes draws; ``engine.stabilize`` descends on the
+``sample_batch`` decodes draws; ``engine.stabilize``'s descent runs on the
 falsifier's own parameters.  L is log-uniform on [1e-3, 1e3], to stress
 scale separation; U is uniform, and B and g are Gaussian:
 
@@ -637,7 +637,9 @@ _PARAMS = {
         lambda c, p, i, s: np.clip(_tau_steps(c, p, i, s), *c.tau)),
     ClassKind.EXPLICIT_LIST: _Params(
         lambda c, rng, k: rng.integers(0, len(c.members), (k, 1)),
-        lambda c, p: np.stack(_member_arrays(c))[p[:, 0]], lambda c, p, i, s: ()),
+        lambda c, p: np.array([c.members[k] for k in p[:, 0]], dtype=float).reshape(
+            len(p), c.order, c.order),
+        lambda c, p, i, s: ()),
 }
 
 

@@ -66,11 +66,14 @@ scanned only by ``certify.exhaust``, whose result the enumeration stage
 and verdict transfer turn into a verdict.  Verdicts are deterministic
 functions of the query (including its seed).
 
-Falsification trials are evaluated in fixed-size chunks, chunk i drawn
-from ``_stream(seed, 2, i)``, and the first witness in chunk order wins;
-results are therefore reproducible regardless of how many worker
-threads evaluate the chunks (``DGSTAB_THREADS`` caps the pool, and so
-do the CPUs the process may run on).
+The searches of a class run through two loops.  ``_scan`` draws and
+tests members in fixed-size chunks and returns the first hit in chunk
+order: ``falsify`` (chunk i drawn from ``_stream(seed, 2, i)``, on a pool
+that ``DGSTAB_THREADS`` and the CPUs the process may run on cap, so its
+results do not depend on the thread count) and ``inertia_preserving``
+(every chunk from one stream, so on one thread).  ``_descend`` is the one
+descent in a class's parameters; ``stabilize`` starts it from draws, or
+from each member of an explicit list in order.
 """
 
 from __future__ import annotations
@@ -204,41 +207,51 @@ def _thread_count() -> int:
     return max(1, min(wanted, cpus))
 
 
-def falsify(q: Query) -> Verdict:
-    """Randomized counterexample search over the class.
+def _scan(q: Query, stream, test, threads: int):
+    """The engine's one chunked member scan, for ``falsify`` and
+    ``inertia_preserving``.
 
-    Trials run in chunks of ``_CHUNK``, chunk ``i`` drawn from its own
-    stream ``_stream(seed, 2, i)``, so the first witness in chunk order
-    is the same for every thread count.  Returns ``REFUTED`` with that
-    witness or ``UNKNOWN`` with the number of trials spent and, if any,
-    the number whose composition overflowed, which are never witnesses.
-    A worker skips every chunk after one known to hold a witness: the
-    pool starts chunks in order, so each chunk before that one has
-    started, and the first witness is among them.
+    ``q.budget`` trials run in chunks of ``_CHUNK``: chunk ``i`` is the
+    ``(count, n, n)`` stack of members that ``classes.sample_batch`` draws
+    from the generator ``stream(i)``, composed with ``q.a`` by
+    ``algebra.finite_spectra``, and ``test(gs, rows, w)`` gets the whole
+    chunk, the indices of its finite compositions and their spectra.  It
+    returns ``None`` or ``(j, payload)`` for the first hit, ``j`` indexing
+    ``gs``.  The first hit in chunk order wins, so the result is the same
+    for every ``threads`` when each chunk's generator depends on ``i``
+    alone; a scan whose chunks share one generator must run on one
+    thread.  A
+    worker skips every chunk after one known to hold a hit: the pool
+    starts chunks in order, ``threads * 4`` at a time, so each chunk
+    before that one has started, and the first hit is among them.
+
+    Returns ``(trials, member, payload, overflowed)``: for the first hit,
+    the trials up to and including it, its member and payload, and the
+    compositions that overflowed in the chunks up to its own; without a
+    hit, ``q.budget``, ``None``, ``None`` and every overflowed
+    composition.  An overflowed composition is never tested.
     """
-    a, region, cls, op, budget, tol = q.a, q.region, q.cls, q.op, q.budget, q.tol
-    n_chunks = math.ceil(budget / _CHUNK)
-    first_hit = [n_chunks]  # the lowest chunk known to hold a witness
+    n_chunks = math.ceil(q.budget / _CHUNK)
+    first_hit = [n_chunks]  # the lowest chunk known to hold a hit
     overflowed = [0] * n_chunks  # per chunk, the trials whose composition overflowed
     lock = threading.Lock()
 
+    # bench/spans.py times the falsifier's chunks by the draws called from
+    # a function of this name (FALSIFY_SITE)
     def eval_chunk(i: int):
         if i > first_hit[0]:
             return None
-        count = min(_CHUNK, budget - i * _CHUNK)
-        rng = np.random.default_rng(_stream(q.seed, 2, i))
-        gs = classes.sample_batch(cls, rng, count)
-        rows, w = algebra.finite_spectra(op, gs, a)
+        count = min(_CHUNK, q.budget - i * _CHUNK)
+        gs = classes.sample_batch(q.cls, stream(i), count)
+        rows, w = algebra.finite_spectra(q.op, gs, q.a)
         overflowed[i] = count - rows.size
-        hit = regions.first_exit(region, w, tol) if rows.size else None
+        hit = test(gs, rows, w) if rows.size else None
         if hit is None:
             return None
         with lock:
             first_hit[0] = min(first_hit[0], i)
-        j = int(rows[hit[0]])
-        return (gs[j], j) + hit[1:]
+        return (gs[hit[0]],) + hit
 
-    threads = _thread_count()
     window = threads * 4
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         chunk_map = map if pool is None else pool.map
@@ -246,15 +259,31 @@ def falsify(q: Query) -> Verdict:
             hi = min(lo + window, n_chunks)
             for i, res in zip(range(lo, hi), chunk_map(eval_chunk, range(lo, hi))):
                 if res is not None:
-                    g, j, lam, margin = res
-                    used = i * _CHUNK + j + 1
-                    return _refuted(g, lam, margin,
-                                    f"falsification found witness after {used} trials",
-                                    trials_used=used)
-    note = f"falsification exhausted {budget} trials"
-    if sum(overflowed):
-        note += f" ({sum(overflowed)} compositions overflowed and were skipped)"
-    return Verdict(VerdictStatus.UNKNOWN, trials_used=budget, provenance=(note,))
+                    g, j, payload = res
+                    return i * _CHUNK + j + 1, g, payload, sum(overflowed[:i + 1])
+    return q.budget, None, None, sum(overflowed)
+
+
+def falsify(q: Query) -> Verdict:
+    """Randomized counterexample search over the class: ``_scan`` on
+    ``DGSTAB_THREADS`` workers, chunk ``i`` drawn from its own stream
+    ``_stream(seed, 2, i)`` and tested by ``regions.first_exit``.
+    Returns ``REFUTED`` with the first witness in chunk order or
+    ``UNKNOWN`` with the number of trials spent and, if any, the number
+    whose composition overflowed."""
+    def exit_of(gs, rows, w):
+        hit = regions.first_exit(q.region, w, q.tol)
+        return None if hit is None else (int(rows[hit[0]]), hit[1:])
+
+    used, g, hit, overflowed = _scan(
+        q, lambda i: np.random.default_rng(_stream(q.seed, 2, i)), exit_of, _thread_count())
+    if g is not None:
+        return _refuted(g, *hit, f"falsification found witness after {used} trials",
+                        trials_used=used)
+    note = f"falsification exhausted {used} trials"
+    if overflowed:
+        note += f" ({overflowed} compositions overflowed and were skipped)"
+    return Verdict(VerdictStatus.UNKNOWN, trials_used=used, provenance=(note,))
 
 
 # ---------------------------------------------------------------------------
@@ -528,73 +557,80 @@ class StabilizeReport:
     evaluations: int
 
 
+def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
+    """The engine's one descent in a class's parameters (``classes.draw``),
+    from ``p``: sweeps of ``classes.coordinate_moves``, one coordinate at
+    a time, each coordinate's moves taken from the parameters that the
+    sweep reached before it; a move is kept when ``loss`` falls, and the
+    step starts at 0.5 and halves after a sweep that lowers nothing,
+    down to 1e-3.  It stops after ``budget`` evaluations of ``loss`` or
+    when ``done(p, value)`` holds at the start or at a kept move.
+
+    Returns ``(p, value, evaluations, finished)``, ``finished`` telling
+    whether ``done`` held."""
+    value, evals = loss(p), 1
+    if done(p, value):
+        return p, value, evals, True
+    scale = 0.5
+    while evals < budget and scale > 1e-3:
+        improved = False
+        for i in range(p.size):
+            for cand in classes.coordinate_moves(cls, p, i, scale):
+                if evals >= budget:
+                    break
+                cand_value = loss(cand)
+                evals += 1
+                if cand_value < value:
+                    p, value, improved = cand, cand_value, True
+                    if done(p, value):
+                        return p, value, evals, True
+        if not improved:
+            scale *= 0.5
+    return p, value, evals, False
+
+
 def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
               budget: int = 10_000, seed: int = 42) -> StabilizeReport:
     """Search the class for one member whose composition with ``a`` is
-    region-stable: random multi-start plus coordinate descent on the
-    summed exterior margin, or a scan of an explicit list's first
-    ``budget`` members.  The descent searches the parameters that the
-    falsifier's draws decode (``classes.draw``): each start is one
-    draw, each step tries ``classes.coordinate_moves`` one coordinate
-    at a time, and the step halves after a sweep that lowers nothing.
-    A found witness is re-verified before it is returned.  A member
-    whose composition overflows has infinite loss and never
-    verifies."""
+    region-stable: ``_descend`` on the summed shortfall of the interior
+    scores below twice the boundary tolerance, started from one
+    ``classes.draw`` after another, or from each member of an explicit
+    list in order (an index, which has no moves), until ``budget``
+    evaluations are spent.  A found witness is re-verified before it is
+    returned.  A member whose composition overflows has infinite loss
+    and never verifies."""
     a = Query(a, region, cls, op, budget, seed).a
     rng = np.random.default_rng(_stream(seed))
     req = 2.0 * region.boundary_tol
 
-    def spectrum(g):  # None when the composition overflows
-        w = algebra.finite_spectra(op, g[None], a)[1]
+    def spectrum(p):  # None when the composition overflows
+        w = algebra.finite_spectra(op, classes.decode(cls, p[None]), a)[1]
         return None if w is None else w[0]
 
-    def loss_of(g) -> float:
-        w = spectrum(g)
+    def loss(p) -> float:
+        w = spectrum(p)
         if w is None:
             return np.inf
-        scores = regions.interior_scores(region, w)
-        return float(np.sum(np.maximum(0.0, req - scores)))
+        with np.errstate(over="ignore"):  # shortfalls near the float limit sum to inf
+            return float(np.sum(np.maximum(0.0, req - regions.interior_scores(region, w))))
 
-    def verified(g) -> bool:
-        if not classes.contains(cls, g, 1e-7):
+    def verified(p, value: float) -> bool:
+        if value != 0.0 or not classes.contains(cls, classes.decode(cls, p[None])[0], 1e-7):
             return False
-        w = spectrum(g)
+        w = spectrum(p)
         return w is not None and regions.spectrum_in_region(region, w)
 
-    if cls.kind is ClassKind.EXPLICIT_LIST:
-        evals = 0
-        for g in itertools.islice(classes.enumerate_members(cls), budget):
-            evals += 1
-            if loss_of(g) == 0.0 and verified(g):
-                return StabilizeReport(True, g, evals)
-        return StabilizeReport(False, None, evals)
-
-    def decode(p):
-        return classes.decode(cls, p[None])[0]
-
+    starts = ((np.array([k]) for k in range(len(cls.members)))
+              if cls.kind is ClassKind.EXPLICIT_LIST
+              else (classes.draw(cls, rng, 1)[0] for _ in itertools.count()))
     evals = 0
-    while evals < budget:
-        p = classes.draw(cls, rng, 1)[0]
-        loss = loss_of(decode(p))
-        evals += 1
-        if loss == 0.0 and verified(decode(p)):
-            return StabilizeReport(True, decode(p), evals)
-        scale = 0.5
-        while evals < budget and scale > 1e-3:
-            improved = False
-            for i in range(p.size):
-                for cand in classes.coordinate_moves(cls, p, i, scale):
-                    if evals >= budget:
-                        break
-                    cand_loss = loss_of(decode(cand))
-                    evals += 1
-                    if cand_loss < loss:
-                        p, loss = cand, cand_loss
-                        improved = True
-                        if loss == 0.0 and verified(decode(p)):
-                            return StabilizeReport(True, decode(p), evals)
-            if not improved:
-                scale *= 0.5
+    for p in starts:
+        p, _, spent, found = _descend(cls, p, loss, budget - evals, verified)
+        evals += spent
+        if found:
+            return StabilizeReport(True, classes.decode(cls, p[None])[0], evals)
+        if evals >= budget:
+            break
     return StabilizeReport(False, None, evals)
 
 
@@ -728,28 +764,26 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
                        region: regions.Region, budget: int = 1000,
                        seed: int = 42) -> InertiaPreservationReport:
     """Sampled check that composing with class members preserves their
-    eigenvalue counts relative to the region; any mismatch is returned
-    as a witness.  A member whose composition overflows is skipped and
-    counted in ``overflowed``."""
-    a = Query(a, region, cls, op, budget, seed).a
+    eigenvalue counts relative to the region; the first mismatch is
+    returned as a witness.  ``_scan`` on one thread, every chunk drawn in
+    turn from the one stream ``_stream(seed)``; a member whose
+    composition overflows is skipped and counted in ``overflowed``."""
+    q = Query(a, region, cls, op, budget, seed)
     rng = np.random.default_rng(_stream(seed))
-    done = overflowed = 0
-    while done < budget:
-        count = min(_CHUNK, budget - done)
-        gs = classes.sample_batch(cls, rng, count)
-        rows, w_m = algebra.finite_spectra(op, gs, a)
-        overflowed += count - rows.size
-        if rows.size:
-            w_g = np.linalg.eigvals(gs[rows])
-            for j, wg, wm in zip(rows.tolist(), w_g, w_m):
-                ig = regions.inertia_of(region, wg).as_tuple()
-                im = regions.inertia_of(region, wm).as_tuple()
-                if ig != im:
-                    return InertiaPreservationReport(
-                        False, done + j + 1, gs[j], ig, im, overflowed
-                    )
-        done += count
-    return InertiaPreservationReport(True, done, overflowed=overflowed)
+
+    def mismatch(gs, rows, w_m):
+        w_g = np.linalg.eigvals(gs[rows])
+        for j, wg, wm in zip(rows.tolist(), w_g, w_m):
+            ig = regions.inertia_of(region, wg).as_tuple()
+            im = regions.inertia_of(region, wm).as_tuple()
+            if ig != im:
+                return j, (ig, im)
+        return None
+
+    trials, g, inertias, overflowed = _scan(q, lambda i: rng, mismatch, 1)
+    if g is None:
+        return InertiaPreservationReport(True, trials, overflowed=overflowed)
+    return InertiaPreservationReport(False, trials, g, *inertias, overflowed)
 
 
 # ---------------------------------------------------------------------------

@@ -233,6 +233,15 @@ def _integer(x) -> int:
     return operator.index(x)
 
 
+def _sign(x):
+    """``x`` as a sign: a number other than -1, 0 and 1, such as 0.5,
+    raises ``TypeError`` rather than being read as its sign, and so
+    does a JSON ``true``."""
+    if isinstance(x, bool) or x not in (-1, 0, 1):
+        raise TypeError(f"{x!r} is not a sign (-1, 0 or 1)")
+    return x
+
+
 def _partition_from_wire(blocks) -> Partition:
     with _malformed("partition", blocks):
         return Partition(tuple(tuple(_integer(i) - 1 for i in block)
@@ -261,7 +270,8 @@ _NAMED = {f.__name__: f for f in (classes.symmetric, classes.spd, classes.diag,
 #: payload encoder (class -> payload) and decoder (payload, order ->
 #: class).  Decoding tries the names in this order.
 _PAYLOADS = {
-    "sign_diag": (lambda c: list(c.signs), lambda p, n: classes.sign_diag(p)),
+    "sign_diag": (lambda c: list(c.signs),
+                  lambda p, n: classes.sign_diag([_sign(s) for s in p])),
     "alpha_scalar": _partitioned(classes.alpha_scalar),
     "pos_alpha_scalar": _partitioned(classes.pos_alpha_scalar),
     "alpha_block_spd": _partitioned(classes.alpha_block_spd),

@@ -122,6 +122,8 @@ _QUERY_2X2 = ("--matrix", "[[1,0],[0,1]]", "--op", "mul")
      '{"kind":{"rank_k_positive":1.5},"n":2}'),
     ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":"pos_diag","n":2.7}'),
     ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":"pos_diag","n":true}'),
+    # each entry was once read as its sign: signs (1, -1)
+    ("check", *_QUERY_2X2, "--region", "rhp", "--class", '{"kind":{"sign_diag":[0.5,-2]}}'),
 ])
 def test_a_malformed_wire_spec_exits_64_with_one_error_line(capsys, argv):
     # each once raised TypeError or IndexError out of main, the last from

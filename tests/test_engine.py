@@ -382,6 +382,11 @@ def test_stabilize_skips_compositions_that_overflow():
     rep = stabilize(a, RHP, cls, MUL, budget=10)
     assert (rep.found, rep.evaluations) == (True, 2)
     np.testing.assert_array_equal(rep.witness, np.diag([1.0, -1.0]))
+    # finite shortfalls near the float limit once warned "overflow
+    # encountered in reduce" as the loss summed them to inf
+    rep = stabilize(np.diag([1.7e308, -1.7e308]), dg.unit_disk(), classes.pos_diag(2),
+                    dg.ADD, budget=20)
+    assert (rep.found, rep.witness, rep.evaluations) == (False, None, 20)
 
 
 @pytest.mark.parametrize("op", [MUL, dg.ADD], ids=["mul", "add"])

@@ -279,6 +279,18 @@ def _disk_scans():
     yield a, classes.explicit_list(members + [3.0 * np.linalg.inv(a)]), MUL, 1e-7
 
 
+def test_a_member_just_past_the_solve_floor_still_refutes():
+    # the first stack of eight solves radius 0.9999, so the next stack's
+    # floor is 0.9999 (1 - 1e-9) and member 8's bound, 1.0005, reaches it;
+    # a floor raised by a factor 1.001 skipped that member and certified
+    # all 9, and no other test failed
+    members = [[[0.9999]]] * 8 + [[[1.0005]]]
+    v = engine.decide(Query([[1.0]], regions.unit_disk(), classes.explicit_list(members), MUL))
+    assert v.status is VerdictStatus.REFUTED
+    assert v.provenance[-1] == "exhaustive enumeration refutes at member 8 of 9"
+    np.testing.assert_array_equal(v.witness, [[1.0005]])
+
+
 def test_exhaust_on_the_disk_equals_the_scan_that_solves_every_member():
     disk = regions.unit_disk()
     seen = {"hit": 0, "certified": 0, "boundary": 0, "overflowed": 0}
