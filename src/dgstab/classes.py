@@ -99,6 +99,13 @@ __all__ = [
 #: rank decisions.
 RANK_TOL = 1e-9
 
+#: The tolerance at which a found member is checked again for class
+#: membership: the engine's escape, ``stabilize``'s witness and a
+#: transferred refutation's witness, and ``closure_probe``'s compositions
+#: and inverses.  It is not ``engine.Query.tol``, the exit tolerance,
+#: although that also defaults to 1e-7.
+RECHECK_TOL = 1e-7
+
 _LOG_RANGE = (-3.0, 3.0)
 
 
@@ -215,7 +222,7 @@ class _Facts(NamedTuple):
     # the operation o under which, for every positive vector u, the class
     # holds a member G with G o A = diag(u) A for every A (diag(u) under
     # the product, u 1^T under the entrywise product) that also passes
-    # contains at 1e-7; None otherwise.  The SPD kinds hold every
+    # contains at RECHECK_TOL; None otherwise.  The SPD kinds hold every
     # positive diagonal, but that test rejects a wide spread of u.
     row_scaling: OpKind | None
 
@@ -530,8 +537,9 @@ def _sym_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
 
 
 def _spd_decode(c: MatrixClass, p: np.ndarray) -> np.ndarray:
-    # the shift puts every member's smallest eigenvalue above 1e-7 times
-    # its largest diagonal entry, which is what contains(c, g, 1e-7) asks
+    # the shift puts every member's smallest eigenvalue above RECHECK_TOL
+    # times its largest diagonal entry, which is what
+    # contains(c, g, RECHECK_TOL) asks
     out, start = np.zeros((len(p), c.order, c.order)), 0
     for sel in map(np.asarray, _blocks(c)):
         b = p[:, start:start + sel.size ** 2].reshape(-1, sel.size, sel.size)
@@ -666,8 +674,8 @@ def sample_batch(c: MatrixClass, rng: np.random.Generator, count: int) -> np.nda
     """Draw ``count`` members as a (count, n, n) stack: ``decode(draw)``.
 
     Deterministic given the generator state; every draw satisfies
-    ``contains``, at tolerances up to 1e-7 (the engine re-checks
-    witnesses at 1e-7).
+    ``contains``, at tolerances up to ``RECHECK_TOL`` (the engine
+    re-checks witnesses at it).
     """
     return decode(c, draw(c, rng, count))
 
@@ -740,12 +748,12 @@ def closure_probe(c: MatrixClass, op: BinaryOp, trials: int,
     for _ in range(trials):
         g1 = sample(c, rng)
         g2 = sample(c, rng)
-        if closed and not contains(c, algebra.apply(op, g1, g2), 1e-7):
+        if closed and not contains(c, algebra.apply(op, g1, g2), RECHECK_TOL):
             closed = False
             closure_ce = (g1, g2)
         if has_inv:
             inv = algebra.op_inverse(op, g1)
-            if inv is not None and not contains(c, inv, 1e-7):
+            if inv is not None and not contains(c, inv, RECHECK_TOL):
                 has_inv = False
                 inv_ce = g1
         if not closed and not has_inv:

@@ -315,7 +315,7 @@ def _unboundedness_escape(q: Query, a: np.ndarray, cls: MatrixClass) -> Verdict 
         g0 = classes.sample(cls, rng)
         for k in range(61):
             g = (2.0 ** k) * g0
-            if not classes.contains(cls, g, 1e-7):
+            if not classes.contains(cls, g, classes.RECHECK_TOL):
                 break
             rows, w = algebra.finite_spectra(q.op, g[None], a)
             if not rows.size:
@@ -563,8 +563,10 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
     a time, each coordinate's moves taken from the parameters that the
     sweep reached before it; a move is kept when ``loss`` falls, and the
     step starts at 0.5 and halves after a sweep that lowers nothing,
-    down to 1e-3.  It stops after ``budget`` evaluations of ``loss`` or
-    when ``done(p, value)`` holds at the start or at a kept move.
+    down to 1e-3.  It stops after ``budget`` evaluations of ``loss``,
+    after a sweep that offers no move (an explicit list's index has
+    none, at any step), or when ``done(p, value)`` holds at the start or
+    at a kept move.
 
     Returns ``(p, value, evaluations, finished)``, ``finished`` telling
     whether ``done`` held."""
@@ -573,9 +575,10 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
         return p, value, evals, True
     scale = 0.5
     while evals < budget and scale > 1e-3:
-        improved = False
+        improved = tried = False
         for i in range(p.size):
             for cand in classes.coordinate_moves(cls, p, i, scale):
+                tried = True
                 if evals >= budget:
                     break
                 cand_value = loss(cand)
@@ -584,6 +587,8 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
                     p, value, improved = cand, cand_value, True
                     if done(p, value):
                         return p, value, evals, True
+        if not tried:
+            break
         if not improved:
             scale *= 0.5
     return p, value, evals, False
@@ -615,7 +620,8 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
             return float(np.sum(np.maximum(0.0, req - regions.interior_scores(region, w))))
 
     def verified(p, value: float) -> bool:
-        if value != 0.0 or not classes.contains(cls, classes.decode(cls, p[None])[0], 1e-7):
+        if value != 0.0 or not classes.contains(cls, classes.decode(cls, p[None])[0],
+                                                classes.RECHECK_TOL):
             return False
         w = spectrum(p)
         return w is not None and regions.spectrum_in_region(region, w)
@@ -772,13 +778,13 @@ def inertia_preserving(a, cls: MatrixClass, op: BinaryOp,
     rng = np.random.default_rng(_stream(seed))
 
     def mismatch(gs, rows, w_m):
-        w_g = np.linalg.eigvals(gs[rows])
-        for j, wg, wm in zip(rows.tolist(), w_g, w_m):
-            ig = regions.inertia_of(region, wg).as_tuple()
-            im = regions.inertia_of(region, wm).as_tuple()
-            if ig != im:
-                return j, (ig, im)
-        return None
+        ig = regions.inertia_rows(region, np.linalg.eigvals(gs[rows]))
+        im = regions.inertia_rows(region, w_m)
+        differ = (ig != im).any(axis=1)
+        k = int(differ.argmax())
+        if not differ[k]:
+            return None
+        return int(rows[k]), (tuple(ig[k].tolist()), tuple(im[k].tolist()))
 
     trials, g, inertias, overflowed = _scan(q, lambda i: rng, mismatch, 1)
     if g is None:
@@ -1023,7 +1029,7 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     if v.status is VerdictStatus.REFUTED:
         g = _transfer_witness(v.witness, q, tf)
         note = "witness left the class numerically"
-        if g is not None and classes.contains(q.cls, g, 1e-7):
+        if g is not None and classes.contains(q.cls, g, classes.RECHECK_TOL):
             rows, w = algebra.finite_spectra(q.op, g[None], qt.a)
             hit = regions.first_exit(q.region, w, q.tol) if rows.size else None
             if hit is not None:

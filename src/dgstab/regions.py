@@ -12,6 +12,24 @@ Thin regions (the real axis, the positive ray, the polynomial-form
 zero set) instead classify points within tolerance of the set as
 interior, since the set itself is what membership means there.
 
+Every per-kind rule lives in one table, ``_RULES``, with the columns
+``classify``, ``negate``, ``reciprocal`` and ``scale``: ``classify`` gives
+a stack of points' (codes, exterior margins, interior scores);
+``negate`` and ``reciprocal`` give the region's image under ``-z`` and
+``1/z``, or are None where no supported kind represents it; ``scale``
+tells whether every scalar in an interval keeps interior points inside.
+The ``classify`` cells are built from three shared shapes, with
+``t = boundary_tol``:
+
+  shape                  kinds                         interior  boundary  exterior
+  band around a depth s  half-planes, disk, sector,    s > t     |s| <= t  s < -t
+                         hill (positive, nonnegative)
+  thin set, distance d   real axis, hill (zero)        d <= t    never     d > t
+  plane minus a curve,   nonzero real part,            s > t     s <= t    never
+  distance s             punctured plane
+
+and the positive ray keeps its own rule.
+
 Region values are immutable and shareable across threads.
 """
 
@@ -20,6 +38,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,6 +69,7 @@ __all__ = [
     "spectrum_in_region",
     "interior_rows",
     "inertia_of",
+    "inertia_rows",
     "transform_region",
     "is_scale_invariant",
 ]
@@ -78,11 +98,6 @@ class PointClass(enum.Enum):
 class RegionTransform(enum.Enum):
     NEGATE = "negate"
     RECIPROCAL = "reciprocal"
-
-
-#: Kinds whose point set is a plane minus a curve: the complement has
-#: empty interior, so no point is ever a strict exterior witness.
-_THIN_COMPLEMENT_KINDS = (RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE)
 
 
 @dataclass(frozen=True)
@@ -199,64 +214,143 @@ def _hill_values(region: Region, z: np.ndarray) -> np.ndarray:
     return np.einsum("iz,ij,jz->z", np.conj(powers), c, powers).real
 
 
-def _signed_depth(region: Region, z: np.ndarray) -> np.ndarray:
-    """Signed distance-like value: positive inside, negative outside.
+def _sector_depth(region: Region, z: np.ndarray) -> np.ndarray:
+    r = np.abs(z)
+    delta = region.half_angle - np.abs(np.angle(z))
+    near = np.abs(delta) <= 0.5 * math.pi
+    s = np.where(near, r * np.sin(delta), np.sign(delta) * r)
+    return np.where(r == 0.0, 0.0, s)
 
-    Only defined for the 'band' kinds where interior/boundary/exterior
-    is a symmetric band around zero depth.
-    """
-    k = region.kind
-    if k is RegionKind.RIGHT_HALF_PLANE:
-        return z.real
-    if k is RegionKind.LEFT_HALF_PLANE:
-        return -z.real
-    if k is RegionKind.UNIT_DISK:
-        return 1.0 - np.abs(z)
-    if k is RegionKind.SECTOR:
-        r = np.abs(z)
-        delta = region.half_angle - np.abs(np.angle(z))
-        near = np.abs(delta) <= 0.5 * math.pi
-        s = np.where(near, r * np.sin(delta), np.sign(delta) * r)
-        return np.where(r == 0.0, 0.0, s)
-    if k is RegionKind.HILL and region.sense in ("positive", "nonnegative"):
-        return _hill_values(region, z)
-    raise AssertionError(f"no signed depth for {k}")
+
+def _band(depth):
+    """The band around a signed depth ``s``, positive inside: interior
+    where ``s > t``, exterior where ``s < -t``, boundary between; margin
+    ``-s``, score ``s``."""
+    def classify(region, z, t):
+        s = depth(region, z)
+        return np.where(s > t, 1, np.where(s < -t, -1, 0)), -s, s
+    return classify
+
+
+def _thin(distance):
+    """The thin set where a distance ``d`` is zero: interior within ``t``
+    of it, exterior beyond; margin ``d`` outside and ``-d`` inside, score
+    ``t - d``."""
+    def classify(region, z, t):
+        d = distance(region, z)
+        inside = d <= t
+        return np.where(inside, 1, -1), np.where(inside, -d, d), t - d
+    return classify
+
+
+def _minus_curve(distance):
+    """The plane minus a curve, at distance ``s`` from it: interior beyond
+    ``t``, boundary within.  The complement has empty interior, so no
+    point is ever a strict exterior witness: margin ``-s``, score
+    ``s - t``."""
+    def classify(region, z, t):
+        s = distance(region, z)
+        return np.where(s > t, 1, 0), -s, s - t
+    return classify
+
+
+def _ray_classify(region: Region, z: np.ndarray, t: float):
+    """The positive ray's own rule: interior beyond ``t`` along the axis
+    and within ``t`` of it, exterior farther than ``t`` from the ray."""
+    dist = np.where(z.real > 0.0, np.abs(z.imag), np.abs(z))
+    interior = (z.real > t) & (np.abs(z.imag) <= t)
+    codes = np.where(interior, 1, np.where(dist > t, -1, 0))
+    return (codes, np.where(codes == -1, dist, -dist),
+            np.minimum(z.real - t, t - np.abs(z.imag)))
+
+
+_HILL_BAND = _band(_hill_values)
+_HILL_ZERO = _thin(lambda r, z: np.abs(_hill_values(r, z)))
+
+
+def _hill_negate(region: Region) -> Region:
+    c = region.coeff_array
+    m = c.shape[0]
+    signs = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (m, m))
+    return hill_region(c * signs, region.sense, region.boundary_tol)
+
+
+def _hill_scale_invariant(region: Region, lo: float, hi: float) -> bool:
+    c = region.coeff_array
+    nz = np.argwhere(c != 0.0)
+    if nz.size == 0:
+        return True
+    degrees = {int(i + j) for i, j in nz}
+    if len(degrees) != 1:
+        return False
+    deg = degrees.pop()
+    if deg == 0:
+        return True
+    if deg % 2 == 1:
+        return lo >= 0.0
+    return lo >= 0.0 or hi <= 0.0
+
+
+def _same(region: Region) -> Region:
+    return region
+
+
+def _nonnegative(region: Region, lo: float, hi: float) -> bool:
+    return lo >= 0.0
+
+
+def _one_sign(region: Region, lo: float, hi: float) -> bool:
+    return lo >= 0.0 or hi <= 0.0
+
+
+class _Rules(NamedTuple):
+    classify: Callable  # (region, z, t) -> (codes, margins, scores) of the points z
+    negate: Callable | None  # region -> its image under -z; None: no kind holds it
+    reciprocal: Callable | None  # region -> its image under 1/z; None: no kind holds it
+    # (region, lo, hi) -> whether multiplying by every scalar strictly
+    # between lo and hi (by lo alone, nonzero, when lo == hi) keeps
+    # interior points in the region
+    scale: Callable
+
+
+#: The rules of each kind, as the module docstring lists them.  Conic
+#: kinds are their own image under 1/z; where a kind formally contains
+#: zero (the real axis), the origin-excluded variant is implied.
+_RULES = {
+    RegionKind.RIGHT_HALF_PLANE: _Rules(_band(lambda r, z: z.real),
+                                        lambda r: left_half_plane(r.boundary_tol),
+                                        _same, _nonnegative),
+    RegionKind.LEFT_HALF_PLANE: _Rules(_band(lambda r, z: -z.real),
+                                       lambda r: right_half_plane(r.boundary_tol),
+                                       _same, _nonnegative),
+    RegionKind.UNIT_DISK: _Rules(_band(lambda r, z: 1.0 - np.abs(z)), _same, None,
+                                 lambda r, lo, hi: lo >= -1.0 and hi <= 1.0),
+    RegionKind.REAL_AXIS: _Rules(_thin(lambda r, z: np.abs(z.imag)), _same, _same,
+                                 lambda r, lo, hi: True),
+    RegionKind.POSITIVE_RAY: _Rules(_ray_classify, None, _same, _nonnegative),
+    RegionKind.NONZERO_REAL_PART: _Rules(_minus_curve(lambda r, z: np.abs(z.real)),
+                                         _same, _same, _one_sign),
+    RegionKind.PUNCTURED_PLANE: _Rules(_minus_curve(lambda r, z: np.abs(z)),
+                                       _same, _same, _one_sign),
+    RegionKind.SECTOR: _Rules(_band(_sector_depth), None, _same, _nonnegative),
+    RegionKind.HILL: _Rules(
+        lambda r, z, t: (_HILL_ZERO if r.sense == "zero" else _HILL_BAND)(r, z, t),
+        _hill_negate,
+        lambda r: hill_region(r.coeff_array[::-1, ::-1], r.sense, r.boundary_tol),
+        _hill_scale_invariant),
+}
 
 
 def _classify_arrays(region: Region, z: np.ndarray):
-    """Vectorized classification, the one rule per region kind.
+    """Vectorized classification, the kind's ``classify`` rule.
 
     Returns ``(codes, margins, scores)`` where codes are 1 interior, 0
     boundary, -1 exterior, margins are the exterior margins (positive
     only for strictly exterior points; <= 0 otherwise), and scores are
     the interior scores (see ``interior_scores``).
     """
-    z = np.asarray(z, dtype=complex)
-    t = region.boundary_tol
-    k = region.kind
-
-    if k is RegionKind.REAL_AXIS:
-        d = np.abs(z.imag)
-        codes = np.where(d <= t, 1, -1)
-        return codes, np.where(d <= t, -d, d), t - d
-    if k is RegionKind.POSITIVE_RAY:
-        dist = np.where(z.real > 0.0, np.abs(z.imag), np.abs(z))
-        interior = (z.real > t) & (np.abs(z.imag) <= t)
-        codes = np.where(interior, 1, np.where(dist > t, -1, 0))
-        return (codes, np.where(codes == -1, dist, -dist),
-                np.minimum(z.real - t, t - np.abs(z.imag)))
-    if k in _THIN_COMPLEMENT_KINDS:
-        s = np.abs(z.real) if k is RegionKind.NONZERO_REAL_PART else np.abs(z)
-        codes = np.where(s > t, 1, 0)
-        return codes, -s, s - t
-    if k is RegionKind.HILL and region.sense == "zero":
-        d = np.abs(_hill_values(region, z))
-        codes = np.where(d <= t, 1, -1)
-        return codes, np.where(d <= t, -d, d), t - d
-
-    s = _signed_depth(region, z)
-    codes = np.where(s > t, 1, np.where(s < -t, -1, 0))
-    return codes, -s, s
+    return _RULES[region.kind].classify(region, np.asarray(z, dtype=complex),
+                                        region.boundary_tol)
 
 
 def classify_point(region: Region, lam: complex) -> PointClass:
@@ -325,14 +419,18 @@ def interior_scores(region: Region, lams) -> np.ndarray:
     return _classify_arrays(region, lams)[2]
 
 
+def _row_codes(region: Region, spectra) -> np.ndarray:
+    """The codes of a ``(count, n)`` stack of spectra, in its shape."""
+    spectra = np.asarray(spectra)
+    return _classify_arrays(region, spectra.ravel())[0].reshape(spectra.shape)
+
+
 def interior_rows(region: Region, spectra) -> np.ndarray:
     """Per row of a ``(count, n)`` stack of spectra, whether every
     eigenvalue classifies as interior, as a boolean mask.  A row whose
     every eigenvalue is interior has no exterior margin, so it never
     exits."""
-    spectra = np.asarray(spectra)
-    codes = _classify_arrays(region, spectra.ravel())[0].reshape(spectra.shape)
-    return (codes == 1).all(axis=1)
+    return (_row_codes(region, spectra) == 1).all(axis=1)
 
 
 def spectrum_in_region(region: Region, spectrum) -> bool:
@@ -341,83 +439,37 @@ def spectrum_in_region(region: Region, spectrum) -> bool:
     return bool(interior_rows(region, np.ravel(spectrum)[None])[0])
 
 
+def inertia_rows(region: Region, spectra) -> np.ndarray:
+    """Per row of a ``(count, n)`` stack of spectra, its eigenvalues
+    inside, on the boundary of and outside the region, as a
+    ``(count, 3)`` array of counts."""
+    codes = _row_codes(region, spectra)
+    return np.stack([(codes == c).sum(axis=1) for c in (1, 0, -1)], axis=1)
+
+
 def inertia_of(region: Region, spectrum) -> Inertia:
-    """Count eigenvalues inside / on the boundary of / outside the region."""
-    codes = _classify_arrays(region, spectrum)[0]
-    return Inertia(
-        i_plus=int(np.sum(codes == 1)),
-        i_zero=int(np.sum(codes == 0)),
-        i_minus=int(np.sum(codes == -1)),
-    )
-
-
-def _negate_image(region: Region) -> Region:
-    k = region.kind
-    t = region.boundary_tol
-    if k is RegionKind.RIGHT_HALF_PLANE:
-        return left_half_plane(t)
-    if k is RegionKind.LEFT_HALF_PLANE:
-        return right_half_plane(t)
-    if k in (RegionKind.UNIT_DISK, RegionKind.REAL_AXIS,
-             RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE):
-        return region
-    if k is RegionKind.HILL:
-        c = region.coeff_array
-        m = c.shape[0]
-        signs = np.fromfunction(lambda i, j: (-1.0) ** (i + j), (m, m))
-        return hill_region(c * signs, region.sense, t)
-    raise UnrepresentableError(
-        f"image of {k.value} under negation is outside the supported kinds"
-    )
-
-
-def _reciprocal_image(region: Region) -> Region:
-    # Conic kinds map onto themselves; origin-excluded variants are
-    # implied where the kind formally contains zero (real axis).
-    k = region.kind
-    if k in (RegionKind.RIGHT_HALF_PLANE, RegionKind.LEFT_HALF_PLANE,
-             RegionKind.REAL_AXIS, RegionKind.POSITIVE_RAY,
-             RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE,
-             RegionKind.SECTOR):
-        return region
-    if k is RegionKind.HILL:
-        c = region.coeff_array
-        return hill_region(c[::-1, ::-1], region.sense, region.boundary_tol)
-    raise UnrepresentableError(
-        f"image of {k.value} under reciprocal is outside the supported kinds"
-    )
+    """Count eigenvalues inside / on the boundary of / outside the region:
+    ``inertia_rows`` of the spectrum as a stack of one."""
+    return Inertia(*inertia_rows(region, np.ravel(spectrum)[None])[0].tolist())
 
 
 def transform_region(region: Region, phi: RegionTransform) -> TransformedRegion:
-    """Image of the region under the spectral map ``-z`` or ``1/z``.
+    """Image of the region under the spectral map ``-z`` or ``1/z``: the
+    kind's ``negate`` or ``reciprocal`` rule.
 
     Raises ``UnrepresentableError`` when the image leaves the supported
     kind set (e.g. the reciprocal image of the unit disk is the disk
     exterior).
     """
-    if phi is RegionTransform.NEGATE:
-        image = _negate_image(region)
-    elif phi is RegionTransform.RECIPROCAL:
-        image = _reciprocal_image(region)
-    else:
+    if not isinstance(phi, RegionTransform):
         raise ValueError(f"unknown transform {phi}")
+    rule = getattr(_RULES[region.kind], phi.value)  # the column the map names
+    if rule is None:
+        noun = "negation" if phi is RegionTransform.NEGATE else "reciprocal"
+        raise UnrepresentableError(
+            f"image of {region.kind.value} under {noun} is outside the supported kinds")
+    image = rule(region)
     return TransformedRegion(image, is_invariant=image.geometry() == region.geometry())
-
-
-def _hill_scale_invariant(region: Region, lo: float, hi: float) -> bool:
-    c = region.coeff_array
-    nz = np.argwhere(c != 0.0)
-    if nz.size == 0:
-        return True
-    degrees = {int(i + j) for i, j in nz}
-    if len(degrees) != 1:
-        return False
-    deg = degrees.pop()
-    if deg == 0:
-        return True
-    if deg % 2 == 1:
-        return lo >= 0.0
-    return lo >= 0.0 or hi <= 0.0
 
 
 def is_scale_invariant(region: Region, interval: tuple[float, float]) -> bool:
@@ -434,22 +486,10 @@ def is_scale_invariant(region: Region, interval: tuple[float, float]) -> bool:
 
 
 def _scale_rule(region: Region, lo: float, hi: float) -> bool:
-    """Whether multiplying by every scalar strictly between ``lo`` and
-    ``hi`` (by ``lo`` alone, nonzero, when ``lo == hi``) keeps interior
-    points in the region."""
-    k = region.kind
-    if k in (RegionKind.RIGHT_HALF_PLANE, RegionKind.LEFT_HALF_PLANE,
-             RegionKind.POSITIVE_RAY, RegionKind.SECTOR):
-        return lo >= 0.0
-    if k is RegionKind.REAL_AXIS:
-        return True
-    if k in (RegionKind.NONZERO_REAL_PART, RegionKind.PUNCTURED_PLANE):
-        return lo >= 0.0 or hi <= 0.0
-    if k is RegionKind.UNIT_DISK:
-        return lo >= -1.0 and hi <= 1.0
-    if k is RegionKind.HILL:
-        return _hill_scale_invariant(region, lo, hi)
-    raise AssertionError(k)
+    """The kind's ``scale`` rule: whether multiplying by every scalar
+    strictly between ``lo`` and ``hi`` (by ``lo`` alone, nonzero, when
+    ``lo == hi``) keeps interior points in the region."""
+    return _RULES[region.kind].scale(region, lo, hi)
 
 
 def scalar_preserves_region(region: Region, alpha: float) -> bool:

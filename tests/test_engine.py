@@ -370,6 +370,23 @@ def test_stabilize_enumerates_at_most_budget_members_of_a_list():
     np.testing.assert_array_equal(rep.witness, -np.eye(2))
 
 
+def test_stabilize_asks_each_list_start_for_moves_once(monkeypatch):
+    # an index has no moves at any step; the descent once swept on, with
+    # the step halving from 0.5 down to 1e-3, nine sweeps per start
+    calls = []
+
+    def counted(*args):
+        calls.append(args[2:])
+        return coordinate_moves(*args)
+
+    coordinate_moves = classes.coordinate_moves
+    monkeypatch.setattr(classes, "coordinate_moves", counted)
+    cls = classes.explicit_list([np.diag([-1.0 - k, 1.0]) for k in range(5)])
+    rep = stabilize(np.eye(2), RHP, cls, MUL, budget=10)
+    assert (rep.found, rep.evaluations) == (False, 5)
+    assert calls == [(0, 0.5)] * 5
+
+
 @pytest.mark.filterwarnings("error")
 def test_stabilize_skips_compositions_that_overflow():
     # its loss and its verification once raised LinAlgError ("Array must

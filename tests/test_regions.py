@@ -69,6 +69,21 @@ def test_inertia_counts_sum():
         assert i.i_plus + i.i_zero + i.i_minus == 50
 
 
+def test_inertia_rows_are_inertia_of_each_row():
+    # rows that mix interior, boundary and exterior eigenvalues, at every
+    # kind: exact points on each boundary sit among random ones
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9))
+    pts[:, :4] = [0.0, 1.0, 1j, -1.0]
+    for region in ALL_KINDS:
+        rows = regions.inertia_rows(region, pts)
+        assert rows.shape == (6, 3)
+        assert [tuple(r) for r in rows.tolist()] == \
+            [inertia_of(region, row).as_tuple() for row in pts]
+        assert rows.sum(axis=1).tolist() == [9] * 6
+    assert regions.inertia_rows(right_half_plane(), np.zeros((0, 3))).shape == (0, 3)
+
+
 def test_transform_examples():
     t = transform_region(positive_ray(), RegionTransform.RECIPROCAL)
     assert t.is_invariant and t.region.kind is regions.RegionKind.POSITIVE_RAY
