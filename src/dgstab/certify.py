@@ -45,7 +45,8 @@ phase-I barrier Newton method that maximizes the smallest eigenvalue of
 the form at trace n (``_barrier_search``).  It is self-contained,
 deliberately chosen over an external semidefinite solver, and stops by
 its own rule, at a certificate or a closed duality gap (``_MAX_STEPS``
-is a guard only): a not-found report is always inconclusive.
+is a guard only), unless its caller caps its Newton steps
+(``max_steps``): a not-found report is always inconclusive.
 
 Before it searches, ``search_for_triple`` runs the kind's screen, the
 ``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
@@ -84,6 +85,7 @@ __all__ = [
     "find_diagonal_lyapunov",
     "find_stein_diagonal",
     "find_structured_lyapunov",
+    "searched_kind",
     "search_for_triple",
     "minor_violation",
     "exhaust",
@@ -101,6 +103,8 @@ FOUND_TOL = 1e-8
 #: A failed search stops once the barrier's duality gap is below this.
 _GAP_TOL = 1e-7
 #: A guard only: a search stops by its own rule long before (39 steps in the tests).
+#: A caller may pass a smaller budget (``max_steps``) where a failed search
+#: costs more than the decision that follows it.
 _MAX_STEPS = 5000
 
 
@@ -166,7 +170,8 @@ def _entries(kind: CertKind, n: int, partition: Partition | None) -> np.ndarray:
     return np.column_stack((np.arange(n), np.arange(n), owner))
 
 
-def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float):
+def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
+                    max_steps: int | None = None):
     """Phase-I barrier Newton search for a witness ``P(x)`` parametrized
     by ``entries`` that makes the form ``F(P) = sum_ij c_ij (A^T)^i P
     A^j`` of degree-1 coefficients ``c`` positive definite at ``a``.
@@ -185,8 +190,10 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float)
     Returns ``(P, t, steps)`` at the first ``t > FOUND_TOL``, else
     ``(None, best t, steps)`` once the duality gap ``2n/s`` is below
     ``_GAP_TOL``, at an iterate that is not finite or not positive
-    definite, or, as a guard only, after ``_MAX_STEPS`` steps."""
+    definite, or after ``max_steps`` steps (``_MAX_STEPS``, a guard only,
+    when None)."""
     n = a.shape[0]
+    max_steps = _MAX_STEPS if max_steps is None else max_steps
     off = entries[:, 0] != entries[:, 1]
     jj = np.concatenate((entries[:, 0], entries[off, 1]))
     kk = np.concatenate((entries[:, 1], entries[off, 0]))
@@ -227,7 +234,7 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float)
                 best = max(best, t)
                 if t > FOUND_TOL:
                     return p, t, steps
-                if steps >= _MAX_STEPS:
+                if steps >= max_steps:
                     break
                 r, q = np.linalg.inv(shifted), np.linalg.inv(p)
                 xr = moments(r)
@@ -257,7 +264,8 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float)
     return None, best, steps
 
 
-def _form_search(a, kind: CertKind, partition: Partition | None) -> CertReport:
+def _form_search(a, kind: CertKind, partition: Partition | None,
+                 max_steps: int | None = None) -> CertReport:
     """Search ``kind``'s form over its witnesses: block-diagonal SPD
     for ``BLOCK_LYAPUNOV``, else positive block-scalar diagonals on the
     blocks of ``partition`` (singletons, not recorded, when None).
@@ -267,7 +275,8 @@ def _form_search(a, kind: CertKind, partition: Partition | None) -> CertReport:
     (``c_00 = c_11 = 0``: case I) is searched on ``A`` at unit Frobenius
     norm, found/not-found being invariant under positive scaling, and
     compared at the scale of ``2^-e A`` (no entry above 1), whose norm no
-    square overflows."""
+    square overflows.  ``max_steps`` caps the Newton steps (None: the
+    ``_MAX_STEPS`` guard)."""
     a = as_square_matrix(a)
     start = _measured(Certificate(kind, np.eye(len(a)), np.nan, partition=partition), a)
     c = _PAIRINGS[kind].form
@@ -280,7 +289,8 @@ def _form_search(a, kind: CertKind, partition: Partition | None) -> CertReport:
     if math.ldexp(start.min_eig, -e) > FOUND_TOL * norm:
         return CertReport(True, start, start.min_eig, 0)
     t0 = math.ldexp(start.min_eig, -e) / norm
-    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition), t0 - 1.0)
+    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition), t0 - 1.0,
+                                  max_steps)
     if p is None:
         return CertReport(False, None, math.ldexp(max(t, t0) * norm, e), steps)
     cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)
@@ -293,10 +303,11 @@ def find_diagonal_lyapunov(a) -> CertReport:
     return _form_search(a, CertKind.DIAGONAL_LYAPUNOV, None)
 
 
-def find_stein_diagonal(a) -> CertReport:
+def find_stein_diagonal(a, max_steps: int | None = None) -> CertReport:
     """Search for a positive diagonal ``D`` making ``D - A^T D A``
-    positive definite."""
-    return _form_search(a, CertKind.STEIN_DIAGONAL, None)
+    positive definite, in at most ``max_steps`` Newton steps (None: no
+    cap but the guard)."""
+    return _form_search(a, CertKind.STEIN_DIAGONAL, None, max_steps)
 
 
 def identity_witness_class(n: int) -> MatrixClass:
@@ -467,32 +478,45 @@ def _triple_covered(region, cls, op, implied) -> bool:
                and _class_subset(cls, c) for r, c, o in implied)
 
 
-def _search(kind: CertKind, a, partition: Partition | None) -> CertReport:
+def _search(kind: CertKind, a, partition: Partition | None,
+            max_steps: int | None = None) -> CertReport:
     """Run ``kind``'s search by its finder's module name, so that a
-    replaced finder is called; block kinds take ``partition``'s blocks."""
+    replaced finder is called; block kinds take ``partition``'s blocks.
+    ``max_steps`` reaches the Stein search only, the one kind that covers
+    a finite class's triple."""
     if kind is CertKind.DIAGONAL_LYAPUNOV:
         return find_diagonal_lyapunov(a)
     if kind is CertKind.STEIN_DIAGONAL:
-        return find_stein_diagonal(a)
+        return find_stein_diagonal(a, max_steps)
     return find_structured_lyapunov(a, _at(kind, len(a), partition)[0])
 
 
-def search_for_triple(a, region: regions.Region, cls: MatrixClass,
-                      op) -> CertReport | None:
-    """Search for a certificate of the kind whose proven triples cover
-    (region, cls, op), with the witness blocks of ``cls``; None when no
-    searched kind proves the triple.  The kind's screen runs first: when
-    it rejects, no search runs and the report's ``reason`` says why."""
+def searched_kind(region: regions.Region, cls: MatrixClass, op) -> CertKind | None:
+    """The searched certificate kind whose proven triples cover (region,
+    cls, op), with the witness blocks of ``cls``, or None."""
     kind = _BY_TRIPLE.get((region.kind, cls.kind, op.kind))
     if kind is None or not _triple_covered(
             region, cls, op, _at(kind, cls.order, cls.partition)[1]):
+        return None
+    return kind
+
+
+def search_for_triple(a, region: regions.Region, cls: MatrixClass, op,
+                      max_steps: int | None = None) -> CertReport | None:
+    """Search for a certificate of ``searched_kind(region, cls, op)``, in
+    at most ``max_steps`` Newton steps (None: no cap but the guard); None
+    when no searched kind proves the triple.  The kind's screen runs
+    first: when it rejects, no search runs and the report's ``reason``
+    says why."""
+    kind = searched_kind(region, cls, op)
+    if kind is None:
         return None
     screen = _PAIRINGS[kind].screen
     failed = screen and screen(as_square_matrix(a), cls.partition)
     if failed:
         return CertReport(False, None, -np.inf, 0,
                           f"no {kind.value} certificate exists: {failed}")
-    return _search(kind, a, cls.partition)
+    return _search(kind, a, cls.partition, max_steps)
 
 
 def _coefficients(cert: Certificate) -> np.ndarray:

@@ -106,6 +106,12 @@ RANK_TOL = 1e-9
 #: although that also defaults to 1e-7.
 RECHECK_TOL = 1e-7
 
+#: The most members ``enumerate_members`` lists, those of the vertex
+#: diagonals of order 20: enumeration takes seconds there on the unit
+#: disk and about twice as long with each order past it, so the engine
+#: certifies or samples a larger finite class instead.
+ENUMERATION_LIMIT = 2 ** 20
+
 _LOG_RANGE = (-3.0, 3.0)
 
 
@@ -190,8 +196,8 @@ class MatrixClass:
     @property
     def is_finite(self) -> bool:
         """Whether the class has finitely many members (the ``finite``
-        fact), so that ``enumerate_members`` lists them all and exhaustion
-        over them decides."""
+        fact), so that ``enumerate_members`` lists them all, up to
+        ``ENUMERATION_LIMIT`` of them, and exhaustion over them decides."""
         return self.fact("finite")
 
     @property
@@ -691,12 +697,14 @@ def enumerate_members(c: MatrixClass):
     Vertex diagonals enumerate all ``2^n`` sign assignments in
     lexicographic order (+1 before -1, first index most significant);
     explicit lists yield their members in order.  Every infinite class
-    raises ``InfiniteClassError``.
+    raises ``InfiniteClassError``, and a class of more than
+    ``ENUMERATION_LIMIT`` members ``ValueError``.
     """
+    if c.is_finite and c.finite_size > ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration supported for at most {ENUMERATION_LIMIT} members "
+                         "(vertex diagonals of order <= 20)")
     if c.kind is ClassKind.VERTEX_DIAG:
         n = c.order
-        if n > 20:
-            raise ValueError("vertex enumeration supported for order <= 20")
         # member j has -1 at index i when bit n-1-i of j is set: the order
         # of itertools.product((1.0, -1.0), repeat=n), built 256 at a time
         shifts, diag = np.arange(n - 1, -1, -1), np.arange(n)

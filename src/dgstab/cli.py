@@ -271,7 +271,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="decide a stability query")
     _add_query_flags(p)
     p.add_argument("--no-certificates", action="store_true",
-                   help="skip the certificate stage")
+                   help="skip every certificate search (a finite class is then "
+                   "decided by its enumeration alone)")
     p.set_defaults(fn=_cmd_check)
 
     p = sub.add_parser("certify", help="search for a stability certificate")

@@ -27,19 +27,23 @@ ends the run, or the provenance note it adds (a ``str``); one loop,
    minor of order 1 or 2 (Cross's necessary condition) gives a scaling
    whose sum of principal minors of that order is negative in exact
    arithmetic;
-4. exact enumeration, for finite classes only, whose verdict is final
-   (an inconclusive one means boundary eigenvalues or compositions that
-   overflowed, which block every verdict).  Every member is composed;
+4. for a finite class of at most ``classes.ENUMERATION_LIMIT`` members,
+   a certificate search capped at ``_FINITE_SEARCH_STEPS`` Newton steps,
+   where a searched kind's triples cover the query (the Stein diagonal
+   on the unit disk's vertex diagonals), and then exact enumeration,
+   whose verdict is final (an inconclusive one means boundary
+   eigenvalues or compositions that overflowed, which block every
+   verdict).  Every member is composed;
    on the unit disk, a composition is solved only when its spectral
    radius bound (``linalg.spectral_radius_bounds``) reaches the largest
    radius solved so far, capped at ``1 - boundary_tol``, less a
    relative 1e-9, since one below it can neither exit, sit in the
    boundary band nor lower the certificate's ``min_eig``;
-5. the certificate stage, for infinite classes: screen and search the
-   form whose proven triples cover the query
-   (``certify.search_for_triple``), then re-verify the certificate
-   independently;
-6. randomized falsification, for infinite classes.
+5. the certificate stage, for infinite classes and finite ones past the
+   enumeration limit: screen and search the form whose proven triples
+   cover the query (``certify.search_for_triple``), then re-verify the
+   certificate independently;
+6. randomized falsification, for the same classes.
 
 ``_decide_stack`` decides a stack of matrices of one order at once,
 each under its own class and the settings of one query, each as it
@@ -451,11 +455,12 @@ def _exhaustive_check(q: Query) -> Verdict:
     return _certified(cert, f"exhaustive enumeration certified {r.checked} members")
 
 
-def _certificate_stage(q: Query) -> Verdict | str:
-    """Search the certificate form whose proven triples cover the query
-    and certify with a found certificate only if ``certify.proves`` the
-    query's triple with it."""
-    report = certify.search_for_triple(q.a, q.region, q.cls, q.op)
+def _certificate_stage(q: Query, max_steps: int | None = None) -> Verdict | str:
+    """Search the certificate form whose proven triples cover the query,
+    in at most ``max_steps`` Newton steps (None: no cap but the search's
+    guard), and certify with a found certificate only if
+    ``certify.proves`` the query's triple with it."""
+    report = certify.search_for_triple(q.a, q.region, q.cls, q.op, max_steps)
     if report is None:
         return "no certificate form matches the query triple"
     if report.reason is not None:
@@ -469,22 +474,39 @@ def _certificate_stage(q: Query) -> Verdict | str:
                       f"min_eig={cert.min_eig:.3e}) and re-verified")
 
 
+#: The Newton steps of the certificate search ahead of an enumeration.
+#: On random unit-disk vertex inputs at n = 8..12, the search certified
+#: the stable ones within 0-5 steps and failed on the others only after
+#: 29-41, where the enumeration after it decides all the same.
+_FINITE_SEARCH_STEPS = 8
+
+
 def _later_stages(q: Query, use_certificates: bool) -> tuple:
     """The stages after the identity check that apply to ``q``, in order;
-    the last one always returns a verdict."""
+    the last one always returns a verdict.
+
+    A finite class of at most ``classes.ENUMERATION_LIMIT`` members ends
+    in enumeration, whose verdict is final: boundary eigenvalues block
+    every verdict, so an inconclusive one is too.  Where certificates are
+    on and a searched kind covers the triple (``certify.searched_kind``),
+    a search of ``_FINITE_SEARCH_STEPS`` Newton steps runs ahead of it,
+    and a failed search leaves its note.  Past the limit, a finite class
+    takes the infinite classes' stages after a note naming the limit:
+    the certificate stage, uncapped, and falsification."""
     stages = ()
     if (q.region.kind is regions.RegionKind.RIGHT_HALF_PLANE
             and q.cls.fact("row_scaling") is q.op.kind):
         stages += (_minor_refutation,)
     if q.cls.is_finite:
-        # boundary eigenvalues block every verdict, so an inconclusive
-        # enumeration is final
-        stages += (_exhaustive_check,)
-    elif use_certificates:
-        stages += (_certificate_stage, falsify)
-    else:
-        stages += (lambda _: "certificate search disabled", falsify)
-    return stages
+        if q.cls.finite_size <= classes.ENUMERATION_LIMIT:
+            if use_certificates and certify.searched_kind(q.region, q.cls, q.op) is not None:
+                stages += (lambda row: _certificate_stage(row, _FINITE_SEARCH_STEPS),)
+            return stages + (_exhaustive_check,)
+        stages += (lambda row: f"finite class of {row.cls.finite_size} members is over the "
+                   f"enumeration limit of {classes.ENUMERATION_LIMIT}: not enumerated",)
+    if use_certificates:
+        return stages + (_certificate_stage, falsify)
+    return stages + (lambda _: "certificate search disabled", falsify)
 
 
 def _decide_stack(q: Query, a: np.ndarray | None = None, sub_classes=None,
@@ -528,8 +550,11 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     """Layered decision: unboundedness escape, identity-element check,
     the exact principal-minor refutation on the right half-plane where
     the class holds every positive row scaling under the query's
-    operation, then exact enumeration for finite classes, or
-    certificate search and randomized falsification for infinite ones.
+    operation, then, for a finite class of at most
+    ``classes.ENUMERATION_LIMIT`` members, a short certificate search
+    where a searched kind covers the triple and exact enumeration, or
+    else certificate search and randomized falsification (a finite class
+    past the limit first notes it).
     The escape and the identity check always run and leave a note, also
     where they do not apply ("unboundedness precheck: not applicable or
     no escape found", "class has no identity element for the
@@ -540,8 +565,9 @@ def decide(q: Query, use_certificates: bool = True) -> Verdict:
     of one.
 
     ``use_certificates=False`` replaces the certificate stage by the
-    note "certificate search disabled" (the other stages are
-    unaffected); useful for honesty testing and benchmarks.
+    note "certificate search disabled" and drops the short search ahead
+    of an enumeration (the other stages are unaffected); useful for
+    honesty testing, benchmarks and pinning enumeration.
     """
     return _decide_stack(q, use_certificates=use_certificates)[0]
 
@@ -1001,7 +1027,7 @@ def transfer_verdict(v: Verdict, q: Query, tf: Transform) -> Verdict:
     margin, and a transformed certificate must prove the query's own
     triple at the transformed matrix (``certify.proves``), whatever
     triple the verdict came from, and carries the ``min_eig`` measured
-    there.  A finite class is enumerated again.
+    there.  An exhaustive certificate's finite class is enumerated again.
     Anything else comes back unknown with the reason in the provenance,
     without a warning where a transformed matrix, witness or certificate
     overflows.

@@ -5,8 +5,9 @@ Spectra, definiteness tests, the two matrix-equation solvers
 generalized polynomial form that the rest of the package builds on.
 
 Everything here is a pure function of immutable inputs: arrays are
-validated, never mutated, and no module state exists, so all operations
-are safe to call concurrently.
+validated, never mutated, and the only module state is a cache of
+read-only probe columns (``_probes``), so all operations are safe to call
+concurrently.
 
 The equation solvers write the operator on symmetric matrices as a dense
 system in the ``n(n+1)/2`` unknowns ``h_kl``, ``k <= l``: simple and exact
@@ -16,6 +17,8 @@ operator, taken from the same solve, must reach ``RCOND_SINGULAR``.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -256,16 +259,25 @@ def _symmetric_operator(n_, m_, k, l) -> np.ndarray:
     return p.reshape(len(k), n * n)[:, k * n + l].T
 
 
+@functools.lru_cache(maxsize=64)
+def _probes(m: int) -> np.ndarray:
+    """The two fixed-seed Gaussian probe columns of a system in ``m``
+    unknowns, drawn once per ``m`` and read-only."""
+    p = np.random.default_rng(0).standard_normal((m, 2))
+    p.flags.writeable = False
+    return p
+
+
 def _solve_symmetric(w, n_, m_, shift: float = 0.0, e: int = 0) -> np.ndarray:
     """Solve ``shift * H + N H M^T + M H N^T = W`` in the ``n(n+1)/2``
     unknowns ``h_kl``, ``k <= l``, of a symmetric ``H``; return ``H / 2^e``
     with both triangles written from the ``h_kl``.  Raises
     ``SingularOperatorError`` when the rcond estimate of the operator on
     symmetric matrices, ``op``, is below ``RCOND_SINGULAR``: one LU solves
-    for the ``w_kl`` and two fixed-seed Gaussian probes, and each column
-    ``b`` with solution ``x`` bounds ``||op^-1||_1 >= ||x||_1 / ||b||_1``
-    (Dixon, 1983; Higham and Tisseur, 2000); a singular pivot or a
-    non-finite ``x`` reads as rcond 0.  Raises ``OverflowError`` when
+    for the ``w_kl`` and two fixed-seed Gaussian probes (``_probes``), and
+    each column ``b`` with solution ``x`` bounds ``||op^-1||_1 >= ||x||_1 /
+    ||b||_1`` (Dixon, 1983; Higham and Tisseur, 2000); a singular pivot or
+    a non-finite ``x`` reads as rcond 0.  Raises ``OverflowError`` when
     ``||op||_1`` or ``H / 2^e`` overflows; each column is scaled by a
     power of two below 1, so no 1-norm of it overflows and ``H`` is exact."""
     if w.shape != n_.shape:
@@ -281,7 +293,7 @@ def _solve_symmetric(w, n_, m_, shift: float = 0.0, e: int = 0) -> np.ndarray:
             raise OverflowError("equation operator overflowed; rescale the inputs")
         b = np.empty((len(k), 3))
         b[:, 0] = w[k, l]
-        b[:, 1:] = np.random.default_rng(0).standard_normal((len(k), 2))
+        b[:, 1:] = _probes(len(k))
         s = np.frexp(np.abs(b).max(axis=0))[1]
         b = np.ldexp(b, -s)
         try:

@@ -458,6 +458,28 @@ def test_every_search_stops_by_its_own_rule_within_100_steps():
         assert search().iterations <= 100, name
 
 
+def test_a_capped_search_stops_at_its_cap():
+    # max_steps ends a Stein search that would take more Newton steps,
+    # not found; one that stops by its own rule within the cap returns
+    # its own report
+    capped = 0
+    for name, a, _ in _search_cases():
+        if name.split()[0] != "stein":
+            continue
+        full = find_stein_diagonal(a)
+        for cap in (0, 3, full.iterations):
+            rep = find_stein_diagonal(a, cap)
+            if cap < full.iterations:
+                assert (rep.found, rep.certificate, rep.iterations) == (False, None, cap), name
+                capped += 1
+                continue
+            assert (rep.found, rep.iterations, rep.best_min_eig) == (
+                full.found, full.iterations, full.best_min_eig), name
+            if full.found:
+                np.testing.assert_array_equal(rep.certificate.witness, full.certificate.witness)
+    assert capped > 0
+
+
 def test_the_search_certifies_constructed_matrices_at_n32():
     # D A + A^T D = W by construction, with D spread over two decades
     r = rng(32)
@@ -1299,7 +1321,8 @@ def test_exhaust_counts_the_members_before_an_exit_alone():
 
 
 def test_a_vertex_class_of_order_one_certifies_both_members():
-    v = decide(Query(np.array([[0.5]]), regions.unit_disk(), classes.vertex_diag(1), MUL))
+    v = decide(Query(np.array([[0.5]]), regions.unit_disk(), classes.vertex_diag(1), MUL),
+               use_certificates=False)
     assert v.status is VerdictStatus.CERTIFIED
     assert v.certificate.members_checked == 2
     assert v.provenance[-1] == "exhaustive enumeration certified 2 members"

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 import tracemalloc
@@ -42,6 +43,10 @@ NOT_D_STABLE = np.array([[-1.0, 2.0], [-4.0, 3.0]])
 # D-stable but not diagonally stable: trace(D A) = d2 > 0 and
 # det(D A) = d1 d2 > 0 always, yet the form has a zero (1,1) entry
 D_STABLE_NO_CERT = np.array([[0.0, 1.0], [-1.0, 1.0]])
+
+# the sign diagonals of order 2 as an explicit list: enumerated like
+# vertex_diag(2), but no certificate kind is searched for their triples
+SIGNS_2 = classes.explicit_list([np.diag(s) for s in itertools.product((1.0, -1.0), repeat=2)])
 
 
 def test_check_region_stability_examples():
@@ -117,7 +122,7 @@ def test_decide_refutes_non_d_stable():
 def test_decide_exhausts_vertex_class():
     q = Query(0.4 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
               budget=100, seed=1)
-    v = decide(q)
+    v = decide(q, use_certificates=False)
     assert v.status is VerdictStatus.CERTIFIED
     assert v.certificate.kind is CertKind.EXHAUSTIVE
     assert v.certificate.members_checked == 4
@@ -451,14 +456,13 @@ def test_total_stability_restricts_the_full_certificate():
 
 
 def test_total_stability_decides_what_an_exhaustive_certificate_cannot_restrict():
-    q = Query(0.5 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
-              budget=100, seed=1)
+    q = Query(0.5 * np.eye(2), dg.unit_disk(), SIGNS_2, MUL, budget=100, seed=1)
     rep = total_stability(q)
     assert rep.overall is VerdictStatus.CERTIFIED
     for idx, v in rep.results.items():
         assert v.certificate.kind is CertKind.EXHAUSTIVE
         assert v.provenance == decide(Query(
-            0.5 * np.eye(len(idx)), q.region, classes.vertex_diag(len(idx)), MUL,
+            0.5 * np.eye(len(idx)), q.region, restrict_class(SIGNS_2, idx), MUL,
             budget=100, seed=1)).provenance
 
 
@@ -1043,22 +1047,26 @@ def test_verdicts_do_not_depend_on_thread_count(monkeypatch):
 
 
 def test_inconclusive_enumeration_is_final(monkeypatch):
-    # eigenvalue 1 sits on the disk boundary for every vertex member, so
+    # eigenvalue 1 sits on the disk boundary for every sign diagonal, so
     # enumeration is inconclusive, and that is the verdict: no
-    # certificate search runs after it
+    # certificate search runs after it.  Over vertex_diag the default
+    # path runs one capped Stein search before it; over the explicit sign
+    # list no searched kind covers the triple, so none runs at all
+    note = ("exhaustive enumeration inconclusive: boundary eigenvalues without "
+            "strict exterior margin")
     calls = []
     for name in ("find_diagonal_lyapunov", "find_stein_diagonal",
                  "find_structured_lyapunov"):
         monkeypatch.setattr(dg.certify, name,
                             lambda *args, name=name, **kw: calls.append(name))
-    q = Query(np.diag([1.0, 0.5]), dg.unit_disk(), classes.vertex_diag(2), MUL,
-              budget=100, seed=1)
-    for use_certificates in (True, False):
-        v = decide(q, use_certificates=use_certificates)
-        assert v.status is VerdictStatus.UNKNOWN
-        assert v.provenance[-1] == ("exhaustive enumeration inconclusive: boundary "
-                                    "eigenvalues without strict exterior margin")
-    assert calls == []
+    for cls, searched in ((classes.vertex_diag(2), ["find_stein_diagonal"]), (SIGNS_2, [])):
+        q = Query(np.diag([1.0, 0.5]), dg.unit_disk(), cls, MUL, budget=100, seed=1)
+        for use_certificates in (True, False):
+            calls.clear()
+            v = decide(q, use_certificates=use_certificates)
+            assert v.status is VerdictStatus.UNKNOWN
+            assert v.provenance[-1] == note
+            assert calls == (searched if use_certificates else [])
 
 
 def test_enumeration_streams_the_finite_class():
@@ -1095,6 +1103,43 @@ def test_enumeration_streams_the_finite_class():
         "status": "certified",
         "trials_used": 0,
     }
+
+
+def test_a_vertex_class_past_the_enumeration_limit_ends_within_its_budget():
+    # 2^21 sign diagonals are not enumerated: the certificate stage and
+    # the falsifier decide instead, after a note that names the limit
+    n = 21
+    cls = classes.vertex_diag(n)
+    assert cls.finite_size == 2 * classes.ENUMERATION_LIMIT
+    with pytest.raises(ValueError, match="at most 1048576 members"):
+        next(classes.enumerate_members(cls))
+    note = ("finite class of 2097152 members is over the enumeration limit of 1048576: "
+            "not enumerated")
+    tri = 0.3 * np.eye(n) + 0.1 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    q = Query(tri, dg.unit_disk(), cls, MUL, budget=600, seed=1)
+    v = decide(q)  # ||A||_2 <= 0.5, so P = I certifies
+    assert v.status is VerdictStatus.CERTIFIED
+    assert v.certificate.kind is CertKind.STEIN_DIAGONAL
+    assert note in v.provenance
+    assert dg.verify_certificate(v.certificate, tri)
+    v = decide(q, use_certificates=False)
+    assert v.status is VerdictStatus.UNKNOWN
+    assert v.trials_used == 600
+    assert v.provenance[-3:] == (note, "certificate search disabled",
+                                 "falsification exhausted 600 trials")
+    # a member with opposite signs at the first two indices turns the
+    # leading block into +-[[0.9, 0.5], [0.5, 0.9]], with an eigenvalue
+    # near +-1.4: half the members leave the disk
+    a = tri.copy()
+    a[:2, :2] = [[0.9, 0.5], [-0.5, -0.9]]
+    for use_certificates in (True, False):
+        v = decide(Query(a, q.region, cls, MUL, budget=600, seed=1),
+                   use_certificates=use_certificates)
+        assert v.status is VerdictStatus.REFUTED
+        assert 0 < v.trials_used <= 600
+        assert note in v.provenance
+        assert classes.contains(cls, v.witness)
+        assert abs(np.linalg.eigvals(v.witness @ a)).max() > 1.0 + q.tol
 
 
 def test_restrict_class_equals_the_factory_on_restricted_parameters():
@@ -1513,7 +1558,7 @@ def test_a_witness_that_loses_its_margin_does_not_transfer():
 def test_a_finite_class_is_enumerated_again_on_transfer():
     q = Query(0.4 * np.eye(2), dg.unit_disk(), classes.vertex_diag(2), MUL,
               budget=200, seed=1)
-    v = decide(q)
+    v = decide(q, use_certificates=False)
     assert v.certificate.kind is CertKind.EXHAUSTIVE
     tf = Transform(TransformKind.SCALAR, alpha=0.5)
     vt = transfer_verdict(v, q, tf)
@@ -1617,7 +1662,9 @@ def test_transfer_by_op_inverse_inverts_the_matrix_once(monkeypatch):
 
 def _proof_queries(r):
     """Seeded queries whose certified verdicts carry diagonal, identity,
-    block SPD, block-scalar and Stein witnesses, plus finite classes."""
+    block SPD, block-scalar and Stein witnesses, plus finite classes: the
+    sign diagonals listed explicitly, which no searched kind covers, are
+    certified by enumeration."""
     out = []
     for n in (2, 3, 4):
         dominant = np.diag(r.uniform(1.0, 3.0, n)) + 0.3 * r.standard_normal((n, n))
@@ -1630,7 +1677,8 @@ def _proof_queries(r):
         out.append(Query(dominant, RHP, classes.alpha_block_spd(part), MUL, budget=256,
                          seed=5))
         small = 0.6 * r.standard_normal((n, n)) / np.sqrt(n)
-        for cls in (classes.box_diag([-1.0] * n, [1.0] * n), classes.vertex_diag(n)):
+        signs = classes.explicit_list(list(classes.enumerate_members(classes.vertex_diag(n))))
+        for cls in (classes.box_diag([-1.0] * n, [1.0] * n), classes.vertex_diag(n), signs):
             out.append(Query(small, dg.unit_disk(), cls, MUL, budget=256, seed=5))
     return out
 

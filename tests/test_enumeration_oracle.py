@@ -19,6 +19,13 @@ On the unit disk ``exhaust`` solves only the compositions whose
 spectral radius bound reaches the largest radius solved so far; its
 result must equal, bit for bit, that of ``_solve_every_member``, the
 former scan kept verbatim, which solves every finite composition.
+
+Where the Stein search runs ahead of an enumeration, over vertex inputs
+at n = 3..8, ``decide`` and the enumeration alone must reach the status
+of a direct loop over every sign diagonal, name the same refuting
+member, and enumerate the stable inputs that have no Stein certificate;
+a search report that ``certify.proves`` rejects must change nothing but
+the provenance.
 """
 
 import itertools
@@ -311,3 +318,127 @@ def test_exhaust_on_the_disk_equals_the_scan_that_solves_every_member():
         seen["boundary"] += got.boundary
         seen["overflowed"] += got.overflowed > 0
     assert all(seen.values()), seen
+
+
+# --- the short Stein search ahead of an enumeration -----------------------------------
+
+
+def _sign_radii(a: np.ndarray) -> np.ndarray:
+    """The spectral radius of ``S A`` at every sign diagonal ``S``, in
+    enumeration order, straight from the eigenvalues."""
+    members = np.stack(list(classes.enumerate_members(classes.vertex_diag(len(a)))))
+    return abs(np.linalg.eigvals(members @ a)).max(axis=1)
+
+
+def _vertex_draws():
+    """Seeded unit-disk vertex inputs at n = 3..8: a random matrix scaled
+    to 0.6 and to 0.97 of its largest spectral radius over the sign
+    diagonals, where every member stays inside the disk (near the
+    boundary the Stein search often finds no certificate), and to the
+    middle of the gap between its own radius and that largest one, where
+    some members leave it."""
+    r = np.random.default_rng(41)
+    for n in range(3, 9):
+        for _ in range(2):
+            b = r.standard_normal((n, n))
+            worst = _sign_radii(b).max()
+            own = abs(np.linalg.eigvals(b)).max()
+            for scale in (0.6 / worst, 0.97 / worst, 2.0 / (own + worst)):
+                yield b * scale
+
+
+def _refuted_member(v) -> int:
+    """The member index in an enumeration's refutation note."""
+    note = v.provenance[-1]
+    assert note.startswith("exhaustive enumeration refutes at member "), note
+    return int(note.split()[5])
+
+
+def test_the_short_search_and_enumeration_agree_with_the_direct_loop():
+    # decide (a Stein search of a few Newton steps, then enumeration) and
+    # enumeration alone (use_certificates=False) reach the direct loop's
+    # status; every certificate verifies, and a refutation names the same
+    # member on both paths, one the loop sees leave the disk
+    disk = regions.unit_disk()
+    kinds, refuted = set(), 0
+    for a in _vertex_draws():
+        radii = _sign_radii(a)
+        if abs(radii - 1.0).min() < 1e-3:
+            continue  # too near the circle for the loop to judge
+        cls = classes.vertex_diag(len(a))
+        q = Query(a, disk, cls, MUL, budget=10, seed=3)
+        short, enumerated = engine.decide(q), engine.decide(q, use_certificates=False)
+        want = VerdictStatus.CERTIFIED if radii.max() < 1.0 else VerdictStatus.REFUTED
+        assert short.status is enumerated.status is want, a
+        if want is VerdictStatus.CERTIFIED:
+            assert verify_certificate(short.certificate, a)
+            assert verify_certificate(enumerated.certificate, a)
+            kinds.add(short.certificate.kind)
+            continue
+        refuted += 1
+        i = _refuted_member(short)
+        assert i == _refuted_member(enumerated)
+        assert short.provenance[-2].startswith("certificate search inconclusive")
+        assert short.provenance[:-2] + short.provenance[-1:] == enumerated.provenance
+        np.testing.assert_array_equal(short.witness, enumerated.witness)
+        assert (short.offending_eigenvalue, short.margin) == (
+            enumerated.offending_eigenvalue, enumerated.margin)
+        assert classes.contains(cls, short.witness)
+        np.testing.assert_array_equal(short.witness, np.diag(
+            1.0 - 2.0 * (i >> np.arange(len(a) - 1, -1, -1) & 1)))
+        assert radii[i] > 1.0 + q.tol
+        assert (radii[:i] < 1.0).all()  # the first member in order that exits
+    assert kinds == {CertKind.STEIN_DIAGONAL, CertKind.EXHAUSTIVE}, kinds
+    assert refuted > 0
+
+
+def _without_stein_certificate(n: int, count: int):
+    """``count`` seeded draws of order n, each scaled to 0.97 of its
+    largest spectral radius over the sign diagonals, kept where the
+    uncapped Stein search finds no certificate."""
+    r = np.random.default_rng(43 + n)
+    out = []
+    while len(out) < count:
+        b = r.standard_normal((n, n))
+        a = b * (0.97 / _sign_radii(b).max())
+        if not certify.find_stein_diagonal(a).found:
+            out.append(a)
+    return out
+
+
+def test_vertex_stable_inputs_without_a_stein_certificate_are_enumerated():
+    disk = regions.unit_disk()
+    for n in (3, 4, 6):
+        for a in _without_stein_certificate(n, 2):
+            assert _sign_radii(a).max() < 1.0
+            v = engine.decide(Query(a, disk, classes.vertex_diag(n), MUL))
+            assert v.status is VerdictStatus.CERTIFIED
+            assert v.certificate.kind is CertKind.EXHAUSTIVE
+            assert v.certificate.members_checked == 2 ** n
+            assert v.provenance[-2].startswith("certificate search inconclusive")
+            assert verify_certificate(v.certificate, a)
+
+
+def test_a_finite_class_is_certified_only_by_a_certificate_that_proves_it(monkeypatch):
+    # a search report is no proof: the stage re-verifies its certificate
+    # (certify.proves), and where that fails, enumeration decides.  P = I
+    # proves neither input: ||A||_2 >= 1 for one that a sign diagonal
+    # destabilizes, and for a stable one with no Stein certificate at all
+    def claim_identity(a, *rest):
+        return certify.CertReport(
+            True, Certificate(CertKind.STEIN_DIAGONAL, np.eye(len(a)), 1.0), 1.0, 0)
+
+    disk = regions.unit_disk()
+    b = np.random.default_rng(47).standard_normal((5, 5))
+    unstable = b * (2.0 / (abs(np.linalg.eigvals(b)).max() + _sign_radii(b).max()))
+    for a in (unstable, *_without_stein_certificate(4, 1)):
+        q = Query(a, disk, classes.vertex_diag(len(a)), MUL)
+        want = engine.decide(q, use_certificates=False)
+        with monkeypatch.context() as m:
+            m.setattr(certify, "find_stein_diagonal", claim_identity)
+            got = engine.decide(q)
+        assert want.status is not VerdictStatus.UNKNOWN
+        assert got.provenance == want.provenance[:-1] + (
+            "certificate candidate failed re-verification", want.provenance[-1])
+        got.provenance = want.provenance
+        assert _json(got) == _json(want)
