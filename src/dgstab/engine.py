@@ -75,7 +75,10 @@ tests members in fixed-size chunks and returns the first hit in chunk
 order: ``falsify`` (chunk i drawn from ``_stream(seed, 2, i)``, on a pool
 that ``DGSTAB_THREADS`` and the CPUs the process may run on cap, so its
 results do not depend on the thread count) and ``inertia_preserving``
-(every chunk from one stream, so on one thread).  ``_descend`` is the one
+(every chunk from one stream, so on one thread).  The chunks run in
+windows of one chunk per thread and share no state: each returns its
+overflow count and its hit, and the main thread reads a window's
+results in chunk order.  ``_descend`` is the one
 descent in a class's parameters; ``stabilize`` starts it from draws, or
 from each member of an explicit list in order.
 """
@@ -86,7 +89,6 @@ import enum
 import itertools
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
@@ -221,13 +223,13 @@ def _scan(q: Query, stream, test, threads: int):
     ``algebra.finite_spectra``, and ``test(gs, rows, w)`` gets the whole
     chunk, the indices of its finite compositions and their spectra.  It
     returns ``None`` or ``(j, payload)`` for the first hit, ``j`` indexing
-    ``gs``.  The first hit in chunk order wins, so the result is the same
+    ``gs``.  Each chunk returns its overflow count and its hit, and
+    shares nothing with the others.  The chunks run in windows of
+    ``threads``, and the main thread reads each window's results in chunk
+    order, so the first hit in chunk order wins: the result is the same
     for every ``threads`` when each chunk's generator depends on ``i``
     alone; a scan whose chunks share one generator must run on one
-    thread.  A
-    worker skips every chunk after one known to hold a hit: the pool
-    starts chunks in order, ``threads * 4`` at a time, so each chunk
-    before that one has started, and the first hit is among them.
+    thread.  After a hit, only the chunks of its window still run.
 
     Returns ``(trials, member, payload, overflowed)``: for the first hit,
     the trials up to and including it, its member and payload, and the
@@ -236,36 +238,27 @@ def _scan(q: Query, stream, test, threads: int):
     composition.  An overflowed composition is never tested.
     """
     n_chunks = math.ceil(q.budget / _CHUNK)
-    first_hit = [n_chunks]  # the lowest chunk known to hold a hit
-    overflowed = [0] * n_chunks  # per chunk, the trials whose composition overflowed
-    lock = threading.Lock()
 
     # bench/spans.py times the falsifier's chunks by the draws called from
     # a function of this name (FALSIFY_SITE)
     def eval_chunk(i: int):
-        if i > first_hit[0]:
-            return None
         count = min(_CHUNK, q.budget - i * _CHUNK)
         gs = classes.sample_batch(q.cls, stream(i), count)
         rows, w = algebra.finite_spectra(q.op, gs, q.a)
-        overflowed[i] = count - rows.size
         hit = test(gs, rows, w) if rows.size else None
-        if hit is None:
-            return None
-        with lock:
-            first_hit[0] = min(first_hit[0], i)
-        return (gs[hit[0]],) + hit
+        return count - rows.size, None if hit is None else (gs[hit[0]],) + hit
 
-    window = threads * 4
+    overflowed = 0
     with ThreadPoolExecutor(max_workers=threads) if threads > 1 else nullcontext() as pool:
         chunk_map = map if pool is None else pool.map
-        for lo in range(0, n_chunks, window):
-            hi = min(lo + window, n_chunks)
-            for i, res in zip(range(lo, hi), chunk_map(eval_chunk, range(lo, hi))):
-                if res is not None:
-                    g, j, payload = res
-                    return i * _CHUNK + j + 1, g, payload, sum(overflowed[:i + 1])
-    return q.budget, None, None, sum(overflowed)
+        for lo in range(0, n_chunks, threads):
+            window = range(lo, min(lo + threads, n_chunks))
+            for i, (skipped, hit) in zip(window, chunk_map(eval_chunk, window)):
+                overflowed += skipped
+                if hit is not None:
+                    g, j, payload = hit
+                    return i * _CHUNK + j + 1, g, payload, overflowed
+    return q.budget, None, None, overflowed
 
 
 def falsify(q: Query) -> Verdict:

@@ -36,6 +36,7 @@ Region values are immutable and shareable across threads.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -120,9 +121,13 @@ class Region:
             if self.sense not in ("positive", "nonnegative", "zero"):
                 raise ValueError(f"unknown sense {self.sense!r}")
 
-    @property
+    @functools.cached_property
     def coeff_array(self) -> np.ndarray:
-        return hill_coefficients(np.array(self.coeffs, dtype=float))
+        """The validated coefficients as a read-only array, computed
+        once; coefficients that fail validation raise on every access."""
+        c = hill_coefficients(np.array(self.coeffs, dtype=float))
+        c.flags.writeable = False
+        return c
 
     @property
     def is_bounded(self) -> bool:

@@ -4,7 +4,9 @@ Matrices travel as ``{"n": int, "data": [[row-major reals]]}`` (plain
 CSV, one row per line, is also accepted on input).  Partitions and
 permutations use 1-based indices on the wire; everything is 0-based
 inside the library.  Serialization is deterministic: fixed key order,
-no timestamps.  ``dumps`` writes all wire text.
+no timestamps.  ``dumps`` writes all wire text.  ``_Writer`` is the one
+definition of the verdict and certificate layout: ``verdict_to_json``
+and ``certificate_to_json`` are its text, parsed back by ``json.loads``.
 """
 
 from __future__ import annotations
@@ -49,8 +51,9 @@ def dumps(obj) -> str:
 
     A ``TotalStabilityReport`` is written as ``{"overall", "subsets"}``,
     each subset keyed by its 1-based index list (``"1,3"``) and valued by
-    ``verdict_to_json``; a ``Verdict`` as ``verdict_to_json``.  Both are
-    written directly, to the bytes ``dumps`` gives their dict view."""
+    its verdict's text; a ``Verdict`` as ``_Writer.verdict``.  The dict
+    view ``verdict_to_json`` is that text parsed, and the writer spells
+    floats as json does, so ``dumps`` gives the dict view the same bytes."""
     if isinstance(obj, engine.TotalStabilityReport):
         return _report_text(obj) + "\n"
     if isinstance(obj, engine.Verdict):
@@ -71,9 +74,10 @@ def _float(x) -> str:
 
 
 class _Writer:
-    """Writes verdicts as canonical text, each field in json's sorted-key
-    order.  Within one writer, each matrix's text is cached by its shape
-    and bytes, and each provenance's text by the tuple: the subsets of a
+    """Writes verdicts and certificates as canonical text, each field in
+    json's sorted-key order: the only place their fields are listed.
+    Within one writer, each matrix's text is cached by its shape and
+    bytes, and each provenance's text by the tuple: the subsets of a
     total-stability report repeat both row after row."""
 
     def __init__(self):
@@ -333,18 +337,7 @@ def op_from_json(obj) -> algebra.BinaryOp:
 
 
 def certificate_to_json(cert: certify.Certificate) -> dict:
-    out: dict = {"kind": cert.kind.value, "min_eig": float(cert.min_eig)}
-    if cert.witness is not None:
-        out["witness"] = matrix_to_json(cert.witness)
-    if cert.partition is not None:
-        out["partition"] = _partition_to_wire(cert.partition)
-    if cert.coeffs is not None:
-        out["coefficients"] = [list(row) for row in cert.coeffs]
-    if cert.members_checked is not None:
-        out["members_checked"] = cert.members_checked
-    if cert.triple is not None:
-        out["triple"] = _triple_to_json(cert.triple)
-    return out
+    return json.loads(_Writer().certificate(cert))
 
 
 def _triple_to_json(triple) -> dict:
@@ -354,18 +347,4 @@ def _triple_to_json(triple) -> dict:
 
 
 def verdict_to_json(v: engine.Verdict) -> dict:
-    out: dict = {
-        "status": v.status.value,
-        "trials_used": int(v.trials_used),
-        "provenance": list(v.provenance),
-    }
-    if v.certificate is not None:
-        out["certificate"] = certificate_to_json(v.certificate)
-    if v.witness is not None:
-        out["witness"] = matrix_to_json(v.witness)
-    if v.offending_eigenvalue is not None:
-        lam = complex(v.offending_eigenvalue)
-        out["offending_eigenvalue"] = [lam.real, lam.imag]
-    if v.margin is not None:
-        out["margin"] = float(v.margin)
-    return out
+    return json.loads(_Writer().verdict(v))

@@ -97,6 +97,11 @@ FAULTS = (
           "    cert = certify.proves(report.certificate, q.a, q.region, q.cls, q.op)\n",
           "    cert = report.certificate\n",
           ("test_enumeration_oracle.py",)),
+    Fault("the member scan keeps only the last chunk's overflow count",
+          "engine.py",
+          "                overflowed += skipped\n",
+          "                overflowed = skipped\n",
+          ("test_search_oracle.py",)),
 )
 
 EXEMPT = (

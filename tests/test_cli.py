@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dgstab import algebra, engine, regions, serialize
+import reference_serialize
+from dgstab import algebra, certify, engine, regions, serialize
 from dgstab import classes as dg_classes
 from dgstab.cli import main
 from test_classes import factory_classes
@@ -349,15 +350,48 @@ def test_verdicts_serialize_to_the_bytes_of_their_dict_view(files, capsys):
         for command, fn in (("check", engine.decide), ("falsify", engine.falsify)):
             v = fn(q)
             _, out = run(capsys, command, *argv)
-            assert out == serialize.dumps(serialize.verdict_to_json(v))
+            assert out == serialize.dumps(reference_serialize.verdict_to_json(v))
             verdicts.append(v)
         assert verdicts[-2].status.value == status
     # json's ASCII escapes of a quote, a backslash, a newline and sigma
     verdicts.append(engine.Verdict(engine.VerdictStatus.UNKNOWN,
                                    provenance=('say "x"', "a\\b", "two\nlines", "σ(G∘A)")))
     for v in verdicts:
-        assert serialize.dumps(v) == serialize.dumps(serialize.verdict_to_json(v))
+        assert serialize.dumps(v) == serialize.dumps(reference_serialize.verdict_to_json(v))
     assert "\\u03c3" in serialize.dumps(verdicts[-1])
+
+
+def test_certificates_with_every_optional_field_are_the_references():
+    part = dg_classes.Partition.from_sizes([2, 1])
+    p = np.array([[2.0, -0.5, 0.0], [-0.5, 1.0, 0.0], [0.0, 0.0, 3.0]])
+    triples = [
+        (regions.unit_disk(), dg_classes.vertex_diag(3), algebra.MUL),
+        (regions.hill_region([[0.0, 1.0], [1.0, 0.0]], "nonnegative"),
+         dg_classes.alpha_scalar(part), algebra.BinaryOp(algebra.OpKind.ADD, algebra.Side.RIGHT)),
+        (regions.sector(0.7), dg_classes.explicit_list([np.eye(3), 2 * np.eye(3)]),
+         algebra.HADAMARD),
+    ]
+    certs = [
+        certify.Certificate(certify.CertKind.BLOCK_LYAPUNOV, p, 0.25, partition=part),
+        certify.Certificate(certify.CertKind.ALPHA_SCALAR_LYAPUNOV, np.diag([1.0, 1.0, 1.0]),
+                            np.nan, partition=part),
+        certify.Certificate(certify.CertKind.HILL, p, -0.0, coeffs=((1.0, 0.0), (0.0, -1.0))),
+    ] + [certify.Certificate(certify.CertKind.EXHAUSTIVE, None, m, triple=t, members_checked=k)
+         for t, m, k in zip(triples, (0.125, np.nan, 1e-320), (8, 3, 2))]
+    for cert in certs:
+        view = serialize.certificate_to_json(cert)
+        assert type(view) is dict
+        assert serialize.dumps(view) == serialize.dumps(
+            reference_serialize.certificate_to_json(cert)), cert.kind
+        v = engine.Verdict(engine.VerdictStatus.CERTIFIED, certificate=cert, provenance=("x",))
+        assert type(serialize.verdict_to_json(v)) is dict
+        assert (serialize.dumps(v) == serialize.dumps(serialize.verdict_to_json(v))
+                == serialize.dumps(reference_serialize.verdict_to_json(v))), cert.kind
+    texts = "".join(serialize.dumps(serialize.certificate_to_json(c)) for c in certs)
+    for field in ('"partition":', '"coefficients":', '"triple":', '"members_checked":',
+                  '"hill":', '"sector":', "NaN", "-0.0", "1e-320"):
+        assert field in texts, field
+    assert all("witness" not in serialize.certificate_to_json(c) for c in certs[3:])
 
 
 def test_laws_subcommand(capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dgstab import regions
-from dgstab.errors import UnrepresentableError
+from dgstab.errors import NonSymmetricError, UnrepresentableError
 from dgstab.linalg import case_i_coefficients
 from dgstab.regions import (
     PointClass,
@@ -241,3 +241,20 @@ def test_hill_senses():
     assert classify_point(nonneg, 1.0) is PointClass.INTERIOR
     assert classify_point(zero, 1j) is PointClass.INTERIOR  # f = 0 on the axis
     assert classify_point(zero, 1.0) is PointClass.EXTERIOR
+
+
+def test_hill_coefficients_are_validated_once_and_read_only():
+    r = hill_region(case_i_coefficients())
+    c = r.coeff_array
+    assert r.coeff_array is c and not c.flags.writeable
+    assert np.array_equal(c, case_i_coefficients())
+    with pytest.raises(ValueError):
+        c[0, 0] = 1.0
+    # the cached array takes no part in equality or hashing
+    fresh = hill_region(case_i_coefficients())
+    assert r == fresh and hash(r) == hash(fresh)
+    # coefficients that are not symmetric raise on every access
+    bad = regions.Region(regions.RegionKind.HILL, coeffs=((0.0, 1.0), (2.0, 0.0)))
+    for _ in range(2):
+        with pytest.raises(NonSymmetricError):
+            bad.coeff_array

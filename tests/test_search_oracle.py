@@ -63,8 +63,8 @@ def test_stabilize_is_the_reference_bit_for_bit(budget, seed):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_falsify_is_the_reference_bit_for_bit(monkeypatch, threads):
     monkeypatch.setenv("DGSTAB_THREADS", threads)
-    hits_past_chunk_0 = 0
-    cases = itertools.product(_classes(), MATRICES, OPS, (RHP, DISK), (1, 600, 1500))
+    hits_past_chunk_0 = hits_past_chunk_1 = 0
+    cases = itertools.product(_classes(), MATRICES, OPS, (RHP, DISK), (1, 600, 1500, 2000))
     for cls, a, op, region, budget in cases:
         if cls.is_finite:
             continue  # decide enumerates a finite class; it is never sampled
@@ -72,7 +72,9 @@ def test_falsify_is_the_reference_bit_for_bit(monkeypatch, threads):
         got, want = falsify(q), reference_search.falsify(q)
         assert _fields(got) == _fields(want), (cls.kind, a[1, 1], op, region.kind, budget)
         hits_past_chunk_0 += got.witness is not None and got.trials_used > 512
-    assert hits_past_chunk_0
+        # past chunk 1: in the second window of chunks at two threads
+        hits_past_chunk_1 += got.witness is not None and got.trials_used > 1024
+    assert hits_past_chunk_0 and hits_past_chunk_1
 
 
 @pytest.mark.filterwarnings("error")

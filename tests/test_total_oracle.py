@@ -20,6 +20,7 @@ import itertools
 
 import numpy as np
 
+import reference_serialize
 from dgstab import algebra, certify, classes, engine, linalg, regions, serialize
 from dgstab.algebra import HADAMARD, MUL
 from dgstab.classes import Partition
@@ -139,11 +140,12 @@ def _restricted(v) -> bool:
 
 
 def _text(rep: TotalStabilityReport) -> str:
-    """The report's dict view as canonical JSON: the reference for the
-    text ``serialize.dumps`` writes for it, which ``dgstab total`` prints."""
+    """The report's dict view as canonical JSON, each verdict by
+    ``reference_serialize``: the reference for the text ``serialize.dumps``
+    writes for it, which ``dgstab total`` prints."""
     return serialize.dumps({
         "overall": rep.overall.value,
-        "subsets": {",".join(str(i + 1) for i in idx): serialize.verdict_to_json(v)
+        "subsets": {",".join(str(i + 1) for i in idx): reference_serialize.verdict_to_json(v)
                     for idx, v in rep.results.items()}})
 
 
