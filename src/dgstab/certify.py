@@ -102,10 +102,14 @@ FOUND_TOL = 1e-8
 
 #: A failed search stops once the barrier's duality gap is below this.
 _GAP_TOL = 1e-7
-#: A guard only: a search stops by its own rule long before (39 steps in the tests).
+#: A guard only: a search stops by its own rule long before (66 steps in the tests).
 #: A caller may pass a smaller budget (``max_steps``) where a failed search
 #: costs more than the decision that follows it.
 _MAX_STEPS = 5000
+#: The barrier search starts its slack below the form's smallest
+#: eigenvalue ``t0`` at ``P = I`` by this share of ``|t0|``, and by at
+#: least this much (``_start``).
+_START_GAP = 0.03
 
 
 class CertKind(enum.Enum):
@@ -264,19 +268,29 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
     return None, best, steps
 
 
+def _start(t0: float) -> float:
+    """The slack ``_barrier_search`` starts from, below the smallest
+    eigenvalue ``t0`` of the searched form at ``P = I``: a gap of
+    ``_START_GAP max(1, |t0|)``, at the form's own scale, so that the
+    first Newton steps need not close an arbitrary fixed gap."""
+    return t0 - _START_GAP * max(1.0, abs(t0))
+
+
 def _form_search(a, kind: CertKind, partition: Partition | None,
                  max_steps: int | None = None) -> CertReport:
     """Search ``kind``'s form over its witnesses: block-diagonal SPD
     for ``BLOCK_LYAPUNOV``, else positive block-scalar diagonals on the
     blocks of ``partition`` (singletons, not recorded, when None).
     ``P = I`` is tried first and returned, measured, when its form
-    clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs, unless
-    that form is not finite (best -inf).  A form homogeneous in ``A``
-    (``c_00 = c_11 = 0``: case I) is searched on ``A`` at unit Frobenius
-    norm, found/not-found being invariant under positive scaling, and
-    compared at the scale of ``2^-e A`` (no entry above 1), whose norm no
-    square overflows.  ``max_steps`` caps the Newton steps (None: the
-    ``_MAX_STEPS`` guard)."""
+    clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs from the
+    slack ``_start(t0)`` just below the smallest eigenvalue ``t0`` of
+    that form at the searched matrix, unless that form is not finite
+    (best -inf).  A form homogeneous in ``A`` (``c_00 = c_11 = 0``: case
+    I) is searched on ``A`` at unit Frobenius norm, found/not-found being
+    invariant under positive scaling, and compared at the scale of
+    ``2^-e A`` (no entry above 1), whose norm no square overflows.
+    ``max_steps`` caps the Newton steps (None: the ``_MAX_STEPS``
+    guard)."""
     a = as_square_matrix(a)
     start = _measured(Certificate(kind, np.eye(len(a)), np.nan, partition=partition), a)
     c = _PAIRINGS[kind].form
@@ -289,8 +303,8 @@ def _form_search(a, kind: CertKind, partition: Partition | None,
     if math.ldexp(start.min_eig, -e) > FOUND_TOL * norm:
         return CertReport(True, start, start.min_eig, 0)
     t0 = math.ldexp(start.min_eig, -e) / norm
-    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition), t0 - 1.0,
-                                  max_steps)
+    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition),
+                                  _start(t0), max_steps)
     if p is None:
         return CertReport(False, None, math.ldexp(max(t, t0) * norm, e), steps)
     cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)

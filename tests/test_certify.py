@@ -403,6 +403,10 @@ def _search_cases():
     g = rng(5).standard_normal((5, 5))
     a = 0.95 * g / max(np.abs(np.linalg.eigvals(g)))
     cases.append(("stein n=5 gaussian", a, lambda a=a: find_stein_diagonal(a)))
+    # a form of scale 1e4: the search starts at the form's own scale
+    g = rng(7).standard_normal((7, 7))
+    a = 70.0 * g / max(np.abs(np.linalg.eigvals(g)))
+    cases.append(("stein n=7 radius 70", a, lambda a=a: find_stein_diagonal(a)))
     sizes = [2, 1, 2]
     m = rng(4).standard_normal((5, 5))
     block_spd = np.zeros((5, 5))
@@ -452,7 +456,7 @@ def test_found_certificates_of_every_form_verify():
 
 def test_every_search_stops_by_its_own_rule_within_100_steps():
     # at a certificate or a closed duality gap, far below the _MAX_STEPS
-    # guard: the largest count here is 39
+    # guard: the largest count here is 66
     assert certify._MAX_STEPS > 100
     for name, _, search in _search_cases():
         assert search().iterations <= 100, name
@@ -733,7 +737,7 @@ def test_the_barrier_search_is_the_hand_written_one_bit_for_bit():
     # random partitions, each started as _form_search starts it
     import reference_barrier
 
-    from dgstab.certify import _barrier_search, _entries
+    from dgstab.certify import _barrier_search, _entries, _start
     from dgstab.linalg import case_i_coefficients, polynomial_forms
 
     forms = {"lyap": case_i_coefficients(), "stein": case_iii_coefficients()}
@@ -758,7 +762,7 @@ def test_the_barrier_search_is_the_hand_written_one_bit_for_bit():
                              (CertKind.ALPHA_SCALAR_LYAPUNOV, part))
                 if style == "scaled":
                     b = b * 10.0 ** r.uniform(-3.0, 3.0)
-                t = np.linalg.eigvalsh(polynomial_forms(c, np.eye(n), b))[0] - 1.0
+                t = _start(np.linalg.eigvalsh(polynomial_forms(c, np.eye(n), b))[0])
                 for kind, p in kinds:
                     entries = _entries(kind, n, p)
                     want = reference_barrier.barrier_search(b, form, entries, t)
