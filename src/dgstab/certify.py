@@ -48,6 +48,18 @@ its own rule, at a certificate or a closed duality gap (``_MAX_STEPS``
 is a guard only), unless its caller caps its Newton steps
 (``max_steps``): a not-found report is always inconclusive.
 
+Where ``P = I`` fails, the diagonal and block-scalar Lyapunov kinds
+search the row-scaled matrix ``B = D0 A`` instead of ``A``
+(``_row_scaled_search``): ``D0`` is a positive diagonal of powers of
+two, constant on each witness block, that brings each block's largest
+diagonal entry into [0.5, 1).  ``P' D0`` certifies ``A`` exactly when
+``P'`` certifies ``B``, since the two forms are one matrix, and every
+product by a power of two is exact: a graded input is searched at the
+scale of its diagonal, and the witness found, mapped back and scaled to
+trace n, is re-verified at ``A`` by the one check, unchanged.  The Stein
+form and block SPD witnesses have no such equivalence and are searched
+on ``A``, and so is any input where the scaling would not be exact.
+
 Before it searches, ``search_for_triple`` runs the kind's screen, the
 ``screen`` column of ``_PAIRINGS``: a cheap condition that every matrix
 with a certificate of the kind meets (the form's principal submatrices
@@ -175,7 +187,7 @@ def _entries(kind: CertKind, n: int, partition: Partition | None) -> np.ndarray:
 
 
 def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
-                    max_steps: int | None = None):
+                    max_steps: int | None = None, best_iterate: bool = False):
     """Phase-I barrier Newton search for a witness ``P(x)`` parametrized
     by ``entries`` that makes the form ``F(P) = sum_ij c_ij (A^T)^i P
     A^j`` of degree-1 coefficients ``c`` positive definite at ``a``.
@@ -195,7 +207,9 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
     ``(None, best t, steps)`` once the duality gap ``2n/s`` is below
     ``_GAP_TOL``, at an iterate that is not finite or not positive
     definite, or after ``max_steps`` steps (``_MAX_STEPS``, a guard only,
-    when None)."""
+    when None).  With ``best_iterate``, a failed search returns the
+    first iterate at its best ``t`` in place of None (still None when no
+    iterate was positive definite)."""
     n = a.shape[0]
     max_steps = _MAX_STEPS if max_steps is None else max_steps
     off = entries[:, 0] != entries[:, 1]
@@ -224,7 +238,7 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
     kkt[:m, m + 1] = kkt[m + 1, :m] = trace_row
     rhs = np.zeros(m + 2)
     x = (trace_row > 0).astype(float)  # P = I
-    eye, s, best = np.eye(n), None, t
+    eye, s, best, best_p = np.eye(n), None, t, None
     # a non-finite or indefinite iterate ends the search, so its warnings
     # say nothing
     with np.errstate(all="ignore"):
@@ -235,6 +249,8 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
                 shifted = polynomial_forms(c, p, a) - t * eye
                 np.linalg.cholesky(shifted)
                 np.linalg.cholesky(p)
+                if best_p is None or t > best:
+                    best_p = p
                 best = max(best, t)
                 if t > FOUND_TOL:
                     return p, t, steps
@@ -254,18 +270,16 @@ def _barrier_search(a: np.ndarray, c: np.ndarray, entries: np.ndarray, t: float,
                     rhs[m] = s - np.trace(r)
                     step = np.linalg.solve(kkt, rhs)[:m + 1]
                     decrement = math.sqrt(max(step @ rhs[:m + 1], 0.0))
-                    if not math.isfinite(decrement):
-                        return None, best, steps
-                    if decrement > 0.5:
+                    if not math.isfinite(decrement) or decrement > 0.5 or 2.0 * n / s < _GAP_TOL:
                         break
-                    if 2.0 * n / s < _GAP_TOL:
-                        return None, best, steps
                     s *= 8.0
+                if not (math.isfinite(decrement) and decrement > 0.5):
+                    break  # not finite, or the gap closed
                 x = x + step[:m] / (1.0 + decrement)
                 t = t + step[m] / (1.0 + decrement)
         except np.linalg.LinAlgError:
             pass
-    return None, best, steps
+    return best_p if best_iterate else None, best, steps
 
 
 def _start(t0: float) -> float:
@@ -285,12 +299,14 @@ def _form_search(a, kind: CertKind, partition: Partition | None,
     clears ``FOUND_TOL``; otherwise ``_barrier_search`` runs from the
     slack ``_start(t0)`` just below the smallest eigenvalue ``t0`` of
     that form at the searched matrix, unless that form is not finite
-    (best -inf).  A form homogeneous in ``A`` (``c_00 = c_11 = 0``: case
-    I) is searched on ``A`` at unit Frobenius norm, found/not-found being
-    invariant under positive scaling, and compared at the scale of
-    ``2^-e A`` (no entry above 1), whose norm no square overflows.
-    ``max_steps`` caps the Newton steps (None: the ``_MAX_STEPS``
-    guard)."""
+    (best -inf).  The diagonal and block-scalar Lyapunov kinds search
+    the exactly row-scaled matrix (``_row_scaled_search``) wherever it
+    is exact; every other search runs on ``A``.  A form homogeneous in
+    ``A`` (``c_00 = c_11 = 0``: case I) is searched on ``A`` at unit
+    Frobenius norm, found/not-found being invariant under positive
+    scaling, and compared at the scale of ``2^-e A`` (no entry above 1),
+    whose norm no square overflows.  ``max_steps`` caps the Newton steps
+    (None: the ``_MAX_STEPS`` guard)."""
     a = as_square_matrix(a)
     start = _measured(Certificate(kind, np.eye(len(a)), np.nan, partition=partition), a)
     c = _PAIRINGS[kind].form
@@ -302,13 +318,71 @@ def _form_search(a, kind: CertKind, partition: Partition | None,
         return CertReport(False, None, start.min_eig, 0)
     if math.ldexp(start.min_eig, -e) > FOUND_TOL * norm:
         return CertReport(True, start, start.min_eig, 0)
+    entries = _entries(kind, len(a), partition)
+    if kind in _ROW_SCALED:
+        report = _row_scaled_search(a, kind, partition, entries, max_steps)
+        if report is not None:
+            return report
     t0 = math.ldexp(start.min_eig, -e) / norm
-    p, t, steps = _barrier_search(unit / norm, c, _entries(kind, len(a), partition),
-                                  _start(t0), max_steps)
+    p, t, steps = _barrier_search(unit / norm, c, entries, _start(t0), max_steps)
     if p is None:
         return CertReport(False, None, math.ldexp(max(t, t0) * norm, e), steps)
     cert = _measured(Certificate(kind, p, np.nan, partition=partition), a)
     return CertReport(True, cert, cert.min_eig, steps)
+
+
+#: The kinds whose search runs on the row-scaled matrix ``D0 A``.
+_ROW_SCALED = (CertKind.DIAGONAL_LYAPUNOV, CertKind.ALPHA_SCALAR_LYAPUNOV)
+
+
+def _row_scaled_search(a: np.ndarray, kind: CertKind, partition: Partition | None,
+                       entries: np.ndarray, max_steps: int | None) -> CertReport | None:
+    """The search of a positive block-scalar diagonal ``P`` with ``P A +
+    A^T P`` positive definite, run on ``B = D0 A``: ``D0`` is the power
+    of two ``2^-e`` on each block of ``entries``' owners, ``e`` the
+    ``frexp`` exponent of the block's largest ``|a_ii|``, so that ``B``'s
+    diagonal is graded no more than within a block.  For every witness
+    ``P'`` of ``B``, ``P' D0`` is one of ``A`` with the same form, ``P'
+    D0 A + A^T D0 P' = P' B + B^T P'``, and every product by a power of
+    two is exact, so the found ``P'`` maps back, scaled to trace n,
+    bit for bit up to that scaling.  ``_barrier_search`` runs on ``B``
+    at unit Frobenius norm from ``_start`` of its form's smallest
+    eigenvalue at ``P' = I``.  A failed search reports the smallest
+    eigenvalue at ``A`` of its best iterate mapped back.
+
+    None, and ``A`` is searched unscaled, where the scaling is not
+    exact or its witness not representable: a block's diagonal is 0,
+    ``D0 A`` overflows or turns a nonzero entry zero or subnormal, no
+    iterate was positive definite, or the mapped witness has an entry
+    that is not a positive normal number or a form at ``A`` that is not
+    finite."""
+    top = np.zeros(entries[-1, 2] + 1)  # each block's largest |a_ii|
+    np.maximum.at(top, entries[:, 2], np.abs(a.diagonal()))
+    if not top.all():
+        return None
+    rows = np.frexp(top)[1][entries[:, 2]]
+    with np.errstate(over="ignore", under="ignore"):  # both are caught below
+        b = np.ldexp(a, -rows[:, None])
+    if not np.isfinite(b).all() or (np.abs(b[a != 0.0]) < _TINY).any():
+        return None
+    b = np.ldexp(b, -math.frexp(np.abs(b).max())[1])
+    b = b / np.linalg.norm(b)
+    c = _PAIRINGS[kind].form
+    t0 = float(np.linalg.eigvalsh(polynomial_forms(c, np.eye(len(a)), b))[0])
+    p, t, steps = _barrier_search(b, c, entries, _start(t0), max_steps, best_iterate=True)
+    if p is None:
+        return None
+    with np.errstate(under="ignore"):  # a subnormal entry is caught below
+        w = np.ldexp(p, rows.min() - rows)  # P' D0 / max(D0), by columns
+    w = w * (len(a) / np.trace(w))
+    if not (w.diagonal() >= _TINY).all():
+        return None
+    cert = _measured(Certificate(kind, w, np.nan, partition=partition), a)
+    if cert.min_eig == -np.inf:
+        return None
+    if t > FOUND_TOL:
+        return CertReport(True, cert, cert.min_eig, steps)
+    return CertReport(False, None, cert.min_eig, steps)
 
 
 def find_diagonal_lyapunov(a) -> CertReport:

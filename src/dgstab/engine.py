@@ -79,8 +79,8 @@ results do not depend on the thread count) and ``inertia_preserving``
 windows of one chunk per thread and share no state: each returns its
 overflow count and its hit, and the main thread reads a window's
 results in chunk order.  ``_descend`` is the one
-descent in a class's parameters; ``stabilize`` starts it from draws, or
-from each member of an explicit list in order.
+descent in a class's parameters; ``stabilize`` starts it from draws, and
+scans an explicit list's members in order instead.
 """
 
 from __future__ import annotations
@@ -586,10 +586,8 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
     a time, each coordinate's moves taken from the parameters that the
     sweep reached before it; a move is kept when ``loss`` falls, and the
     step starts at 0.5 and halves after a sweep that lowers nothing,
-    down to 1e-3.  It stops after ``budget`` evaluations of ``loss``,
-    after a sweep that offers no move (an explicit list's index has
-    none, at any step), or when ``done(p, value)`` holds at the start or
-    at a kept move.
+    down to 1e-3.  It stops after ``budget`` evaluations of ``loss``, or
+    when ``done(p, value)`` holds at the start or at a kept move.
 
     Returns ``(p, value, evaluations, finished)``, ``finished`` telling
     whether ``done`` held."""
@@ -598,10 +596,9 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
         return p, value, evals, True
     scale = 0.5
     while evals < budget and scale > 1e-3:
-        improved = tried = False
+        improved = False
         for i in range(p.size):
             for cand in classes.coordinate_moves(cls, p, i, scale):
-                tried = True
                 if evals >= budget:
                     break
                 cand_value = loss(cand)
@@ -610,8 +607,6 @@ def _descend(cls: MatrixClass, p: np.ndarray, loss, budget: int, done):
                     p, value, improved = cand, cand_value, True
                     if done(p, value):
                         return p, value, evals, True
-        if not tried:
-            break
         if not improved:
             scale *= 0.5
     return p, value, evals, False
@@ -622,11 +617,14 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
     """Search the class for one member whose composition with ``a`` is
     region-stable: ``_descend`` on the summed shortfall of the interior
     scores below twice the boundary tolerance, started from one
-    ``classes.draw`` after another, or from each member of an explicit
-    list in order (an index, which has no moves), until ``budget``
-    evaluations are spent.  A found witness is re-verified before it is
-    returned.  A member whose composition overflows has infinite loss
-    and never verifies."""
+    ``classes.draw`` after another, until ``budget`` evaluations are
+    spent.  An explicit list is scanned instead, its first ``budget``
+    members in order, one evaluation each: a member is a start with no
+    moves, whose loss is 0 exactly when every score reaches twice the
+    tolerance, so the members are composed and solved in stacks of 8
+    that double up to ``_CHUNK``.  A found witness is re-verified before
+    it is returned.  A member whose composition overflows has infinite
+    loss and never verifies."""
     a = Query(a, region, cls, op, budget, seed).a
     rng = np.random.default_rng(_stream(seed))
     req = 2.0 * region.boundary_tol
@@ -649,11 +647,22 @@ def stabilize(a, region: regions.Region, cls: MatrixClass, op: BinaryOp,
         w = spectrum(p)
         return w is not None and regions.spectrum_in_region(region, w)
 
-    starts = ((np.array([k]) for k in range(len(cls.members)))
-              if cls.kind is ClassKind.EXPLICIT_LIST
-              else (classes.draw(cls, rng, 1)[0] for _ in itertools.count()))
+    if cls.kind is ClassKind.EXPLICIT_LIST:
+        count, done, size = min(budget, len(cls.members)), 0, 8
+        while done < count:
+            ps = np.arange(done, min(done + size, count))[:, None]
+            rows, w = algebra.finite_spectra(op, classes.decode(cls, ps), a)
+            if rows.size:
+                scores = regions.interior_scores(region, w.ravel()).reshape(w.shape)
+                for i in rows[(scores >= req).all(axis=1)].tolist():
+                    if verified(ps[i], 0.0):
+                        return StabilizeReport(True, classes.decode(cls, ps[i][None])[0],
+                                               done + i + 1)
+            done, size = done + len(ps), min(2 * size, _CHUNK)
+        return StabilizeReport(False, None, count)
+
     evals = 0
-    for p in starts:
+    for p in (classes.draw(cls, rng, 1)[0] for _ in itertools.count()):
         p, _, spent, found = _descend(cls, p, loss, budget - evals, verified)
         evals += spent
         if found:

@@ -102,6 +102,21 @@ FAULTS = (
           "                overflowed += skipped\n",
           "                overflowed = skipped\n",
           ("test_search_oracle.py",)),
+    Fault("the row-scaled search keeps an entry that D0 A turns subnormal",
+          "certify.py",
+          "    if not np.isfinite(b).all() or (np.abs(b[a != 0.0]) < _TINY).any():\n",
+          "    if not np.isfinite(b).all():\n",
+          ("test_certify.py",)),
+    Fault("a row-scaled witness maps back without D0",
+          "certify.py",
+          "        w = np.ldexp(p, rows.min() - rows)  # P' D0 / max(D0), by columns\n",
+          "        w = p.copy()\n",
+          ("test_certify.py",)),
+    Fault("the list scan counts a found member's evaluations from its stack's start",
+          "engine.py",
+          "                                               done + i + 1)\n",
+          "                                               done + 1)\n",
+          ("test_search_oracle.py",)),
 )
 
 EXEMPT = (

@@ -724,6 +724,78 @@ def _witness_candidates(n, part):
             b @ b.T + np.eye(n), b + b.T, b, np.eye(n) + 1e-13 * (b + b.T)]
 
 
+def test_a_power_of_two_row_scaling_leaves_found_unchanged():
+    # for D = 2^k, D A and A share their row-scaled matrix D0 A, so the
+    # Newton searches agree; they could differ only where P = I
+    # certifies one of them and not the other
+    r = rng(36)
+    for name, a, _ in _search_cases():
+        if name.split()[0] != "diagonal":
+            continue
+        for _ in range(4):
+            d = np.ldexp(1.0, r.integers(-30, 31, len(a)))
+            assert find_diagonal_lyapunov(d[:, None] * a).found == \
+                find_diagonal_lyapunov(a).found, name
+
+
+def test_the_row_scaled_search_certifies_row_graded_matrices():
+    # A = diag(p)^-1 (W/2 + K) has the certificate diag(p), and its rows
+    # scaled by 2^k the certificate diag(p) 2^-k: every query is true
+    rhp = regions.right_half_plane()
+    for spread in (5, 10, 20):
+        r, statuses = rng(5), []
+        for seed in range(100):
+            n = int(r.integers(3, 9))
+            b = r.standard_normal((n, n))
+            k = r.standard_normal((n, n))
+            p = 10.0 ** r.uniform(-1.0, 1.0, n)
+            a = np.linalg.solve(np.diag(p), 0.5 * (b @ b.T + 0.5 * np.eye(n)) + (k - k.T))
+            a = np.ldexp(a, r.integers(-spread, spread + 1, n)[:, None])
+            q = Query(a, rhp, classes.pos_diag(n), MUL, budget=2000, seed=seed)
+            statuses.append(decide(q).status)
+        assert statuses == [VerdictStatus.CERTIFIED] * 100, spread
+
+
+def test_the_row_scaled_search_falls_back_at_the_edges():
+    # A is searched unscaled where D0 A is not exact: a block's diagonal
+    # is 0, an entry overflows, or a nonzero entry becomes subnormal or 0
+    from dgstab.certify import _entries, _row_scaled_search
+
+    edges = (
+        (np.array([[0.0, 1.0], [-1.0, 1.0]]), None),
+        (np.array([[1.0, 2.0, 0.5], [-2.0, 0.0, 1.0], [0.0, -1.0, 0.0]]),
+         Partition.from_sizes([1, 2])),
+        (np.array([[1e-300, 1e300], [-1.0, 1.0]]), None),
+        (np.array([[1e300, 1e-300], [-1.0, 1.0]]), None),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, part in edges:
+            kind = CertKind.DIAGONAL_LYAPUNOV if part is None else CertKind.ALPHA_SCALAR_LYAPUNOV
+            assert _row_scaled_search(a, kind, part, _entries(kind, 2 if part is None else 3,
+                                                              part), None) is None
+            rep = find_diagonal_lyapunov(a) if part is None else \
+                find_structured_lyapunov(a, classes.pos_alpha_scalar(part))
+            assert not rep.found or verify_certificate(rep.certificate, a)
+        # order 1: P = I or nothing, measured at A
+        assert find_diagonal_lyapunov(np.array([[3.0]])).iterations == 0
+        rep = find_diagonal_lyapunov(np.array([[-1.0]]))
+        assert (rep.found, rep.best_min_eig) == (False, -2.0)
+        # rows graded between 1e300 and 1e-300: the witness P' D0 at
+        # trace 2 would hold an entry near 2^-1990, below the smallest
+        # subnormal, so A is searched unscaled
+        for a in (np.array([[1e-300, 0.0], [1.0, 1e300]]),
+                  np.array([[1e300, 1e299], [-1e-300, 2e-300]])):
+            kind = CertKind.DIAGONAL_LYAPUNOV
+            assert _row_scaled_search(a, kind, None, _entries(kind, 2, None), None) is None
+            rep = find_diagonal_lyapunov(a)
+            assert not rep.found or verify_certificate(rep.certificate, a)
+        # rows graded from 1e150 to 1e-150, certified through D0 A
+        a = np.array([[1e150, 1e149], [-1e-150, 2e-150]])
+        rep = find_diagonal_lyapunov(a)
+        assert rep.found and verify_certificate(rep.certificate, a)
+
+
 def _random_partition(r, n):
     cuts = r.choice(np.arange(1, n), size=r.integers(0, n), replace=False) if n > 1 else []
     return Partition.from_sizes(np.diff([0, *sorted(cuts), n]).tolist())

@@ -19,6 +19,7 @@ import reference_search
 from dgstab import algebra, classes, regions
 from dgstab.algebra import ADD, HADAMARD, MUL
 from dgstab.engine import Query, falsify, inertia_preserving, stabilize
+from dgstab.linalg import case_i_coefficients
 from test_classes import _kinds_of_order
 
 RHP, DISK = regions.right_half_plane(), regions.unit_disk()
@@ -57,6 +58,26 @@ def test_stabilize_is_the_reference_bit_for_bit(budget, seed):
         with np.errstate(over="ignore"):  # its loss warned where shortfalls sum to inf
             want = reference_search.stabilize(a, region, cls, op, budget=budget, seed=seed)
         assert _fields(got) == _fields(want), (cls.kind, a[1, 1], op, region.kind)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stabilize_scans_a_long_list_as_the_reference_does():
+    # 2,000 members on the imaginary axis (-c I A has the spectrum of
+    # -c A, +-i c sqrt(2)), one list with diag(3, 2) late among them and
+    # one without it; the budget cuts the scan before that member, at a
+    # stack's end and inside one, and after it.  The half-plane is also
+    # given as a Hill region, whose scores take one spectrum at a time.
+    a = MATRICES[0]
+    plain = [-(1.0 + k / 1000.0) * np.eye(2) for k in range(2000)]
+    late = plain[:1937] + [np.diag([3.0, 2.0])] + plain[1938:]
+    hill = regions.hill_region(case_i_coefficients())
+    for members, region in itertools.product((late, plain), (RHP, hill)):
+        cls = classes.explicit_list(members)
+        for budget in (8, 1500, 1937, 2000, 10_000):
+            got = stabilize(a, region, cls, MUL, budget=budget, seed=0)
+            want = reference_search.stabilize(a, region, cls, MUL, budget=budget, seed=0)
+            assert _fields(got) == _fields(want), (len(members), region.kind, budget)
+            assert got.found == (members is late and budget >= 1938), budget
 
 
 @pytest.mark.filterwarnings("error")
